@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, PunctureDomainError
-from .spaces import DistanceMatrix, PointCloud, METRIC_NAMES, pairwise_distances
+from .spaces import DistanceMatrix, PointCloud, METRIC_NAMES, _as_entries, pairwise_distances
 
 LOG2 = math.log(2.0)
 
@@ -47,27 +47,87 @@ Oracle = Callable[[int, int], float]
 def as_oracle(d) -> Oracle:
     """Normalize a DistanceMatrix, a square ndarray, or a callable to an
     ``(i, j) -> float`` evaluation."""
-    if isinstance(d, DistanceMatrix):
-        entries = d.entries
-        return lambda i, j: float(entries[i, j])
-    if isinstance(d, np.ndarray):
-        return lambda i, j: float(d[i, j])
-    if callable(d):
+    if callable(d):  # a DistanceMatrix evaluates itself
         return d
+    if isinstance(d, np.ndarray):
+        entries = _as_entries(d)
+        return lambda i, j: float(entries[i, j])
     raise InputError(f"expected a DistanceMatrix, ndarray, or callable oracle, got {type(d)!r}")
+
+
+def _mu(dxy, gx, gy):
+    """d(x,y) + sqrt(d(x,p) d(y,p)) over broadcastable arrays of base
+    distances ``dxy`` and anchor distances ``gx``, ``gy``."""
+    return dxy + np.sqrt(gx * gy)
+
+
+def _tau(dxy, gx, gy, factor: float):
+    """log(1 + factor d(x,y) / sqrt(d(x,p) d(y,p))): tau_p for factor 2,
+    tilde_tau_p for factor 1."""
+    return np.log1p(factor * dxy / np.sqrt(gx * gy))
+
+
+def _fold(op, start: float, dxy, gx, gy, factor: float):
+    """Reduce the one-point values over the puncture axis, one 2-D step per
+    puncture, so no array with a puncture axis is materialized."""
+    out = np.full_like(dxy, start)
+    for a in range(len(gx)):
+        op(out, _tau(dxy, gx[a], gy[a], factor), out=out)
+    return out
+
+
+def _variant_values(variant: str, dxy, gx, gy, anchor: int | None):
+    """The single formula of each variant.
+
+    ``dxy`` holds base distances d(x,y); ``gx[a]`` and ``gy[a]`` hold the
+    gaps d(x,p_a) and d(y,p_a) to puncture a. The axes after the puncture
+    axis broadcast: ``punctured_matrix`` passes (n,n), (k,n,1) and (k,1,n),
+    the scalar constructors a 0-d distance and (k,) gaps.
+    """
+    factor = 1.0 if variant.startswith("tilde") else 2.0
+    if variant in ONE_POINT_VARIANTS:
+        return _tau(dxy, gx[anchor], gy[anchor], factor)
+    if variant in ("avg_tau", "tilde_avg_tau"):
+        return _fold(np.add, 0.0, dxy, gx, gy, factor) / len(gx)
+    if variant == "sup_tau":
+        return _fold(np.maximum, -np.inf, dxy, gx, gy, factor)
+    if variant in ("j", "j_tilde"):
+        t1 = np.log1p(dxy / gx.min(axis=0))
+        t2 = np.log1p(dxy / gy.min(axis=0))
+        return 0.5 * (t1 + t2) if variant == "j" else np.maximum(t1, t2)
+    raise InputError(f"unknown variant {variant!r}")  # PuncturedSpec validates
+
+
+def _anchor_gaps(o: Oracle, x: int, punctures: Sequence[int]) -> np.ndarray:
+    gaps = np.array([o(x, p) for p in punctures], dtype=float)
+    hit = np.flatnonzero(gaps <= 0.0)
+    if hit.size:
+        raise PunctureDomainError(f"point {x} lies on puncture {punctures[hit[0]]}")
+    return gaps
+
+
+def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=None) -> float:
+    """One entry of ``variant``: the oracle's values as a 0-d distance and
+    (k,) gaps, through the formula ``punctured_matrix`` uses."""
+    if len(punctures) < 1:
+        raise InputError("need at least one puncture")
+    o = as_oracle(d)
+    gx = _anchor_gaps(o, x, punctures)
+    gy = _anchor_gaps(o, y, punctures)
+    return float(_variant_values(variant, np.asarray(o(x, y), dtype=float), gx, gy, anchor))
 
 
 def mu_p(d, x: int, y: int, p: int) -> float:
     """d(x,y) + sqrt(d(x,p) d(y,p)). Defined everywhere, including x = p."""
+    return mu_P(d, x, y, [p])
+
+
+def mu_P(d, x: int, y: int, punctures: Sequence[int]) -> float:
+    """Product of mu_p over the puncture list."""
     o = as_oracle(d)
-    return o(x, y) + math.sqrt(o(x, p) * o(y, p))
-
-
-def _anchor_gap(o: Oracle, x: int, p: int) -> float:
-    g = o(x, p)
-    if g <= 0.0:
-        raise PunctureDomainError(f"point {x} lies on puncture {p}")
-    return g
+    gx = np.array([o(x, p) for p in punctures], dtype=float)
+    gy = np.array([o(y, p) for p in punctures], dtype=float)
+    return math.prod(_mu(o(x, y), gx, gy).tolist(), start=1.0)
 
 
 def tau_p(d, x: int, y: int, p: int) -> float:
@@ -75,9 +135,7 @@ def tau_p(d, x: int, y: int, p: int) -> float:
 
     A metric on the punctured set for any base metric.
     """
-    o = as_oracle(d)
-    g = math.sqrt(_anchor_gap(o, x, p) * _anchor_gap(o, y, p))
-    return math.log1p(2.0 * o(x, y) / g)
+    return _scalar("tau_p", d, x, y, [p], 0)
 
 
 def tilde_tau_p(d, x: int, y: int, p: int) -> float:
@@ -86,36 +144,17 @@ def tilde_tau_p(d, x: int, y: int, p: int) -> float:
     Symmetric, nonnegative, zero iff x = y, but the triangle inequality can
     fail unless the base space is Ptolemaic.
     """
-    o = as_oracle(d)
-    g = math.sqrt(_anchor_gap(o, x, p) * _anchor_gap(o, y, p))
-    return math.log1p(o(x, y) / g)
-
-
-def mu_P(d, x: int, y: int, punctures: Sequence[int]) -> float:
-    """Product of mu_p over the puncture list."""
-    o = as_oracle(d)
-    out = 1.0
-    for p in punctures:
-        out *= o(x, y) + math.sqrt(o(x, p) * o(y, p))
-    return out
-
-
-def _require_punctures(punctures: Sequence[int]) -> Sequence[int]:
-    if len(punctures) < 1:
-        raise InputError("need at least one puncture")
-    return punctures
+    return _scalar("tilde_tau_p", d, x, y, [p], 0)
 
 
 def avg_tau(d, x: int, y: int, punctures: Sequence[int]) -> float:
     """Arithmetic mean of tau_p over the punctures; a metric on D."""
-    punctures = _require_punctures(punctures)
-    return sum(tau_p(d, x, y, p) for p in punctures) / len(punctures)
+    return _scalar("avg_tau", d, x, y, punctures)
 
 
 def tilde_avg_tau(d, x: int, y: int, punctures: Sequence[int]) -> float:
     """Arithmetic mean of tilde_tau_p over the punctures."""
-    punctures = _require_punctures(punctures)
-    return sum(tilde_tau_p(d, x, y, p) for p in punctures) / len(punctures)
+    return _scalar("tilde_avg_tau", d, x, y, punctures)
 
 
 def sup_tau(d, x: int, y: int, punctures: Sequence[int]) -> float:
@@ -123,28 +162,17 @@ def sup_tau(d, x: int, y: int, punctures: Sequence[int]) -> float:
 
     No hyperbolicity bound is asserted for this variant.
     """
-    punctures = _require_punctures(punctures)
-    return max(tau_p(d, x, y, p) for p in punctures)
+    return _scalar("sup_tau", d, x, y, punctures)
 
 
 def j_metric(d, x: int, y: int, punctures: Sequence[int]) -> float:
     """(1/2)[log(1 + d(x,y)/dist(x,P)) + log(1 + d(x,y)/dist(y,P))]."""
-    punctures = _require_punctures(punctures)
-    o = as_oracle(d)
-    gx = min(_anchor_gap(o, x, p) for p in punctures)
-    gy = min(_anchor_gap(o, y, p) for p in punctures)
-    dxy = o(x, y)
-    return 0.5 * (math.log1p(dxy / gx) + math.log1p(dxy / gy))
+    return _scalar("j", d, x, y, punctures)
 
 
 def j_tilde_metric(d, x: int, y: int, punctures: Sequence[int]) -> float:
     """max of the two logs averaged by ``j_metric``."""
-    punctures = _require_punctures(punctures)
-    o = as_oracle(d)
-    gx = min(_anchor_gap(o, x, p) for p in punctures)
-    gy = min(_anchor_gap(o, y, p) for p in punctures)
-    dxy = o(x, y)
-    return max(math.log1p(dxy / gx), math.log1p(dxy / gy))
+    return _scalar("j_tilde", d, x, y, punctures)
 
 
 class PuncturedSpec:
@@ -193,7 +221,10 @@ class PuncturedSpec:
         else:
             if isinstance(base, DistanceMatrix):
                 raise InputError("punctures over a raw matrix must be indices into it")
-            coords = np.array(punctures, dtype=float)
+            try:
+                coords = np.array(punctures, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"puncture coordinates must be numeric: {exc}") from exc
             if coords.ndim == 1:
                 coords = coords.reshape(-1, 1)
             if coords.ndim != 2 or coords.shape[1] != base.dim:
@@ -330,40 +361,20 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
     return dom, gaps, dom_idx
 
 
-def _one_point_values(dom: np.ndarray, gap: np.ndarray, factor: float) -> np.ndarray:
-    g = np.sqrt(np.outer(gap, gap))
-    return np.log1p(factor * dom / g)
-
-
 def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:
     """Materialize the selected variant over the domain D = X minus P.
 
     Rows/columns follow the surviving points in their original order. The
     output satisfies the DistanceMatrix structural invariants by
     construction; whether it satisfies the triangle inequality is a theorem
-    about the variant, not a guarantee of this function.
+    about the variant, not a guarantee of this function. Each entry equals
+    the matching scalar constructor bit for bit: both evaluate the same
+    formula.
     """
     dom, gaps, _ = _materialize(spec)
-    variant = spec.variant
-    if variant == "tau_p":
-        vals = _one_point_values(dom, gaps[:, spec.anchor], 2.0)
-    elif variant == "tilde_tau_p":
-        vals = _one_point_values(dom, gaps[:, spec.anchor], 1.0)
-    elif variant in ("avg_tau", "tilde_avg_tau"):
-        factor = 2.0 if variant == "avg_tau" else 1.0
-        acc = np.zeros_like(dom)
-        for a in range(spec.k):
-            acc += _one_point_values(dom, gaps[:, a], factor)
-        vals = acc / spec.k
-    elif variant == "sup_tau":
-        vals = _one_point_values(dom, gaps[:, 0], 2.0)
-        for a in range(1, spec.k):
-            np.maximum(vals, _one_point_values(dom, gaps[:, a], 2.0), out=vals)
-    elif variant in ("j", "j_tilde"):
-        near = gaps.min(axis=1)
-        t1 = np.log1p(dom / near[:, None])
-        t2 = np.log1p(dom / near[None, :])
-        vals = 0.5 * (t1 + t2) if variant == "j" else np.maximum(t1, t2)
-    else:  # unreachable; PuncturedSpec validates the selector
-        raise InputError(f"unknown variant {variant!r}")
-    return DistanceMatrix(vals)
+    by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
+    return DistanceMatrix(
+        _variant_values(
+            spec.variant, dom, by_puncture[:, :, None], by_puncture[:, None, :], spec.anchor
+        )
+    )

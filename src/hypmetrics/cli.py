@@ -26,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cassinian import VARIANTS, PuncturedSpec, punctured_matrix
-from .verify import check_quasi_ptolemy_many
+from .cassinian import VARIANTS, PuncturedSpec, _mu, punctured_matrix
 from .delta import exact_delta, sampled_delta
 from .errors import InputError
 from .scenarios import arctan_family, four_point_counterexample, hyperbolicity_sweep
@@ -35,6 +34,7 @@ from .spaces import (
     METRIC_NAMES,
     DistanceMatrix,
     PointCloud,
+    _parse_json,
     build_distance_matrix,
     load_distance_matrix,
     load_point_cloud,
@@ -49,6 +49,7 @@ from .verify import (
     check_mu_bounds,
     check_product_lemma,
     check_ptolemaic,
+    check_quasi_ptolemy_many,
     check_sandwich,
 )
 
@@ -67,6 +68,17 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _number_list(raw: str, kind, what: str) -> list:
+    """Comma-separated numbers of one type ("0,5,7"); empty tokens are skipped."""
+    try:
+        values = [kind(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InputError(f"bad {what} {raw!r}: {exc}") from exc
+    if not values:
+        raise InputError(f"bad {what} {raw!r}: no values")
+    return values
+
+
 def _parse_punctures(raw: str | None):
     """Puncture flag syntax: comma-separated indices ("0,5,7"), a JSON
     array of coordinate rows ("[[0.1,0.2]]"), or "@file.json"."""
@@ -74,19 +86,18 @@ def _parse_punctures(raw: str | None):
         return None
     raw = raw.strip()
     if raw.startswith("@"):
-        return json.loads(Path(raw[1:]).read_text(encoding="utf-8"))
+        return _parse_json(Path(raw[1:]).read_text(encoding="utf-8"), raw[1:])
     if raw.startswith("["):
-        return json.loads(raw)
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad puncture list {raw!r}: {exc}") from exc
+        return _parse_json(raw, "--punctures")
+    return _number_list(raw, int, "puncture list")
 
 
-def _load_spec(args) -> PuncturedSpec:
+def _load_spec(args, variant: str | None = None) -> PuncturedSpec:
+    """The spec from --spec, or from the input flags with ``variant`` in
+    place of --variant when given."""
     if getattr(args, "spec", None):
         return PuncturedSpec.from_dict(
-            json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            _parse_json(Path(args.spec).read_text(encoding="utf-8"), args.spec)
         )
     punctures = _parse_punctures(args.punctures)
     if punctures is None:
@@ -97,7 +108,7 @@ def _load_spec(args) -> PuncturedSpec:
         base = load_point_cloud(args.cloud)
     else:
         raise InputError("need --cloud or --matrix")
-    return PuncturedSpec(base, punctures, args.variant, args.anchor, args.metric)
+    return PuncturedSpec(base, punctures, variant or args.variant, args.anchor, args.metric)
 
 
 def _matrix_from_args(args) -> DistanceMatrix:
@@ -152,7 +163,8 @@ def _verify_sandwich(args):
             raise InputError("sandwich kind 'taxicab' needs --cloud")
         target = load_point_cloud(args.cloud)
     else:
-        target = _load_spec(args)
+        # check_sandwich rebuilds both sides, so the averaged pair needs no anchor
+        target = _load_spec(args, "avg_tau" if args.kind == "avg" else None)
     return {f"sandwich_{args.kind}": check_sandwich(args.kind, target, args.tol)}
 
 
@@ -186,11 +198,10 @@ def _verify_lemmas(args):
     rng = np.random.Generator(np.random.PCG64(args.seed))
     quads = rng.integers(0, n, size=(min(samples, 100000), 4))
     e = matrix.entries
-    reports["quasi_ptolemy_K1"] = check_quasi_ptolemy_many(
-        e[quads[:, :, None], quads[:, None, :]], 1.0, args.tol
-    )
+    rs = e[quads[:, :, None], quads[:, None, :]]
+    reports["quasi_ptolemy_K1"] = check_quasi_ptolemy_many(rs, 1.0, args.tol)
     gap = e[quads, anchors[0]]
-    mu = e[quads[:, :, None], quads[:, None, :]] + np.sqrt(gap[:, :, None] * gap[:, None, :])
+    mu = _mu(rs, gap[:, :, None], gap[:, None, :])
     reports["quasi_ptolemy_K1.5"] = check_quasi_ptolemy_many(mu, 1.5, args.tol)
     return reports
 
@@ -220,7 +231,7 @@ def _run_scenario(name: str, args):
         return four_point_counterexample(args.tol)
     if name == "arctan":
         return arctan_family(
-            t_grid=[float(t) for t in args.t_grid.split(",")],
+            t_grid=_number_list(args.t_grid, float, "--t-grid"),
             samples=args.samples,
             seed=args.seed,
             tol=args.tol,
@@ -228,7 +239,7 @@ def _run_scenario(name: str, args):
     if name == "sweep":
         return hyperbolicity_sweep(
             n=args.n,
-            k_list=[int(k) for k in args.k_list.split(",")],
+            k_list=_number_list(args.k_list, int, "--k-list"),
             trials=args.trials,
             seed=args.seed,
             tol=args.tol,

@@ -28,13 +28,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from .cassinian import as_oracle
 from .errors import InputError
-from .spaces import DistanceMatrix
+from .spaces import _as_entries
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
@@ -62,29 +62,19 @@ class DeltaReport:
         }
 
 
-def _entries_of(d) -> np.ndarray | None:
-    if isinstance(d, DistanceMatrix):
-        return d.entries
-    if isinstance(d, np.ndarray):
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise InputError("distance array must be square")
-        return d
-    return None
+def _worker_count(workers: int | None) -> int:
+    """``None`` means one worker per core; anything below 1 is an error."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise InputError(f"need workers >= 1, got {workers}")
+    return workers
 
 
 def quadruple_delta(d, x: int, y: int, z: int, v: int) -> float:
     """Delta of a single quadruple; invariant under all 24 relabelings."""
-    entries = _entries_of(d)
-    if entries is not None:
-        s = sorted(
-            (
-                float(entries[x, y]) + float(entries[z, v]),
-                float(entries[x, z]) + float(entries[y, v]),
-                float(entries[x, v]) + float(entries[y, z]),
-            )
-        )
-    else:
-        s = sorted((d(x, y) + d(z, v), d(x, z) + d(y, v), d(x, v) + d(y, z)))
+    o = as_oracle(d)
+    s = sorted((o(x, y) + o(z, v), o(x, z) + o(y, v), o(x, v) + o(y, z)))
     return (s[2] - s[1]) / 2.0
 
 
@@ -140,49 +130,31 @@ def _merge(
     return cur
 
 
-def _exact_oracle(d, n: int) -> tuple[float, tuple[int, int, int, int]]:
-    # Pure-Python fallback when only an (i, j) -> float callable is given.
-    best = (-math.inf, (0, 0, 0, 0))
-    for x, y, z, v in combinations(range(n), 4):
-        s = sorted((d(x, y) + d(z, v), d(x, z) + d(y, v), d(x, v) + d(y, z)))
-        cand = s[2] - s[1]
-        if cand > best[0]:
-            best = (cand, (x, y, z, v))
-    return best
-
-
 def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
     """Maximize quadruple delta over all distinct quadruples.
 
     ``d`` may be a DistanceMatrix, a square ndarray, or a callable oracle
-    (the latter needs ``n`` and runs single-threaded in pure Python). The
-    witness is the lexicographically smallest quadruple achieving the
-    maximum; delta and witness are bit-identical for any ``workers`` value.
+    (the latter needs ``n`` and is read once into a matrix with n(n-1)/2
+    calls, then runs through the same kernel and pool). The witness is the
+    lexicographically smallest quadruple achieving the maximum; delta and
+    witness are bit-identical for any ``workers`` value.
     """
     t0 = time.perf_counter()
-    entries = _entries_of(d)
-    if entries is None:
-        if n is None:
-            raise InputError("a callable oracle needs an explicit point count n")
-        if n < 4:
-            raise InputError(f"need at least 4 points, got n={n}")
-        best2, wit = _exact_oracle(d, n)
+    workers = _worker_count(workers)
+    entries = _as_entries(d, n)
+    n = entries.shape[0]
+    if n < 4:
+        raise InputError(f"need at least 4 points, got n={n}")
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_pool_init, initargs=(entries,)
+        ) as pool:
+            parts = list(pool.map(_pool_scan, range(n - 3), chunksize=1))
     else:
-        n = entries.shape[0]
-        if n < 4:
-            raise InputError(f"need at least 4 points, got n={n}")
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_init, initargs=(entries,)
-            ) as pool:
-                parts = list(pool.map(_pool_scan, range(n - 3), chunksize=1))
-        else:
-            parts = [_scan_outer(entries, i) for i in range(n - 3)]
-        best2, wit = parts[0]
-        for part in parts[1:]:
-            best2, wit = _merge((best2, wit), part)
+        parts = [_scan_outer(entries, i) for i in range(n - 3)]
+    best2, wit = parts[0]
+    for part in parts[1:]:
+        best2, wit = _merge((best2, wit), part)
     return DeltaReport(
         delta=best2 / 2.0,
         witness=wit,
@@ -211,32 +183,25 @@ def _draw_quadruples(rng: np.random.Generator, n: int, count: int) -> np.ndarray
 
 
 def _batch_best(
-    entries: np.ndarray | None, d, n: int, count: int, seq: np.random.SeedSequence
+    entries: np.ndarray, count: int, seq: np.random.SeedSequence
 ) -> tuple[float, tuple[int, int, int, int]]:
     rng = np.random.Generator(np.random.PCG64(seq))
-    idx = _draw_quadruples(rng, n, count)
-    if entries is not None:
-        xi, yi, zi, vi = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
-        s1 = entries[xi, yi] + entries[zi, vi]
-        s2 = entries[xi, zi] + entries[yi, vi]
-        s3 = entries[xi, vi] + entries[yi, zi]
-        hi12 = np.maximum(s1, s2)
-        lo12 = np.minimum(s1, s2)
-        top = np.maximum(hi12, s3)
-        mid = np.maximum(lo12, np.minimum(hi12, s3))
-        d2 = top - mid
-        bmax = float(d2.max())
-        rows = np.nonzero(d2 == bmax)[0]
-        srt = np.sort(idx[rows], axis=1)
-        order = np.lexsort((srt[:, 3], srt[:, 2], srt[:, 1], srt[:, 0]))
-        wit = tuple(int(t) for t in srt[order[0]])
-        return bmax, wit
-    best = (-math.inf, (0, 0, 0, 0))
-    for row in idx:
-        x, y, z, v = (int(t) for t in row)
-        s = sorted((d(x, y) + d(z, v), d(x, z) + d(y, v), d(x, v) + d(y, z)))
-        best = _merge(best, (s[2] - s[1], tuple(sorted((x, y, z, v)))))
-    return best
+    idx = _draw_quadruples(rng, entries.shape[0], count)
+    xi, yi, zi, vi = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
+    s1 = entries[xi, yi] + entries[zi, vi]
+    s2 = entries[xi, zi] + entries[yi, vi]
+    s3 = entries[xi, vi] + entries[yi, zi]
+    hi12 = np.maximum(s1, s2)
+    lo12 = np.minimum(s1, s2)
+    top = np.maximum(hi12, s3)
+    mid = np.maximum(lo12, np.minimum(hi12, s3))
+    d2 = top - mid
+    bmax = float(d2.max())
+    rows = np.nonzero(d2 == bmax)[0]
+    srt = np.sort(idx[rows], axis=1)
+    order = np.lexsort((srt[:, 3], srt[:, 2], srt[:, 1], srt[:, 0]))
+    wit = tuple(int(t) for t in srt[order[0]])
+    return bmax, wit
 
 
 def sampled_delta(
@@ -246,25 +211,23 @@ def sampled_delta(
 
     Reproducible given the seed: quadruples come from fixed-size batches
     with one spawned PCG64 substream each, and batch results merge in batch
-    order, so the report does not depend on worker count. When ``samples``
-    covers all C(n, 4) quadruples the run falls back to exhaustive
-    enumeration (reported with ``mode="exact"``).
+    order, so the report does not depend on worker count. A callable
+    oracle (with ``n``) is read once into a matrix, as in ``exact_delta``.
+    When ``samples`` covers all C(n, 4) quadruples the run falls back to
+    exhaustive enumeration (reported with ``mode="exact"``), for matrices
+    and callables alike.
     """
     t0 = time.perf_counter()
-    entries = _entries_of(d)
-    if entries is not None:
-        n = entries.shape[0]
-    if n is None:
-        raise InputError("a callable oracle needs an explicit point count n")
-    if n < 4:
-        raise InputError(f"need at least 4 points, got n={n}")
+    workers = _worker_count(workers)
     if samples < 1:
         raise InputError("need samples >= 1")
-    if workers is None:
-        workers = os.cpu_count() or 1
+    entries = _as_entries(d, n)
+    n = entries.shape[0]
+    if n < 4:
+        raise InputError(f"need at least 4 points, got n={n}")
 
     total = comb(n, 4)
-    if samples >= total and entries is not None:
+    if samples >= total:
         report = exact_delta(entries, workers=workers)
         report.seed = seed
         report.elapsed_s = time.perf_counter() - t0
@@ -275,7 +238,7 @@ def sampled_delta(
         sizes.append(samples % SAMPLE_BATCH)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
 
-    if entries is not None and workers and workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(entries,)
         ) as pool:
@@ -283,9 +246,7 @@ def sampled_delta(
                 pool.map(_pool_batch, ((size, seq) for size, seq in zip(sizes, children)))
             )
     else:
-        parts = [
-            _batch_best(entries, d, n, size, seq) for size, seq in zip(sizes, children)
-        ]
+        parts = [_batch_best(entries, size, seq) for size, seq in zip(sizes, children)]
     best = parts[0]
     for part in parts[1:]:
         best = _merge(best, part)
@@ -301,5 +262,4 @@ def sampled_delta(
 
 def _pool_batch(args: tuple[int, np.random.SeedSequence]):
     size, seq = args
-    n = _POOL_ENTRIES.shape[0]
-    return _batch_best(_POOL_ENTRIES, None, n, size, seq)
+    return _batch_best(_POOL_ENTRIES, size, seq)

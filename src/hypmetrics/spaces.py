@@ -96,7 +96,10 @@ class PointCloud:
     __slots__ = ("_points", "_labels")
 
     def __init__(self, points, labels: Sequence[str] | None = None):
-        pts = np.array(points, dtype=float)
+        try:
+            pts = np.array(points, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"point coordinates must form a numeric n x dim array: {exc}") from exc
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
@@ -191,11 +194,19 @@ class PointCloud:
         return cls(coords, labels)
 
 
+def _parse_json(text: str, source) -> object:
+    """``json.loads`` that reports malformed text as an InputError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source}: malformed JSON: {exc}") from exc
+
+
 def load_point_cloud(path: str | Path) -> PointCloud:
     """Load a cloud from ``.json`` or ``.csv`` (dispatch on suffix)."""
     path = Path(path)
     if path.suffix == ".json":
-        return PointCloud.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return PointCloud.from_dict(_parse_json(path.read_text(encoding="utf-8"), path))
     return PointCloud.from_csv(path)
 
 
@@ -230,7 +241,10 @@ class DistanceMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=float)
+        try:
+            m = np.array(entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"distance matrix must be a numeric square array: {exc}") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise InputError("distance matrix must be square and nonempty")
         if not np.all(np.isfinite(m)):
@@ -283,15 +297,41 @@ class DistanceMatrix:
     @classmethod
     def from_csv(cls, path: str | Path) -> "DistanceMatrix":
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+            try:
+                rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+            except ValueError as exc:
+                raise InputError(f"{path}: bad matrix entry: {exc}") from exc
         return cls(rows)
+
+
+def _as_entries(d, n: int | None = None) -> np.ndarray:
+    """The square array behind a DistanceMatrix, an array, or a callable
+    ``(i, j) -> float`` oracle over ``n`` points.
+
+    An oracle is read once: n(n-1)/2 calls fill the upper triangle
+    (``i < j``), which is mirrored below a zero diagonal.
+    """
+    if isinstance(d, DistanceMatrix):
+        return d.entries
+    if callable(d):
+        if n is None or n < 1:
+            raise InputError(f"a callable oracle needs a point count n >= 1, got {n}")
+        m = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i, j] = m[j, i] = d(i, j)
+        return m
+    arr = np.asarray(d, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InputError("expected a square distance matrix")
+    return arr
 
 
 def load_distance_matrix(path: str | Path) -> DistanceMatrix:
     path = Path(path)
     if path.suffix == ".csv":
         return DistanceMatrix.from_csv(path)
-    return DistanceMatrix.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return DistanceMatrix.from_dict(_parse_json(path.read_text(encoding="utf-8"), path))
 
 
 def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray:

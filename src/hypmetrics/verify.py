@@ -29,9 +29,9 @@ from itertools import product
 
 import numpy as np
 
-from .cassinian import LOG2, PuncturedSpec, punctured_matrix
+from .cassinian import LOG2, PuncturedSpec, _mu, punctured_matrix
 from .errors import InputError
-from .spaces import DistanceMatrix, PointCloud, pairwise_distances
+from .spaces import PointCloud, _as_entries, pairwise_distances
 
 DEFAULT_TOL = 1e-9
 
@@ -123,15 +123,6 @@ class _Collector:
         return ViolationReport(self.checked, self.violations, self.tol, worst, dict(meta))
 
 
-def _entries(m) -> np.ndarray:
-    if isinstance(m, DistanceMatrix):
-        return m.entries
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError("expected a square distance matrix")
-    return arr
-
-
 def _degenerate_tuples(n: int, arity: int, anchors: tuple[int, ...]) -> np.ndarray:
     base = sorted({0, min(1, n - 1), n - 1} | {a for a in anchors if 0 <= a < n})
     if len(base) > 5:
@@ -162,7 +153,7 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     is strictly positive (duplicate points make it False without being a
     violation).
     """
-    e = _entries(m)
+    e = _as_entries(m)
     n = e.shape[0]
     col = _Collector(tol)
 
@@ -199,7 +190,7 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     inequalities iff 2 max(P) <= P1 + P2 + P3, which is what the sweep
     evaluates.
     """
-    e = _entries(m)
+    e = _as_entries(m)
     n = e.shape[0]
     col = _Collector(tol)
     quads = 0
@@ -274,10 +265,6 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
 # mu-family checks
 
 
-def _mu(e: np.ndarray, u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    return e[u, v] + np.sqrt(e[u, p] * e[v, p])
-
-
 def check_mu_bounds(
     m,
     p: int,
@@ -295,7 +282,7 @@ def check_mu_bounds(
     * pair sum:    mu_p(x,z) + mu_q(y,z) >= d(x,z) + d(y,z) >= d(x,y)
     * pair max:    max(mu_p(x,z), mu_q(y,z)) >= d(x,y) / 2
     """
-    e = _entries(m)
+    e = _as_entries(m)
     n = e.shape[0]
     if not 0 <= p < n:
         raise InputError(f"anchor {p} out of range")
@@ -307,7 +294,7 @@ def check_mu_bounds(
     col = _Collector(tol)
 
     dxp, dyp = e[x, p], e[y, p]
-    mu_xy = _mu(e, x, y, p)
+    mu_xy = _mu(e[x, y], dxp, dyp)
     half_sum = 1.5 * (dxp + dyp)
     anchor_max = np.maximum(dxp, dyp)
     col.compare("mu_upper_halfsum", (x, y), mu_xy, half_sum)
@@ -315,8 +302,8 @@ def check_mu_bounds(
     col.compare("mu_lower_max", (x, y), anchor_max, mu_xy)
     col.compare("mu_lower_halfsum", (x, y), 0.5 * (dxp + dyp), anchor_max)
 
-    mu_xz = _mu(e, x, z, p)
-    mu_yz = _mu(e, y, z, q)
+    mu_xz = _mu(e[x, z], dxp, e[z, p])
+    mu_yz = _mu(e[y, z], e[y, q], e[z, q])
     col.compare("mu_pair_sum", (x, y, z), e[x, z] + e[y, z], mu_xz + mu_yz)
     col.compare("triangle_base", (x, y, z), e[x, y], e[x, z] + e[y, z])
     col.compare("mu_pair_max", (x, y, z), 0.5 * e[x, y], np.maximum(mu_xz, mu_yz))
@@ -330,14 +317,17 @@ def check_lemma_nine(
     mu_p(x,y) mu_p(z,w) <= 9 max(mu_p(x,z) mu_p(y,w), mu_p(x,w) mu_p(y,z))
     on sampled quadruples. ``meta["max_ratio"]`` records the largest
     observed LHS / max-product ratio (expected <= 9)."""
-    e = _entries(m)
+    e = _as_entries(m)
     n = e.shape[0]
     if not 0 <= p < n:
         raise InputError(f"anchor {p} out of range")
     t = _sample_tuples(n, 4, samples, seed, (p,))
     x, y, z, w = t[:, 0], t[:, 1], t[:, 2], t[:, 3]
-    lhs = _mu(e, x, y, p) * _mu(e, z, w, p)
-    cross = np.maximum(_mu(e, x, z, p) * _mu(e, y, w, p), _mu(e, x, w, p) * _mu(e, y, z, p))
+    gx, gy, gz, gw = e[t, p].T
+    lhs = _mu(e[x, y], gx, gy) * _mu(e[z, w], gz, gw)
+    cross = np.maximum(
+        _mu(e[x, z], gx, gz) * _mu(e[y, w], gy, gw), _mu(e[x, w], gx, gw) * _mu(e[y, z], gy, gz)
+    )
     col = _Collector(tol)
     col.compare("mu_factor_nine", (x, y, z, w), lhs, 9.0 * cross)
     pos = cross > 0.0
@@ -363,14 +353,14 @@ def check_lemma_K(
     """
     if K <= 3.0:
         raise InputError(f"the separation factor must exceed 3, got K={K}")
-    e = _entries(m)
+    e = _as_entries(m)
     n = e.shape[0]
     if not 0 <= p < n:
         raise InputError(f"anchor {p} out of range")
     t = _sample_tuples(n, 3, samples, seed, (p,))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    a = _mu(e, x, z, p)
-    b = _mu(e, y, z, p)
+    a = _mu(e[x, z], e[x, p], e[z, p])
+    b = _mu(e[y, z], e[y, p], e[z, p])
     applies = np.maximum(a, b) >= K * np.minimum(a, b)
     const = 3.0 * (K + 3.0) / (2.0 * (K - 3.0))
     col = _Collector(tol)
@@ -389,13 +379,6 @@ def check_lemma_K(
     )
 
 
-def _log_mu_rows(e: np.ndarray, u: np.ndarray, v: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """log mu_{p_i}(u, v) as an (N, k) array; -inf rows are legal (mu = 0)."""
-    vals = e[u[:, None], v[:, None]] + np.sqrt(e[u[:, None], P] * e[v[:, None], P])
-    with np.errstate(divide="ignore"):
-        return np.log(vals)
-
-
 def check_product_lemma(
     m,
     punctures,
@@ -409,7 +392,7 @@ def check_product_lemma(
 
     Recorded lhs/rhs are logarithms; the 9^k constant enters as k log 9.
     """
-    e = _entries(m)
+    e = _as_entries(m)
     n = e.shape[0]
     P = np.asarray(list(punctures), dtype=np.int64)
     if P.size < 1:
@@ -417,8 +400,9 @@ def check_product_lemma(
     k = P.size
     t = _sample_tuples(n, 3, samples, seed, tuple(int(a) for a in P[:2]))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    a = e[x[:, None], z[:, None]] + np.sqrt(e[x[:, None], P] * e[z[:, None], P])
-    b = e[y[:, None], z[:, None]] + np.sqrt(e[y[:, None], P] * e[z[:, None], P])
+    gz = e[z[:, None], P]
+    a = _mu(e[x, z][:, None], e[x[:, None], P], gz)
+    b = _mu(e[y, z][:, None], e[y[:, None], P], gz)
     with np.errstate(divide="ignore"):
         lhs = np.log(a + b).sum(axis=1)
         log_pa = np.log(a).sum(axis=1)
@@ -429,18 +413,37 @@ def check_product_lemma(
     return col.report(k=int(k), seed=int(seed), log_domain=True)
 
 
+#: Index triples (i, j, k) of the quasi-Ptolemy hypothesis r_ij <= K (r_ik + r_jk).
+_QP_TRIPLES = tuple(product(range(4), repeat=3))
+
+
+def _qp_hypothesis_fails(arr: np.ndarray, K: float, tol: float) -> np.ndarray:
+    """(64, N) mask over a batch of N 4x4 arrays: row t is True where
+    triple ``_QP_TRIPLES[t]`` breaks the hypothesis beyond the tolerance."""
+    fails = np.empty((len(_QP_TRIPLES), arr.shape[0]), dtype=bool)
+    for t, (i, j, kk) in enumerate(_QP_TRIPLES):
+        lhs = arr[:, i, j]
+        rhs = K * (arr[:, i, kk] + arr[:, j, kk])
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        fails[t] = ~(lhs - rhs <= tol * scale)
+    return fails
+
+
 def check_quasi_ptolemy(r, K: float, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Quasi-Ptolemy for one 4x4 array of quasi-distances r.
 
     Hypothesis (checked first, over every index triple): r is symmetric,
     nonnegative, and r_ij <= K (r_ik + r_jk) with K >= 1. If the hypothesis
-    fails the report carries ``meta["hypothesis_satisfied"] = False`` and no
-    conclusion is evaluated. Otherwise the conclusions
+    fails the report carries ``meta["hypothesis_satisfied"] = False``, the
+    failing triples in ``meta["hypothesis_failures"]``, and no conclusion
+    is evaluated. Otherwise the conclusions
 
         sqrt(r12 r34) <= K [sqrt(r13 r24) + sqrt(r14 r23)]
         r12 r34 <= 2 K^2 (r13 r24 + r14 r23) <= 4 K^2 max(r13 r24, r14 r23)
 
-    are verified for the labeling as given.
+    are verified for the labeling as given. This is a batch of one through
+    ``check_quasi_ptolemy_many``: ``checked`` and ``worst_slack`` cover the
+    conclusions only, and violation indices name batch row 0.
     """
     arr = np.asarray(r, dtype=float)
     if arr.shape != (4, 4):
@@ -449,44 +452,15 @@ def check_quasi_ptolemy(r, K: float, tol: float = DEFAULT_TOL) -> ViolationRepor
         raise InputError("quasi-distance array must be finite and nonnegative")
     if not np.array_equal(arr, arr.T):
         raise InputError("quasi-distance array must be symmetric")
-    if K < 1.0:
-        raise InputError(f"need K >= 1, got K={K}")
-    col = _Collector(tol)
-    hyp_failures = []
-    for i in range(4):
-        for j in range(4):
-            for kk in range(4):
-                lhs = arr[i, j]
-                rhs = K * (arr[i, kk] + arr[j, kk])
-                col.checked += 1
-                if lhs - rhs > tol * max(1.0, abs(lhs), abs(rhs)):
-                    hyp_failures.append((i, j, kk))
-                col.worst = max(col.worst, lhs - rhs)
-    if hyp_failures:
-        return col.report(
-            hypothesis_satisfied=False,
-            hypothesis_failures=[list(f) for f in hyp_failures],
-        )
-    idx = (np.array([0]), np.array([1]), np.array([2]), np.array([3]))
-    col.compare(
-        "quasi_ptolemy_sqrt",
-        idx,
-        math.sqrt(arr[0, 1] * arr[2, 3]),
-        K * (math.sqrt(arr[0, 2] * arr[1, 3]) + math.sqrt(arr[0, 3] * arr[1, 2])),
-    )
-    col.compare(
-        "quasi_ptolemy_product",
-        idx,
-        arr[0, 1] * arr[2, 3],
-        2.0 * K * K * (arr[0, 2] * arr[1, 3] + arr[0, 3] * arr[1, 2]),
-    )
-    col.compare(
-        "quasi_ptolemy_max",
-        idx,
-        arr[0, 1] * arr[2, 3],
-        4.0 * K * K * max(arr[0, 2] * arr[1, 3], arr[0, 3] * arr[1, 2]),
-    )
-    return col.report(hypothesis_satisfied=True)
+    report = check_quasi_ptolemy_many(arr[None], K, tol)
+    satisfied = report.meta["hypothesis_skipped"] == 0
+    report.meta = {"hypothesis_satisfied": satisfied}
+    if not satisfied:
+        fails = _qp_hypothesis_fails(arr[None], K, tol)[:, 0]
+        report.meta["hypothesis_failures"] = [
+            list(t) for t, failed in zip(_QP_TRIPLES, fails) if failed
+        ]
+    return report
 
 
 def check_quasi_ptolemy_many(
@@ -504,15 +478,7 @@ def check_quasi_ptolemy_many(
     if K < 1.0:
         raise InputError(f"need K >= 1, got K={K}")
     col = _Collector(tol)
-    ok = np.ones(arr.shape[0], dtype=bool)
-    for i in range(4):
-        for j in range(4):
-            for kk in range(4):
-                lhs = arr[:, i, j]
-                rhs = K * (arr[:, i, kk] + arr[:, j, kk])
-                scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-                ok &= lhs - rhs <= tol * scale
-    rows = np.nonzero(ok)[0]
+    rows = np.nonzero(~_qp_hypothesis_fails(arr, K, tol).any(axis=0))[0]
     a = arr[rows]
     p1 = a[:, 0, 1] * a[:, 2, 3]
     p2 = a[:, 0, 2] * a[:, 1, 3]
@@ -546,7 +512,7 @@ def check_mu_P_quasi_triangle(
         mu_P(x,y) mu_P(z,w) <= 4 (27/2)^{2k} max(mu_P(x,z) mu_P(y,w),
                                                  mu_P(x,w) mu_P(y,z))
     """
-    e = _entries(m)
+    e = _as_entries(m)
     n = e.shape[0]
     P = np.asarray(list(punctures), dtype=np.int64)
     if P.size < 1:
@@ -555,20 +521,20 @@ def check_mu_P_quasi_triangle(
     log_c = k * math.log(13.5)
     col = _Collector(tol)
 
+    def log_mu_P(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """log mu_P(u, v) per row; -inf is legal (mu = 0)."""
+        with np.errstate(divide="ignore"):
+            return np.log(_mu(e[u, v][:, None], e[u[:, None], P], e[v[:, None], P])).sum(axis=1)
+
     t = _sample_tuples(n, 3, triples, seed, tuple(int(a) for a in P[:2]))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    lhs = _log_mu_rows(e, x, y, P).sum(axis=1)
-    rhs = log_c + np.logaddexp(
-        _log_mu_rows(e, x, z, P).sum(axis=1), _log_mu_rows(e, z, y, P).sum(axis=1)
-    )
+    lhs = log_mu_P(x, y)
+    rhs = log_c + np.logaddexp(log_mu_P(x, z), log_mu_P(z, y))
     col.compare("muP_triangle", (x, y, z), lhs, rhs)
 
     t4 = _sample_tuples(n, 4, quadruples, seed + 1, tuple(int(a) for a in P[:2]))
     x, y, z, w = t4[:, 0], t4[:, 1], t4[:, 2], t4[:, 3]
-    lhs4 = _log_mu_rows(e, x, y, P).sum(axis=1) + _log_mu_rows(e, z, w, P).sum(axis=1)
-    cross = np.maximum(
-        _log_mu_rows(e, x, z, P).sum(axis=1) + _log_mu_rows(e, y, w, P).sum(axis=1),
-        _log_mu_rows(e, x, w, P).sum(axis=1) + _log_mu_rows(e, y, z, P).sum(axis=1),
-    )
+    lhs4 = log_mu_P(x, y) + log_mu_P(z, w)
+    cross = np.maximum(log_mu_P(x, z) + log_mu_P(y, w), log_mu_P(x, w) + log_mu_P(y, z))
     col.compare("muP_four_point", (x, y, z, w), lhs4, math.log(4.0) + 2.0 * log_c + cross)
     return col.report(k=k, seed=int(seed), log_domain=True)

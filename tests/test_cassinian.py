@@ -254,3 +254,42 @@ def test_spec_json_roundtrip():
     assert np.array_equal(
         punctured_matrix(back_idx).entries, punctured_matrix(spec_idx).entries
     )
+
+
+def test_scalar_constructors_equal_matrix_entries_exactly():
+    # Both paths evaluate one formula, so equality is bit for bit, not approximate.
+    cloud = random_cloud(60, 2, seed=71)
+    m = build_distance_matrix(cloud)
+    punctures = [4, 17, 33]
+    dom = [i for i in range(60) if i not in punctures]
+    scalars = {
+        "tau_p": lambda x, y: tau_p(m, x, y, punctures[1]),
+        "tilde_tau_p": lambda x, y: tilde_tau_p(m, x, y, punctures[1]),
+        "avg_tau": lambda x, y: avg_tau(m, x, y, punctures),
+        "tilde_avg_tau": lambda x, y: tilde_avg_tau(m, x, y, punctures),
+        "sup_tau": lambda x, y: sup_tau(m, x, y, punctures),
+        "j": lambda x, y: j_metric(m, x, y, punctures),
+        "j_tilde": lambda x, y: j_tilde_metric(m, x, y, punctures),
+    }
+    for variant, scalar in scalars.items():
+        anchor = 1 if variant in ("tau_p", "tilde_tau_p") else None
+        spec = PuncturedSpec(cloud, punctures, variant=variant, anchor=anchor)
+        entries = punctured_matrix(spec).entries
+        mismatches = [
+            (x, y)
+            for a, x in enumerate(dom)
+            for b, y in enumerate(dom)
+            if scalar(x, y) != entries[a, b]
+        ]
+        assert mismatches == [], (variant, len(mismatches))
+
+    # mu as the checkers evaluate it, over index arrays of every pair
+    e = m.entries
+    xs, ys = (g.ravel() for g in np.meshgrid(np.arange(60), np.arange(60), indexing="ij"))
+    P = np.array(punctures)
+    for p in punctures:
+        vec = e[xs, ys] + np.sqrt(e[xs, p] * e[ys, p])
+        assert all(mu_p(m, int(x), int(y), p) == v for x, y, v in zip(xs, ys, vec))
+    rows = e[xs, ys][:, None] + np.sqrt(e[xs[:, None], P] * e[ys[:, None], P])
+    for x, y, row in zip(xs, ys, rows):
+        assert mu_P(m, int(x), int(y), punctures) == math.prod(row.tolist())

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hypmetrics import DistanceMatrix, load_point_cloud
 from hypmetrics.cli import main
@@ -257,3 +258,64 @@ def test_repro_reports_deterministic(capsys):
     _, out1, _ = run(capsys, "repro", "sweep", "--n", "8", "--k-list", "1", "--trials", "2")
     _, out2, _ = run(capsys, "repro", "sweep", "--n", "8", "--k-list", "1", "--trials", "2")
     assert out1 == out2
+
+
+CLOUD_CSV = "label,x1,x2\na,0,0\nb,1,0\nc,0,1\nd,1,1\ne,2,2\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"m.json": '{"n": 2, "entries": [[0, 1], [1, 0]'}, ["delta", "--matrix", "{d}/m.json"]),
+        ({"s.json": '{"base": {"dim": 2,'}, ["delta", "--spec", "{d}/s.json"]),
+        ({"c.csv": CLOUD_CSV}, ["delta", "--cloud", "{d}/c.csv", "--punctures", "[[3.0, 3.0]"]),
+        ({"c.csv": CLOUD_CSV}, ["delta", "--cloud", "{d}/c.csv", "--punctures", '[[3.0, "a"]]']),
+        (
+            {"c.csv": CLOUD_CSV, "p.json": "[[3.0, 3.0]"},
+            ["delta", "--cloud", "{d}/c.csv", "--punctures", "@{d}/p.json"],
+        ),
+        ({"c.json": '{"dim": 2, "points": ['}, ["delta", "--cloud", "{d}/c.json"]),
+        ({"m.csv": "0,1,2\n1,0\n"}, ["delta", "--matrix", "{d}/m.csv"]),
+        ({"m.csv": "0,x\nx,0\n"}, ["delta", "--matrix", "{d}/m.csv"]),
+        ({}, ["repro", "arctan", "--t-grid", "1,x"]),
+        ({}, ["repro", "sweep", "--k-list", "1,y"]),
+        ({"c.csv": CLOUD_CSV}, ["delta", "--cloud", "{d}/c.csv", "--workers", "0"]),
+        (
+            {"c.csv": CLOUD_CSV},
+            ["delta", "--cloud", "{d}/c.csv", "--mode", "sampled", "--workers", "-3"],
+        ),
+    ],
+    ids=[
+        "matrix-json",
+        "spec-json",
+        "inline-punctures-json",
+        "non-numeric-punctures",
+        "punctures-file-json",
+        "cloud-json",
+        "ragged-matrix-csv",
+        "non-numeric-matrix-csv",
+        "t-grid",
+        "k-list",
+        "workers-0",
+        "workers-negative",
+    ],
+)
+def test_malformed_input_exit_2(tmp_path, capsys, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_verify_sandwich_avg_needs_no_variant(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    run(capsys, "gen", "--n", "12", "--seed", "4", "--out", str(cloud))
+    argv = ["verify", "sandwich", "--kind", "avg", "--cloud", str(cloud),
+            "--punctures", "[[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]]"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code_v, out_v, _ = run(capsys, *argv, "--variant", "avg_tau")
+    assert code_v == 0
+    assert out == out_v

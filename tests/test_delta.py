@@ -221,3 +221,30 @@ def test_report_serialization():
     assert set(d) == {"delta", "witness", "mode", "quadruples", "seed", "elapsed_ms"}
     assert d["mode"] == "exact"
     assert d["quadruples"] == math.comb(10, 4)
+
+
+def test_oracle_sampled_path_matches_matrix():
+    m = build_distance_matrix(random_cloud(14, 2, seed=63))
+    entries = m.entries
+
+    def oracle(i, j):
+        return float(entries[i, j])
+
+    for samples in (300, 5000):  # sampled, then the exhaustive fallback (C(14,4) = 1001)
+        rep_matrix = sampled_delta(m, samples=samples, seed=9)
+        rep_oracle = sampled_delta(oracle, n=14, samples=samples, seed=9)
+        assert (rep_oracle.delta, rep_oracle.witness, rep_oracle.mode) == (
+            rep_matrix.delta,
+            rep_matrix.witness,
+            rep_matrix.mode,
+        )
+    assert rep_oracle.mode == "exact"
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    m = build_distance_matrix(random_cloud(8, 2, seed=65))
+    with pytest.raises(InputError):
+        exact_delta(m, workers=workers)
+    with pytest.raises(InputError):
+        sampled_delta(m, samples=20, seed=1, workers=workers)

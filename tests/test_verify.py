@@ -299,3 +299,22 @@ def test_report_serialization_shape():
     d = rep.to_dict()
     assert set(d) == {"checked", "violations", "tolerance", "worst_slack", "meta"}
     assert d["violations"] == []
+
+
+def test_quasi_ptolemy_is_a_batch_of_one():
+    m = build_distance_matrix(random_cloud(30, 2, seed=57)).entries
+    rng = np.random.Generator(np.random.PCG64(59))
+    quads = rng.integers(0, 30, size=(40, 4))
+    rs = m[quads[:, :, None], quads[:, None, :]]
+    for r in rs:
+        single = check_quasi_ptolemy(r, K=1.0)
+        batch = check_quasi_ptolemy_many(r[None], K=1.0)
+        assert single.meta == {"hypothesis_satisfied": True}
+        assert single.checked == batch.checked == 3  # conclusions only
+        assert single.worst_slack == batch.worst_slack
+    bad = np.ones((4, 4)) - np.eye(4)
+    bad[0, 1] = bad[1, 0] = 5.0
+    rep = check_quasi_ptolemy(bad, K=1.0)
+    assert rep.checked == 0
+    assert rep.meta["hypothesis_satisfied"] is False
+    assert rep.meta["hypothesis_failures"] == [[0, 1, 2], [0, 1, 3], [1, 0, 2], [1, 0, 3]]
