@@ -335,10 +335,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -9,12 +9,21 @@ and let S1 >= S2 >= S3 be their descending order. The quadruple's delta is
 every relabeling of the quadruple. A space is delta-hyperbolic with the
 maximum of this quantity over all quadruples.
 
-``exact_delta`` maximizes over all C(n, 4) distinct quadruples. The kernel
-iterates pairs (i < j) and vectorizes over the remaining (k, l) pairs, so
-the Python-level loop is O(n^2) while the O(n^4) work runs in numpy. The
-index space partitions by the outer index i for parallel runs; block
-results merge by (max delta, then lexicographically smallest witness), so
-the report is identical for any worker count.
+``exact_deltas`` maximizes over all C(n, 4) distinct quadruples of every
+matrix in a batch of equal size; ``exact_delta`` is a batch of one. The
+kernel iterates pairs (i < j) and vectorizes over the remaining (k, l)
+pairs and over a leading batch axis, so the Python-level loop is O(n^2)
+per chunk of matrices while the O(B n^4) work runs in numpy. A chunk holds
+as many matrices as keep one step's (k, l) grids within
+``_BATCH_ELEMENTS`` entries (at least one matrix), so the kernel's memory
+is bounded by that budget, not by the batch.
+
+The witness is the lexicographically smallest quadruple of maximal delta,
+which the scan order yields: within a step the k = l diagonal is masked to
+-inf and the first flat maximum wins; across steps a later value wins only
+when strictly greater. Work partitions into (chunk, i) tasks, run serially
+or on a process pool, and their parts fold in i order the same way, so the
+report is identical for any worker count.
 
 ``sampled_delta`` draws distinct-index quadruples uniformly from a seeded
 generator in fixed-size batches (one spawned substream per batch), so the
@@ -23,7 +32,6 @@ result is reproducible and independent of scheduling.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,6 +46,9 @@ from .spaces import _as_entries
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
+#: Entries of one (i, j) step's (k, l) grids summed over the matrices of a
+#: batch chunk; bounds the kernel's temporaries independently of the batch.
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -78,35 +89,49 @@ def quadruple_delta(d, x: int, y: int, z: int, v: int) -> float:
     return (s[2] - s[1]) / 2.0
 
 
-def _scan_outer(entries: np.ndarray, i: int) -> tuple[float, tuple[int, int, int, int]]:
-    """Best doubled delta and lex-min witness among quadruples (i, j, k, l),
-    i fixed, i < j < k < l."""
-    n = entries.shape[0]
-    best2 = -math.inf
-    wit = (0, 0, 0, 0)
-    row_i = entries[i]
-    for j in range(i + 1, n - 2):
+def _scan_outer(stack: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix best doubled delta ``(B,)`` and lex-min witness ``(B, 4)``
+    among quadruples (i, j, k, l), i fixed, i < j < k < l, of a ``(B, n, n)``
+    stack."""
+    nb, n = stack.shape[0], stack.shape[1]
+    rows = np.arange(nb)
+    steps = range(i + 1, n - 2)
+    flats = np.empty((len(steps), nb), dtype=np.intp)
+    vals = np.empty((len(steps), nb))
+    row_i = stack[:, i]
+    # Three flat buffers, each sized for the largest step (j = i + 1) and
+    # viewed as (B, m, m) for the step's m = n - j - 1, hold every grid.
+    bufs = np.empty((3, nb * (n - i - 2) ** 2))
+    for t, j in enumerate(steps):
         off = j + 1
-        a = row_i[off:]  # d(i, k)
-        b = entries[j, off:]  # d(j, k)
-        s1 = entries[i, j] + entries[off:, off:]  # d(i,j) + d(k,l)
-        s2 = a[:, None] + b[None, :]  # d(i,k) + d(j,l)
-        s3 = b[:, None] + a[None, :]  # d(j,k) + d(i,l)
-        hi12 = np.maximum(s1, s2)
-        lo12 = np.minimum(s1, s2)
-        top = np.maximum(hi12, s3)
-        mid = np.maximum(lo12, np.minimum(hi12, s3))  # exact median of three
-        d2 = top - mid
+        m = n - off
+        x, y, hi12 = (buf[: nb * m * m].reshape(nb, m, m) for buf in bufs)
+        a = row_i[:, off:]  # d(i, k)
+        b = stack[:, j, off:]  # d(j, k)
+        s1 = np.add(row_i[:, j, None, None], stack[:, off:, off:], out=x)  # d(i,j) + d(k,l)
+        s2 = np.add(a[:, :, None], b[:, None, :], out=y)  # d(i,k) + d(j,l)
+        np.maximum(s1, s2, out=hi12)
+        lo12 = np.minimum(s1, s2, out=x)
+        s3 = np.add(b[:, :, None], a[:, None, :], out=y)  # d(j,k) + d(i,l)
+        # The median of three is s3 clamped to [lo12, hi12]; every step is
+        # an exact comparison, so only the final subtraction rounds.
+        mid = np.minimum(hi12, np.maximum(lo12, s3, out=x), out=x)
+        top = np.maximum(hi12, s3, out=y)
+        d2 = np.subtract(top, mid, out=y).reshape(nb, m * m)
         # The (k, l) grid is symmetric; only k < l is a real quadruple. The
         # diagonal k = l is a repeated-point tuple and must not compete.
-        np.fill_diagonal(d2, -np.inf)
-        flat = int(np.argmax(d2))
-        val = float(d2.flat[flat])
-        if val > best2:
-            r, c = divmod(flat, d2.shape[0])
-            best2 = val
-            wit = (i, j, off + r, off + c)
-    return best2, wit
+        d2[:, :: m + 1] = -np.inf
+        np.argmax(d2, axis=1, out=flats[t])  # first flat maximum per matrix
+        vals[t] = d2[rows, flats[t]]
+    # A step's value replaces the running best only when strictly greater,
+    # so the first step reaching the maximum wins; a NaN step (argmax stops
+    # at the first NaN) never does.
+    vals[np.isnan(vals)] = -np.inf
+    t = np.argmax(vals, axis=0)
+    best2 = vals[t, rows]
+    j = i + 1 + t
+    r, c = np.divmod(flats[t, rows], n - j - 1)
+    return best2, np.stack([np.full(nb, i), j, j + 1 + r, j + 1 + c], axis=1)
 
 
 _POOL_ENTRIES: np.ndarray | None = None
@@ -117,8 +142,9 @@ def _pool_init(entries: np.ndarray) -> None:
     _POOL_ENTRIES = entries
 
 
-def _pool_scan(i: int) -> tuple[float, tuple[int, int, int, int]]:
-    return _scan_outer(_POOL_ENTRIES, i)
+def _pool_scan(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi, i = task
+    return _scan_outer(_POOL_ENTRIES[lo:hi], i)
 
 
 def _merge(
@@ -130,6 +156,53 @@ def _merge(
     return cur
 
 
+def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
+    matrix in a ``(B, n, n)`` stack.
+
+    Tasks are (chunk, i) pairs. A chunk holds at most ``_BATCH_ELEMENTS``
+    entries of the largest step's (k, l) grid, and its parts fold in i
+    order, a later part winning only when strictly greater. The serial and
+    pool paths run the same tasks and share this fold.
+    """
+    nb, n = stack.shape[0], stack.shape[1]
+    size = max(1, _BATCH_ELEMENTS // (n - 2) ** 2)
+    tasks = [(lo, min(lo + size, nb), i) for lo in range(0, nb, size) for i in range(n - 3)]
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_pool_init, initargs=(stack,)
+        ) as pool:
+            parts = list(pool.map(_pool_scan, tasks, chunksize=1))
+    else:
+        parts = [_scan_outer(stack[lo:hi], i) for lo, hi, i in tasks]
+    best2 = np.full(nb, -np.inf)
+    wit = np.zeros((nb, 4), dtype=np.intp)
+    for (lo, hi, _), (part2, part_wit) in zip(tasks, parts):
+        better = part2 > best2[lo:hi]
+        best2[lo:hi][better] = part2[better]
+        wit[lo:hi][better] = part_wit[better]
+    return best2, wit
+
+
+def _reports(stack: np.ndarray, workers: int, t0: float) -> list[DeltaReport]:
+    n = stack.shape[1]
+    if n < 4:
+        raise InputError(f"need at least 4 points, got n={n}")
+    best2, wit = _sweep(stack, workers)
+    elapsed = time.perf_counter() - t0
+    return [
+        DeltaReport(
+            delta=float(b) / 2.0,
+            witness=tuple(int(x) for x in w),
+            mode="exact",
+            quadruples_evaluated=comb(n, 4),
+            seed=None,
+            elapsed_s=elapsed,
+        )
+        for b, w in zip(best2, wit)
+    ]
+
+
 def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
     """Maximize quadruple delta over all distinct quadruples.
 
@@ -137,32 +210,30 @@ def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
     (the latter needs ``n`` and is read once into a matrix with n(n-1)/2
     calls, then runs through the same kernel and pool). The witness is the
     lexicographically smallest quadruple achieving the maximum; delta and
-    witness are bit-identical for any ``workers`` value.
+    witness are bit-identical for any ``workers`` value. This is
+    ``exact_deltas`` on a batch of one.
     """
     t0 = time.perf_counter()
     workers = _worker_count(workers)
-    entries = _as_entries(d, n)
-    n = entries.shape[0]
-    if n < 4:
-        raise InputError(f"need at least 4 points, got n={n}")
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(entries,)
-        ) as pool:
-            parts = list(pool.map(_pool_scan, range(n - 3), chunksize=1))
-    else:
-        parts = [_scan_outer(entries, i) for i in range(n - 3)]
-    best2, wit = parts[0]
-    for part in parts[1:]:
-        best2, wit = _merge((best2, wit), part)
-    return DeltaReport(
-        delta=best2 / 2.0,
-        witness=wit,
-        mode="exact",
-        quadruples_evaluated=comb(n, 4),
-        seed=None,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return _reports(_as_entries(d, n)[None], workers, t0)[0]
+
+
+def exact_deltas(matrices, workers: int = 1) -> list[DeltaReport]:
+    """``exact_delta`` of every matrix in a batch of equal size, in one
+    sweep: each (i, j) step runs once for the whole batch.
+
+    Each report equals ``exact_delta(m, workers=workers)`` (its
+    ``elapsed_s`` is the time of the whole batch).
+    """
+    t0 = time.perf_counter()
+    workers = _worker_count(workers)
+    entries = [_as_entries(m) for m in matrices]
+    if not entries:
+        return []
+    sizes = sorted({e.shape[0] for e in entries})
+    if len(sizes) > 1:
+        raise InputError(f"a batch needs matrices of one size, got n in {sizes}")
+    return _reports(np.stack(entries), workers, t0)
 
 
 def _draw_quadruples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:

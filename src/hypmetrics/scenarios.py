@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cassinian import LOG2, PuncturedSpec, punctured_matrix
-from .delta import exact_delta, quadruple_delta, sampled_delta
+from .delta import exact_deltas, quadruple_delta, sampled_delta
 from .errors import InputError
 from .spaces import DistanceMatrix, PointCloud, build_distance_matrix
 from .verify import DEFAULT_TOL, check_metric_axioms, check_ptolemaic
@@ -248,6 +248,8 @@ def hyperbolicity_sweep(
     is measured for reporting only (no bound is asserted for it).
     """
     k_list = [int(k) for k in k_list]
+    if trials < 1:
+        raise InputError(f"need trials >= 1, got {trials}")
     if min(k_list) < 1:
         raise InputError("puncture counts must be >= 1")
     if n < 4:
@@ -268,21 +270,19 @@ def hyperbolicity_sweep(
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
         punctures = _place_punctures(rng, pts, kmax)
         cloud = PointCloud(pts)
+        # One trial's matrices, in one batched delta call.
+        stores, matrices = [], []
         for k in k_list:
             spec = PuncturedSpec(cloud, punctures[:k], variant="avg_tau")
-            for variant, store in (
-                ("avg_tau", deltas["avg_tau"]),
-                ("tilde_avg_tau", deltas["tilde_avg_tau"]),
-                ("sup_tau", deltas["sup_tau"]),
-            ):
-                rep = exact_delta(punctured_matrix(spec.with_variant(variant)))
-                store[k].append(rep.delta)
+            for variant in ("avg_tau", "tilde_avg_tau", "sup_tau"):
+                stores.append(deltas[variant][k])
+                matrices.append(punctured_matrix(spec.with_variant(variant)))
             if k == 1:
                 for variant, store_1p in one_point.items():
-                    rep = exact_delta(
-                        punctured_matrix(spec.with_variant(variant, anchor=0))
-                    )
-                    store_1p.append(rep.delta)
+                    stores.append(store_1p)
+                    matrices.append(punctured_matrix(spec.with_variant(variant, anchor=0)))
+        for store, rep in zip(stores, exact_deltas(matrices)):
+            store.append(rep.delta)
 
     for k in k_list:
         bounds.append(

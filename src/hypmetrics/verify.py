@@ -135,6 +135,8 @@ def _sample_tuples(
     n: int, arity: int, samples: int, seed: int, anchors: tuple[int, ...] = ()
 ) -> np.ndarray:
     """Degenerate battery plus ``samples`` uniform index tuples."""
+    if samples < 0:
+        raise InputError(f"need samples >= 0, got {samples}")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     battery = _degenerate_tuples(n, arity, anchors)
     rnd = rng.integers(0, n, size=(int(samples), arity), dtype=np.int64)

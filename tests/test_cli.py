@@ -319,3 +319,22 @@ def test_verify_sandwich_avg_needs_no_variant(tmp_path, capsys):
     code_v, out_v, _ = run(capsys, *argv, "--variant", "avg_tau")
     assert code_v == 0
     assert out == out_v
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repro", "sweep", "--trials", "0"],
+        ["repro", "sweep", "--trials", "-1"],
+        ["verify", "lemmas", "--samples", "-5"],
+        ["delta", "--matrix", "{d}/latin1.json"],
+        ["delta", "--matrix", "{d}"],
+    ],
+    ids=["sweep-trials-0", "sweep-trials-negative", "lemmas-samples-negative",
+         "matrix-not-utf8", "matrix-is-directory"],
+)
+def test_bad_counts_and_unreadable_files_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "latin1.json").write_bytes('{"n": 2, "name": "caf\xe9"}'.encode("latin-1"))
+    code, _, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")

@@ -11,11 +11,17 @@ from hypmetrics import (
     InputError,
     PointCloud,
     build_distance_matrix,
+    PuncturedSpec,
     exact_delta,
+    exact_deltas,
+    hyperbolicity_sweep,
+    punctured_matrix,
     quadruple_delta,
     random_cloud,
     sampled_delta,
 )
+from hypmetrics.delta import _BATCH_ELEMENTS
+from hypmetrics.scenarios import _place_punctures
 
 
 def brute_force_delta(entries):
@@ -248,3 +254,92 @@ def test_workers_below_one_rejected(workers):
         exact_delta(m, workers=workers)
     with pytest.raises(InputError):
         sampled_delta(m, samples=20, seed=1, workers=workers)
+
+
+def _two_planted_maxima(n=9, far=10.0):
+    """Two 4-point blocks, {0,2,4,6} and {1,3,5,7}, each with delta 1 on its
+    own quadruple; every other distance is ``far``, so no other quadruple
+    reaches 1 and the lex-min witness (0, 2, 4, 6) must win the tie."""
+    e = np.full((n, n), far)
+    for block, long_pairs in (((0, 2, 4, 6), ((0, 2), (4, 6))), ((1, 3, 5, 7), ((1, 7), (3, 5)))):
+        for x, y in combinations(block, 2):
+            e[x, y] = e[y, x] = 2.0 if (x, y) in long_pairs else 1.0
+    np.fill_diagonal(e, 0.0)
+    return e
+
+
+def _mixed_batch(n):
+    cloud = random_cloud(n, 2, seed=71)
+    punctures = [[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]]
+    batch = [build_distance_matrix(random_cloud(n, 2, seed=s)).entries for s in (72, 73)]
+    for variant in ("avg_tau", "tilde_avg_tau", "sup_tau"):
+        batch.append(punctured_matrix(PuncturedSpec(cloud, punctures, variant=variant)).entries)
+    batch.append(np.ones((n, n)) - np.eye(n))
+    if n == 9:
+        batch.append(_two_planted_maxima())
+    return batch
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [4, 7, 9])
+def test_exact_deltas_matches_per_matrix_and_brute_force(n, workers):
+    batch = _mixed_batch(n)
+    reports = exact_deltas(batch, workers=workers)
+    assert len(reports) == len(batch)
+    for entries, rep in zip(batch, reports):
+        single = exact_delta(entries, workers=workers)
+        assert (rep.delta, rep.witness) == (single.delta, single.witness)
+        expected, expected_wit = brute_force_delta(entries)
+        assert (rep.delta, rep.witness) == (expected, expected_wit)
+        assert rep.mode == "exact" and rep.quadruples_evaluated == math.comb(n, 4)
+    if n == 9:
+        assert (reports[-1].delta, reports[-1].witness) == (1.0, (0, 2, 4, 6))
+        assert reports[-2].witness == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exact_deltas_across_batch_chunks(workers):
+    n = 9
+    chunk = _BATCH_ELEMENTS // (n - 2) ** 2
+    base = _mixed_batch(n)
+    rng = np.random.Generator(np.random.PCG64(79))
+    batch = [base[t % len(base)] * rng.uniform(0.5, 2.0) for t in range(chunk + 3)]
+    reports = exact_deltas(batch, workers=workers)
+    for entries, rep in zip(batch, reports):
+        single = exact_delta(entries)
+        assert (rep.delta, rep.witness) == (single.delta, single.witness)
+
+
+def test_exact_deltas_rejects_mixed_n_and_small_n():
+    a = build_distance_matrix(random_cloud(6, 2, seed=81))
+    b = build_distance_matrix(random_cloud(7, 2, seed=82))
+    with pytest.raises(InputError):
+        exact_deltas([a, b])
+    with pytest.raises(InputError):
+        exact_deltas([np.ones((3, 3)) - np.eye(3)])
+    assert exact_deltas([]) == []
+
+
+def test_sweep_maxima_equal_per_matrix_exact_delta():
+    n, k_list, trials, seed = 10, (1, 3), 3, 7
+    res = hyperbolicity_sweep(n=n, k_list=k_list, trials=trials, seed=seed)
+    best = {v: {k: -math.inf for k in k_list} for v in ("avg_tau", "tilde_avg_tau", "sup_tau")}
+    best_1p = {"tau_p": -math.inf, "tilde_tau_p": -math.inf}
+    seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+    for trial_seed in seeds:
+        rng = np.random.Generator(np.random.PCG64(int(trial_seed)))
+        pts = rng.uniform(0.0, 1.0, size=(n, 2))
+        punctures = _place_punctures(rng, pts, max(k_list))
+        for k in k_list:
+            spec = PuncturedSpec(PointCloud(pts), punctures[:k], variant="avg_tau")
+            for variant in best:
+                rep = exact_delta(punctured_matrix(spec.with_variant(variant)))
+                best[variant][k] = max(best[variant][k], rep.delta)
+            if k == 1:
+                for variant in best_1p:
+                    rep = exact_delta(punctured_matrix(spec.with_variant(variant, anchor=0)))
+                    best_1p[variant] = max(best_1p[variant], rep.delta)
+    assert res.measured["max_delta"] == {
+        v: {str(k): d for k, d in per_k.items()} for v, per_k in best.items()
+    }
+    assert res.measured["one_point_max_delta"] == best_1p
