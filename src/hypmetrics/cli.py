@@ -35,6 +35,7 @@ from .spaces import (
     DistanceMatrix,
     PointCloud,
     _parse_json,
+    _read_json,
     build_distance_matrix,
     load_distance_matrix,
     load_point_cloud,
@@ -86,7 +87,7 @@ def _parse_punctures(raw: str | None):
         return None
     raw = raw.strip()
     if raw.startswith("@"):
-        return _parse_json(Path(raw[1:]).read_text(encoding="utf-8"), raw[1:])
+        return _read_json(raw[1:])
     if raw.startswith("["):
         return _parse_json(raw, "--punctures")
     return _number_list(raw, int, "puncture list")
@@ -96,9 +97,7 @@ def _load_spec(args, variant: str | None = None) -> PuncturedSpec:
     """The spec from --spec, or from the input flags with ``variant`` in
     place of --variant when given."""
     if getattr(args, "spec", None):
-        return PuncturedSpec.from_dict(
-            _parse_json(Path(args.spec).read_text(encoding="utf-8"), args.spec)
-        )
+        return PuncturedSpec.from_dict(_read_json(args.spec))
     punctures = _parse_punctures(args.punctures)
     if punctures is None:
         raise InputError("need --punctures (or --spec) for a punctured variant")

@@ -25,6 +25,12 @@ when strictly greater. Work partitions into (chunk, i) tasks, run serially
 or on a process pool, and their parts fold in i order the same way, so the
 report is identical for any worker count.
 
+Both kernels need finite entries (``InputError`` otherwise). A matrix
+with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is evaluated scaled by
+1/4, so no pairing sum overflows. The factor is a power of two, so the
+witness and the scaled-back delta are exact (unless the matrix also holds
+entries below 2^-1020, which lose bits when scaled).
+
 ``sampled_delta`` draws distinct-index quadruples uniformly from a seeded
 generator in fixed-size batches (one spawned substream per batch), so the
 result is reproducible and independent of scheduling.
@@ -49,6 +55,8 @@ SAMPLE_BATCH = 65536
 #: Entries of one (i, j) step's (k, l) grids summed over the matrices of a
 #: batch chunk; bounds the kernel's temporaries independently of the batch.
 _BATCH_ELEMENTS = 1 << 16
+#: A matrix with an entry this large runs the kernels scaled by 1/4.
+_HUGE_ENTRY = 2.0**1022
 
 
 @dataclass
@@ -80,6 +88,18 @@ def _worker_count(workers: int | None) -> int:
     if workers < 1:
         raise InputError(f"need workers >= 1, got {workers}")
     return workers
+
+
+def _kernel_entries(d, n: int | None = None) -> tuple[np.ndarray, float]:
+    """The finite matrix behind ``d`` as the kernels read it, and the factor
+    that scales their delta back: 4 when the matrix was scaled by 1/4."""
+    e = _as_entries(d, n)
+    top = float(np.abs(e).max()) if e.size else 0.0  # NaN when any entry is NaN
+    if not np.isfinite(top):
+        raise InputError("distance matrix contains NaN or infinite entries")
+    if top >= _HUGE_ENTRY:
+        return e * 0.25, 4.0
+    return e, 1.0
 
 
 def quadruple_delta(d, x: int, y: int, z: int, v: int) -> float:
@@ -184,7 +204,9 @@ def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
     return best2, wit
 
 
-def _reports(stack: np.ndarray, workers: int, t0: float) -> list[DeltaReport]:
+def _reports(
+    stack: np.ndarray, scales: tuple[float, ...], workers: int, t0: float
+) -> list[DeltaReport]:
     n = stack.shape[1]
     if n < 4:
         raise InputError(f"need at least 4 points, got n={n}")
@@ -192,14 +214,14 @@ def _reports(stack: np.ndarray, workers: int, t0: float) -> list[DeltaReport]:
     elapsed = time.perf_counter() - t0
     return [
         DeltaReport(
-            delta=float(b) / 2.0,
+            delta=float(b) / 2.0 * s,
             witness=tuple(int(x) for x in w),
             mode="exact",
             quadruples_evaluated=comb(n, 4),
             seed=None,
             elapsed_s=elapsed,
         )
-        for b, w in zip(best2, wit)
+        for b, w, s in zip(best2, wit, scales)
     ]
 
 
@@ -215,7 +237,8 @@ def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
     """
     t0 = time.perf_counter()
     workers = _worker_count(workers)
-    return _reports(_as_entries(d, n)[None], workers, t0)[0]
+    entries, scale = _kernel_entries(d, n)
+    return _reports(entries[None], (scale,), workers, t0)[0]
 
 
 def exact_deltas(matrices, workers: int = 1) -> list[DeltaReport]:
@@ -227,13 +250,14 @@ def exact_deltas(matrices, workers: int = 1) -> list[DeltaReport]:
     """
     t0 = time.perf_counter()
     workers = _worker_count(workers)
-    entries = [_as_entries(m) for m in matrices]
-    if not entries:
+    read = [_kernel_entries(m) for m in matrices]
+    if not read:
         return []
+    entries, scales = zip(*read)
     sizes = sorted({e.shape[0] for e in entries})
     if len(sizes) > 1:
         raise InputError(f"a batch needs matrices of one size, got n in {sizes}")
-    return _reports(np.stack(entries), workers, t0)
+    return _reports(np.stack(entries), scales, workers, t0)
 
 
 def _draw_quadruples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -292,7 +316,7 @@ def sampled_delta(
     workers = _worker_count(workers)
     if samples < 1:
         raise InputError("need samples >= 1")
-    entries = _as_entries(d, n)
+    entries, scale = _kernel_entries(d, n)
     n = entries.shape[0]
     if n < 4:
         raise InputError(f"need at least 4 points, got n={n}")
@@ -300,6 +324,7 @@ def sampled_delta(
     total = comb(n, 4)
     if samples >= total:
         report = exact_delta(entries, workers=workers)
+        report.delta *= scale
         report.seed = seed
         report.elapsed_s = time.perf_counter() - t0
         return report
@@ -322,7 +347,7 @@ def sampled_delta(
     for part in parts[1:]:
         best = _merge(best, part)
     return DeltaReport(
-        delta=best[0] / 2.0,
+        delta=best[0] / 2.0 * scale,
         witness=best[1],
         mode="sampled",
         quadruples_evaluated=samples,

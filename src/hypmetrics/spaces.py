@@ -17,6 +17,7 @@ Base distances:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -158,7 +159,7 @@ class PointCloud:
             rows = obj["points"]
             coords = [row["coords"] for row in rows]
             labels = [row["label"] for row in rows] if rows and "label" in rows[0] else None
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed point-cloud JSON: {exc}") from exc
         cloud = cls(coords, labels)
         if cloud.dim != dim:
@@ -178,8 +179,7 @@ class PointCloud:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PointCloud":
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(_csv_rows(path))
         if len(rows) < 2:
             raise InputError(f"{path}: expected a header row and at least one point")
         labels, coords = [], []
@@ -194,6 +194,20 @@ class PointCloud:
         return cls(coords, labels)
 
 
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file, line endings untranslated; undecodable
+    bytes raise an InputError that names the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _csv_rows(path: str | Path):
+    return csv.reader(io.StringIO(_read_text(path), newline=""))
+
+
 def _parse_json(text: str, source) -> object:
     """``json.loads`` that reports malformed text as an InputError."""
     try:
@@ -202,11 +216,15 @@ def _parse_json(text: str, source) -> object:
         raise InputError(f"{source}: malformed JSON: {exc}") from exc
 
 
+def _read_json(path: str | Path) -> object:
+    return _parse_json(_read_text(path), path)
+
+
 def load_point_cloud(path: str | Path) -> PointCloud:
     """Load a cloud from ``.json`` or ``.csv`` (dispatch on suffix)."""
     path = Path(path)
     if path.suffix == ".json":
-        return PointCloud.from_dict(_parse_json(path.read_text(encoding="utf-8"), path))
+        return PointCloud.from_dict(_read_json(path))
     return PointCloud.from_csv(path)
 
 
@@ -277,7 +295,7 @@ class DistanceMatrix:
         try:
             n = int(obj["n"])
             entries = obj["entries"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed distance-matrix JSON: {exc}") from exc
         dm = cls(entries)
         if dm.n != n:
@@ -296,11 +314,10 @@ class DistanceMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "DistanceMatrix":
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-            except ValueError as exc:
-                raise InputError(f"{path}: bad matrix entry: {exc}") from exc
+        try:
+            rows = [[float(v) for v in row] for row in _csv_rows(path) if row]
+        except ValueError as exc:
+            raise InputError(f"{path}: bad matrix entry: {exc}") from exc
         return cls(rows)
 
 
@@ -331,7 +348,7 @@ def load_distance_matrix(path: str | Path) -> DistanceMatrix:
     path = Path(path)
     if path.suffix == ".csv":
         return DistanceMatrix.from_csv(path)
-    return DistanceMatrix.from_dict(_parse_json(path.read_text(encoding="utf-8"), path))
+    return DistanceMatrix.from_dict(_read_json(path))
 
 
 def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray:

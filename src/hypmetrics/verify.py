@@ -11,6 +11,17 @@ arithmetic; the slack only absorbs floating-point error, so any violation
 beyond it is a genuine bug (or a genuine counterexample, which is the
 point of several of these checks).
 
+Comparisons are vectorized and read index columns lazily: a check passes
+open index meshes (``np.arange(n)[:, None]``) that broadcast against
+``lhs - rhs``, and indices, lhs and rhs are decoded only at the positions
+that fail. Since the scale is at least 1, no entry can fail when the
+block's largest slack is at most ``tol``; such a block skips the scale and
+failure passes (a NaN slack always takes them). The exhaustive sweeps hold
+one bounded block at a time: the triangle sweep compares blocks of
+``_CHECK_ELEMENTS`` (x, y, z) entries, at least one row of x, and the
+Ptolemy sweep one (i, j) step's (k, l) block with k >= l masked out, so
+their memory does not grow with the number of comparisons.
+
 Product-form inequalities (the 9^k split bound and the (27/2)^k
 quasi-triangle family) are evaluated in the log domain so k up to the
 dozens cannot overflow; their recorded lhs/rhs/slack values are in log
@@ -35,7 +46,9 @@ from .spaces import PointCloud, _as_entries, pairwise_distances
 
 DEFAULT_TOL = 1e-9
 
-_TRIANGLE_CHUNK = 32  # rows of x per broadcast block in the triangle sweep
+#: Entries of one comparison block in the triangle sweep (at least one row
+#: of x); bounds the checker's temporaries independently of n.
+_CHECK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -89,38 +102,61 @@ class _Collector:
         self.worst = -math.inf
         self.violations: list[Violation] = []
 
-    def compare(self, kind: str, index_cols: tuple[np.ndarray, ...], lhs, rhs) -> None:
-        lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if lhs.size == 0:
-            return
+    def compare(self, kind: str, index_cols, lhs, rhs, where=None) -> None:
+        """Compare ``lhs <= rhs`` over the broadcast shape of ``lhs - rhs``.
+
+        ``index_cols`` broadcast against that shape (1-D columns, or open
+        meshes such as ``np.arange(n)[:, None]``); they, ``lhs`` and ``rhs``
+        are read only where a comparison fails. Entries outside the boolean
+        ``where`` are neither compared nor counted. Violations keep
+        row-major order.
+        """
+        lhs = np.asarray(lhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
         with np.errstate(invalid="ignore"):
-            slack = lhs - rhs
+            slack = np.atleast_1d(np.subtract(lhs, rhs))
+        if slack.size == 0:
+            return
         # log-domain checks may produce -inf on both sides (zero products);
         # lhs = -inf passes vacuously instead of propagating NaN
-        neg = np.isneginf(lhs)
-        if neg.any():
-            slack = np.where(neg, -np.inf, slack)
-        self.checked += int(lhs.size)
+        drop = np.isneginf(lhs)
+        if where is not None:
+            drop = drop | ~where
+            self.checked += int(np.count_nonzero(np.broadcast_to(where, slack.shape)))
+        else:
+            self.checked += int(slack.size)
+        if drop.any():
+            np.copyto(slack, -np.inf, where=drop)
         worst = float(slack.max())
         if worst > self.worst:
             self.worst = worst
+        # scale >= 1, so nothing fails when worst <= tol; a NaN worst (the
+        # block holds a NaN) may hide a real violation and takes the full pass
+        if worst <= self.tol:
+            return
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        bad = np.nonzero(slack > self.tol * scale)[0]
-        for pos in bad:
+        pos = np.unravel_index(np.flatnonzero(slack > self.tol * scale), slack.shape)
+
+        def at_bad(a) -> list:
+            return np.broadcast_to(a, slack.shape)[pos].tolist()
+
+        cols = [at_bad(c) for c in index_cols]
+        for t, (lv, rv, sv) in enumerate(zip(at_bad(lhs), at_bad(rhs), slack[pos].tolist())):
             self.violations.append(
-                Violation(
-                    kind,
-                    tuple(int(col[pos]) for col in index_cols),
-                    float(lhs[pos]),
-                    float(rhs[pos]),
-                    float(slack[pos]),
-                )
+                Violation(kind, tuple(int(c[t]) for c in cols), float(lv), float(rv), float(sv))
             )
 
     def report(self, **meta) -> ViolationReport:
         worst = self.worst if self.checked else -math.inf
         return ViolationReport(self.checked, self.violations, self.tol, worst, dict(meta))
+
+
+def _pair_mesh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Open row and column index meshes of an n x n matrix, ``(n, 1)`` and
+    ``(1, n)``, and its strict upper triangle as a boolean mask."""
+    ar = np.arange(n)
+    rows, cols = ar[:, None], ar[None, :]
+    return rows, cols, rows < cols
 
 
 def _degenerate_tuples(n: int, arity: int, anchors: tuple[int, ...]) -> np.ndarray:
@@ -158,29 +194,24 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     e = _as_entries(m)
     n = e.shape[0]
     col = _Collector(tol)
+    rows, cols, upper = _pair_mesh(n)
 
-    iu, ju = np.triu_indices(n, k=1)
-    col.compare("symmetry", (iu, ju), np.abs(e[iu, ju] - e[ju, iu]), np.zeros(iu.size))
-    diag = np.arange(n)
-    col.compare("diagonal", (diag,), np.abs(np.diagonal(e)), np.zeros(n))
-    ii, jj = np.nonzero(np.ones_like(e, dtype=bool))
-    col.compare("nonnegative", (ii, jj), -e[ii, jj], np.zeros(ii.size))
+    col.compare("symmetry", (rows, cols), np.abs(e - e.T), 0.0, where=upper)
+    col.compare("diagonal", (cols[0],), np.abs(np.diagonal(e)), 0.0)
+    col.compare("nonnegative", (rows, cols), -e, 0.0)
 
-    for x0 in range(0, n, _TRIANGLE_CHUNK):
-        x1 = min(x0 + _TRIANGLE_CHUNK, n)
-        chunk = e[x0:x1]
-        lhs = np.broadcast_to(chunk[:, :, None], (x1 - x0, n, n)).reshape(-1)
-        rhs = (chunk[:, None, :] + e.T[None, :, :]).reshape(-1)
-        xs, ys, zs = np.meshgrid(
-            np.arange(x0, x1), np.arange(n), np.arange(n), indexing="ij"
-        )
+    step = max(1, _CHECK_ELEMENTS // (n * n))
+    for x0 in range(0, n, step):
+        chunk = e[x0 : x0 + step]
+        xs = np.arange(x0, x0 + chunk.shape[0])[:, None, None]
+        # d(x, y) <= d(x, z) + d(z, y) over the (x, y, z) block
         col.compare(
             "triangle",
-            (xs.reshape(-1), ys.reshape(-1), zs.reshape(-1)),
-            lhs,
-            rhs,
+            (xs, rows[None], cols[None]),
+            chunk[:, :, None],
+            chunk[:, None, :] + e.T[None],
         )
-    offdiag_positive = bool(np.all(e[iu, ju] > 0.0)) if iu.size else True
+    offdiag_positive = bool(np.all((e > 0.0) | ~upper))
     return col.report(offdiagonal_positive=offdiag_positive)
 
 
@@ -195,7 +226,7 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     e = _as_entries(m)
     n = e.shape[0]
     col = _Collector(tol)
-    quads = 0
+    rows, cols, upper = _pair_mesh(n)
     for i in range(n - 3):
         row_i = e[i]
         for j in range(i + 1, n - 2):
@@ -207,21 +238,15 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
             p3 = b[:, None] * a[None, :]
             tot = p1 + p2 + p3
             mx = np.maximum(np.maximum(p1, p2), p3)
-            ku, lu = np.triu_indices(p1.shape[0], k=1)
-            quads += ku.size
+            # the (k, l) block is symmetric; only k < l is a quadruple
             col.compare(
                 "ptolemy",
-                (
-                    np.full(ku.size, i),
-                    np.full(ku.size, j),
-                    ku + off,
-                    lu + off,
-                ),
-                2.0 * mx[ku, lu],
-                tot[ku, lu],
+                (i, j, rows[off:], cols[:, off:]),
+                2.0 * mx,
+                tot,
+                where=upper[off:, off:],
             )
-    report = col.report(quadruples=quads)
-    return report
+    return col.report(quadruples=col.checked)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +281,10 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
         gap = math.pi
     else:
         raise InputError(f"unknown sandwich kind {kind!r} (want tau, avg, or taxicab)")
-    iu, ju = np.triu_indices(lo.shape[0], k=1)
+    rows, cols, upper = _pair_mesh(lo.shape[0])
     col = _Collector(tol)
-    col.compare("sandwich_lower", (iu, ju), lo[iu, ju], hi[iu, ju])
-    col.compare("sandwich_upper", (iu, ju), hi[iu, ju], lo[iu, ju] + gap)
+    col.compare("sandwich_lower", (rows, cols), lo, hi, where=upper)
+    col.compare("sandwich_upper", (rows, cols), hi, lo + gap, where=upper)
     return col.report(kind=kind, gap=gap)
 
 

@@ -40,6 +40,7 @@ from hypmetrics import (
     punctured_matrix,
     random_cloud,
 )
+from hypmetrics.scenarios import _place_punctures
 
 ACCEPT_SEED = 202608
 LOG2 = math.log(2.0)
@@ -56,16 +57,6 @@ def _report(num, label, failures, detail=""):
         line += f" ({detail})"
     print(line, flush=True)
     assert ok, line + " :: " + "; ".join(failures[:5])
-
-
-def _place_punctures(rng, pts, k, min_gap=1e-3):
-    placed = []
-    while len(placed) < k:
-        cand = rng.uniform(0.0, 1.0, size=pts.shape[1])
-        ref = np.vstack([pts] + [p[None, :] for p in placed]) if placed else pts
-        if np.sqrt(((ref - cand) ** 2).sum(axis=1)).min() >= min_gap:
-            placed.append(cand)
-    return np.array(placed)
 
 
 @pytest.fixture(scope="module")

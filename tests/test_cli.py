@@ -284,6 +284,12 @@ CLOUD_CSV = "label,x1,x2\na,0,0\nb,1,0\nc,0,1\nd,1,1\ne,2,2\n"
             {"c.csv": CLOUD_CSV},
             ["delta", "--cloud", "{d}/c.csv", "--mode", "sampled", "--workers", "-3"],
         ),
+        ({"m.json": '{"n": "abc", "entries": [[0]]}'}, ["delta", "--matrix", "{d}/m.json"]),
+        ({"m.json": '{"n": 1e999, "entries": [[0]]}'}, ["delta", "--matrix", "{d}/m.json"]),
+        (
+            {"c.json": '{"dim": "x", "points": [{"coords": [0, 0]}]}'},
+            ["verify", "ptolemy", "--cloud", "{d}/c.json"],
+        ),
     ],
     ids=[
         "matrix-json",
@@ -298,6 +304,9 @@ CLOUD_CSV = "label,x1,x2\na,0,0\nb,1,0\nc,0,1\nd,1,1\ne,2,2\n"
         "k-list",
         "workers-0",
         "workers-negative",
+        "matrix-n-not-a-number",
+        "matrix-n-overflows",
+        "cloud-dim-not-a-number",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, files, argv):
@@ -338,3 +347,46 @@ def test_bad_counts_and_unreadable_files_exit_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+SPEC_JSON = (
+    '{"base": {"dim": 2, "points": [{"coords": [0, 0]}]}, "punctures": [[1, 1]], '
+    '"variant": "tau_p"}'
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("m.json", '{"n": 1, "entries": [[0]]}', ["delta", "--matrix", "{p}"]),
+        ("m.csv", "0,1\n1,0\n", ["delta", "--matrix", "{p}"]),
+        ("c.json", '{"dim": 1, "points": []}', ["delta", "--cloud", "{p}"]),
+        ("c.csv", CLOUD_CSV, ["delta", "--cloud", "{p}"]),
+        ("p.json", "[[3.0, 3.0]]", ["delta", "--cloud", "{d}/ok.csv", "--punctures", "@{p}"]),
+        ("s.json", SPEC_JSON, ["delta", "--spec", "{p}"]),
+    ],
+    ids=["matrix-json", "matrix-csv", "cloud-json", "cloud-csv", "punctures-file", "spec"],
+)
+def test_non_utf8_file_is_named(tmp_path, capsys, name, text, argv):
+    (tmp_path / "ok.csv").write_text(CLOUD_CSV, encoding="utf-8")
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8") + "é".encode("latin-1"))
+    code, _, err = run(capsys, *(a.format(d=tmp_path, p=path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_delta_of_huge_entries_is_valid_json(tmp_path, capsys):
+    entries = np.full((5, 5), 1e308)
+    np.fill_diagonal(entries, 0.0)
+    path = tmp_path / "huge.json"
+    DistanceMatrix(entries).save(path)
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    for mode in ("exact", "sampled"):
+        code, out, _ = run(capsys, "delta", "--matrix", str(path), "--mode", mode,
+                           "--samples", "3", "--workers", "1")
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["delta"] == 0.0

@@ -343,3 +343,33 @@ def test_sweep_maxima_equal_per_matrix_exact_delta():
         v: {str(k): d for k, d in per_k.items()} for v, per_k in best.items()
     }
     assert res.measured["one_point_max_delta"] == best_1p
+
+
+@pytest.mark.parametrize("factor", [2.0**1000, 2.0**1020], ids=["2**1000", "2**1020"])
+def test_delta_scales_exactly_near_the_float_limit(factor):
+    # at 2**1020 the largest entry (10 * 2**1020) is past the 2**1022 threshold
+    # and its pairing sums would overflow; at 2**1000 nothing is rescaled
+    e = _two_planted_maxima()
+    big = e * factor
+    for workers in (1, 2):
+        ref, rep = exact_delta(e, workers=workers), exact_delta(big, workers=workers)
+        assert (ref.delta, ref.witness) == (1.0, (0, 2, 4, 6))
+        assert (rep.delta, rep.witness) == (factor, ref.witness)
+        [batched] = exact_deltas([big], workers=workers)
+        assert (batched.delta, batched.witness) == (rep.delta, rep.witness)
+        for samples in (40, 500):  # sampled, then the exhaustive fallback (C(9,4) = 126)
+            ref = sampled_delta(e, samples=samples, seed=5, workers=workers)
+            rep = sampled_delta(big, samples=samples, seed=5, workers=workers)
+            assert (rep.delta, rep.witness, rep.mode) == (factor * ref.delta, ref.witness, ref.mode)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(bad):
+    e = np.ones((6, 6)) - np.eye(6)
+    e[1, 2] = bad
+    with pytest.raises(InputError):
+        exact_delta(e)
+    with pytest.raises(InputError):
+        exact_deltas([np.ones((6, 6)) - np.eye(6), e])
+    with pytest.raises(InputError):
+        sampled_delta(e, samples=5, seed=1)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hypmetrics import (
     punctured_matrix,
     random_cloud,
 )
+from hypmetrics.verify import DEFAULT_TOL, _CHECK_ELEMENTS
 
 COUNTEREXAMPLE = DistanceMatrix(
     [
@@ -318,3 +321,115 @@ def test_quasi_ptolemy_is_a_batch_of_one():
     assert rep.checked == 0
     assert rep.meta["hypothesis_satisfied"] is False
     assert rep.meta["hypothesis_failures"] == [[0, 1, 2], [0, 1, 3], [1, 0, 2], [1, 0, 3]]
+
+
+# ---------------------------------------------------------------------------
+# brute-force references for the exhaustive sweeps: Python floats, the same
+# operand order, one comparison at a time
+
+
+def _np_max(a, b):
+    """``np.maximum`` on two Python floats: NaN when either is NaN."""
+    return math.nan if a != a or b != b else max(a, b)
+
+
+def _reference(checks, tol=DEFAULT_TOL):
+    """(violations, checked, worst) over ``(kind, indices, lhs, rhs)``
+    tuples, with the collector's scale rule and its -inf lhs rule."""
+    violations, checked, slacks = [], 0, []
+    for kind, idx, lhs, rhs in checks:
+        checked += 1
+        slack = -math.inf if lhs == -math.inf else lhs - rhs
+        slacks.append(slack)
+        if slack > tol * max(1.0, abs(lhs), abs(rhs)):
+            violations.append((kind, idx, lhs, rhs, slack))
+    worst = max(slacks) if slacks and not any(x != x for x in slacks) else None
+    return violations, checked, worst
+
+
+def _reference_axioms(e):
+    e = e.tolist()
+    n = len(e)
+    checks = [
+        ("symmetry", (i, j), abs(e[i][j] - e[j][i]), 0.0) for i, j in combinations(range(n), 2)
+    ]
+    checks += [("diagonal", (i,), abs(e[i][i]), 0.0) for i in range(n)]
+    checks += [("nonnegative", (i, j), -e[i][j], 0.0) for i, j in product(range(n), repeat=2)]
+    checks += [
+        ("triangle", (x, y, z), e[x][y], e[x][z] + e[z][y])
+        for x, y, z in product(range(n), repeat=3)
+    ]
+    return _reference(checks)
+
+
+def _reference_ptolemy(e):
+    e = e.tolist()
+    checks = []
+    for i, j, k, l in combinations(range(len(e)), 4):
+        p1, p2, p3 = e[i][j] * e[k][l], e[i][k] * e[j][l], e[j][k] * e[i][l]
+        checks.append(
+            ("ptolemy", (i, j, k, l), 2.0 * _np_max(_np_max(p1, p2), p3), p1 + p2 + p3)
+        )
+    return _reference(checks)
+
+
+def _assert_matches(rep, reference):
+    violations, checked, worst = reference
+    got = [(v.kind, v.indices, v.lhs, v.rhs, v.slack) for v in rep.violations]
+    assert got == violations
+    assert rep.checked == checked
+    if worst is not None:
+        assert rep.worst_slack == worst
+
+
+def _violating_matrices():
+    e = build_distance_matrix(random_cloud(11, 2, seed=91)).entries
+    tilde = punctured_matrix(PuncturedSpec(COUNTEREXAMPLE, [0], variant="tilde_tau_p")).entries
+    raw = np.random.Generator(np.random.PCG64(92)).uniform(0.0, 1.0, (7, 7))
+    nan_beside = e**3
+    nan_beside[2, 5] = np.nan  # the only block also holds real violations
+    neg_inf = e**3
+    neg_inf[4, 1] = -np.inf
+    return {
+        "cubed": e**3,
+        "negated": -e,
+        "raw-asymmetric": raw,
+        "tilde-counterexample": tilde,
+        "huge": e**3 * 1e300,
+        "nan-beside-violation": nan_beside,
+        "neg-inf": neg_inf,
+    }
+
+
+@pytest.mark.parametrize("name", list(_violating_matrices()))
+def test_sweeps_match_brute_force(name):
+    e = _violating_matrices()[name]
+    axioms = check_metric_axioms(e)
+    assert not axioms.passed
+    _assert_matches(axioms, _reference_axioms(e))
+    _assert_matches(check_ptolemaic(e), _reference_ptolemy(e))
+
+
+def test_triangle_sweep_across_blocks():
+    n = 70
+    rows = _CHECK_ELEMENTS // (n * n)
+    assert 0 < rows < n and n % rows  # one full block and one ragged block
+    e = build_distance_matrix(random_cloud(n, 2, seed=93)).entries.copy()
+    for x, y in ((3, 9), (n - 2, n - 5)):  # one planted violation per block
+        e[x, y] = e[y, x] = 5.0
+    rep = check_metric_axioms(e)
+    kinds_rows = {(v.kind, v.indices[0]) for v in rep.violations}
+    assert {("triangle", 3), ("triangle", n - 2)} <= kinds_rows
+    _assert_matches(rep, _reference_axioms(e))
+
+
+def test_triangle_sweep_memory_is_bounded():
+    e = build_distance_matrix(random_cloud(300, 2, seed=95)).entries
+    tracemalloc.start()
+    try:
+        rep = check_metric_axioms(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.checked == 300**3 + 300**2 + 300 * 299 // 2 + 300
+    assert peak < 16 * 2**20
