@@ -246,13 +246,18 @@ class PuncturedSpec:
                 anchor = 0
             else:
                 raise InputError(f"variant {variant!r} needs an anchor when k={k} > 1")
-        if anchor is not None and not 0 <= int(anchor) < k:
-            raise InputError(f"anchor {anchor} out of range for k={k} punctures")
+        if anchor is not None:
+            try:
+                anchor = int(anchor)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"anchor must be an integer, got {anchor!r}") from exc
+            if not 0 <= anchor < k:
+                raise InputError(f"anchor {anchor} out of range for k={k} punctures")
 
         self.base = base
         self.metric = metric
         self.variant = variant
-        self.anchor = None if anchor is None else int(anchor)
+        self.anchor = anchor
         self._by_index = by_index
 
     @property

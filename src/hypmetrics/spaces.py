@@ -12,6 +12,11 @@ Base distances:
   ``d1(x, y) = |x1 - y1| + arctan|x2 - y2|`` and
   ``d2(x, y) = |x2 - y2| + arctan|x1 - y1|``, plus their sum ``d1 + d2``
   (the sum fails to be Gromov hyperbolic even though d1 and d2 are).
+
+Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
+``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
+rows), streamed row by row from one grid of reprs that formats each
+symmetric pair once.
 """
 
 from __future__ import annotations
@@ -77,20 +82,6 @@ def arctan_split_distance(which: str, x: Vector, y: Vector) -> float:
     raise InputError(f"unknown arctan-split selector {which!r} (want d1, d2, or sum)")
 
 
-def _scalar_metric(name: str) -> MetricFn:
-    if name == "euclidean":
-        return euclidean_distance
-    if name == "taxicab":
-        return taxicab_distance
-    if name == "d1":
-        return lambda x, y: arctan_split_distance("d1", x, y)
-    if name == "d2":
-        return lambda x, y: arctan_split_distance("d2", x, y)
-    if name == "d1+d2":
-        return lambda x, y: arctan_split_distance("sum", x, y)
-    raise InputError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
-
-
 class PointCloud:
     """Immutable ordered collection of labeled points in R^dim."""
 
@@ -147,8 +138,8 @@ class PointCloud:
         return {
             "dim": self.dim,
             "points": [
-                {"label": self.label(i), "coords": [float(v) for v in self._points[i]]}
-                for i in range(len(self))
+                {"label": self.label(i), "coords": coords}
+                for i, coords in enumerate(self._points.tolist())
             ],
         }
 
@@ -288,7 +279,7 @@ class DistanceMatrix:
         return float(self._entries[i, j])
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "entries": [[float(v) for v in row] for row in self._entries]}
+        return {"n": self.n, "entries": self._entries.tolist()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DistanceMatrix":
@@ -303,14 +294,25 @@ class DistanceMatrix:
         return dm
 
     def save(self, path: str | Path) -> None:
+        """Write ``.csv`` (excel dialect, one row per line) or, for any other
+        suffix, JSON in the layout of ``json.dumps(self.to_dict(), indent=2)``.
+
+        Both are streamed row by row from ``_repr_rows``; every entry is
+        written as its ``float.__repr__``, so a load gives back the same bits.
+        """
         path = Path(path)
+        rows = _repr_rows(self._entries)
         if path.suffix == ".csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                for row in self._entries:
-                    writer.writerow([repr(float(v)) for v in row])
+                for row in rows:
+                    fh.write(",".join(row) + "\r\n")
             return
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            sep = f'{{\n  "n": {self.n},\n  "entries": [\n'
+            for row in rows:
+                fh.write(sep + "    [\n      " + ",\n      ".join(row) + "\n    ]")
+                sep = ",\n"
+            fh.write("\n  ]\n}\n")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "DistanceMatrix":
@@ -319,6 +321,23 @@ class DistanceMatrix:
         except ValueError as exc:
             raise InputError(f"{path}: bad matrix entry: {exc}") from exc
         return cls(rows)
+
+
+def _repr_rows(m: np.ndarray):
+    """The rows of a symmetric matrix as ``float.__repr__`` strings.
+
+    Each symmetric pair is formatted once: the upper triangle with the
+    diagonal, mirrored below it. An entry whose bits differ from its
+    mirror's (``0.0`` against ``-0.0``, which the ``==`` symmetry check
+    accepts) gets its own repr.
+    """
+    upper = [list(map(float.__repr__, m[i, i:].tolist())) for i in range(m.shape[0])]
+    bits = m.view(np.uint64)
+    for i, tail in enumerate(upper):
+        row = [upper[j][i - j] for j in range(i)] + tail
+        for j in np.flatnonzero(bits[i, :i] != bits[:i, i]):
+            row[j] = repr(float(m[i, j]))
+        yield row
 
 
 def _as_entries(d, n: int | None = None) -> np.ndarray:
@@ -354,22 +373,16 @@ def load_distance_matrix(path: str | Path) -> DistanceMatrix:
 def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray:
     """Dense pairwise distances under a named metric or a scalar callable.
 
-    The named paths are vectorized; a callable falls back to filling the
-    upper triangle and mirroring, which also guarantees exact symmetry for
-    user-supplied functions.
+    The named paths are vectorized; a callable is read as an ``(i, j)``
+    oracle by ``_as_entries``, which fills the upper triangle and mirrors
+    it, so user-supplied functions give exactly symmetric matrices.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     n = pts.shape[0]
     if callable(metric):
-        m = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = float(metric(pts[i], pts[j]))
-                m[i, j] = v
-                m[j, i] = v
-        return m
+        return _as_entries(lambda i, j: metric(pts[i], pts[j]), n)
     if metric == "euclidean":
         diff = pts[:, None, :] - pts[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=-1))

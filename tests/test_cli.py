@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hypmetrics import DistanceMatrix, load_point_cloud
+from hypmetrics import DistanceMatrix, PuncturedSpec, load_point_cloud, punctured_matrix
 from hypmetrics.cli import main
 
 
@@ -261,6 +261,11 @@ def test_repro_reports_deterministic(capsys):
 
 
 CLOUD_CSV = "label,x1,x2\na,0,0\nb,1,0\nc,0,1\nd,1,1\ne,2,2\n"
+SPEC_JSON = (
+    '{"base": {"dim": 2, "points": [{"coords": [0, 0]}, {"coords": [1, 0]}, '
+    '{"coords": [0, 1]}, {"coords": [1, 1]}]}, '
+    '"punctures": [[3.0, 3.0]], "variant": "tau_p", "anchor": ANCHOR}'
+)
 
 
 @pytest.mark.parametrize(
@@ -290,6 +295,8 @@ CLOUD_CSV = "label,x1,x2\na,0,0\nb,1,0\nc,0,1\nd,1,1\ne,2,2\n"
             {"c.json": '{"dim": "x", "points": [{"coords": [0, 0]}]}'},
             ["verify", "ptolemy", "--cloud", "{d}/c.json"],
         ),
+        ({"s.json": SPEC_JSON.replace("ANCHOR", '"x"')}, ["delta", "--spec", "{d}/s.json"]),
+        ({"s.json": SPEC_JSON.replace("ANCHOR", "[0]")}, ["delta", "--spec", "{d}/s.json"]),
     ],
     ids=[
         "matrix-json",
@@ -307,6 +314,8 @@ CLOUD_CSV = "label,x1,x2\na,0,0\nb,1,0\nc,0,1\nd,1,1\ne,2,2\n"
         "matrix-n-not-a-number",
         "matrix-n-overflows",
         "cloud-dim-not-a-number",
+        "spec-anchor-not-a-number",
+        "spec-anchor-a-list",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, files, argv):
@@ -390,3 +399,16 @@ def test_delta_of_huge_entries_is_valid_json(tmp_path, capsys):
                            "--samples", "3", "--workers", "1")
         assert code == 0
         assert json.loads(out, parse_constant=reject)["delta"] == 0.0
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_dist_writes_reference_encoder_bytes(tmp_path, capsys, reference_matrix_bytes, suffix):
+    cloud = tmp_path / "cloud.csv"
+    run(capsys, "gen", "--n", "15", "--seed", "8", "--out", str(cloud))
+    punctures = [[2.5, 2.5], [3.0, -1.0]]
+    out = tmp_path / f"m{suffix}"
+    code, _, _ = run(capsys, "dist", "--cloud", str(cloud), "--punctures", json.dumps(punctures),
+                     "--variant", "avg_tau", "--out", str(out))
+    assert code == 0
+    want = punctured_matrix(PuncturedSpec(load_point_cloud(cloud), punctures, "avg_tau"))
+    assert out.read_bytes() == reference_matrix_bytes(want, suffix)

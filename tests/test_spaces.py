@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,66 @@ def test_matrix_csv_roundtrip(tmp_path):
     m.save(path)
     back = load_distance_matrix(path)
     assert np.array_equal(back.entries, m.entries)
+
+
+def _symmetric(n: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).uniform(0.0, 10.0, size=(n, n))
+    a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def _with_entry(v: float) -> np.ndarray:
+    return np.array([[0.0, v, 1.0], [v, 0.0, v], [1.0, v, 0.0]])
+
+
+WRITER_CASES = {
+    "n1": np.zeros((1, 1)),
+    "n2": np.array([[0.0, 1.5], [1.5, 0.0]]),
+    "zero-mirrored-by-negative-zero": np.array(
+        [[0.0, 0.0, 1.0], [-0.0, 0.0, -0.0], [1.0, 0.0, 0.0]]
+    ),
+    "signed-zero-diagonal": np.array([[-0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, -0.0]]),
+    "subnormal-min": _with_entry(5e-324),
+    "1e308": _with_entry(1e308),
+    "exponent-cut-over-small": np.array(
+        [[0.0, 1e-5, 1e-4], [1e-5, 0.0, 9.999999999999999e-06], [1e-4, 9.999999999999999e-06, 0.0]]
+    ),
+    "exponent-cut-over-large": np.array(
+        [[0.0, 1e16, 9999999999999998.0], [1e16, 0.0, 1e15], [9999999999999998.0, 1e15, 0.0]]
+    ),
+    "random-n37": _symmetric(37, 3),
+}
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("entries", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_matrix_save_writes_reference_bytes(tmp_path, reference_matrix_bytes, entries, suffix):
+    m = DistanceMatrix(entries)
+    path = tmp_path / f"m{suffix}"
+    m.save(path)
+    assert path.read_bytes() == reference_matrix_bytes(m, suffix)
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("entries", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_matrix_save_load_is_bit_exact(tmp_path, entries, suffix):
+    m = DistanceMatrix(entries)
+    path = tmp_path / f"m{suffix}"
+    m.save(path)
+    back = load_distance_matrix(path)
+    assert np.array_equal(back.entries.view(np.uint64), m.entries.view(np.uint64))
+
+
+def test_matrix_save_memory_is_bounded(tmp_path):
+    m = DistanceMatrix(_symmetric(1000, 5))
+    tracemalloc.start()
+    try:
+        m.save(tmp_path / "m.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_pairwise_d1_formula_spot_check():
