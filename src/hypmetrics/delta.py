@@ -9,27 +9,31 @@ and let S1 >= S2 >= S3 be their descending order. The quadruple's delta is
 every relabeling of the quadruple. A space is delta-hyperbolic with the
 maximum of this quantity over all quadruples.
 
-``exact_deltas`` maximizes over all C(n, 4) distinct quadruples of every
-matrix in a batch of equal size; ``exact_delta`` is a batch of one. The
-kernel iterates pairs (i < j) and vectorizes over the remaining (k, l)
-pairs and over a leading batch axis, so the Python-level loop is O(n^2)
-per chunk of matrices while the O(B n^4) work runs in numpy. A chunk holds
-as many matrices as keep one step's (k, l) grids within
-``_BATCH_ELEMENTS`` entries (at least one matrix), so the kernel's memory
+``exact_deltas`` maximizes over all C(n, 4) distinct quadruples
+i < j < k < l of every matrix in a batch of equal size; ``exact_delta`` is
+a batch of one. The kernel is indexed by the middle pair: a task fixes j,
+and each Python-level step takes up to ``_GROUP`` consecutive k values
+from some k0 and vectorizes over a ``(B, i < j, k, l > k0)`` grid, so
+every entry but the l <= k corner of the (k, l) block is a distinct
+quadruple. The three pairing sums are broadcasts of row slices, with no
+gather: d(j,i) + d(k,l), d(i,k) + d(j,l) and d(i,l) + d(j,k). A step takes
+as many k values, and a chunk as many matrices, as keep one step's grid
+within ``_BATCH_ELEMENTS`` entries (at least one), so the kernel's memory
 is bounded by that budget, not by the batch.
 
-The witness is the lexicographically smallest quadruple of maximal delta,
-which the scan order yields: within a step the k = l diagonal is masked to
--inf and the first flat maximum wins; across steps a later value wins only
-when strictly greater. Work partitions into (chunk, i) tasks, run serially
-or on a process pool, and their parts fold in i order the same way, so the
-report is identical for any worker count.
+The witness is the lexicographically smallest quadruple of maximal delta.
+Within a step the corner is set to -inf and the first flat maximum is the
+lex-min (i, k, l); within a task the lex-min of the steps reaching the
+task's maximum wins, and across (chunk, j) tasks parts fold by value,
+ties going to the lex-smaller witness. The result does not depend on task
+order, so tasks run serially or on a process pool, heaviest first, and
+the report is identical for any worker count.
 
-Both kernels need finite entries (``InputError`` otherwise). A matrix
-with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is evaluated scaled by
-1/4, so no pairing sum overflows. The factor is a power of two, so the
-witness and the scaled-back delta are exact (unless the matrix also holds
-entries below 2^-1020, which lose bits when scaled).
+Both kernels need finite, exactly symmetric entries (``InputError``
+otherwise). A matrix with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is
+evaluated scaled by 1/4, so no pairing sum overflows. The factor is a
+power of two, so the witness and the scaled-back delta are exact (unless
+the matrix also holds entries below 2^-1020, which lose bits when scaled).
 
 ``sampled_delta`` draws distinct-index quadruples uniformly from a seeded
 generator in fixed-size batches (one spawned substream per batch), so the
@@ -42,7 +46,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -52,9 +56,11 @@ from .spaces import _as_entries
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
-#: Entries of one (i, j) step's (k, l) grids summed over the matrices of a
+#: Entries of one exact-kernel step's grid summed over the matrices of a
 #: batch chunk; bounds the kernel's temporaries independently of the batch.
-_BATCH_ELEMENTS = 1 << 16
+_BATCH_ELEMENTS = 1 << 14
+#: Most consecutive k values one step of the exact kernel takes.
+_GROUP = 8
 #: A matrix with an entry this large runs the kernels scaled by 1/4.
 _HUGE_ENTRY = 2.0**1022
 
@@ -97,61 +103,79 @@ def _kernel_entries(d, n: int | None = None) -> tuple[np.ndarray, float]:
     top = float(np.abs(e).max()) if e.size else 0.0  # NaN when any entry is NaN
     if not np.isfinite(top):
         raise InputError("distance matrix contains NaN or infinite entries")
+    # The exact kernel reads each pair from one triangle.
+    if not np.array_equal(e, e.T):
+        raise InputError("distance matrix must be exactly symmetric")
     if top >= _HUGE_ENTRY:
         return e * 0.25, 4.0
     return e, 1.0
 
 
+def _doubled_delta(s1, s2, s3, bufs=(None, None)):
+    """Twice the delta of the quadruples with pairing sums ``s1``, ``s2`` and
+    ``s3``: the largest sum minus the median. Operands broadcast as in a
+    ufunc.
+
+    The median is ``s3`` clamped to the range of the first two; every step
+    is an exact comparison, so only the final subtraction rounds. With two
+    scratch buffers of the result's shape nothing is allocated, and the
+    result is the first of them.
+    """
+    a, b = bufs
+    hi12 = np.maximum(s1, s2, out=a)
+    lo12 = np.minimum(s1, s2, out=b)
+    mid = np.minimum(hi12, np.maximum(lo12, s3, out=b), out=b)
+    top = np.maximum(hi12, s3, out=a)
+    return np.subtract(top, mid, out=a)
+
+
 def quadruple_delta(d, x: int, y: int, z: int, v: int) -> float:
     """Delta of a single quadruple; invariant under all 24 relabelings."""
     o = as_oracle(d)
-    s = sorted((o(x, y) + o(z, v), o(x, z) + o(y, v), o(x, v) + o(y, z)))
-    return (s[2] - s[1]) / 2.0
+    return float(_doubled_delta(o(x, y) + o(z, v), o(x, z) + o(y, v), o(x, v) + o(y, z))) / 2.0
 
 
-def _scan_outer(stack: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix best doubled delta ``(B,)`` and lex-min witness ``(B, 4)``
-    among quadruples (i, j, k, l), i fixed, i < j < k < l, of a ``(B, n, n)``
-    stack."""
+def _scan_middle(stack: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix best doubled delta ``(B,)`` and the lex-key of its lex-min
+    witness ``(B,)`` among quadruples (i, j, k, l), j fixed, i < j < k < l,
+    of a ``(B, n, n)`` stack. A witness's key is its flat index in an
+    ``(n, n, n, n)`` array, so keys order as witnesses do."""
     nb, n = stack.shape[0], stack.shape[1]
+    steps = []
+    k0 = j + 1
+    while k0 <= n - 2:
+        # Up to _GROUP k values, none past n - 2, and as many as keep the
+        # step's (nb, j, g, n - k0 - 1) grid within the budget (at least one).
+        g = max(1, min(_GROUP, n - 1 - k0, _BATCH_ELEMENTS // (nb * j * (n - k0 - 1))))
+        steps.append((k0, g))
+        k0 += g
     rows = np.arange(nb)
-    steps = range(i + 1, n - 2)
-    flats = np.empty((len(steps), nb), dtype=np.intp)
     vals = np.empty((len(steps), nb))
-    row_i = stack[:, i]
-    # Three flat buffers, each sized for the largest step (j = i + 1) and
-    # viewed as (B, m, m) for the step's m = n - j - 1, hold every grid.
-    bufs = np.empty((3, nb * (n - i - 2) ** 2))
-    for t, j in enumerate(steps):
-        off = j + 1
-        m = n - off
-        x, y, hi12 = (buf[: nb * m * m].reshape(nb, m, m) for buf in bufs)
-        a = row_i[:, off:]  # d(i, k)
-        b = stack[:, j, off:]  # d(j, k)
-        s1 = np.add(row_i[:, j, None, None], stack[:, off:, off:], out=x)  # d(i,j) + d(k,l)
-        s2 = np.add(a[:, :, None], b[:, None, :], out=y)  # d(i,k) + d(j,l)
-        np.maximum(s1, s2, out=hi12)
-        lo12 = np.minimum(s1, s2, out=x)
-        s3 = np.add(b[:, :, None], a[:, None, :], out=y)  # d(j,k) + d(i,l)
-        # The median of three is s3 clamped to [lo12, hi12]; every step is
-        # an exact comparison, so only the final subtraction rounds.
-        mid = np.minimum(hi12, np.maximum(lo12, s3, out=x), out=x)
-        top = np.maximum(hi12, s3, out=y)
-        d2 = np.subtract(top, mid, out=y).reshape(nb, m * m)
-        # The (k, l) grid is symmetric; only k < l is a real quadruple. The
-        # diagonal k = l is a repeated-point tuple and must not compete.
-        d2[:, :: m + 1] = -np.inf
-        np.argmax(d2, axis=1, out=flats[t])  # first flat maximum per matrix
-        vals[t] = d2[rows, flats[t]]
-    # A step's value replaces the running best only when strictly greater,
-    # so the first step reaching the maximum wins; a NaN step (argmax stops
-    # at the first NaN) never does.
-    vals[np.isnan(vals)] = -np.inf
-    t = np.argmax(vals, axis=0)
-    best2 = vals[t, rows]
-    j = i + 1 + t
-    r, c = np.divmod(flats[t, rows], n - j - 1)
-    return best2, np.stack([np.full(nb, i), j, j + 1 + r, j + 1 + c], axis=1)
+    keys = np.empty((len(steps), nb), dtype=np.int64)
+    corner = np.tri(_GROUP, _GROUP, -1, dtype=bool)  # [k - k0, l - k0 - 1]: l <= k
+    bufs = np.empty((5, nb * j * max(g * (n - k0 - 1) for k0, g in steps)))
+    row_j = stack[:, j]
+    for t, (k0, g) in enumerate(steps):
+        ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
+        shape = (nb, j, g, n - k0 - 1)
+        x, y, z, a, b = (buf[: prod(shape)].reshape(shape) for buf in bufs)
+        d2 = _doubled_delta(
+            np.add(row_j[:, :j, None, None], stack[:, None, ks, ls], out=x),  # d(j,i) + d(k,l)
+            np.add(stack[:, :j, ks, None], row_j[:, None, None, ls], out=y),  # d(i,k) + d(j,l)
+            np.add(stack[:, :j, None, ls], row_j[:, None, ks, None], out=z),  # d(i,l) + d(j,k)
+            (a, b),
+        )
+        # Every grid entry is a distinct quadruple but the l <= k corner.
+        np.copyto(d2[..., :g], -np.inf, where=corner[:g, :g])
+        flat = d2.reshape(nb, -1)
+        at = np.argmax(flat, axis=1)  # first flat maximum: lex-min (i, k, l)
+        vals[t] = flat[rows, at]
+        i, dk, dl = np.unravel_index(at, shape[1:])
+        keys[t] = np.ravel_multi_index((i, j, k0 + dk, k0 + 1 + dl), (n,) * 4)
+    # Entries are finite and below 2^1022, so no value is NaN.
+    best2 = vals.max(axis=0)
+    key = np.where(vals == best2, keys, np.iinfo(np.int64).max).min(axis=0)
+    return best2, key
 
 
 _POOL_ENTRIES: np.ndarray | None = None
@@ -163,8 +187,8 @@ def _pool_init(entries: np.ndarray) -> None:
 
 
 def _pool_scan(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi, i = task
-    return _scan_outer(_POOL_ENTRIES[lo:hi], i)
+    lo, hi, j = task
+    return _scan_middle(_POOL_ENTRIES[lo:hi], j)
 
 
 def _merge(
@@ -176,31 +200,41 @@ def _merge(
     return cur
 
 
+def _chunk_size(n: int) -> int:
+    """Matrices per chunk: as many as keep the largest single-k grid,
+    max over j of j (n - j - 2) = (n - 2)^2 // 4 entries per matrix, within
+    ``_BATCH_ELEMENTS`` (at least one)."""
+    return max(1, _BATCH_ELEMENTS // ((n - 2) ** 2 // 4))
+
+
 def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
     matrix in a ``(B, n, n)`` stack.
 
-    Tasks are (chunk, i) pairs. A chunk holds at most ``_BATCH_ELEMENTS``
-    entries of the largest step's (k, l) grid, and its parts fold in i
-    order, a later part winning only when strictly greater. The serial and
-    pool paths run the same tasks and share this fold.
+    Tasks are (chunk, j) pairs, heaviest first. Parts fold by value, ties
+    going to the lex-smaller witness, so the result does not depend on task
+    order; the serial and pool paths run the same tasks and share this fold.
     """
     nb, n = stack.shape[0], stack.shape[1]
-    size = max(1, _BATCH_ELEMENTS // (n - 2) ** 2)
-    tasks = [(lo, min(lo + size, nb), i) for lo in range(0, nb, size) for i in range(n - 3)]
+    size = _chunk_size(n)
+    # Task j covers j * C(n - j - 1, 2) quadruples per matrix.
+    middles = sorted(range(1, n - 2), key=lambda j: -j * comb(n - j - 1, 2))
+    tasks = [(lo, min(lo + size, nb), j) for j in middles for lo in range(0, nb, size)]
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(stack,)
         ) as pool:
             parts = list(pool.map(_pool_scan, tasks, chunksize=1))
     else:
-        parts = [_scan_outer(stack[lo:hi], i) for lo, hi, i in tasks]
+        parts = [_scan_middle(stack[lo:hi], j) for lo, hi, j in tasks]
     best2 = np.full(nb, -np.inf)
-    wit = np.zeros((nb, 4), dtype=np.intp)
-    for (lo, hi, _), (part2, part_wit) in zip(tasks, parts):
-        better = part2 > best2[lo:hi]
-        best2[lo:hi][better] = part2[better]
-        wit[lo:hi][better] = part_wit[better]
+    key = np.zeros(nb, dtype=np.int64)
+    for (lo, hi, _), (part2, part_key) in zip(tasks, parts):
+        cur2, cur_key = best2[lo:hi], key[lo:hi]
+        better = (part2 > cur2) | ((part2 == cur2) & (part_key < cur_key))
+        cur2[better] = part2[better]
+        cur_key[better] = part_key[better]
+    wit = np.stack(np.unravel_index(key, (n,) * 4), axis=1)
     return best2, wit
 
 
@@ -283,14 +317,11 @@ def _batch_best(
     rng = np.random.Generator(np.random.PCG64(seq))
     idx = _draw_quadruples(rng, entries.shape[0], count)
     xi, yi, zi, vi = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
-    s1 = entries[xi, yi] + entries[zi, vi]
-    s2 = entries[xi, zi] + entries[yi, vi]
-    s3 = entries[xi, vi] + entries[yi, zi]
-    hi12 = np.maximum(s1, s2)
-    lo12 = np.minimum(s1, s2)
-    top = np.maximum(hi12, s3)
-    mid = np.maximum(lo12, np.minimum(hi12, s3))
-    d2 = top - mid
+    d2 = _doubled_delta(
+        entries[xi, yi] + entries[zi, vi],
+        entries[xi, zi] + entries[yi, vi],
+        entries[xi, vi] + entries[yi, zi],
+    )
     bmax = float(d2.max())
     rows = np.nonzero(d2 == bmax)[0]
     srt = np.sort(idx[rows], axis=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypmetrics import (
     random_cloud,
     sampled_delta,
 )
-from hypmetrics.delta import _BATCH_ELEMENTS
+from hypmetrics.delta import _chunk_size
 from hypmetrics.scenarios import _place_punctures
 
 
@@ -256,12 +257,17 @@ def test_workers_below_one_rejected(workers):
         sampled_delta(m, samples=20, seed=1, workers=workers)
 
 
-def _two_planted_maxima(n=9, far=10.0):
-    """Two 4-point blocks, {0,2,4,6} and {1,3,5,7}, each with delta 1 on its
-    own quadruple; every other distance is ``far``, so no other quadruple
-    reaches 1 and the lex-min witness (0, 2, 4, 6) must win the tie."""
+def _two_planted_maxima(
+    n=9,
+    far=10.0,
+    blocks=(((0, 2, 4, 6), ((0, 2), (4, 6))), ((1, 3, 5, 7), ((1, 7), (3, 5)))),
+):
+    """Disjoint 4-point blocks, by default {0,2,4,6} and {1,3,5,7}, each with
+    delta 1 on its own quadruple (its two long pairs at distance 2, the rest
+    at 1); every other distance is ``far``, so no other quadruple reaches 1
+    and the lex-min block, here (0, 2, 4, 6), must win the tie."""
     e = np.full((n, n), far)
-    for block, long_pairs in (((0, 2, 4, 6), ((0, 2), (4, 6))), ((1, 3, 5, 7), ((1, 7), (3, 5)))):
+    for block, long_pairs in blocks:
         for x, y in combinations(block, 2):
             e[x, y] = e[y, x] = 2.0 if (x, y) in long_pairs else 1.0
     np.fill_diagonal(e, 0.0)
@@ -300,7 +306,7 @@ def test_exact_deltas_matches_per_matrix_and_brute_force(n, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_exact_deltas_across_batch_chunks(workers):
     n = 9
-    chunk = _BATCH_ELEMENTS // (n - 2) ** 2
+    chunk = _chunk_size(n)
     base = _mixed_batch(n)
     rng = np.random.Generator(np.random.PCG64(79))
     batch = [base[t % len(base)] * rng.uniform(0.5, 2.0) for t in range(chunk + 3)]
@@ -373,3 +379,65 @@ def test_non_finite_entries_rejected(bad):
         exact_deltas([np.ones((6, 6)) - np.eye(6), e])
     with pytest.raises(InputError):
         sampled_delta(e, samples=5, seed=1)
+
+
+def test_asymmetric_arrays_rejected():
+    # the exact kernel reads each pair from one triangle, so every delta
+    # entry point rejects an array that is not exactly symmetric
+    rng = np.random.Generator(np.random.PCG64(83))
+    e = rng.uniform(1.0, 2.0, size=(6, 6))
+    np.fill_diagonal(e, 0.0)
+    sym = np.triu(e) + np.triu(e).T
+    assert exact_delta(sym).witness == brute_force_delta(sym)[1]
+    with pytest.raises(InputError, match="symmetric"):
+        exact_delta(e)
+    with pytest.raises(InputError, match="symmetric"):
+        exact_deltas([sym, e])
+    for samples in (5, 500):  # sampled, then the exhaustive fallback (C(6,4) = 15)
+        with pytest.raises(InputError, match="symmetric"):
+            sampled_delta(e, samples=samples, seed=1)
+
+
+def _tie_matrices(n):
+    """Matrices where the maximal delta ties at many quadruples: two planted
+    maxima whose lex-smaller one, (0, 5, 6, 7), has the larger middle index
+    j than (2, 3, 8, 9); all-ones; and small-integer-valued ones."""
+    planted = _two_planted_maxima(
+        n, blocks=(((2, 3, 8, 9), ((2, 3), (8, 9))), ((0, 5, 6, 7), ((0, 5), (6, 7))))
+    )
+    rng = np.random.Generator(np.random.PCG64(89))
+    out = [planted, np.ones((n, n)) - np.eye(n)]
+    for high in (2, 4):
+        a = np.triu(rng.integers(1, high + 1, size=(n, n)).astype(float), 1)
+        out.append(a + a.T)
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ties_across_middle_pairs_go_to_the_lex_min_witness(workers):
+    n = 10
+    ties = _tie_matrices(n)
+    expected = [brute_force_delta(e) for e in ties]
+    assert expected[0] == (1.0, (0, 5, 6, 7))
+    assert quadruple_delta(ties[0], 2, 3, 8, 9) == 1.0
+    for e, exp in zip(ties, expected):
+        rep = exact_delta(e, workers=workers)
+        assert (rep.delta, rep.witness) == exp
+    # cycle the tie matrices across a chunk boundary of one batch
+    chunk = _chunk_size(n)
+    reports = exact_deltas([ties[t % len(ties)] for t in range(chunk + 3)], workers=workers)
+    for t, rep in enumerate(reports):
+        assert (rep.delta, rep.witness) == expected[t % len(ties)]
+
+
+def test_exact_delta_memory_is_bounded():
+    # A step holds five grids of at most _BATCH_ELEMENTS float64 entries;
+    # a step over every k of a task would hold five grids of up to 9 MB.
+    m = build_distance_matrix(random_cloud(200, 2, seed=91))
+    tracemalloc.start()
+    try:
+        exact_delta(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
