@@ -135,20 +135,27 @@ def quadruple_delta(d, x: int, y: int, z: int, v: int) -> float:
     return float(_doubled_delta(o(x, y) + o(z, v), o(x, z) + o(y, v), o(x, v) + o(y, z))) / 2.0
 
 
+def _middle_steps(n: int, j: int, nb: int = 1) -> list[tuple[int, int]]:
+    """The ``(k0, g)`` steps of middle index j over n points: each takes g
+    consecutive k values from k0, up to ``_GROUP``, none past n - 2, and as
+    many as keep an ``(nb, j, g, n - k0 - 1)`` grid within
+    ``_BATCH_ELEMENTS`` (at least one)."""
+    steps = []
+    k0 = j + 1
+    while k0 <= n - 2:
+        g = max(1, min(_GROUP, n - 1 - k0, _BATCH_ELEMENTS // (nb * j * (n - k0 - 1))))
+        steps.append((k0, g))
+        k0 += g
+    return steps
+
+
 def _scan_middle(stack: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix best doubled delta ``(B,)`` and the lex-key of its lex-min
     witness ``(B,)`` among quadruples (i, j, k, l), j fixed, i < j < k < l,
     of a ``(B, n, n)`` stack. A witness's key is its flat index in an
     ``(n, n, n, n)`` array, so keys order as witnesses do."""
     nb, n = stack.shape[0], stack.shape[1]
-    steps = []
-    k0 = j + 1
-    while k0 <= n - 2:
-        # Up to _GROUP k values, none past n - 2, and as many as keep the
-        # step's (nb, j, g, n - k0 - 1) grid within the budget (at least one).
-        g = max(1, min(_GROUP, n - 1 - k0, _BATCH_ELEMENTS // (nb * j * (n - k0 - 1))))
-        steps.append((k0, g))
-        k0 += g
+    steps = _middle_steps(n, j, nb)
     rows = np.arange(nb)
     vals = np.empty((len(steps), nb))
     keys = np.empty((len(steps), nb), dtype=np.int64)

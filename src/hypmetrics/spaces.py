@@ -237,6 +237,11 @@ def random_cloud(
     return PointCloud(pts, [f"x{i}" for i in range(n)])
 
 
+def _require_finite(m: np.ndarray) -> None:
+    if not np.all(np.isfinite(m)):
+        raise InputError("distance matrix contains NaN or infinite entries")
+
+
 class DistanceMatrix:
     """Symmetric nonnegative matrix with zero diagonal.
 
@@ -256,8 +261,7 @@ class DistanceMatrix:
             raise InputError(f"distance matrix must be a numeric square array: {exc}") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise InputError("distance matrix must be square and nonempty")
-        if not np.all(np.isfinite(m)):
-            raise InputError("distance matrix contains NaN or infinite entries")
+        _require_finite(m)
         if np.any(m < 0.0):
             raise InputError("distance matrix has negative entries")
         if np.any(np.diagonal(m) != 0.0):

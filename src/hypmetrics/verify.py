@@ -17,10 +17,15 @@ open index meshes (``np.arange(n)[:, None]``) that broadcast against
 that fail. Since the scale is at least 1, no entry can fail when the
 block's largest slack is at most ``tol``; such a block skips the scale and
 failure passes (a NaN slack always takes them). The exhaustive sweeps hold
-one bounded block at a time: the triangle sweep compares blocks of
-``_CHECK_ELEMENTS`` (x, y, z) entries, at least one row of x, and the
-Ptolemy sweep one (i, j) step's (k, l) block with k >= l masked out, so
-their memory does not grow with the number of comparisons.
+one bounded block at a time, so their memory does not grow with the number
+of comparisons: the triangle sweep compares blocks of ``_CHECK_ELEMENTS``
+(x, y, z) entries, at least one row of x, and the Ptolemy sweep runs on the
+exact delta kernel's middle-pair layout, one step's ``(i < j, g, l > k0)``
+grid at a time for a fixed j, within the kernel's ``_BATCH_ELEMENTS``
+budget. Both sweeps need finite entries (``InputError`` otherwise).
+
+The quasi-Ptolemy hypothesis reads a batch of 4x4 arrays as one
+contiguous (16, N) array and evaluates its 64 index triples in place.
 
 Product-form inequalities (the 9^k split bound and the (27/2)^k
 quasi-triangle family) are evaluated in the log domain so k up to the
@@ -41,8 +46,9 @@ from itertools import product
 import numpy as np
 
 from .cassinian import LOG2, PuncturedSpec, _mu, punctured_matrix
+from .delta import _GROUP, _middle_steps
 from .errors import InputError
-from .spaces import PointCloud, _as_entries, pairwise_distances
+from .spaces import PointCloud, _as_entries, _require_finite, pairwise_distances
 
 DEFAULT_TOL = 1e-9
 
@@ -91,6 +97,13 @@ class ViolationReport:
         }
 
 
+def _may_fail(worst, tol: float) -> bool:
+    """Whether a block of comparisons whose largest slack is ``worst`` can
+    hold a failure. The scale is at least 1, so no slack at most ``tol``
+    fails; a NaN ``worst`` (the block holds a NaN) may hide a real one."""
+    return not worst <= tol
+
+
 class _Collector:
     """Accumulates vectorized LHS <= RHS comparisons into one report."""
 
@@ -130,10 +143,14 @@ class _Collector:
         worst = float(slack.max())
         if worst > self.worst:
             self.worst = worst
-        # scale >= 1, so nothing fails when worst <= tol; a NaN worst (the
-        # block holds a NaN) may hide a real violation and takes the full pass
-        if worst <= self.tol:
+        if not _may_fail(worst, self.tol):
             return
+        self.record(kind, index_cols, lhs, rhs, slack)
+
+    def record(self, kind: str, index_cols, lhs, rhs, slack: np.ndarray) -> None:
+        """Append the entries of ``slack = lhs - rhs`` beyond the tolerance
+        as violations, in row-major order; the operands broadcast against
+        ``slack`` and are read only at those entries."""
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         pos = np.unravel_index(np.flatnonzero(slack > self.tol * scale), slack.shape)
 
@@ -192,6 +209,7 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     violation).
     """
     e = _as_entries(m)
+    _require_finite(e)
     n = e.shape[0]
     col = _Collector(tol)
     rows, cols, upper = _pair_mesh(n)
@@ -219,33 +237,55 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     """The Ptolemy inequality d(x,y)d(z,w) <= d(x,z)d(y,w) + d(x,w)d(y,z)
     over all quadruples and all three pairings.
 
-    Per quadruple the three pairing products P1, P2, P3 satisfy all three
-    inequalities iff 2 max(P) <= P1 + P2 + P3, which is what the sweep
-    evaluates.
+    Per quadruple i < j < k < l the three pairing products P1 = d(i,j)d(k,l),
+    P2 = d(i,k)d(j,l) and P3 = d(j,k)d(i,l) satisfy all three inequalities
+    iff 2 max(P) <= P1 + P2 + P3, which is what the sweep evaluates, reading
+    every operand from the upper triangle. It runs on the exact delta
+    kernel's middle-pair layout: j is fixed, and each step takes the
+    ``delta._middle_steps`` group of k values from k0 and compares a
+    ``(i < j, g, l > k0)`` grid whose l <= k corner is left out. Violations
+    keep (i, j, k, l) row-major order, and ``worst_slack`` is the largest
+    slack of an (i, j) row of quadruples holding no NaN slack.
     """
     e = _as_entries(m)
+    _require_finite(e)
     n = e.shape[0]
     col = _Collector(tol)
-    rows, cols, upper = _pair_mesh(n)
-    for i in range(n - 3):
-        row_i = e[i]
-        for j in range(i + 1, n - 2):
-            off = j + 1
-            a = row_i[off:]
-            b = e[j, off:]
-            p1 = e[i, j] * e[off:, off:]
-            p2 = a[:, None] * b[None, :]
-            p3 = b[:, None] * a[None, :]
-            tot = p1 + p2 + p3
-            mx = np.maximum(np.maximum(p1, p2), p3)
-            # the (k, l) block is symmetric; only k < l is a quadruple
-            col.compare(
-                "ptolemy",
-                (i, j, rows[off:], cols[:, off:]),
-                2.0 * mx,
-                tot,
-                where=upper[off:, off:],
-            )
+    plan = [(j, _middle_steps(n, j)) for j in range(1, n - 2)]
+    size = max((j * g * (n - k0 - 1) for j, steps in plan for k0, g in steps), default=0)
+    bufs = np.empty((4, size))
+    corner = np.tri(_GROUP, _GROUP, -1, dtype=bool)  # [k - k0, l - k0 - 1]: l <= k
+    for j, steps in plan:
+        row_j = e[j]
+        row_worst = np.full(j, -np.inf)  # per i: largest slack of the (i, j) row
+        for k0, g in steps:
+            ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
+            shape = (j, g, n - k0 - 1)
+            p1, p2, p3, tot = (buf[: math.prod(shape)].reshape(shape) for buf in bufs)
+            np.multiply(e[:j, j, None, None], e[None, ks, ls], out=p1)  # d(i,j) d(k,l)
+            np.multiply(e[:j, ks, None], row_j[None, None, ls], out=p2)  # d(i,k) d(j,l)
+            np.multiply(row_j[None, ks, None], e[:j, None, ls], out=p3)  # d(j,k) d(i,l)
+            np.add(np.add(p1, p2, out=tot), p3, out=tot)
+            lhs = np.multiply(2.0, np.maximum(np.maximum(p1, p2, out=p1), p3, out=p1), out=p1)
+            with np.errstate(invalid="ignore"):
+                slack = np.subtract(lhs, tot, out=p2)
+            np.copyto(slack[..., :g], -np.inf, where=corner[:g, :g])
+            top = slack.reshape(j, -1).max(axis=1)
+            if np.isnan(top).any():
+                # lhs = -inf passes vacuously, as in _Collector.compare
+                np.copyto(slack, -np.inf, where=np.isneginf(lhs))
+                top = slack.reshape(j, -1).max(axis=1)
+            np.maximum(row_worst, top, out=row_worst)
+            if _may_fail(top.max(), tol):
+                ks_col = np.arange(k0, k0 + g)[:, None]
+                ids = (np.arange(j)[:, None, None], j, ks_col, np.arange(k0 + 1, n))
+                col.record("ptolemy", ids, lhs, tot, slack)
+        # a row holding a NaN slack leaves worst_slack alone
+        clean = row_worst[~np.isnan(row_worst)]
+        if clean.size:
+            col.worst = max(col.worst, float(clean.max()))
+    col.checked = math.comb(n, 4)
+    col.violations.sort(key=lambda v: v.indices)
     return col.report(quadruples=col.checked)
 
 
@@ -444,15 +484,27 @@ def check_product_lemma(
 _QP_TRIPLES = tuple(product(range(4), repeat=3))
 
 
-def _qp_hypothesis_fails(arr: np.ndarray, K: float, tol: float) -> np.ndarray:
-    """(64, N) mask over a batch of N 4x4 arrays: row t is True where
-    triple ``_QP_TRIPLES[t]`` breaks the hypothesis beyond the tolerance."""
-    fails = np.empty((len(_QP_TRIPLES), arr.shape[0]), dtype=bool)
+def _qp_columns(arr: np.ndarray) -> np.ndarray:
+    """A batch of N 4x4 arrays as one contiguous (16, N) array: row 4i + j
+    holds entry (i, j) of every array."""
+    return np.ascontiguousarray(arr.reshape(-1, 16).T)
+
+
+def _qp_hypothesis_fails(cols: np.ndarray, K: float, tol: float) -> dict[int, np.ndarray]:
+    """Failure masks over the ``_qp_columns`` of a batch of N 4x4 arrays,
+    keyed by t in increasing order: True where triple ``_QP_TRIPLES[t]``
+    breaks the hypothesis beyond the tolerance. A triple that holds on
+    every array has no mask."""
+    n = cols.shape[1]
+    fails = {}
+    rhs, slack = np.empty(n), np.empty(n)
     for t, (i, j, kk) in enumerate(_QP_TRIPLES):
-        lhs = arr[:, i, j]
-        rhs = K * (arr[:, i, kk] + arr[:, j, kk])
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        fails[t] = ~(lhs - rhs <= tol * scale)
+        lhs = cols[4 * i + j]
+        np.multiply(K, np.add(cols[4 * i + kk], cols[4 * j + kk], out=rhs), out=rhs)
+        np.subtract(lhs, rhs, out=slack)
+        if n and _may_fail(slack.max(), tol):
+            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            fails[t] = ~(slack <= tol * scale)
     return fails
 
 
@@ -483,9 +535,9 @@ def check_quasi_ptolemy(r, K: float, tol: float = DEFAULT_TOL) -> ViolationRepor
     satisfied = report.meta["hypothesis_skipped"] == 0
     report.meta = {"hypothesis_satisfied": satisfied}
     if not satisfied:
-        fails = _qp_hypothesis_fails(arr[None], K, tol)[:, 0]
+        fails = _qp_hypothesis_fails(_qp_columns(arr), K, tol)
         report.meta["hypothesis_failures"] = [
-            list(t) for t, failed in zip(_QP_TRIPLES, fails) if failed
+            list(_QP_TRIPLES[t]) for t, failed in fails.items() if failed[0]
         ]
     return report
 
@@ -505,11 +557,14 @@ def check_quasi_ptolemy_many(
     if K < 1.0:
         raise InputError(f"need K >= 1, got K={K}")
     col = _Collector(tol)
-    rows = np.nonzero(~_qp_hypothesis_fails(arr, K, tol).any(axis=0))[0]
-    a = arr[rows]
-    p1 = a[:, 0, 1] * a[:, 2, 3]
-    p2 = a[:, 0, 2] * a[:, 1, 3]
-    p3 = a[:, 0, 3] * a[:, 1, 2]
+    cols = _qp_columns(arr)
+    failed = np.zeros(arr.shape[0], dtype=bool)
+    for fails in _qp_hypothesis_fails(cols, K, tol).values():
+        failed |= fails
+    rows = np.flatnonzero(~failed)
+    p1 = (cols[1] * cols[11])[rows]  # r01 r23
+    p2 = (cols[2] * cols[7])[rows]  # r02 r13
+    p3 = (cols[3] * cols[6])[rows]  # r03 r12
     col.compare(
         "quasi_ptolemy_sqrt",
         (rows,),

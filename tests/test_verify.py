@@ -25,6 +25,7 @@ from hypmetrics import (
     punctured_matrix,
     random_cloud,
 )
+from hypmetrics import delta
 from hypmetrics.verify import DEFAULT_TOL, _CHECK_ELEMENTS
 
 COUNTEREXAMPLE = DistanceMatrix(
@@ -362,15 +363,14 @@ def _reference_axioms(e):
     return _reference(checks)
 
 
-def _reference_ptolemy(e):
-    e = e.tolist()
-    checks = []
+def _ptolemy_checks(e):
     for i, j, k, l in combinations(range(len(e)), 4):
         p1, p2, p3 = e[i][j] * e[k][l], e[i][k] * e[j][l], e[j][k] * e[i][l]
-        checks.append(
-            ("ptolemy", (i, j, k, l), 2.0 * _np_max(_np_max(p1, p2), p3), p1 + p2 + p3)
-        )
-    return _reference(checks)
+        yield ("ptolemy", (i, j, k, l), 2.0 * _np_max(_np_max(p1, p2), p3), p1 + p2 + p3)
+
+
+def _reference_ptolemy(e):
+    return _reference(_ptolemy_checks(e.tolist()))
 
 
 def _assert_matches(rep, reference):
@@ -386,18 +386,12 @@ def _violating_matrices():
     e = build_distance_matrix(random_cloud(11, 2, seed=91)).entries
     tilde = punctured_matrix(PuncturedSpec(COUNTEREXAMPLE, [0], variant="tilde_tau_p")).entries
     raw = np.random.Generator(np.random.PCG64(92)).uniform(0.0, 1.0, (7, 7))
-    nan_beside = e**3
-    nan_beside[2, 5] = np.nan  # the only block also holds real violations
-    neg_inf = e**3
-    neg_inf[4, 1] = -np.inf
     return {
         "cubed": e**3,
         "negated": -e,
         "raw-asymmetric": raw,
         "tilde-counterexample": tilde,
         "huge": e**3 * 1e300,
-        "nan-beside-violation": nan_beside,
-        "neg-inf": neg_inf,
     }
 
 
@@ -408,6 +402,115 @@ def test_sweeps_match_brute_force(name):
     assert not axioms.passed
     _assert_matches(axioms, _reference_axioms(e))
     _assert_matches(check_ptolemaic(e), _reference_ptolemy(e))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg-inf"])
+def test_sweeps_reject_non_finite_entries(bad):
+    e = build_distance_matrix(random_cloud(7, 2, seed=91)).entries ** 3
+    e[4, 1] = bad
+    for check in (check_metric_axioms, check_ptolemaic):
+        with pytest.raises(InputError, match="NaN or infinite"):
+            check(e)
+
+
+def _ptolemy_row_worst(e):
+    """The largest Ptolemy slack over the (i, j) rows of quadruples that
+    hold no NaN slack: the sweep's ``worst_slack`` rule."""
+    rows = {}
+    for _, (i, j, _, _), lhs, rhs in _ptolemy_checks(e.tolist()):
+        rows.setdefault((i, j), []).append(lhs - rhs)
+    clean = [max(v) for v in rows.values() if not any(x != x for x in v)]
+    return max(clean, default=-math.inf)
+
+
+def test_ptolemy_overflow_nan_beside_violations():
+    # d(0,1) d(12,13) overflows to inf, so quadruple (0, 1, 12, 13) has
+    # slack inf - inf = NaN in the step (j = 1, k0 = 10) whose other
+    # (0, 1, k, l) quadruples violate; the NaN must not let that step skip
+    # its failure pass, and the (0, 1) row, whose largest slack is at
+    # (0, 1, 2, 13) in the step before, leaves worst_slack alone
+    e = build_distance_matrix(random_cloud(14, 2, seed=91)).entries ** 3
+    e[0, 1] = e[1, 0] = e[12, 13] = e[13, 12] = 1e200
+    e[2, 13] = e[13, 2] = 10.0
+    assert delta._middle_steps(14, 1) == [(2, 8), (10, 3)]
+    rep = check_ptolemaic(e)
+    assert {(0, 1, 2, 13), (0, 1, 10, 11)} <= {v.indices for v in rep.violations}
+    _assert_matches(rep, _reference_ptolemy(e))
+    assert rep.worst_slack == _ptolemy_row_worst(e) < 5e200
+
+
+def test_ptolemy_sweep_across_steps(monkeypatch):
+    e = build_distance_matrix(random_cloud(31, 2, seed=97)).entries ** 3
+    for budget in (delta._BATCH_ELEMENTS, 60):
+        monkeypatch.setattr(delta, "_BATCH_ELEMENTS", budget)
+        groups = {g for j in range(1, 28) for _, g in delta._middle_steps(31, j)}
+        assert len(groups) > 2  # full and ragged k groups
+        rep = check_ptolemaic(e)
+        assert len({v.indices[1] for v in rep.violations}) > 2  # several j tasks
+        _assert_matches(rep, _reference_ptolemy(e))
+
+
+def test_ptolemy_sweep_memory_is_bounded():
+    e = build_distance_matrix(random_cloud(200, 2, seed=99)).entries
+    tracemalloc.start()
+    try:
+        rep = check_ptolemaic(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.checked == math.comb(200, 4)
+    assert peak < 1.5 * 2**20
+
+
+def _reference_qp_fails(r, K, tol=DEFAULT_TOL):
+    """The failing hypothesis triples of one 4x4 array, one at a time in
+    Python floats, with the collector's scale rule."""
+    r = r.tolist()
+    fails = []
+    for i, j, k in product(range(4), repeat=3):
+        lhs, rhs = r[i][j], K * (r[i][k] + r[j][k])
+        scale = _np_max(1.0, _np_max(abs(lhs), abs(rhs)))
+        if not lhs - rhs <= tol * scale:
+            fails.append([i, j, k])
+    return fails
+
+
+def _qp_batch(rng, K, tol=DEFAULT_TOL):
+    """2,000 4x4 arrays: metric ones, symmetric random ones, rows planted
+    just inside and just outside the tolerance (with scale 1 and with
+    scale r01), and asymmetric ones with a nonzero diagonal and NaNs."""
+    m = build_distance_matrix(random_cloud(20, 2, seed=101)).entries
+    quads = rng.integers(0, 20, size=(600, 4))
+    metric = m[quads[:, :, None], quads[:, None, :]]
+    sym = rng.uniform(0.0, 1.0, (600, 4, 4))
+    sym = sym + sym.transpose(0, 2, 1)
+    sym[:, range(4), range(4)] = 0.0
+    base = np.repeat([10.0, 0.05], 200)  # scale r01, and scale 1
+    planted = base[:, None, None] * (np.ones((4, 4)) - np.eye(4))
+    rhs = K * (base + base)
+    off = np.tile([0.99, 1.01], 200) * tol * np.maximum(1.0, rhs)
+    planted[:, 0, 1] = planted[:, 1, 0] = rhs + off
+    raw = rng.uniform(0.0, 2.0, (400, 4, 4))
+    raw[rng.uniform(size=raw.shape) < 0.02] = np.nan
+    return np.concatenate([metric, sym, planted, raw])
+
+
+@pytest.mark.parametrize("K", [1.0, 1.5])
+def test_qp_hypothesis_matches_reference(K):
+    batch = _qp_batch(np.random.Generator(np.random.PCG64(103)), K)
+    assert batch.shape == (2000, 4, 4)
+    ref = [_reference_qp_fails(r, K) for r in batch]
+    planted = ref[1200:1600]
+    assert all(planted[t] == [] for t in range(0, 400, 2))  # just inside
+    outside = [[0, 1, 2], [0, 1, 3], [1, 0, 2], [1, 0, 3]]
+    assert all(planted[t] == outside for t in range(1, 400, 2))
+    rep = check_quasi_ptolemy_many(batch, K)
+    assert rep.meta["hypothesis_skipped"] == sum(1 for f in ref if f)
+    assert 0 < rep.meta["hypothesis_skipped"] < 2000
+    for r, fails in zip(batch[:1600], ref[:1600]):
+        meta = check_quasi_ptolemy(r, K).meta
+        assert meta["hypothesis_satisfied"] == (not fails)
+        assert meta.get("hypothesis_failures", []) == fails
 
 
 def test_triangle_sweep_across_blocks():
