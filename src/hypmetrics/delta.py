@@ -22,12 +22,15 @@ within ``_BATCH_ELEMENTS`` entries (at least one), so the kernel's memory
 is bounded by that budget, not by the batch.
 
 The witness is the lexicographically smallest quadruple of maximal delta.
-Within a step the corner is set to -inf and the first flat maximum is the
-lex-min (i, k, l); within a task the lex-min of the steps reaching the
-task's maximum wins, and across (chunk, j) tasks parts fold by value,
-ties going to the lex-smaller witness. The result does not depend on task
-order, so tasks run serially or on a process pool, heaviest first, and
-the report is identical for any worker count.
+Both kernels carry it as a key, the flat index of the sorted quadruple in
+an ``(n, n, n, n)`` array, so keys order as witnesses do. Within a step
+the corner is set to -inf and the first flat maximum is the lex-min
+(i, k, l); within a task the smallest key among the steps reaching the
+task's maximum wins. One runner, ``_run``, evaluates a kernel's tasks
+serially or on a process pool, and one fold, ``_fold``, merges their parts
+by value, ties going to the smaller key. The fold does not depend on task
+order, so exact tasks run heaviest first and the report is identical for
+any worker count.
 
 Both kernels need finite, exactly symmetric entries (``InputError``
 otherwise). A matrix with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is
@@ -36,8 +39,10 @@ power of two, so the witness and the scaled-back delta are exact (unless
 the matrix also holds entries below 2^-1020, which lose bits when scaled).
 
 ``sampled_delta`` draws distinct-index quadruples uniformly from a seeded
-generator in fixed-size batches (one spawned substream per batch), so the
-result is reproducible and independent of scheduling.
+generator in fixed-size batches (one spawned substream per batch). Each
+batch is a task of the same runner, reporting its best value and the key
+of the lex-min sorted quadruple reaching it, and batches fold as exact
+tasks do, so the result is reproducible and independent of scheduling.
 """
 
 from __future__ import annotations
@@ -149,62 +154,97 @@ def _middle_steps(n: int, j: int, nb: int = 1) -> list[tuple[int, int]]:
     return steps
 
 
-def _scan_middle(stack: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matrix best doubled delta ``(B,)`` and the lex-key of its lex-min
-    witness ``(B,)`` among quadruples (i, j, k, l), j fixed, i < j < k < l,
+def _middle_grids(n: int, j: int, nb: int, count: int):
+    """Yield ``(k0, g, grids)`` for each ``_middle_steps(n, j, nb)`` step:
+    ``count`` scratch ``(nb, j, g, n - k0 - 1)`` grids, views of one
+    allocation sized for the largest step."""
+    steps = _middle_steps(n, j, nb)
+    bufs = np.empty((count, nb * j * max(g * (n - k0 - 1) for k0, g in steps)))
+    for k0, g in steps:
+        shape = (nb, j, g, n - k0 - 1)
+        yield k0, g, tuple(buf[: prod(shape)].reshape(shape) for buf in bufs)
+
+
+#: ``[k - k0, l - k0 - 1]`` of a step's grid: the l <= k corner.
+_CORNER = np.tri(_GROUP, _GROUP, -1, dtype=bool)
+
+
+def _drop_corner(grid: np.ndarray, g: int) -> None:
+    """Set the l <= k corner of a g-step grid, which holds no quadruple, to
+    -inf."""
+    np.copyto(grid[..., :g], -np.inf, where=_CORNER[:g, :g])
+
+
+def _scan_middle(stack: np.ndarray, lo: int, hi: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-matrix best doubled delta and the key of its lex-min witness among
+    quadruples (i, j, k, l), j fixed, i < j < k < l, of matrices ``lo:hi``
     of a ``(B, n, n)`` stack. A witness's key is its flat index in an
     ``(n, n, n, n)`` array, so keys order as witnesses do."""
+    stack = stack[lo:hi]
     nb, n = stack.shape[0], stack.shape[1]
-    steps = _middle_steps(n, j, nb)
     rows = np.arange(nb)
-    vals = np.empty((len(steps), nb))
-    keys = np.empty((len(steps), nb), dtype=np.int64)
-    corner = np.tri(_GROUP, _GROUP, -1, dtype=bool)  # [k - k0, l - k0 - 1]: l <= k
-    bufs = np.empty((5, nb * j * max(g * (n - k0 - 1) for k0, g in steps)))
+    vals, keys = [], []
     row_j = stack[:, j]
-    for t, (k0, g) in enumerate(steps):
+    for k0, g, (x, y, z, a, b) in _middle_grids(n, j, nb, 5):
         ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
-        shape = (nb, j, g, n - k0 - 1)
-        x, y, z, a, b = (buf[: prod(shape)].reshape(shape) for buf in bufs)
         d2 = _doubled_delta(
             np.add(row_j[:, :j, None, None], stack[:, None, ks, ls], out=x),  # d(j,i) + d(k,l)
             np.add(stack[:, :j, ks, None], row_j[:, None, None, ls], out=y),  # d(i,k) + d(j,l)
             np.add(stack[:, :j, None, ls], row_j[:, None, ks, None], out=z),  # d(i,l) + d(j,k)
             (a, b),
         )
-        # Every grid entry is a distinct quadruple but the l <= k corner.
-        np.copyto(d2[..., :g], -np.inf, where=corner[:g, :g])
+        _drop_corner(d2, g)
         flat = d2.reshape(nb, -1)
         at = np.argmax(flat, axis=1)  # first flat maximum: lex-min (i, k, l)
-        vals[t] = flat[rows, at]
-        i, dk, dl = np.unravel_index(at, shape[1:])
-        keys[t] = np.ravel_multi_index((i, j, k0 + dk, k0 + 1 + dl), (n,) * 4)
+        vals.append(flat[rows, at])
+        i, dk, dl = np.unravel_index(at, d2.shape[1:])
+        keys.append(np.ravel_multi_index((i, j, k0 + dk, k0 + 1 + dl), (n,) * 4))
     # Entries are finite and below 2^1022, so no value is NaN.
+    vals, keys = np.array(vals), np.array(keys)
     best2 = vals.max(axis=0)
     key = np.where(vals == best2, keys, np.iinfo(np.int64).max).min(axis=0)
     return best2, key
 
 
-_POOL_ENTRIES: np.ndarray | None = None
+_POOL_SHARED = None
 
 
-def _pool_init(entries: np.ndarray) -> None:
-    global _POOL_ENTRIES
-    _POOL_ENTRIES = entries
+def _pool_init(shared) -> None:
+    global _POOL_SHARED
+    _POOL_SHARED = shared
 
 
-def _pool_scan(task: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi, j = task
-    return _scan_middle(_POOL_ENTRIES[lo:hi], j)
+def _pool_call(job):
+    fn, task = job
+    return fn(_POOL_SHARED, *task)
 
 
-def _merge(
-    cur: tuple[float, tuple[int, int, int, int]],
-    cand: tuple[float, tuple[int, int, int, int]],
-) -> tuple[float, tuple[int, int, int, int]]:
-    if cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
-        return cand
-    return cur
+def _run(fn, shared, tasks: list[tuple], workers: int) -> list:
+    """``fn(shared, *task)`` for every task, in task order: serially, or on
+    one process pool of ``workers`` processes that receives ``shared``
+    once. ``fn`` must be a module-level function."""
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_pool_init, initargs=(shared,)
+        ) as pool:
+            return list(pool.map(_pool_call, [(fn, task) for task in tasks], chunksize=1))
+    return [fn(shared, *task) for task in tasks]
+
+
+def _fold(spans, parts, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best doubled delta ``(nb,)`` and lex-min witness ``(nb, 4)`` of ``nb``
+    matrices over n points, from task parts: ``parts[t]`` holds the values
+    and witness keys of matrices ``lo:hi`` for ``spans[t] = (lo, hi)``.
+    Parts fold by value, ties going to the smaller key, so the result does
+    not depend on task order."""
+    best2 = np.full(nb, -np.inf)
+    key = np.zeros(nb, dtype=np.int64)
+    for (lo, hi), (part2, part_key) in zip(spans, parts):
+        cur2, cur_key = best2[lo:hi], key[lo:hi]
+        better = (part2 > cur2) | ((part2 == cur2) & (part_key < cur_key))
+        np.copyto(cur2, part2, where=better)
+        np.copyto(cur_key, part_key, where=better)
+    return best2, np.stack(np.unravel_index(key, (n,) * 4), axis=1)
 
 
 def _chunk_size(n: int) -> int:
@@ -216,33 +256,15 @@ def _chunk_size(n: int) -> int:
 
 def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
-    matrix in a ``(B, n, n)`` stack.
-
-    Tasks are (chunk, j) pairs, heaviest first. Parts fold by value, ties
-    going to the lex-smaller witness, so the result does not depend on task
-    order; the serial and pool paths run the same tasks and share this fold.
-    """
+    matrix in a ``(B, n, n)`` stack, from (chunk, j) tasks run heaviest
+    first."""
     nb, n = stack.shape[0], stack.shape[1]
     size = _chunk_size(n)
     # Task j covers j * C(n - j - 1, 2) quadruples per matrix.
     middles = sorted(range(1, n - 2), key=lambda j: -j * comb(n - j - 1, 2))
     tasks = [(lo, min(lo + size, nb), j) for j in middles for lo in range(0, nb, size)]
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(stack,)
-        ) as pool:
-            parts = list(pool.map(_pool_scan, tasks, chunksize=1))
-    else:
-        parts = [_scan_middle(stack[lo:hi], j) for lo, hi, j in tasks]
-    best2 = np.full(nb, -np.inf)
-    key = np.zeros(nb, dtype=np.int64)
-    for (lo, hi, _), (part2, part_key) in zip(tasks, parts):
-        cur2, cur_key = best2[lo:hi], key[lo:hi]
-        better = (part2 > cur2) | ((part2 == cur2) & (part_key < cur_key))
-        cur2[better] = part2[better]
-        cur_key[better] = part_key[better]
-    wit = np.stack(np.unravel_index(key, (n,) * 4), axis=1)
-    return best2, wit
+    parts = _run(_scan_middle, stack, tasks, workers)
+    return _fold([task[:2] for task in tasks], parts, nb, n)
 
 
 def _reports(
@@ -318,23 +340,22 @@ def _draw_quadruples(rng: np.random.Generator, n: int, count: int) -> np.ndarray
         idx[dup] = rng.integers(0, n, size=(bad, 4), dtype=np.int64)
 
 
-def _batch_best(
-    entries: np.ndarray, count: int, seq: np.random.SeedSequence
-) -> tuple[float, tuple[int, int, int, int]]:
+def _batch_best(entries: np.ndarray, count: int, seq: np.random.SeedSequence) -> tuple[float, int]:
+    """Best doubled delta of ``count`` quadruples drawn from the substream
+    ``seq``, and the key of the lex-min sorted quadruple reaching it, as in
+    ``_scan_middle``."""
     rng = np.random.Generator(np.random.PCG64(seq))
-    idx = _draw_quadruples(rng, entries.shape[0], count)
+    n = entries.shape[0]
+    idx = _draw_quadruples(rng, n, count)
     xi, yi, zi, vi = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
     d2 = _doubled_delta(
         entries[xi, yi] + entries[zi, vi],
         entries[xi, zi] + entries[yi, vi],
         entries[xi, vi] + entries[yi, zi],
     )
-    bmax = float(d2.max())
-    rows = np.nonzero(d2 == bmax)[0]
-    srt = np.sort(idx[rows], axis=1)
-    order = np.lexsort((srt[:, 3], srt[:, 2], srt[:, 1], srt[:, 0]))
-    wit = tuple(int(t) for t in srt[order[0]])
-    return bmax, wit
+    best2 = d2.max()
+    srt = np.sort(idx[d2 == best2], axis=1)
+    return best2, np.ravel_multi_index(srt.T, (n,) * 4).min()
 
 
 def sampled_delta(
@@ -343,12 +364,12 @@ def sampled_delta(
     """Monte-Carlo lower bound: max delta over sampled distinct quadruples.
 
     Reproducible given the seed: quadruples come from fixed-size batches
-    with one spawned PCG64 substream each, and batch results merge in batch
-    order, so the report does not depend on worker count. A callable
-    oracle (with ``n``) is read once into a matrix, as in ``exact_delta``.
-    When ``samples`` covers all C(n, 4) quadruples the run falls back to
-    exhaustive enumeration (reported with ``mode="exact"``), for matrices
-    and callables alike.
+    with one spawned PCG64 substream each, and batch results fold as the
+    exact kernel's tasks do, so the report does not depend on worker count.
+    A callable oracle (with ``n``) is read once into a matrix, as in
+    ``exact_delta``. When ``samples`` covers all C(n, 4) quadruples the run
+    falls back to exhaustive enumeration (reported with ``mode="exact"``),
+    for matrices and callables alike.
     """
     t0 = time.perf_counter()
     workers = _worker_count(workers)
@@ -370,30 +391,14 @@ def sampled_delta(
     sizes = [SAMPLE_BATCH] * (samples // SAMPLE_BATCH)
     if samples % SAMPLE_BATCH:
         sizes.append(samples % SAMPLE_BATCH)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(entries,)
-        ) as pool:
-            parts = list(
-                pool.map(_pool_batch, ((size, seq) for size, seq in zip(sizes, children)))
-            )
-    else:
-        parts = [_batch_best(entries, size, seq) for size, seq in zip(sizes, children)]
-    best = parts[0]
-    for part in parts[1:]:
-        best = _merge(best, part)
+    tasks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
+    parts = _run(_batch_best, entries, tasks, workers)
+    best2, wit = _fold([(0, 1)] * len(parts), parts, 1, n)
     return DeltaReport(
-        delta=best[0] / 2.0 * scale,
-        witness=best[1],
+        delta=float(best2[0]) / 2.0 * scale,
+        witness=tuple(int(x) for x in wit[0]),
         mode="sampled",
         quadruples_evaluated=samples,
         seed=seed,
         elapsed_s=time.perf_counter() - t0,
     )
-
-
-def _pool_batch(args: tuple[int, np.random.SeedSequence]):
-    size, seq = args
-    return _batch_best(_POOL_ENTRIES, size, seq)

@@ -13,6 +13,11 @@ Base distances:
   ``d2(x, y) = |x2 - y2| + arctan|x1 - y1|``, plus their sum ``d1 + d2``
   (the sum fails to be Gromov hyperbolic even though d1 and d2 are).
 
+Each formula lives once, in the vectorized ``pairwise_distances``; the
+scalar functions are views of it, evaluating it on the two-row stack of
+their arguments, so a matrix built from them equals the named matrix bit
+for bit.
+
 Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
 rows), streamed row by row from one grid of reprs that formats each
@@ -24,7 +29,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,17 +53,19 @@ def _vec_pair(x: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _pair_distance(a: np.ndarray, b: np.ndarray, metric: str) -> float:
+    """Entry (0, 1) of ``pairwise_distances`` on the two-row stack of a and b."""
+    return float(pairwise_distances(np.stack([a, b]), metric)[0, 1])
+
+
 def euclidean_distance(x: Vector, y: Vector) -> float:
     """l2 distance between two coordinate vectors of equal dimension."""
-    a, b = _vec_pair(x, y)
-    d = a - b
-    return float(np.sqrt(np.sum(d * d)))
+    return _pair_distance(*_vec_pair(x, y), "euclidean")
 
 
 def taxicab_distance(x: Vector, y: Vector) -> float:
     """Sum of absolute coordinate differences (dimension-agnostic)."""
-    a, b = _vec_pair(x, y)
-    return float(np.sum(np.abs(a - b)))
+    return _pair_distance(*_vec_pair(x, y), "taxicab")
 
 
 def arctan_split_distance(which: str, x: Vector, y: Vector) -> float:
@@ -71,15 +77,9 @@ def arctan_split_distance(which: str, x: Vector, y: Vector) -> float:
     a, b = _vec_pair(x, y)
     if a.shape[0] != 2:
         raise InputError(f"arctan-split metrics need dim 2, got dim {a.shape[0]}")
-    u = abs(float(a[0]) - float(b[0]))
-    v = abs(float(a[1]) - float(b[1]))
-    if which == "d1":
-        return u + math.atan(v)
-    if which == "d2":
-        return v + math.atan(u)
-    if which in ("sum", "d1+d2"):
-        return (u + math.atan(v)) + (v + math.atan(u))
-    raise InputError(f"unknown arctan-split selector {which!r} (want d1, d2, or sum)")
+    if which not in ("d1", "d2", "sum", "d1+d2"):
+        raise InputError(f"unknown arctan-split selector {which!r} (want d1, d2, or sum)")
+    return _pair_distance(a, b, "d1+d2" if which == "sum" else which)
 
 
 class PointCloud:

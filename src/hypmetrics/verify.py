@@ -14,15 +14,18 @@ point of several of these checks).
 Comparisons are vectorized and read index columns lazily: a check passes
 open index meshes (``np.arange(n)[:, None]``) that broadcast against
 ``lhs - rhs``, and indices, lhs and rhs are decoded only at the positions
-that fail. Since the scale is at least 1, no entry can fail when the
-block's largest slack is at most ``tol``; such a block skips the scale and
-failure passes (a NaN slack always takes them). The exhaustive sweeps hold
-one bounded block at a time, so their memory does not grow with the number
-of comparisons: the triangle sweep compares blocks of ``_CHECK_ELEMENTS``
-(x, y, z) entries, at least one row of x, and the Ptolemy sweep runs on the
-exact delta kernel's middle-pair layout, one step's ``(i < j, g, l > k0)``
+that fail. A report's ``worst_slack`` is its largest non-NaN slack; a NaN
+slack is never a violation. Since the scale is at least 1, no entry can
+fail when the block's largest slack is at most ``tol``; such a block skips
+the scale and failure passes. The exhaustive sweeps hold one bounded block
+at a time, so their memory does not grow with the number of comparisons:
+the triangle sweep compares blocks of ``_CHECK_ELEMENTS`` (x, y, z)
+entries, at least one row of x, and the Ptolemy sweep walks the exact delta
+kernel's grids, ``delta._middle_grids``: one step's ``(i < j, g, l > k0)``
 grid at a time for a fixed j, within the kernel's ``_BATCH_ELEMENTS``
-budget. Both sweeps need finite entries (``InputError`` otherwise).
+budget. Both sweeps need finite entries (``InputError`` otherwise), and so
+do the sampled lemma checkers, which also reject an anchor or puncture
+index outside the matrix.
 
 The quasi-Ptolemy hypothesis reads a batch of 4x4 arrays as one
 contiguous (16, N) array and evaluates its 64 index triples in place.
@@ -46,7 +49,7 @@ from itertools import product
 import numpy as np
 
 from .cassinian import LOG2, PuncturedSpec, _mu, punctured_matrix
-from .delta import _GROUP, _middle_steps
+from .delta import _drop_corner, _middle_grids
 from .errors import InputError
 from .spaces import PointCloud, _as_entries, _require_finite, pairwise_distances
 
@@ -97,13 +100,6 @@ class ViolationReport:
         }
 
 
-def _may_fail(worst, tol: float) -> bool:
-    """Whether a block of comparisons whose largest slack is ``worst`` can
-    hold a failure. The scale is at least 1, so no slack at most ``tol``
-    fails; a NaN ``worst`` (the block holds a NaN) may hide a real one."""
-    return not worst <= tol
-
-
 class _Collector:
     """Accumulates vectorized LHS <= RHS comparisons into one report."""
 
@@ -130,27 +126,25 @@ class _Collector:
             slack = np.atleast_1d(np.subtract(lhs, rhs))
         if slack.size == 0:
             return
-        # log-domain checks may produce -inf on both sides (zero products);
-        # lhs = -inf passes vacuously instead of propagating NaN
-        drop = np.isneginf(lhs)
         if where is not None:
-            drop = drop | ~where
             self.checked += int(np.count_nonzero(np.broadcast_to(where, slack.shape)))
+            np.copyto(slack, -np.inf, where=~where)
         else:
             self.checked += int(slack.size)
-        if drop.any():
-            np.copyto(slack, -np.inf, where=drop)
-        worst = float(slack.max())
+        self.collect(kind, index_cols, lhs, rhs, slack)
+
+    def collect(self, kind: str, index_cols, lhs, rhs, slack: np.ndarray) -> None:
+        """Take a block of ``slack = lhs - rhs`` into the report: its largest
+        non-NaN entry into ``worst_slack``, and its entries beyond the
+        tolerance as violations, in row-major order. The operands broadcast
+        against ``slack`` and are read only at those entries. A NaN slack
+        (such as -inf - -inf from two zero products in the log domain) is
+        never a violation."""
+        worst = float(np.fmax.reduce(slack, axis=None))  # NaN only if every entry is
         if worst > self.worst:
             self.worst = worst
-        if not _may_fail(worst, self.tol):
+        if not worst > self.tol:  # the scale is at least 1, so nothing fails
             return
-        self.record(kind, index_cols, lhs, rhs, slack)
-
-    def record(self, kind: str, index_cols, lhs, rhs, slack: np.ndarray) -> None:
-        """Append the entries of ``slack = lhs - rhs`` beyond the tolerance
-        as violations, in row-major order; the operands broadcast against
-        ``slack`` and are read only at those entries."""
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         pos = np.unravel_index(np.flatnonzero(slack > self.tol * scale), slack.shape)
 
@@ -240,28 +234,20 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     Per quadruple i < j < k < l the three pairing products P1 = d(i,j)d(k,l),
     P2 = d(i,k)d(j,l) and P3 = d(j,k)d(i,l) satisfy all three inequalities
     iff 2 max(P) <= P1 + P2 + P3, which is what the sweep evaluates, reading
-    every operand from the upper triangle. It runs on the exact delta
-    kernel's middle-pair layout: j is fixed, and each step takes the
-    ``delta._middle_steps`` group of k values from k0 and compares a
-    ``(i < j, g, l > k0)`` grid whose l <= k corner is left out. Violations
-    keep (i, j, k, l) row-major order, and ``worst_slack`` is the largest
-    slack of an (i, j) row of quadruples holding no NaN slack.
+    every operand from the upper triangle. It walks the exact delta
+    kernel's grids: for each j, ``delta._middle_grids`` gives the steps'
+    ``(i < j, g, l > k0)`` scratch grids, whose l <= k corner
+    ``delta._drop_corner`` leaves out. Violations keep (i, j, k, l)
+    row-major order, and ``worst_slack`` is the largest non-NaN slack.
     """
     e = _as_entries(m)
     _require_finite(e)
     n = e.shape[0]
     col = _Collector(tol)
-    plan = [(j, _middle_steps(n, j)) for j in range(1, n - 2)]
-    size = max((j * g * (n - k0 - 1) for j, steps in plan for k0, g in steps), default=0)
-    bufs = np.empty((4, size))
-    corner = np.tri(_GROUP, _GROUP, -1, dtype=bool)  # [k - k0, l - k0 - 1]: l <= k
-    for j, steps in plan:
+    for j in range(1, n - 2):
         row_j = e[j]
-        row_worst = np.full(j, -np.inf)  # per i: largest slack of the (i, j) row
-        for k0, g in steps:
+        for k0, g, (p1, p2, p3, tot) in _middle_grids(n, j, 1, 4):
             ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
-            shape = (j, g, n - k0 - 1)
-            p1, p2, p3, tot = (buf[: math.prod(shape)].reshape(shape) for buf in bufs)
             np.multiply(e[:j, j, None, None], e[None, ks, ls], out=p1)  # d(i,j) d(k,l)
             np.multiply(e[:j, ks, None], row_j[None, None, ls], out=p2)  # d(i,k) d(j,l)
             np.multiply(row_j[None, ks, None], e[:j, None, ls], out=p3)  # d(j,k) d(i,l)
@@ -269,21 +255,10 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
             lhs = np.multiply(2.0, np.maximum(np.maximum(p1, p2, out=p1), p3, out=p1), out=p1)
             with np.errstate(invalid="ignore"):
                 slack = np.subtract(lhs, tot, out=p2)
-            np.copyto(slack[..., :g], -np.inf, where=corner[:g, :g])
-            top = slack.reshape(j, -1).max(axis=1)
-            if np.isnan(top).any():
-                # lhs = -inf passes vacuously, as in _Collector.compare
-                np.copyto(slack, -np.inf, where=np.isneginf(lhs))
-                top = slack.reshape(j, -1).max(axis=1)
-            np.maximum(row_worst, top, out=row_worst)
-            if _may_fail(top.max(), tol):
-                ks_col = np.arange(k0, k0 + g)[:, None]
-                ids = (np.arange(j)[:, None, None], j, ks_col, np.arange(k0 + 1, n))
-                col.record("ptolemy", ids, lhs, tot, slack)
-        # a row holding a NaN slack leaves worst_slack alone
-        clean = row_worst[~np.isnan(row_worst)]
-        if clean.size:
-            col.worst = max(col.worst, float(clean.max()))
+            _drop_corner(slack, g)
+            ks_col = np.arange(k0, k0 + g)[:, None]
+            ids = (np.arange(j)[:, None, None], j, ks_col, np.arange(k0 + 1, n))
+            col.collect("ptolemy", ids, lhs, tot, slack)
     col.checked = math.comb(n, 4)
     col.violations.sort(key=lambda v: v.indices)
     return col.report(quadruples=col.checked)
@@ -332,6 +307,18 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
 # mu-family checks
 
 
+def _lemma_entries(m, indices) -> np.ndarray:
+    """The entries of ``m`` for a sampled lemma checker: finite, with every
+    anchor or puncture in ``indices`` naming one of its points."""
+    e = _as_entries(m)
+    _require_finite(e)
+    n = e.shape[0]
+    for i in indices:
+        if not 0 <= i < n:
+            raise InputError(f"anchor or puncture index {i} out of range for n={n}")
+    return e
+
+
 def check_mu_bounds(
     m,
     p: int,
@@ -349,13 +336,9 @@ def check_mu_bounds(
     * pair sum:    mu_p(x,z) + mu_q(y,z) >= d(x,z) + d(y,z) >= d(x,y)
     * pair max:    max(mu_p(x,z), mu_q(y,z)) >= d(x,y) / 2
     """
-    e = _as_entries(m)
-    n = e.shape[0]
-    if not 0 <= p < n:
-        raise InputError(f"anchor {p} out of range")
     q = p if q is None else q
-    if not 0 <= q < n:
-        raise InputError(f"anchor {q} out of range")
+    e = _lemma_entries(m, (p, q))
+    n = e.shape[0]
     t = _sample_tuples(n, 3, samples, seed, (p, q))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
     col = _Collector(tol)
@@ -384,10 +367,8 @@ def check_lemma_nine(
     mu_p(x,y) mu_p(z,w) <= 9 max(mu_p(x,z) mu_p(y,w), mu_p(x,w) mu_p(y,z))
     on sampled quadruples. ``meta["max_ratio"]`` records the largest
     observed LHS / max-product ratio (expected <= 9)."""
-    e = _as_entries(m)
+    e = _lemma_entries(m, (p,))
     n = e.shape[0]
-    if not 0 <= p < n:
-        raise InputError(f"anchor {p} out of range")
     t = _sample_tuples(n, 4, samples, seed, (p,))
     x, y, z, w = t[:, 0], t[:, 1], t[:, 2], t[:, 3]
     gx, gy, gz, gw = e[t, p].T
@@ -420,10 +401,8 @@ def check_lemma_K(
     """
     if K <= 3.0:
         raise InputError(f"the separation factor must exceed 3, got K={K}")
-    e = _as_entries(m)
+    e = _lemma_entries(m, (p,))
     n = e.shape[0]
-    if not 0 <= p < n:
-        raise InputError(f"anchor {p} out of range")
     t = _sample_tuples(n, 3, samples, seed, (p,))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
     a = _mu(e[x, z], e[x, p], e[z, p])
@@ -459,11 +438,11 @@ def check_product_lemma(
 
     Recorded lhs/rhs are logarithms; the 9^k constant enters as k log 9.
     """
-    e = _as_entries(m)
-    n = e.shape[0]
     P = np.asarray(list(punctures), dtype=np.int64)
     if P.size < 1:
         raise InputError("need at least one puncture")
+    e = _lemma_entries(m, P.tolist())
+    n = e.shape[0]
     k = P.size
     t = _sample_tuples(n, 3, samples, seed, tuple(int(a) for a in P[:2]))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
@@ -502,7 +481,8 @@ def _qp_hypothesis_fails(cols: np.ndarray, K: float, tol: float) -> dict[int, np
         lhs = cols[4 * i + j]
         np.multiply(K, np.add(cols[4 * i + kk], cols[4 * j + kk], out=rhs), out=rhs)
         np.subtract(lhs, rhs, out=slack)
-        if n and _may_fail(slack.max(), tol):
+        # the scale is at least 1; a NaN slack breaks the hypothesis
+        if n and not slack.max() <= tol:
             scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
             fails[t] = ~(slack <= tol * scale)
     return fails
@@ -594,11 +574,11 @@ def check_mu_P_quasi_triangle(
         mu_P(x,y) mu_P(z,w) <= 4 (27/2)^{2k} max(mu_P(x,z) mu_P(y,w),
                                                  mu_P(x,w) mu_P(y,z))
     """
-    e = _as_entries(m)
-    n = e.shape[0]
     P = np.asarray(list(punctures), dtype=np.int64)
     if P.size < 1:
         raise InputError("need at least one puncture")
+    e = _lemma_entries(m, P.tolist())
+    n = e.shape[0]
     k = int(P.size)
     log_c = k * math.log(13.5)
     col = _Collector(tol)

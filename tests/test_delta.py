@@ -21,7 +21,7 @@ from hypmetrics import (
     random_cloud,
     sampled_delta,
 )
-from hypmetrics.delta import _chunk_size
+from hypmetrics.delta import SAMPLE_BATCH, _chunk_size, _draw_quadruples
 from hypmetrics.scenarios import _place_punctures
 
 
@@ -246,6 +246,20 @@ def test_oracle_sampled_path_matches_matrix():
             rep_matrix.mode,
         )
     assert rep_oracle.mode == "exact"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampled_ties_fold_across_batches(workers):
+    # every quadruple of an equidistant matrix has delta 0, so the witness
+    # is the lex-min sorted quadruple over all three batches' draws
+    n, seed, sizes = 60, 2, (SAMPLE_BATCH, SAMPLE_BATCH, 7)
+    firsts = []
+    for size, seq in zip(sizes, np.random.SeedSequence(seed).spawn(3)):
+        idx = _draw_quadruples(np.random.Generator(np.random.PCG64(seq)), n, size)
+        firsts.append(min(tuple(sorted(q)) for q in idx.tolist()))
+    assert firsts.index(min(firsts)) == 1  # neither the first nor the last batch
+    rep = sampled_delta(np.ones((n, n)) - np.eye(n), samples=sum(sizes), seed=seed, workers=workers)
+    assert (rep.delta, rep.witness, rep.mode) == (0.0, min(firsts), "sampled")
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -110,11 +110,21 @@ def test_matrix_invariants_bit_exact(metric):
     assert np.all(m >= 0.0)
 
 
+_SCALAR_METRICS = {
+    "euclidean": euclidean_distance,
+    "taxicab": taxicab_distance,
+    "d1": lambda x, y: arctan_split_distance("d1", x, y),
+    "d2": lambda x, y: arctan_split_distance("d2", x, y),
+    "d1+d2": lambda x, y: arctan_split_distance("sum", x, y),
+}
+
+
 def test_callable_metric_matrix_matches_named():
-    cloud = random_cloud(12, 2, seed=3)
-    named = build_distance_matrix(cloud, "euclidean").entries
-    custom = build_distance_matrix(cloud, euclidean_distance).entries
-    assert np.allclose(named, custom, rtol=0, atol=1e-12)
+    cloud = random_cloud(300, 2, seed=3, low=-50.0, high=50.0)
+    for metric, fn in _SCALAR_METRICS.items():
+        named = build_distance_matrix(cloud, metric).entries
+        custom = build_distance_matrix(cloud, fn).entries
+        assert np.array_equal(named, custom), metric
 
 
 def test_cloud_rejects_nan_and_bad_labels():
