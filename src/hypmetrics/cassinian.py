@@ -31,7 +31,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, PunctureDomainError
-from .spaces import DistanceMatrix, PointCloud, METRIC_NAMES, _as_entries, pairwise_distances
+from .spaces import (
+    METRIC_NAMES,
+    DistanceMatrix,
+    PointCloud,
+    _as_entries,
+    _unit_scale,
+    pairwise_distances,
+)
 
 LOG2 = math.log(2.0)
 
@@ -320,16 +327,22 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
 
     Returns ``(dom, gaps, domain_indices)`` where ``dom[i, j]`` is the base
     distance between surviving points and ``gaps[i, a]`` the distance from
-    surviving point i to puncture a. Raises PunctureDomainError when a
-    domain point touches a puncture.
+    surviving point i to puncture a, both in units of a power of two:
+    ``_unit_scale`` takes the base distances into a range where gap
+    products neither underflow nor overflow. Every variant is a ratio of
+    base distances, so an exact power-of-two unit leaves it unchanged.
+    Raises PunctureDomainError when a domain point touches a puncture.
     """
+    if isinstance(spec.base, DistanceMatrix):
+        full = spec.base.entries
+    else:
+        pts = spec.base.points
+        if not spec.punctures_are_indices:
+            pts = np.vstack([pts, np.asarray(spec.punctures, dtype=float)])
+        full = pairwise_distances(pts, spec.metric)
+    full = _unit_scale(full)[0]
     if spec.punctures_are_indices:
-        if isinstance(spec.base, DistanceMatrix):
-            full = spec.base.entries
-            n = spec.base.n
-        else:
-            full = pairwise_distances(spec.base.points, spec.metric)
-            n = len(spec.base)
+        n = full.shape[0]
         pset = set(spec.punctures)
         dom_idx = [i for i in range(n) if i not in pset]
         p_idx = list(spec.punctures)
@@ -342,10 +355,7 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
         dom = full[np.ix_(dom_idx, dom_idx)]
         gaps = full[np.ix_(dom_idx, p_idx)]
     else:
-        pts = spec.base.points
-        n = pts.shape[0]
-        ext = np.vstack([pts, np.asarray(spec.punctures, dtype=float)])
-        full = pairwise_distances(ext, spec.metric)
+        n = len(spec.base)
         dom_idx = list(range(n))
         dom = full[:n, :n]
         gaps = full[:n, n:]
@@ -374,12 +384,13 @@ def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:
     construction; whether it satisfies the triangle inequality is a theorem
     about the variant, not a guarantee of this function. Each entry equals
     the matching scalar constructor bit for bit: both evaluate the same
-    formula.
+    formula. Base distances spanning more than the float range leave NaN or
+    infinite values, which the DistanceMatrix rejects (``InputError``).
     """
     dom, gaps, _ = _materialize(spec)
     by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
-    return DistanceMatrix(
-        _variant_values(
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = _variant_values(
             spec.variant, dom, by_puncture[:, :, None], by_puncture[:, None, :], spec.anchor
         )
-    )
+    return DistanceMatrix(values)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cassinian import VARIANTS, PuncturedSpec, _mu, punctured_matrix
+from .cassinian import VARIANTS, PuncturedSpec, punctured_matrix
 from .delta import exact_delta, sampled_delta
 from .errors import InputError
 from .scenarios import arctan_family, four_point_counterexample, hyperbolicity_sweep
@@ -43,6 +43,7 @@ from .spaces import (
 )
 from .verify import (
     DEFAULT_TOL,
+    _mu_lookup,
     check_lemma_K,
     check_lemma_nine,
     check_metric_axioms,
@@ -199,8 +200,7 @@ def _verify_lemmas(args):
     e = matrix.entries
     rs = e[quads[:, :, None], quads[:, None, :]]
     reports["quasi_ptolemy_K1"] = check_quasi_ptolemy_many(rs, 1.0, args.tol)
-    gap = e[quads, anchors[0]]
-    mu = _mu(rs, gap[:, :, None], gap[:, None, :])
+    mu = _mu_lookup(e, anchors[0], False, rs.size)(quads[:, :, None], quads[:, None, :])
     reports["quasi_ptolemy_K1.5"] = check_quasi_ptolemy_many(mu, 1.5, args.tol)
     return reports
 
@@ -329,8 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0.0:
-        sys.stderr.write("error: tolerance must be positive\n")
+    if not 0.0 < getattr(args, "tol", 1.0) < float("inf"):  # NaN included
+        sys.stderr.write("error: tolerance must be positive and finite\n")
+        return 2
+    if getattr(args, "seed", 0) < 0:
+        sys.stderr.write("error: --seed must be nonnegative\n")
         return 2
     try:
         return args.fn(args)

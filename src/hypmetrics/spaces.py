@@ -18,6 +18,11 @@ scalar functions are views of it, evaluating it on the two-row stack of
 their arguments, so a matrix built from them equals the named matrix bit
 for bit.
 
+The Euclidean and taxicab formulas run on coordinates scaled by an exact
+power of two when their largest magnitude lies outside [2^-500, 2^500]
+(``_unit_scale``) and scale the distances back, so squares neither
+underflow nor overflow; inside that range nothing is scaled.
+
 Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
 rows), streamed row by row from one grid of reprs that formats each
@@ -29,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,6 +47,10 @@ MetricFn = Callable[[Vector, Vector], float]
 
 #: Metric selector strings accepted everywhere a base metric is named.
 METRIC_NAMES = ("euclidean", "taxicab", "d1", "d2", "d1+d2")
+
+#: Arrays whose largest magnitude lies in [2^-500, 2^500] are used as given:
+#: their squares and pairwise products neither underflow nor overflow.
+_SAFE_EXPONENT = 500
 
 
 def _vec_pair(x: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
@@ -232,9 +242,23 @@ def random_cloud(
         raise InputError("need n >= 1 points")
     if dim < 1:
         raise InputError("need dim >= 1")
+    if not (np.isfinite(high - low) and low <= high):
+        raise InputError(f"need finite bounds with low <= high, got [{low}, {high})")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    pts = rng.uniform(low, high, size=(n, dim))
+    pts = rng.uniform(low, high + 0.0, size=(n, dim))  # numpy reads a -0.0 high as a negative range
     return PointCloud(pts, [f"x{i}" for i in range(n)])
+
+
+def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a * 2^-e, e)``, with ``e`` bringing the largest magnitude of ``a``
+    into [1/2, 1) when it lies outside [2^-500, 2^500]; ``(a, 0)`` when it
+    lies inside, is zero or is not finite. The scaling is exact for every
+    entry that does not become subnormal."""
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    if 2.0**-_SAFE_EXPONENT <= top <= 2.0**_SAFE_EXPONENT or top in (0.0, math.inf):
+        return a, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(a, -e), e
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -387,17 +411,21 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
     n = pts.shape[0]
     if callable(metric):
         return _as_entries(lambda i, j: metric(pts[i], pts[j]), n)
-    if metric == "euclidean":
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    if metric == "taxicab":
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sum(np.abs(diff), axis=-1)
+    if metric in ("euclidean", "taxicab"):
+        unit, e = _unit_scale(pts)  # squares stay within the float range
+        diff = unit[:, None, :] - unit[None, :, :]
+        if metric == "euclidean":
+            d = np.sqrt(np.sum(diff * diff, axis=-1))
+        else:
+            d = np.sum(np.abs(diff), axis=-1)
+        with np.errstate(over="ignore"):  # a distance past the float range reads inf
+            return np.ldexp(d, e) if e else d
     if metric in ("d1", "d2", "d1+d2"):
         if pts.shape[1] != 2:
             raise InputError(f"metric {metric!r} needs dim 2, got dim {pts.shape[1]}")
-        du = np.abs(pts[:, 0][:, None] - pts[:, 0][None, :])
-        dv = np.abs(pts[:, 1][:, None] - pts[:, 1][None, :])
+        with np.errstate(over="ignore"):
+            du = np.abs(pts[:, 0][:, None] - pts[:, 0][None, :])
+            dv = np.abs(pts[:, 1][:, None] - pts[:, 1][None, :])
         if metric == "d1":
             return du + np.arctan(dv)
         if metric == "d2":

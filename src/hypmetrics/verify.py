@@ -24,8 +24,24 @@ entries, at least one row of x, and the Ptolemy sweep walks the exact delta
 kernel's grids, ``delta._middle_grids``: one step's ``(i < j, g, l > k0)``
 grid at a time for a fixed j, within the kernel's ``_BATCH_ELEMENTS``
 budget. Both sweeps need finite entries (``InputError`` otherwise), and so
-do the sampled lemma checkers, which also reject an anchor or puncture
+do the sampled lemma checkers, which also reject entries beyond 2^500 in
+magnitude (their mu products would overflow) and an anchor or puncture
 index outside the matrix.
+
+On a bitwise symmetric matrix (its ``uint64`` view equals its
+transpose's, so 0.0 against -0.0 does not qualify) the triangle sweep
+first evaluates only y >= x0 in each block: slack(y, x, z) is the same
+float operation on the same operands as slack(x, y, z). When that half's
+largest slack is within ``tol``, nothing can fail and it is the report,
+with all n^3 comparisons counted; otherwise the full sweep runs, so
+violations keep their content and row-major order.
+
+The lemma checkers read mu_p and log mu_P (the sum of the logs over the
+contiguous puncture axis) through one evaluator, ``_mu_rows``. A checker
+that evaluates N index rows in all gets an n x n table of every pair
+when n^2 <= N, filled in row blocks of at most ``_CHECK_ELEMENTS``
+entries, and gathers its rows from it; otherwise it evaluates the rows
+themselves. Both give the same bits, so the rule needs no flag.
 
 The quasi-Ptolemy hypothesis reads a batch of 4x4 arrays as one
 contiguous (16, N) array and evaluates its 64 index triples in place.
@@ -51,7 +67,13 @@ import numpy as np
 from .cassinian import LOG2, PuncturedSpec, _mu, punctured_matrix
 from .delta import _drop_corner, _middle_grids
 from .errors import InputError
-from .spaces import PointCloud, _as_entries, _require_finite, pairwise_distances
+from .spaces import (
+    _SAFE_EXPONENT,
+    PointCloud,
+    _as_entries,
+    _require_finite,
+    pairwise_distances,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -104,8 +126,8 @@ class _Collector:
     """Accumulates vectorized LHS <= RHS comparisons into one report."""
 
     def __init__(self, tol: float):
-        if tol <= 0.0:
-            raise InputError("tolerance must be positive")
+        if not 0.0 < tol < math.inf:
+            raise InputError("tolerance must be positive and finite")
         self.tol = tol
         self.checked = 0
         self.worst = -math.inf
@@ -194,6 +216,40 @@ def _sample_tuples(
 # metric axioms and Ptolemy
 
 
+def _half_triangle_sweep(e: np.ndarray, step: int, col: _Collector) -> bool:
+    """The triangle sweep on a bitwise symmetric matrix, over y >= x0 only.
+
+    Each block of ``step`` rows x from x0 evaluates slack(x, y, z) =
+    d(x,y) - (d(x,z) + d(z,y)) for y >= x0; every other slack is
+    slack(y, x, z) of an evaluated one, the same float operation on the
+    same operands. So when the largest slack is at most the tolerance,
+    nothing fails, and it is folded into ``col`` with all n^3 comparisons
+    counted, exactly as the full sweep would. Returns False, leaving
+    ``col`` untouched, when ``e`` is not bitwise symmetric (0.0 against
+    -0.0 included) or a slack exceeds the tolerance.
+    """
+    bits = e.view(np.uint64)
+    if not np.array_equal(bits, bits.T):
+        return False
+    n = e.shape[0]
+    buf = np.empty(step * n * n)
+    worst = -math.inf
+    for x0 in range(0, n, step):
+        chunk = e[x0 : x0 + step]
+        slack = buf[: chunk.shape[0] * (n - x0) * n].reshape(chunk.shape[0], n - x0, n)
+        with np.errstate(over="ignore"):  # an inf sum bounds anything
+            np.add(chunk[:, None, :], e[None, x0:], out=slack)  # d(x,z) + d(z,y), as d(y,z)
+        np.subtract(chunk[:, x0:, None], slack, out=slack)
+        block = float(np.fmax.reduce(slack, axis=None))
+        if not block <= col.tol:
+            return False
+        worst = max(worst, block)
+    if worst > col.worst:
+        col.worst = worst
+    col.checked += n**3
+    return True
+
+
 def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Symmetry, zero diagonal, nonnegativity, and the triangle inequality
     over all ordered triples.
@@ -201,6 +257,13 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     ``meta["offdiagonal_positive"]`` flags whether every off-diagonal entry
     is strictly positive (duplicate points make it False without being a
     violation).
+
+    On a bitwise symmetric matrix (its ``uint64`` view equals its
+    transpose's) the triangle sweep first evaluates half the slacks,
+    ``_half_triangle_sweep``; when their largest is at most ``tol`` that
+    is the report. Otherwise, and on any other matrix, the full sweep runs
+    and lists the violations in (x, y, z) row-major order. Both paths give
+    the same report bit for bit.
     """
     e = _as_entries(m)
     _require_finite(e)
@@ -213,16 +276,14 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     col.compare("nonnegative", (rows, cols), -e, 0.0)
 
     step = max(1, _CHECK_ELEMENTS // (n * n))
-    for x0 in range(0, n, step):
-        chunk = e[x0 : x0 + step]
-        xs = np.arange(x0, x0 + chunk.shape[0])[:, None, None]
-        # d(x, y) <= d(x, z) + d(z, y) over the (x, y, z) block
-        col.compare(
-            "triangle",
-            (xs, rows[None], cols[None]),
-            chunk[:, :, None],
-            chunk[:, None, :] + e.T[None],
-        )
+    if not _half_triangle_sweep(e, step, col):
+        for x0 in range(0, n, step):
+            chunk = e[x0 : x0 + step]
+            xs = np.arange(x0, x0 + chunk.shape[0])[:, None, None]
+            with np.errstate(over="ignore"):
+                rhs = chunk[:, None, :] + e.T[None]
+            # d(x, y) <= d(x, z) + d(z, y) over the (x, y, z) block
+            col.compare("triangle", (xs, rows[None], cols[None]), chunk[:, :, None], rhs)
     offdiag_positive = bool(np.all((e > 0.0) | ~upper))
     return col.report(offdiagonal_positive=offdiag_positive)
 
@@ -248,12 +309,14 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
         row_j = e[j]
         for k0, g, (p1, p2, p3, tot) in _middle_grids(n, j, 1, 4):
             ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
-            np.multiply(e[:j, j, None, None], e[None, ks, ls], out=p1)  # d(i,j) d(k,l)
-            np.multiply(e[:j, ks, None], row_j[None, None, ls], out=p2)  # d(i,k) d(j,l)
-            np.multiply(row_j[None, ks, None], e[:j, None, ls], out=p3)  # d(j,k) d(i,l)
-            np.add(np.add(p1, p2, out=tot), p3, out=tot)
-            lhs = np.multiply(2.0, np.maximum(np.maximum(p1, p2, out=p1), p3, out=p1), out=p1)
-            with np.errstate(invalid="ignore"):
+            # a product past the float range reads inf; its slack inf - inf
+            # is NaN, never a violation
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(e[:j, j, None, None], e[None, ks, ls], out=p1)  # d(i,j) d(k,l)
+                np.multiply(e[:j, ks, None], row_j[None, None, ls], out=p2)  # d(i,k) d(j,l)
+                np.multiply(row_j[None, ks, None], e[:j, None, ls], out=p3)  # d(j,k) d(i,l)
+                np.add(np.add(p1, p2, out=tot), p3, out=tot)
+                lhs = np.multiply(2.0, np.maximum(np.maximum(p1, p2, out=p1), p3, out=p1), out=p1)
                 slack = np.subtract(lhs, tot, out=p2)
             _drop_corner(slack, g)
             ks_col = np.arange(k0, k0 + g)[:, None]
@@ -308,15 +371,54 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
 
 
 def _lemma_entries(m, indices) -> np.ndarray:
-    """The entries of ``m`` for a sampled lemma checker: finite, with every
-    anchor or puncture in ``indices`` naming one of its points."""
+    """The entries of ``m`` for a sampled lemma checker: finite and at most
+    2^500 in magnitude, so no mu product overflows, with every anchor or
+    puncture in ``indices`` naming one of its points."""
     e = _as_entries(m)
     _require_finite(e)
+    if max(e.max(initial=0.0), -e.min(initial=0.0)) > 2.0**_SAFE_EXPONENT:
+        raise InputError(
+            "lemma checks need entries of magnitude at most 2^500 (mu products overflow)"
+        )
     n = e.shape[0]
     for i in indices:
         if not 0 <= i < n:
             raise InputError(f"anchor or puncture index {i} out of range for n={n}")
     return e
+
+
+def _mu_rows(e: np.ndarray, P: np.ndarray, u, v, log: bool) -> np.ndarray:
+    """mu_p (``log`` False, one puncture in ``P``) or log mu_P (``log``
+    True) at the broadcast index rows (u, v). The puncture axis is the
+    last, contiguous one, so each log mu_P sums its terms in puncture
+    order whatever the shape of the rows; -inf (mu = 0) is legal."""
+    mu = _mu(e[u, v][..., None], e[u[..., None], P], e[v[..., None], P])
+    if not log:
+        return mu[..., 0]
+    with np.errstate(divide="ignore"):
+        return np.log(mu).sum(axis=-1)
+
+
+def _mu_lookup(e: np.ndarray, P, log: bool, count: int):
+    """``(u, v) -> _mu_rows(e, P, u, v, log)`` for a checker that evaluates
+    ``count`` index rows in all.
+
+    When the n x n table of every pair holds no more entries than
+    ``count``, ``_mu_rows`` fills it once, in row blocks of at most
+    ``_CHECK_ELEMENTS`` (row, column, puncture) entries, and the rows are
+    gathered from it; otherwise they are evaluated as asked. Both give the
+    same bits: every value is the same float operations on the same
+    operands.
+    """
+    P = np.atleast_1d(np.asarray(P, dtype=np.int64))
+    n = e.shape[0]
+    if n * n > count:
+        return lambda u, v: _mu_rows(e, P, u, v, log)
+    ar = np.arange(n)
+    step = max(1, _CHECK_ELEMENTS // (n * P.size))
+    blocks = [_mu_rows(e, P, ar[r0 : r0 + step, None], ar, log) for r0 in range(0, n, step)]
+    table = np.vstack(blocks)
+    return lambda u, v: table[u, v]
 
 
 def check_mu_bounds(
@@ -341,10 +443,12 @@ def check_mu_bounds(
     n = e.shape[0]
     t = _sample_tuples(n, 3, samples, seed, (p, q))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
+    mu_p = _mu_lookup(e, p, False, (3 if q == p else 2) * t.shape[0])
+    mu_q = mu_p if q == p else _mu_lookup(e, q, False, t.shape[0])
     col = _Collector(tol)
 
     dxp, dyp = e[x, p], e[y, p]
-    mu_xy = _mu(e[x, y], dxp, dyp)
+    mu_xy = mu_p(x, y)
     half_sum = 1.5 * (dxp + dyp)
     anchor_max = np.maximum(dxp, dyp)
     col.compare("mu_upper_halfsum", (x, y), mu_xy, half_sum)
@@ -352,8 +456,8 @@ def check_mu_bounds(
     col.compare("mu_lower_max", (x, y), anchor_max, mu_xy)
     col.compare("mu_lower_halfsum", (x, y), 0.5 * (dxp + dyp), anchor_max)
 
-    mu_xz = _mu(e[x, z], dxp, e[z, p])
-    mu_yz = _mu(e[y, z], e[y, q], e[z, q])
+    mu_xz = mu_p(x, z)
+    mu_yz = mu_q(y, z)
     col.compare("mu_pair_sum", (x, y, z), e[x, z] + e[y, z], mu_xz + mu_yz)
     col.compare("triangle_base", (x, y, z), e[x, y], e[x, z] + e[y, z])
     col.compare("mu_pair_max", (x, y, z), 0.5 * e[x, y], np.maximum(mu_xz, mu_yz))
@@ -371,11 +475,9 @@ def check_lemma_nine(
     n = e.shape[0]
     t = _sample_tuples(n, 4, samples, seed, (p,))
     x, y, z, w = t[:, 0], t[:, 1], t[:, 2], t[:, 3]
-    gx, gy, gz, gw = e[t, p].T
-    lhs = _mu(e[x, y], gx, gy) * _mu(e[z, w], gz, gw)
-    cross = np.maximum(
-        _mu(e[x, z], gx, gz) * _mu(e[y, w], gy, gw), _mu(e[x, w], gx, gw) * _mu(e[y, z], gy, gz)
-    )
+    mu = _mu_lookup(e, p, False, 6 * t.shape[0])
+    lhs = mu(x, y) * mu(z, w)
+    cross = np.maximum(mu(x, z) * mu(y, w), mu(x, w) * mu(y, z))
     col = _Collector(tol)
     col.compare("mu_factor_nine", (x, y, z, w), lhs, 9.0 * cross)
     pos = cross > 0.0
@@ -405,8 +507,8 @@ def check_lemma_K(
     n = e.shape[0]
     t = _sample_tuples(n, 3, samples, seed, (p,))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    a = _mu(e[x, z], e[x, p], e[z, p])
-    b = _mu(e[y, z], e[y, p], e[z, p])
+    mu = _mu_lookup(e, p, False, 2 * t.shape[0])
+    a, b = mu(x, z), mu(y, z)
     applies = np.maximum(a, b) >= K * np.minimum(a, b)
     const = 3.0 * (K + 3.0) / (2.0 * (K - 3.0))
     col = _Collector(tol)
@@ -451,8 +553,8 @@ def check_product_lemma(
     b = _mu(e[y, z][:, None], e[y[:, None], P], gz)
     with np.errstate(divide="ignore"):
         lhs = np.log(a + b).sum(axis=1)
-        log_pa = np.log(a).sum(axis=1)
-        log_pb = np.log(b).sum(axis=1)
+    log_mu_P = _mu_lookup(e, P, True, 2 * t.shape[0])
+    log_pa, log_pb = log_mu_P(x, z), log_mu_P(y, z)
     rhs = k * math.log(9.0) + np.logaddexp(log_pa, log_pb)
     col = _Collector(tol)
     col.compare("mu_product_split", (x, y, z), lhs, rhs)
@@ -573,6 +675,11 @@ def check_mu_P_quasi_triangle(
         mu_P(x,y) <= (27/2)^k [mu_P(x,z) + mu_P(z,y)]
         mu_P(x,y) mu_P(z,w) <= 4 (27/2)^{2k} max(mu_P(x,z) mu_P(y,w),
                                                  mu_P(x,w) mu_P(y,z))
+
+    Its 9 log mu_P evaluations, 3 per triple and 6 per quadruple, come
+    from one ``_mu_lookup``: an n x n log mu_P table when that holds no
+    more entries than the rows evaluated, as at the default sample
+    counts for n up to 950.
     """
     P = np.asarray(list(punctures), dtype=np.int64)
     if P.size < 1:
@@ -582,19 +689,15 @@ def check_mu_P_quasi_triangle(
     k = int(P.size)
     log_c = k * math.log(13.5)
     col = _Collector(tol)
-
-    def log_mu_P(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """log mu_P(u, v) per row; -inf is legal (mu = 0)."""
-        with np.errstate(divide="ignore"):
-            return np.log(_mu(e[u, v][:, None], e[u[:, None], P], e[v[:, None], P])).sum(axis=1)
-
     t = _sample_tuples(n, 3, triples, seed, tuple(int(a) for a in P[:2]))
+    t4 = _sample_tuples(n, 4, quadruples, seed + 1, tuple(int(a) for a in P[:2]))
+    log_mu_P = _mu_lookup(e, P, True, 3 * t.shape[0] + 6 * t4.shape[0])
+
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
     lhs = log_mu_P(x, y)
     rhs = log_c + np.logaddexp(log_mu_P(x, z), log_mu_P(z, y))
     col.compare("muP_triangle", (x, y, z), lhs, rhs)
 
-    t4 = _sample_tuples(n, 4, quadruples, seed + 1, tuple(int(a) for a in P[:2]))
     x, y, z, w = t4[:, 0], t4[:, 1], t4[:, 2], t4[:, 3]
     lhs4 = log_mu_P(x, y) + log_mu_P(z, w)
     cross = np.maximum(log_mu_P(x, z) + log_mu_P(y, w), log_mu_P(x, w) + log_mu_P(y, z))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypmetrics import (
@@ -216,7 +216,9 @@ def test_variant_matrices_structurally_valid():
 
 
 @settings(max_examples=40, derandomize=True)
-@given(st.floats(min_value=1e-6, max_value=1e6))
+@given(st.floats(min_value=1e-300, max_value=1e300))
+@example(1e-170)  # squared coordinates underflow to 0 unless rescaled
+@example(1e160)  # squared coordinates overflow to inf unless rescaled
 def test_scale_invariance(lam):
     cloud = random_cloud(8, 2, seed=55)
     punctures = np.array([[2.0, 0.5], [-1.0, 1.0]])
@@ -226,6 +228,26 @@ def test_scale_invariance(lam):
         PuncturedSpec(scaled_cloud, punctures * lam, variant="avg_tau")
     ).entries
     assert np.allclose(base, scaled, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -600, -500, 500, 600, 1000])
+def test_power_of_two_scales_are_bit_identical(exponent):
+    cloud = random_cloud(8, 2, seed=55)
+    punctures = np.array([[2.0, 0.5], [-1.0, 1.0]])
+    matrix = build_distance_matrix(cloud)
+    for metric in ("euclidean", "taxicab"):
+        base = punctured_matrix(PuncturedSpec(cloud, punctures, "avg_tau", metric=metric))
+        scaled = PuncturedSpec(
+            PointCloud(np.ldexp(cloud.points, exponent)),
+            np.ldexp(punctures, exponent),
+            "avg_tau",
+            metric=metric,
+        )
+        assert np.array_equal(punctured_matrix(scaled).entries, base.entries)
+    base = punctured_matrix(PuncturedSpec(matrix, [0, 5], "tilde_avg_tau"))
+    scaled_matrix = DistanceMatrix(np.ldexp(matrix.entries, exponent))
+    scaled = PuncturedSpec(scaled_matrix, [0, 5], "tilde_avg_tau")
+    assert np.array_equal(punctured_matrix(scaled).entries, base.entries)
 
 
 def test_scale_invariance_all_variants():

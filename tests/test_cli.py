@@ -347,9 +347,18 @@ def test_verify_sandwich_avg_needs_no_variant(tmp_path, capsys):
         ["verify", "lemmas", "--samples", "-5"],
         ["delta", "--matrix", "{d}/latin1.json"],
         ["delta", "--matrix", "{d}"],
+        ["gen", "--n", "3", "--low", "1", "--high", "0"],
+        ["gen", "--n", "3", "--low", "nan"],
+        ["gen", "--n", "3", "--low=-1e308", "--high=1e308"],
+        ["gen", "--n", "3", "--seed=-1"],
+        ["verify", "lemmas", "--n", "5", "--samples", "5", "--seed=-1"],
+        ["verify", "lemmas", "--n", "5", "--samples", "5", "--tol", "nan"],
+        ["verify", "lemmas", "--n", "5", "--samples", "5", "--tol", "inf"],
     ],
     ids=["sweep-trials-0", "sweep-trials-negative", "lemmas-samples-negative",
-         "matrix-not-utf8", "matrix-is-directory"],
+         "matrix-not-utf8", "matrix-is-directory", "gen-low-above-high", "gen-nan-bound",
+         "gen-range-overflows", "gen-negative-seed", "lemmas-negative-seed", "lemmas-nan-tol",
+         "lemmas-inf-tol"],
 )
 def test_bad_counts_and_unreadable_files_exit_2(tmp_path, capsys, argv):
     (tmp_path / "latin1.json").write_bytes('{"n": 2, "name": "caf\xe9"}'.encode("latin-1"))
@@ -412,3 +421,16 @@ def test_dist_writes_reference_encoder_bytes(tmp_path, capsys, reference_matrix_
     assert code == 0
     want = punctured_matrix(PuncturedSpec(load_point_cloud(cloud), punctures, "avg_tau"))
     assert out.read_bytes() == reference_matrix_bytes(want, suffix)
+
+
+def test_verify_lemmas_same_on_mu_rows_and_tables(capsys, monkeypatch):
+    from hypmetrics import cli, verify
+
+    argv = ("verify", "lemmas", "--n", "12", "--samples", "500")
+    _, natural, _ = run(capsys, *argv)
+    lookup = verify._mu_lookup
+    for count in (0, float("inf")):  # every mu on rows, then from tables
+        forced = lambda e, P, log, _, c=count: lookup(e, P, log, c)  # noqa: E731
+        monkeypatch.setattr(verify, "_mu_lookup", forced)
+        monkeypatch.setattr(cli, "_mu_lookup", forced)
+        assert run(capsys, *argv)[1] == natural

@@ -25,7 +25,7 @@ from hypmetrics import (
     punctured_matrix,
     random_cloud,
 )
-from hypmetrics import delta
+from hypmetrics import delta, verify
 from hypmetrics.verify import DEFAULT_TOL, _CHECK_ELEMENTS
 
 COUNTEREXAMPLE = DistanceMatrix(
@@ -317,8 +317,9 @@ def test_checkers_deterministic():
 
 def test_tolerance_must_be_positive():
     m = build_distance_matrix(random_cloud(6, 2, seed=1))
-    with pytest.raises(InputError):
-        check_metric_axioms(m, tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            check_metric_axioms(m, tol=tol)
 
 
 def test_report_serialization_shape():
@@ -550,3 +551,81 @@ def test_triangle_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert rep.passed and rep.checked == 300**3 + 300**2 + 300 * 299 // 2 + 300
     assert peak < 16 * 2**20
+
+
+def _symmetric_matrices():
+    e = build_distance_matrix(random_cloud(70, 2, seed=111)).entries  # two blocks
+    avg = punctured_matrix(PuncturedSpec(random_cloud(30, 2, seed=112), [[2.0, 2.0]], "avg_tau"))
+    neg_zero = e.copy()
+    neg_zero[e == 0.0] = -0.0  # bitwise symmetric, -0.0 diagonal
+    via = np.delete(e[3] + e[9], [3, 9]).min()
+    near, far = e.copy(), e.copy()
+    near[3, 9] = near[9, 3] = via * (1 + 1e-12)  # a positive slack within the tolerance
+    far[3, 9] = far[9, 3] = via * (1 + 1e-6)  # a violation
+    return {
+        "euclidean": e,
+        "avg-tau": avg.entries,
+        "neg-zero": neg_zero,
+        "zeros": np.zeros((5, 5)),
+        "huge": np.where(e > 0.0, 1.7e308, 0.0),
+        "near-tolerance": near,
+        "one-point": np.zeros((1, 1)),
+        "violated": far,  # the half sweep hands over to the full one
+    }
+
+
+@pytest.mark.parametrize("name", list(_symmetric_matrices()))
+def test_half_triangle_sweep_matches_full_sweep(name, monkeypatch):
+    e = _symmetric_matrices()[name]
+    calls = []
+    half = verify._half_triangle_sweep
+    monkeypatch.setattr(
+        verify, "_half_triangle_sweep", lambda *a: calls.append(half(*a)) or calls[-1]
+    )
+    got = check_metric_axioms(e).to_dict()
+    assert calls == [name != "violated"]
+    monkeypatch.setattr(verify, "_half_triangle_sweep", lambda e, step, col: False)
+    assert repr(got) == repr(check_metric_axioms(e).to_dict())
+
+
+def test_half_triangle_sweep_matches_brute_force():
+    e = _symmetric_matrices()["near-tolerance"]
+    rep = check_metric_axioms(e)
+    assert rep.passed and rep.worst_slack > 0.0
+    _assert_matches(rep, _reference_axioms(e))
+
+
+def test_half_triangle_sweep_needs_bitwise_symmetry():
+    e = build_distance_matrix(random_cloud(6, 2, seed=113)).entries.copy()
+    assert verify._half_triangle_sweep(e, 1, verify._Collector(DEFAULT_TOL))
+    e[1, 4], e[4, 1] = 0.0, -0.0  # equal, but not the same bits
+    col = verify._Collector(DEFAULT_TOL)
+    assert not verify._half_triangle_sweep(e, 1, col)
+    assert (col.checked, col.worst) == (0, -math.inf)
+    e[1, 4] = 1e-9
+    assert not verify._half_triangle_sweep(e, 1, col)
+
+
+def _lemma_reports(e, samples):
+    n = e.shape[0]
+    P = list(range(min(4, n - 1)))
+    return {
+        "mu_bounds": check_mu_bounds(e, 0, min(1, n - 1), samples, 5),
+        "mu_bounds_pp": check_mu_bounds(e, n - 1, None, samples, 5),
+        "nine": check_lemma_nine(e, 0, samples, 5),
+        "K": check_lemma_K(e, 0, 4.0, samples, 5),
+        "product": check_product_lemma(e, P, samples, 5),
+        "quasi_triangle": check_mu_P_quasi_triangle(e, P[::-1], samples, samples // 3, 5),
+    }
+
+
+@pytest.mark.parametrize("n, samples", [(4, 20), (12, 500), (64, 3000), (300, 500)])
+def test_mu_table_matches_rows(n, samples, monkeypatch):
+    pts = random_cloud(n, 2, seed=114).points
+    e = build_distance_matrix(PointCloud(pts[[0, 1, 2, 2, *range(4, n)]])).entries  # a duplicate
+    natural = {k: repr(r.to_dict()) for k, r in _lemma_reports(e, samples).items()}
+    lookup = verify._mu_lookup
+    for count in (0, math.inf):  # every checker on rows, then on tables
+        forced = lambda e, P, log, _, c=count: lookup(e, P, log, c)  # noqa: E731
+        monkeypatch.setattr(verify, "_mu_lookup", forced)
+        assert {k: repr(r.to_dict()) for k, r in _lemma_reports(e, samples).items()} == natural
