@@ -345,26 +345,21 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
         n = full.shape[0]
         pset = set(spec.punctures)
         dom_idx = [i for i in range(n) if i not in pset]
-        p_idx = list(spec.punctures)
-        for a in range(len(p_idx)):
-            for b in range(a + 1, len(p_idx)):
-                if full[p_idx[a], p_idx[b]] == 0.0:
-                    raise InputError(
-                        f"punctures {p_idx[a]} and {p_idx[b]} sit at distance zero"
-                    )
+        labels = list(spec.punctures)
+        sub = full[np.ix_(labels, labels)]
         dom = full[np.ix_(dom_idx, dom_idx)]
-        gaps = full[np.ix_(dom_idx, p_idx)]
+        gaps = full[np.ix_(dom_idx, labels)]
     else:
         n = len(spec.base)
         dom_idx = list(range(n))
         dom = full[:n, :n]
         gaps = full[:n, n:]
         sub = full[n:, n:]
-        k = gaps.shape[1]
-        for a in range(k):
-            for b in range(a + 1, k):
-                if sub[a, b] == 0.0:
-                    raise InputError(f"punctures {a} and {b} sit at distance zero")
+        labels = list(range(gaps.shape[1]))
+    coincide = np.argwhere(np.triu(sub == 0.0, 1))
+    if coincide.size:
+        a, b = coincide[0]
+        raise InputError(f"punctures {labels[a]} and {labels[b]} sit at distance zero")
     if dom.shape[0] == 0:
         raise InputError("empty domain after removing punctures")
     hit = np.argwhere(gaps == 0.0)

@@ -97,7 +97,7 @@ def _parse_punctures(raw: str | None):
 def _load_spec(args, variant: str | None = None) -> PuncturedSpec:
     """The spec from --spec, or from the input flags with ``variant`` in
     place of --variant when given."""
-    if getattr(args, "spec", None):
+    if args.spec:
         return PuncturedSpec.from_dict(_read_json(args.spec))
     punctures = _parse_punctures(args.punctures)
     if punctures is None:
@@ -113,12 +113,11 @@ def _load_spec(args, variant: str | None = None) -> PuncturedSpec:
 
 def _matrix_from_args(args) -> DistanceMatrix:
     """A matrix from --matrix, or from --cloud (+ optional punctured variant)."""
-    wants_variant = getattr(args, "punctures", None) or getattr(args, "spec", None)
-    if wants_variant:
+    if args.punctures or args.spec:
         return punctured_matrix(_load_spec(args))
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return load_distance_matrix(args.matrix)
-    if getattr(args, "cloud", None):
+    if args.cloud:
         return build_distance_matrix(load_point_cloud(args.cloud), args.metric)
     raise InputError("need --matrix, --cloud, or --spec")
 
@@ -262,15 +261,14 @@ def cmd_repro(args) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
-def _add_input_flags(p: argparse.ArgumentParser, with_variant: bool = True) -> None:
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cloud", help="point cloud file (.csv or .json)")
     p.add_argument("--matrix", help="distance matrix file (.json or .csv)")
     p.add_argument("--metric", default="euclidean", choices=METRIC_NAMES)
-    if with_variant:
-        p.add_argument("--spec", help="punctured-spec JSON file")
-        p.add_argument("--punctures", help='indices "0,5", JSON coords, or @file.json')
-        p.add_argument("--variant", default="tau_p", choices=VARIANTS)
-        p.add_argument("--anchor", type=int, default=None)
+    p.add_argument("--spec", help="punctured-spec JSON file")
+    p.add_argument("--punctures", help='indices "0,5", JSON coords, or @file.json')
+    p.add_argument("--variant", default="tau_p", choices=VARIANTS)
+    p.add_argument("--anchor", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

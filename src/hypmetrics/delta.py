@@ -15,11 +15,12 @@ a batch of one. The kernel is indexed by the middle pair: a task fixes j,
 and each Python-level step takes up to ``_GROUP`` consecutive k values
 from some k0 and vectorizes over a ``(B, i < j, k, l > k0)`` grid, so
 every entry but the l <= k corner of the (k, l) block is a distinct
-quadruple. The three pairing sums are broadcasts of row slices, with no
-gather: d(j,i) + d(k,l), d(i,k) + d(j,l) and d(i,l) + d(j,k). A step takes
-as many k values, and a chunk as many matrices, as keep one step's grid
-within ``_BATCH_ELEMENTS`` entries (at least one), so the kernel's memory
-is bounded by that budget, not by the batch.
+quadruple. ``_middle_grids`` fills the three pairing sums d(i,j) + d(k,l),
+d(i,k) + d(j,l) and d(i,l) + d(j,k) as broadcasts of upper-triangle
+slices, with no gather; the Ptolemy sweep takes the same grids with
+products. A step takes as many k values, and a chunk as many matrices, as
+keep one step's grid within ``_BATCH_ELEMENTS`` entries (at least one), so
+the kernel's memory is bounded by that budget, not by the batch.
 
 The witness is the lexicographically smallest quadruple of maximal delta.
 Both kernels carry it as a key, the flat index of the sorted quadruple in
@@ -154,15 +155,25 @@ def _middle_steps(n: int, j: int, nb: int = 1) -> list[tuple[int, int]]:
     return steps
 
 
-def _middle_grids(n: int, j: int, nb: int, count: int):
-    """Yield ``(k0, g, grids)`` for each ``_middle_steps(n, j, nb)`` step:
-    ``count`` scratch ``(nb, j, g, n - k0 - 1)`` grids, views of one
-    allocation sized for the largest step."""
+def _middle_grids(stack: np.ndarray, j: int, op, count: int):
+    """Yield ``(k0, g, grids)`` for each ``_middle_steps(n, j, nb)`` step of
+    a ``(nb, n, n)`` stack: ``count`` scratch ``(nb, i < j, g, l > k0)``
+    grids, views of one allocation sized for the largest step. The first
+    three hold the pairings d(i,j) op d(k,l), d(i,k) op d(j,l) and
+    d(i,l) op d(j,k) of the binary ufunc ``op`` over k0 <= k < k0 + g;
+    every operand is read from the upper triangle."""
+    nb, n = stack.shape[0], stack.shape[1]
     steps = _middle_steps(n, j, nb)
     bufs = np.empty((count, nb * j * max(g * (n - k0 - 1) for k0, g in steps)))
+    col_j, row_j = stack[:, :j, j, None, None], stack[:, j]
     for k0, g in steps:
         shape = (nb, j, g, n - k0 - 1)
-        yield k0, g, tuple(buf[: prod(shape)].reshape(shape) for buf in bufs)
+        grids = tuple(buf[: prod(shape)].reshape(shape) for buf in bufs)
+        ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
+        op(col_j, stack[:, None, ks, ls], out=grids[0])
+        op(stack[:, :j, ks, None], row_j[:, None, None, ls], out=grids[1])
+        op(stack[:, :j, None, ls], row_j[:, None, ks, None], out=grids[2])
+        yield k0, g, grids
 
 
 #: ``[k - k0, l - k0 - 1]`` of a step's grid: the l <= k corner.
@@ -184,15 +195,8 @@ def _scan_middle(stack: np.ndarray, lo: int, hi: int, j: int) -> tuple[np.ndarra
     nb, n = stack.shape[0], stack.shape[1]
     rows = np.arange(nb)
     vals, keys = [], []
-    row_j = stack[:, j]
-    for k0, g, (x, y, z, a, b) in _middle_grids(n, j, nb, 5):
-        ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
-        d2 = _doubled_delta(
-            np.add(row_j[:, :j, None, None], stack[:, None, ks, ls], out=x),  # d(j,i) + d(k,l)
-            np.add(stack[:, :j, ks, None], row_j[:, None, None, ls], out=y),  # d(i,k) + d(j,l)
-            np.add(stack[:, :j, None, ls], row_j[:, None, ks, None], out=z),  # d(i,l) + d(j,k)
-            (a, b),
-        )
+    for k0, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5):
+        d2 = _doubled_delta(s1, s2, s3, (a, b))
         _drop_corner(d2, g)
         flat = d2.reshape(nb, -1)
         at = np.argmax(flat, axis=1)  # first flat maximum: lex-min (i, k, l)

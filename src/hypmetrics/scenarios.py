@@ -38,6 +38,12 @@ AVG_TAU_BOUND = 3.0 * LOG3 + LOG2
 #: Looser constant also in circulation for the averaged variant; recorded in
 #: reports for comparison, never asserted.
 AVG_TAU_BOUND_ALT = 3.0 * LOG3 + 2.0 * LOG2
+#: Largest corner-family parameter t. The corner deltas come from
+#: four-point sums of size about t, so they carry a rounding error of up to
+#: about t * 2^-52, and the arctan closed forms are compared at the fixed
+#: tolerance 1e-9: the deviation is 2.9e-10 at t = 1e7 but 5.9e-9 at 1e8,
+#: a false failure on correct code.
+ARCTAN_T_MAX = 1e7
 
 
 @dataclass
@@ -167,11 +173,16 @@ def arctan_family(
     is arctan(t) under d1 and d2 (closed form, stays below pi/2) and
     t + arctan(t) under d1 + d2 (grows without bound). A seeded planar
     cloud sampled under d1 confirms the pi/2 ceiling away from the corner
-    family.
+    family. Parameters t above ``ARCTAN_T_MAX`` are rejected.
     """
     t_grid = [float(t) for t in t_grid]
     if any(t <= 0.0 for t in t_grid):
         raise InputError("corner-family parameters t must be positive")
+    if any(t > ARCTAN_T_MAX for t in t_grid):
+        raise InputError(
+            f"corner-family parameters t must be at most {ARCTAN_T_MAX:g}: beyond it"
+            " rounding error exceeds the 1e-9 closed-form tolerance"
+        )
     bounds: list[BoundCheck] = []
     per_t = {}
     for t in t_grid:

@@ -28,13 +28,17 @@ do the sampled lemma checkers, which also reject entries beyond 2^500 in
 magnitude (their mu products would overflow) and an anchor or puncture
 index outside the matrix.
 
-On a bitwise symmetric matrix (its ``uint64`` view equals its
-transpose's, so 0.0 against -0.0 does not qualify) the triangle sweep
-first evaluates only y >= x0 in each block: slack(y, x, z) is the same
-float operation on the same operands as slack(x, y, z). When that half's
-largest slack is within ``tol``, nothing can fail and it is the report,
-with all n^3 comparisons counted; otherwise the full sweep runs, so
-violations keep their content and row-major order.
+The triangle sweep is one loop over blocks of rows x. On a bitwise
+symmetric matrix (its ``uint64`` view equals its transpose's, so 0.0
+against -0.0 does not qualify) slack(y, x, z) is the same float operation
+on the same operands as slack(x, y, z), so a block from x0 evaluates only
+y >= x0 while every earlier block had nothing to report; once a block's
+largest slack exceeds ``tol``, every later block evaluates y from that
+block's x0. Each skipped slack mirrors one in an earlier block that
+passed, so the report counts all n^3 comparisons and lists the same
+violations, in row-major order, as a sweep over every triple. A passing
+block reuses one scratch buffer; its right-hand sides are materialized
+only when it can fail.
 
 The lemma checkers read mu_p and log mu_P (the sum of the logs over the
 contiguous puncture axis) through one evaluator, ``_mu_rows``. A checker
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -155,18 +160,22 @@ class _Collector:
             self.checked += int(slack.size)
         self.collect(kind, index_cols, lhs, rhs, slack)
 
-    def collect(self, kind: str, index_cols, lhs, rhs, slack: np.ndarray) -> None:
+    def collect(self, kind: str, index_cols, lhs, rhs, slack: np.ndarray) -> float:
         """Take a block of ``slack = lhs - rhs`` into the report: its largest
         non-NaN entry into ``worst_slack``, and its entries beyond the
-        tolerance as violations, in row-major order. The operands broadcast
-        against ``slack`` and are read only at those entries. A NaN slack
-        (such as -inf - -inf from two zero products in the log domain) is
-        never a violation."""
+        tolerance as violations, in row-major order, and return that
+        largest entry. The operands broadcast against ``slack`` and are read
+        only at those entries; ``rhs`` may be a zero-argument callable,
+        called only when an entry can fail. A NaN slack (such as
+        -inf - -inf from two zero products in the log domain) is never a
+        violation."""
         worst = float(np.fmax.reduce(slack, axis=None))  # NaN only if every entry is
         if worst > self.worst:
             self.worst = worst
         if not worst > self.tol:  # the scale is at least 1, so nothing fails
-            return
+            return worst
+        if callable(rhs):
+            rhs = rhs()
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         pos = np.unravel_index(np.flatnonzero(slack > self.tol * scale), slack.shape)
 
@@ -178,6 +187,7 @@ class _Collector:
             self.violations.append(
                 Violation(kind, tuple(int(c[t]) for c in cols), float(lv), float(rv), float(sv))
             )
+        return worst
 
     def report(self, **meta) -> ViolationReport:
         worst = self.worst if self.checked else -math.inf
@@ -216,40 +226,6 @@ def _sample_tuples(
 # metric axioms and Ptolemy
 
 
-def _half_triangle_sweep(e: np.ndarray, step: int, col: _Collector) -> bool:
-    """The triangle sweep on a bitwise symmetric matrix, over y >= x0 only.
-
-    Each block of ``step`` rows x from x0 evaluates slack(x, y, z) =
-    d(x,y) - (d(x,z) + d(z,y)) for y >= x0; every other slack is
-    slack(y, x, z) of an evaluated one, the same float operation on the
-    same operands. So when the largest slack is at most the tolerance,
-    nothing fails, and it is folded into ``col`` with all n^3 comparisons
-    counted, exactly as the full sweep would. Returns False, leaving
-    ``col`` untouched, when ``e`` is not bitwise symmetric (0.0 against
-    -0.0 included) or a slack exceeds the tolerance.
-    """
-    bits = e.view(np.uint64)
-    if not np.array_equal(bits, bits.T):
-        return False
-    n = e.shape[0]
-    buf = np.empty(step * n * n)
-    worst = -math.inf
-    for x0 in range(0, n, step):
-        chunk = e[x0 : x0 + step]
-        slack = buf[: chunk.shape[0] * (n - x0) * n].reshape(chunk.shape[0], n - x0, n)
-        with np.errstate(over="ignore"):  # an inf sum bounds anything
-            np.add(chunk[:, None, :], e[None, x0:], out=slack)  # d(x,z) + d(z,y), as d(y,z)
-        np.subtract(chunk[:, x0:, None], slack, out=slack)
-        block = float(np.fmax.reduce(slack, axis=None))
-        if not block <= col.tol:
-            return False
-        worst = max(worst, block)
-    if worst > col.worst:
-        col.worst = worst
-    col.checked += n**3
-    return True
-
-
 def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Symmetry, zero diagonal, nonnegativity, and the triangle inequality
     over all ordered triples.
@@ -258,12 +234,12 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     is strictly positive (duplicate points make it False without being a
     violation).
 
-    On a bitwise symmetric matrix (its ``uint64`` view equals its
-    transpose's) the triangle sweep first evaluates half the slacks,
-    ``_half_triangle_sweep``; when their largest is at most ``tol`` that
-    is the report. Otherwise, and on any other matrix, the full sweep runs
-    and lists the violations in (x, y, z) row-major order. Both paths give
-    the same report bit for bit.
+    The triangle sweep lists violations in (x, y, z) row-major order. On a
+    bitwise symmetric matrix (its ``uint64`` view equals its transpose's)
+    a block of rows from x0 evaluates only y >= x0 until some block has a
+    slack beyond ``tol``; from that block on, y starts at its x0. Every
+    skipped slack is bit for bit one in an earlier block that passed, so
+    the report is that of the sweep over every triple.
     """
     e = _as_entries(m)
     _require_finite(e)
@@ -275,15 +251,24 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     col.compare("diagonal", (cols[0],), np.abs(np.diagonal(e)), 0.0)
     col.compare("nonnegative", (rows, cols), -e, 0.0)
 
+    # y starts at min(x0, lo); a bitwise symmetric e holds d(z, y) at [y, z]
+    bits = e.view(np.uint64)
+    lo, e_zy = (n, e) if np.array_equal(bits, bits.T) else (0, e.T)
     step = max(1, _CHECK_ELEMENTS // (n * n))
-    if not _half_triangle_sweep(e, step, col):
+    buf = np.empty(step * n * n)
+    with np.errstate(over="ignore"):  # an inf sum bounds anything
         for x0 in range(0, n, step):
-            chunk = e[x0 : x0 + step]
+            chunk, y0 = e[x0 : x0 + step], min(x0, lo)
             xs = np.arange(x0, x0 + chunk.shape[0])[:, None, None]
-            with np.errstate(over="ignore"):
-                rhs = chunk[:, None, :] + e.T[None]
-            # d(x, y) <= d(x, z) + d(z, y) over the (x, y, z) block
-            col.compare("triangle", (xs, rows[None], cols[None]), chunk[:, :, None], rhs)
+            slack = buf[: xs.size * (n - y0) * n].reshape(xs.size, n - y0, n)
+            np.add(chunk[:, None, :], e_zy[None, y0:], out=slack)  # d(x,z) + d(z,y)
+            lhs = chunk[:, y0:, None]
+            np.subtract(lhs, slack, out=slack)
+            ids = (xs, np.arange(y0, n)[None, :, None], cols[None])
+            rhs = partial(np.add, chunk[:, None, :], e_zy[None, y0:])
+            if col.collect("triangle", ids, lhs, rhs, slack) > col.tol:
+                lo = min(lo, x0)
+    col.checked += n**3
     offdiag_positive = bool(np.all((e > 0.0) | ~upper))
     return col.report(offdiagonal_positive=offdiag_positive)
 
@@ -293,35 +278,31 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     over all quadruples and all three pairings.
 
     Per quadruple i < j < k < l the three pairing products P1 = d(i,j)d(k,l),
-    P2 = d(i,k)d(j,l) and P3 = d(j,k)d(i,l) satisfy all three inequalities
-    iff 2 max(P) <= P1 + P2 + P3, which is what the sweep evaluates, reading
-    every operand from the upper triangle. It walks the exact delta
-    kernel's grids: for each j, ``delta._middle_grids`` gives the steps'
-    ``(i < j, g, l > k0)`` scratch grids, whose l <= k corner
-    ``delta._drop_corner`` leaves out. Violations keep (i, j, k, l)
-    row-major order, and ``worst_slack`` is the largest non-NaN slack.
+    P2 = d(i,k)d(j,l) and P3 = d(i,l)d(j,k) satisfy all three inequalities
+    iff 2 max(P) <= P1 + P2 + P3, which is what the sweep evaluates. It
+    walks the exact delta kernel's grids: for each j,
+    ``delta._middle_grids`` fills the steps' ``(i < j, g, l > k0)`` grids
+    with the three products, reading every operand from the upper
+    triangle, and ``delta._drop_corner`` leaves out their l <= k corner.
+    Violations keep (i, j, k, l) row-major order, and ``worst_slack`` is
+    the largest non-NaN slack.
     """
     e = _as_entries(m)
     _require_finite(e)
     n = e.shape[0]
     col = _Collector(tol)
-    for j in range(1, n - 2):
-        row_j = e[j]
-        for k0, g, (p1, p2, p3, tot) in _middle_grids(n, j, 1, 4):
-            ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
-            # a product past the float range reads inf; its slack inf - inf
-            # is NaN, never a violation
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(e[:j, j, None, None], e[None, ks, ls], out=p1)  # d(i,j) d(k,l)
-                np.multiply(e[:j, ks, None], row_j[None, None, ls], out=p2)  # d(i,k) d(j,l)
-                np.multiply(row_j[None, ks, None], e[:j, None, ls], out=p3)  # d(j,k) d(i,l)
+    # a product past the float range reads inf; its slack inf - inf is NaN,
+    # never a violation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n - 2):
+            for k0, g, (p1, p2, p3, tot) in _middle_grids(e[None], j, np.multiply, 4):
                 np.add(np.add(p1, p2, out=tot), p3, out=tot)
                 lhs = np.multiply(2.0, np.maximum(np.maximum(p1, p2, out=p1), p3, out=p1), out=p1)
                 slack = np.subtract(lhs, tot, out=p2)
-            _drop_corner(slack, g)
-            ks_col = np.arange(k0, k0 + g)[:, None]
-            ids = (np.arange(j)[:, None, None], j, ks_col, np.arange(k0 + 1, n))
-            col.collect("ptolemy", ids, lhs, tot, slack)
+                _drop_corner(slack, g)
+                ks_col = np.arange(k0, k0 + g)[:, None]
+                ids = (np.arange(j)[:, None, None], j, ks_col, np.arange(k0 + 1, n))
+                col.collect("ptolemy", ids, lhs, tot, slack)
     col.checked = math.comb(n, 4)
     col.violations.sort(key=lambda v: v.indices)
     return col.report(quadruples=col.checked)

@@ -186,6 +186,20 @@ def test_puncture_coincidence_rejected():
         PuncturedSpec(cloud, [[0.5, 0.5], [0.5, 0.5]], variant="avg_tau")
 
 
+def test_punctures_at_distance_zero_rejected():
+    # points 0 and 4 coincide, and so do 1 and 2: the first pair in
+    # puncture order is named, by index or by position in the puncture list
+    m = build_distance_matrix(PointCloud([[5.0], [1.0], [1.0], [7.0], [5.0], [3.0]]))
+    with pytest.raises(InputError, match="^punctures 0 and 4 sit at distance zero$"):
+        punctured_matrix(PuncturedSpec(m, [0, 1, 2, 4], "avg_tau"))
+    with pytest.raises(InputError, match="^punctures 2 and 1 sit at distance zero$"):
+        punctured_matrix(PuncturedSpec(m, [3, 2, 1], "avg_tau"))
+    # distinct coordinates whose distance underflows to zero
+    far = [[3.0, 3.0], [0.0, 0.0], [5e-324, 0.0]]
+    with pytest.raises(InputError, match="^punctures 1 and 2 sit at distance zero$"):
+        punctured_matrix(PuncturedSpec(PointCloud([[1.0, 1.0], [2.0, 0.5]]), far, "avg_tau"))
+
+
 def test_punctured_matrix_by_index_matches_scalar():
     spec = PuncturedSpec(COUNTEREXAMPLE, [0], variant="tau_p", anchor=0)
     m = punctured_matrix(spec)

@@ -283,6 +283,7 @@ SPEC_JSON = (
         ({"m.csv": "0,1,2\n1,0\n"}, ["delta", "--matrix", "{d}/m.csv"]),
         ({"m.csv": "0,x\nx,0\n"}, ["delta", "--matrix", "{d}/m.csv"]),
         ({}, ["repro", "arctan", "--t-grid", "1,x"]),
+        ({}, ["repro", "arctan", "--t-grid", "1,1e8"]),
         ({}, ["repro", "sweep", "--k-list", "1,y"]),
         ({"c.csv": CLOUD_CSV}, ["delta", "--cloud", "{d}/c.csv", "--workers", "0"]),
         (
@@ -308,6 +309,7 @@ SPEC_JSON = (
         "ragged-matrix-csv",
         "non-numeric-matrix-csv",
         "t-grid",
+        "t-grid-too-large",
         "k-list",
         "workers-0",
         "workers-negative",

@@ -8,6 +8,7 @@ from hypmetrics import (
     four_point_counterexample,
     hyperbolicity_sweep,
 )
+from hypmetrics.scenarios import ARCTAN_T_MAX
 
 
 def test_four_point_counterexample_passes():
@@ -31,7 +32,8 @@ def test_four_point_result_table():
 
 
 def test_arctan_family_closed_forms():
-    res = arctan_family(t_grid=(1.0, 10.0), samples=5000, cloud_n=60, seed=3)
+    res = arctan_family(t_grid=(1.0, 10.0, ARCTAN_T_MAX), samples=5000, cloud_n=60, seed=3)
+    assert ARCTAN_T_MAX == 1e7
     assert res.passed
     per_t = res.measured["corner_deltas"]
     assert per_t[repr(1.0)]["d1"] == pytest.approx(math.atan(1.0), abs=1e-12)
@@ -44,6 +46,8 @@ def test_arctan_family_rejects_bad_t():
         arctan_family(t_grid=(0.0, 1.0))
     with pytest.raises(InputError):
         arctan_family(t_grid=(-2.0,))
+    with pytest.raises(InputError, match="at most 1e\\+07"):
+        arctan_family(t_grid=(1.0, 1e8))
 
 
 def test_sweep_small_config():

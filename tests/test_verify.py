@@ -558,6 +558,10 @@ def _symmetric_matrices():
     avg = punctured_matrix(PuncturedSpec(random_cloud(30, 2, seed=112), [[2.0, 2.0]], "avg_tau"))
     neg_zero = e.copy()
     neg_zero[e == 0.0] = -0.0  # bitwise symmetric, -0.0 diagonal
+    pts = random_cloud(20, 2, seed=113).points
+    dup = PointCloud(pts[[0, 1, 2, 3, 1, *range(5, 20)]])  # points 1 and 4 coincide
+    mixed_zero = build_distance_matrix(dup).entries.copy()
+    mixed_zero[4, 1] = -0.0  # equal to d(1, 4) = 0.0, but not the same bits
     via = np.delete(e[3] + e[9], [3, 9]).min()
     near, far = e.copy(), e.copy()
     near[3, 9] = near[9, 3] = via * (1 + 1e-12)  # a positive slack within the tolerance
@@ -566,44 +570,55 @@ def _symmetric_matrices():
         "euclidean": e,
         "avg-tau": avg.entries,
         "neg-zero": neg_zero,
+        "mixed-zero": mixed_zero,
         "zeros": np.zeros((5, 5)),
         "huge": np.where(e > 0.0, 1.7e308, 0.0),
         "near-tolerance": near,
         "one-point": np.zeros((1, 1)),
-        "violated": far,  # the half sweep hands over to the full one
+        "violated": far,
     }
 
 
 @pytest.mark.parametrize("name", list(_symmetric_matrices()))
-def test_half_triangle_sweep_matches_full_sweep(name, monkeypatch):
+def test_half_triangle_sweep_matches_full_sweep(name):
+    """On a bitwise symmetric matrix the triangle sweep evaluates only
+    y >= x0 in a block from x0 until some block can fail; the report must
+    still be the brute-force sweep over all n^3 ordered triples."""
     e = _symmetric_matrices()[name]
-    calls = []
-    half = verify._half_triangle_sweep
-    monkeypatch.setattr(
-        verify, "_half_triangle_sweep", lambda *a: calls.append(half(*a)) or calls[-1]
-    )
-    got = check_metric_axioms(e).to_dict()
-    assert calls == [name != "violated"]
-    monkeypatch.setattr(verify, "_half_triangle_sweep", lambda e, step, col: False)
-    assert repr(got) == repr(check_metric_axioms(e).to_dict())
-
-
-def test_half_triangle_sweep_matches_brute_force():
-    e = _symmetric_matrices()["near-tolerance"]
     rep = check_metric_axioms(e)
-    assert rep.passed and rep.worst_slack > 0.0
+    assert rep.passed == (name != "violated")
     _assert_matches(rep, _reference_axioms(e))
 
 
-def test_half_triangle_sweep_needs_bitwise_symmetry():
-    e = build_distance_matrix(random_cloud(6, 2, seed=113)).entries.copy()
-    assert verify._half_triangle_sweep(e, 1, verify._Collector(DEFAULT_TOL))
-    e[1, 4], e[4, 1] = 0.0, -0.0  # equal, but not the same bits
-    col = verify._Collector(DEFAULT_TOL)
-    assert not verify._half_triangle_sweep(e, 1, col)
-    assert (col.checked, col.worst) == (0, -math.inf)
-    e[1, 4] = 1e-9
-    assert not verify._half_triangle_sweep(e, 1, col)
+def test_triangle_sweep_finds_mirror_across_blocks():
+    # d(3, 60) is too long: the block of x = 3 fails at (3, 60, z), so the
+    # block of x = 60 must also evaluate y = 3 < 60 for the mirror (60, 3, z)
+    n = 70
+    rows = _CHECK_ELEMENTS // (n * n)
+    assert 3 < rows <= 60
+    e = build_distance_matrix(random_cloud(n, 2, seed=93)).entries.copy()
+    e[3, 60] = e[60, 3] = 5.0
+    rep = check_metric_axioms(e)
+    found = {v.indices[:2] for v in rep.violations if v.kind == "triangle"}
+    assert found == {(3, 60), (60, 3)}
+    _assert_matches(rep, _reference_axioms(e))
+
+
+@pytest.mark.parametrize("upper", [0.0, -0.0], ids=["pos-upper", "neg-upper"])
+def test_sweeps_read_signed_zeros_from_the_upper_triangle(upper):
+    # points 1 and 4 coincide; d(1, 4) and d(4, 1) are zeros of opposite sign
+    pts = random_cloud(9, 2, seed=117).points
+    e = build_distance_matrix(PointCloud(pts[[0, 1, 2, 3, 1, 5, 6, 7, 8]])).entries.copy()
+    e[1, 4], e[4, 1] = upper, -upper
+    mirrored = e.copy()
+    mirrored[4, 1] = upper
+    rep, ref = delta.exact_delta(e), delta.exact_delta(mirrored)
+    assert (rep.delta, rep.witness) == (ref.delta, ref.witness)
+    assert (rep.delta, rep.witness) == (0.19615980247957765, (2, 5, 6, 7))
+    ptolemy = check_ptolemaic(e)
+    assert ptolemy.passed and ptolemy.checked == math.comb(9, 4)
+    assert repr(ptolemy.to_dict()) == repr(check_ptolemaic(mirrored).to_dict())
+    _assert_matches(ptolemy, _reference_ptolemy(e))
 
 
 def _lemma_reports(e, samples):
