@@ -590,6 +590,14 @@ def test_half_triangle_sweep_matches_full_sweep(name):
     _assert_matches(rep, _reference_axioms(e))
 
 
+def test_half_triangle_sweep_matches_brute_force():
+    # a slack just below the tolerance: the sweep stays on half the triples
+    e = _symmetric_matrices()["near-tolerance"]
+    rep = check_metric_axioms(e)
+    assert rep.passed and rep.worst_slack > 0.0
+    _assert_matches(rep, _reference_axioms(e))
+
+
 def test_triangle_sweep_finds_mirror_across_blocks():
     # d(3, 60) is too long: the block of x = 3 fails at (3, 60, z), so the
     # block of x = 60 must also evaluate y = 3 < 60 for the mirror (60, 3, z)
