@@ -240,10 +240,10 @@ class PuncturedSpec:
                 )
             if not np.all(np.isfinite(coords)):
                 raise InputError("puncture coordinates contain NaN or infinity")
-            for a in range(coords.shape[0]):
-                for b in range(a + 1, coords.shape[0]):
-                    if np.array_equal(coords[a], coords[b]):
-                        raise InputError(f"punctures {a} and {b} coincide")
+            coincide = np.argwhere(np.triu((coords[:, None] == coords[None]).all(axis=2), 1))
+            if coincide.size:
+                a, b = coincide[0]
+                raise InputError(f"punctures {a} and {b} coincide")
             coords.setflags(write=False)
             self.punctures = coords
 
@@ -360,8 +360,6 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
     if coincide.size:
         a, b = coincide[0]
         raise InputError(f"punctures {labels[a]} and {labels[b]} sit at distance zero")
-    if dom.shape[0] == 0:
-        raise InputError("empty domain after removing punctures")
     hit = np.argwhere(gaps == 0.0)
     if hit.size:
         i, a = int(hit[0, 0]), int(hit[0, 1])

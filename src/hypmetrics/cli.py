@@ -168,6 +168,9 @@ def _verify_sandwich(args):
 
 
 def _verify_lemmas(args):
+    for flag in ("matrix", "spec", "punctures", "anchor"):
+        if getattr(args, flag) is not None:
+            raise InputError(f"verify lemmas reads --cloud or a generated cloud, not --{flag}")
     if args.cloud:
         cloud = load_point_cloud(args.cloud)
     else:
@@ -252,8 +255,7 @@ def cmd_repro(args) -> int:
         report_dir = Path(args.out or (_outdir() / "repro"))
         report_dir.mkdir(parents=True, exist_ok=True)
         for res in results:
-            path = report_dir / f"{res.scenario.replace('-', '_')}.json"
-            path.write_text(json.dumps(res.to_dict(), indent=2) + "\n", encoding="utf-8")
+            _emit(res.to_dict(), str(report_dir / f"{res.scenario.replace('-', '_')}.json"))
     else:
         _emit(results[0].to_dict(), args.out)
     for res in results:

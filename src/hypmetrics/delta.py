@@ -106,7 +106,7 @@ def _kernel_entries(d, n: int | None = None) -> tuple[np.ndarray, float]:
     """The finite matrix behind ``d`` as the kernels read it, and the factor
     that scales their delta back: 4 when the matrix was scaled by 1/4."""
     e = _as_entries(d, n)
-    top = float(np.abs(e).max()) if e.size else 0.0  # NaN when any entry is NaN
+    top = float(np.abs(e).max())  # NaN when any entry is NaN
     if not np.isfinite(top):
         raise InputError("distance matrix contains NaN or infinite entries")
     # The exact kernel reads each pair from one triangle.
@@ -381,15 +381,9 @@ def sampled_delta(
         raise InputError("need samples >= 1")
     entries, scale = _kernel_entries(d, n)
     n = entries.shape[0]
-    if n < 4:
-        raise InputError(f"need at least 4 points, got n={n}")
-
-    total = comb(n, 4)
-    if samples >= total:
-        report = exact_delta(entries, workers=workers)
-        report.delta *= scale
+    if samples >= comb(n, 4):  # C(n, 4) = 0 below 4 points, which _reports rejects
+        report = _reports(entries[None], (scale,), workers, t0)[0]
         report.seed = seed
-        report.elapsed_s = time.perf_counter() - t0
         return report
 
     sizes = [SAMPLE_BATCH] * (samples // SAMPLE_BATCH)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cassinian import LOG2, PuncturedSpec, punctured_matrix
+from .cassinian import LOG2, ONE_POINT_VARIANTS, PuncturedSpec, punctured_matrix
 from .delta import exact_deltas, quadruple_delta, sampled_delta
 from .errors import InputError
 from .spaces import DistanceMatrix, PointCloud, build_distance_matrix
@@ -38,6 +38,17 @@ AVG_TAU_BOUND = 3.0 * LOG3 + LOG2
 #: Looser constant also in circulation for the averaged variant; recorded in
 #: reports for comparison, never asserted.
 AVG_TAU_BOUND_ALT = 3.0 * LOG3 + 2.0 * LOG2
+#: Variants the sweep measures at every puncture count k.
+_SWEEP_VARIANTS = ("avg_tau", "tilde_avg_tau", "sup_tau")
+#: Each asserted variant: the sweep variant whose matrices it is read from,
+#: and its constant. A one-point variant is read at k = 1, where its average
+#: equals it bit for bit.
+_SWEEP_BOUNDS = {
+    "avg_tau": ("avg_tau", AVG_TAU_BOUND),
+    "tilde_avg_tau": ("tilde_avg_tau", AVG_TILDE_BOUND),
+    "tau_p": ("avg_tau", ONE_POINT_TAU_BOUND),
+    "tilde_tau_p": ("tilde_avg_tau", ONE_POINT_TILDE_BOUND),
+}
 #: Largest corner-family parameter t. The corner deltas come from
 #: four-point sums of size about t, so they carry a rounding error of up to
 #: about t * 2^-52, and the arctan closed forms are compared at the fixed
@@ -255,8 +266,9 @@ def hyperbolicity_sweep(
 
     For every trial and every k the exact four-point delta of the averaged
     variants must stay under its constant -- the same constant for every k.
-    The one-point variants are checked at k = 1, and the supremum variant
-    is measured for reporting only (no bound is asserted for it).
+    The one-point variants are checked on the k = 1 averages, which equal
+    them, and the supremum variant is measured for reporting only (no bound
+    is asserted for it).
     """
     k_list = [int(k) for k in k_list]
     if trials < 1:
@@ -265,75 +277,32 @@ def hyperbolicity_sweep(
         raise InputError("puncture counts must be >= 1")
     if n < 4:
         raise InputError("need clouds of at least 4 points")
-    kmax = max(k_list)
     seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
 
-    deltas: dict[str, dict[int, list[float]]] = {
-        "avg_tau": {k: [] for k in k_list},
-        "tilde_avg_tau": {k: [] for k in k_list},
-        "sup_tau": {k: [] for k in k_list},
-    }
-    one_point = {"tau_p": [], "tilde_tau_p": []}
-    bounds: list[BoundCheck] = []
-
+    worst = dict.fromkeys([(v, k) for k in k_list for v in _SWEEP_VARIANTS], -math.inf)
+    cells = list(worst)  # a k listed twice is measured once
     for trial in range(trials):
         rng = np.random.Generator(np.random.PCG64(int(seeds[trial])))
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
-        punctures = _place_punctures(rng, pts, kmax)
+        punctures = _place_punctures(rng, pts, max(k_list))
         cloud = PointCloud(pts)
-        # One trial's matrices, in one batched delta call.
-        stores, matrices = [], []
-        for k in k_list:
-            spec = PuncturedSpec(cloud, punctures[:k], variant="avg_tau")
-            for variant in ("avg_tau", "tilde_avg_tau", "sup_tau"):
-                stores.append(deltas[variant][k])
-                matrices.append(punctured_matrix(spec.with_variant(variant)))
-            if k == 1:
-                for variant, store_1p in one_point.items():
-                    stores.append(store_1p)
-                    matrices.append(punctured_matrix(spec.with_variant(variant, anchor=0)))
-        for store, rep in zip(stores, exact_deltas(matrices)):
-            store.append(rep.delta)
+        matrices = [punctured_matrix(PuncturedSpec(cloud, punctures[:k], v)) for v, k in cells]
+        for cell, rep in zip(cells, exact_deltas(matrices)):
+            worst[cell] = max(worst[cell], rep.delta)
 
-    for k in k_list:
-        bounds.append(
-            _bound(f"avg_tau_delta_bound (k={k})", max(deltas["avg_tau"][k]), AVG_TAU_BOUND, tol)
-        )
-        bounds.append(
-            _bound(
-                f"tilde_avg_tau_delta_bound (k={k})",
-                max(deltas["tilde_avg_tau"][k]),
-                AVG_TILDE_BOUND,
-                tol,
-            )
-        )
-    bounds.append(
-        _bound(
-            "avg_tau_delta_bound_uniform_in_k",
-            max(max(v) for v in deltas["avg_tau"].values()),
-            AVG_TAU_BOUND,
-            tol,
-        )
-    )
-    if 1 in k_list:
-        bounds.append(
-            _bound("tau_p_delta_bound (k=1)", max(one_point["tau_p"]), ONE_POINT_TAU_BOUND, tol)
-        )
-        bounds.append(
-            _bound(
-                "tilde_tau_p_delta_bound (k=1)",
-                max(one_point["tilde_tau_p"]),
-                ONE_POINT_TILDE_BOUND,
-                tol,
-            )
-        )
+    def asserted(variant: str, k: int) -> BoundCheck:
+        source, bound = _SWEEP_BOUNDS[variant]
+        return _bound(f"{variant}_delta_bound (k={k})", worst[source, k], bound, tol)
+
+    one_point = ONE_POINT_VARIANTS if 1 in k_list else ()
+    uniform = max(worst["avg_tau", k] for k in k_list)
+    bounds = [asserted(v, k) for k in k_list for v in ("avg_tau", "tilde_avg_tau")]
+    bounds.append(_bound("avg_tau_delta_bound_uniform_in_k", uniform, AVG_TAU_BOUND, tol))
+    bounds += [asserted(v, 1) for v in one_point]
 
     measured = {
-        "max_delta": {
-            variant: {str(k): max(vals) for k, vals in store.items()}
-            for variant, store in deltas.items()
-        },
-        "one_point_max_delta": {v: max(vals) for v, vals in one_point.items() if vals},
+        "max_delta": {v: {str(k): worst[v, k] for k in k_list} for v in _SWEEP_VARIANTS},
+        "one_point_max_delta": {v: worst[_SWEEP_BOUNDS[v][0], 1] for v in one_point},
         "asserted_bound_avg_tau": AVG_TAU_BOUND,
         "alternate_published_bound_avg_tau": AVG_TAU_BOUND_ALT,
     }

@@ -133,16 +133,8 @@ class PointCloud:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    def point(self, i: int) -> np.ndarray:
-        return self._points[i]
-
     def label(self, i: int) -> str:
         return self._labels[i] if self._labels is not None else f"x{i}"
-
-    def subset(self, indices: Sequence[int]) -> "PointCloud":
-        idx = list(indices)
-        labels = [self._labels[i] for i in idx] if self._labels is not None else None
-        return PointCloud(self._points[idx], labels)
 
     def to_dict(self) -> dict:
         return {
@@ -369,8 +361,8 @@ def _repr_rows(m: np.ndarray):
 
 
 def _as_entries(d, n: int | None = None) -> np.ndarray:
-    """The square array behind a DistanceMatrix, an array, or a callable
-    ``(i, j) -> float`` oracle over ``n`` points.
+    """The nonempty square array behind a DistanceMatrix, an array, or a
+    callable ``(i, j) -> float`` oracle over ``n`` points.
 
     An oracle is read once: n(n-1)/2 calls fill the upper triangle
     (``i < j``), which is mirrored below a zero diagonal.
@@ -386,8 +378,8 @@ def _as_entries(d, n: int | None = None) -> np.ndarray:
                 m[i, j] = m[j, i] = d(i, j)
         return m
     arr = np.asarray(d, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError("expected a square distance matrix")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise InputError("expected a square, nonempty distance matrix")
     return arr
 
 
@@ -436,6 +428,4 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
 
 def build_distance_matrix(cloud: PointCloud, metric: str | MetricFn = "euclidean") -> DistanceMatrix:
     """Materialize the full distance matrix of a cloud under a base metric."""
-    if len(cloud) == 0:
-        raise InputError("cannot build a distance matrix from an empty cloud")
     return DistanceMatrix(pairwise_distances(cloud.points, metric))

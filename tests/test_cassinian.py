@@ -182,8 +182,10 @@ def test_puncture_coincidence_rejected():
     spec = PuncturedSpec(cloud, [[1.0, 0.0]], variant="tau_p")
     with pytest.raises(PunctureDomainError):
         punctured_matrix(spec)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^punctures 0 and 1 coincide$"):
         PuncturedSpec(cloud, [[0.5, 0.5], [0.5, 0.5]], variant="avg_tau")
+    with pytest.raises(InputError, match="^punctures 1 and 2 coincide$"):
+        PuncturedSpec(cloud, [[0.5, 0.5], [2.0, -0.0], [2.0, 0.0]], variant="avg_tau")
 
 
 def test_punctures_at_distance_zero_rejected():
@@ -210,11 +212,17 @@ def test_punctured_matrix_by_index_matches_scalar():
 
 
 def test_avg_k1_equals_tau_matrix_entrywise():
+    # bit for bit: the sweep reads its one-point rows from the k = 1 averages
     cloud = random_cloud(12, 2, seed=33)
     spec = PuncturedSpec(cloud, [[2.0, 2.0]], variant="avg_tau")
-    avg = punctured_matrix(spec).entries
-    tau = punctured_matrix(spec.with_variant("tau_p", anchor=0)).entries
-    assert np.array_equal(avg, tau)
+    for averaged, one_point in (
+        ("avg_tau", "tau_p"),
+        ("tilde_avg_tau", "tilde_tau_p"),
+        ("sup_tau", "tau_p"),
+    ):
+        avg = punctured_matrix(spec.with_variant(averaged)).entries
+        tau = punctured_matrix(spec.with_variant(one_point, anchor=0)).entries
+        assert np.array_equal(avg.view(np.uint64), tau.view(np.uint64)), averaged
 
 
 def test_variant_matrices_structurally_valid():

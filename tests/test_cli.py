@@ -356,11 +356,16 @@ def test_verify_sandwich_avg_needs_no_variant(tmp_path, capsys):
         ["verify", "lemmas", "--n", "5", "--samples", "5", "--seed=-1"],
         ["verify", "lemmas", "--n", "5", "--samples", "5", "--tol", "nan"],
         ["verify", "lemmas", "--n", "5", "--samples", "5", "--tol", "inf"],
+        ["verify", "lemmas", "--matrix", "{d}/missing.json", "--n", "8", "--samples", "50"],
+        ["verify", "lemmas", "--spec", "{d}/missing.json", "--n", "8", "--samples", "50"],
+        ["verify", "lemmas", "--punctures", "0", "--n", "8", "--samples", "50"],
+        ["verify", "lemmas", "--anchor", "1", "--n", "8", "--samples", "50"],
     ],
     ids=["sweep-trials-0", "sweep-trials-negative", "lemmas-samples-negative",
          "matrix-not-utf8", "matrix-is-directory", "gen-low-above-high", "gen-nan-bound",
          "gen-range-overflows", "gen-negative-seed", "lemmas-negative-seed", "lemmas-nan-tol",
-         "lemmas-inf-tol"],
+         "lemmas-inf-tol", "lemmas-matrix-unread", "lemmas-spec-unread",
+         "lemmas-punctures-unread", "lemmas-anchor-unread"],
 )
 def test_bad_counts_and_unreadable_files_exit_2(tmp_path, capsys, argv):
     (tmp_path / "latin1.json").write_bytes('{"n": 2, "name": "caf\xe9"}'.encode("latin-1"))

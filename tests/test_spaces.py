@@ -13,11 +13,22 @@ from hypmetrics import (
     PointCloud,
     arctan_split_distance,
     build_distance_matrix,
+    check_lemma_K,
+    check_lemma_nine,
+    check_metric_axioms,
+    check_mu_bounds,
+    check_mu_P_quasi_triangle,
+    check_product_lemma,
+    check_ptolemaic,
     euclidean_distance,
+    exact_delta,
+    exact_deltas,
     load_distance_matrix,
     load_point_cloud,
     pairwise_distances,
+    quadruple_delta,
     random_cloud,
+    sampled_delta,
     taxicab_distance,
 )
 
@@ -178,6 +189,29 @@ def test_matrix_validation():
         DistanceMatrix([[0.0, -1.0], [-1.0, 0.0]])  # negative
     with pytest.raises(InputError):
         DistanceMatrix([[0.0, float("inf")], [float("inf"), 0.0]])
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        lambda e: check_metric_axioms(e),
+        lambda e: check_ptolemaic(e),
+        lambda e: check_mu_bounds(e, 0, samples=5),
+        lambda e: check_lemma_nine(e, 0, samples=5),
+        lambda e: check_lemma_K(e, 0, 4.0, samples=5),
+        lambda e: check_product_lemma(e, [0], samples=5),
+        lambda e: check_mu_P_quasi_triangle(e, [0], 5, 5),
+        lambda e: exact_delta(e),
+        lambda e: exact_deltas([e]),
+        lambda e: sampled_delta(e, samples=5),
+        lambda e: quadruple_delta(e, 0, 1, 2, 3),
+    ],
+    ids=["axioms", "ptolemy", "mu-bounds", "lemma-nine", "lemma-K", "product-lemma",
+         "muP-quasi-triangle", "exact-delta", "exact-deltas", "sampled-delta", "quadruple-delta"],
+)
+def test_empty_array_rejected_by_every_consumer(consumer):
+    with pytest.raises(InputError, match="^expected a square, nonempty distance matrix$"):
+        consumer(np.zeros((0, 0)))
 
 
 def test_matrix_json_roundtrip(tmp_path):
