@@ -105,23 +105,22 @@ def _variant_values(variant: str, dxy, gx, gy, anchor: int | None):
     raise InputError(f"unknown variant {variant!r}")  # PuncturedSpec validates
 
 
-def _anchor_gaps(o: Oracle, x: int, punctures: Sequence[int]) -> np.ndarray:
-    gaps = np.array([o(x, p) for p in punctures], dtype=float)
-    hit = np.flatnonzero(gaps <= 0.0)
-    if hit.size:
-        raise PunctureDomainError(f"point {x} lies on puncture {punctures[hit[0]]}")
-    return gaps
-
-
 def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=None) -> float:
     """One entry of ``variant``: the oracle's values as a 0-d distance and
-    (k,) gaps, through the formula ``punctured_matrix`` uses."""
-    if len(punctures) < 1:
+    (k,) gaps, through the formula ``punctured_matrix`` uses, in the same
+    power-of-two unit ``_unit_scale`` gives ``_materialize``."""
+    k = len(punctures)
+    if k < 1:
         raise InputError("need at least one puncture")
     o = as_oracle(d)
-    gx = _anchor_gaps(o, x, punctures)
-    gy = _anchor_gaps(o, y, punctures)
-    return float(_variant_values(variant, np.asarray(o(x, y), dtype=float), gx, gy, anchor))
+    raw = [o(x, y)] + [o(x, p) for p in punctures] + [o(y, p) for p in punctures]
+    unit = _unit_scale(np.array(raw, dtype=float))[0]
+    gx, gy = unit[1 : k + 1], unit[k + 1 :]
+    for point, gaps in ((x, gx), (y, gy)):
+        hit = np.flatnonzero(gaps <= 0.0)
+        if hit.size:
+            raise PunctureDomainError(f"point {point} lies on puncture {punctures[hit[0]]}")
+    return float(_variant_values(variant, np.asarray(unit[0]), gx, gy, anchor))
 
 
 def mu_p(d, x: int, y: int, p: int) -> float:
@@ -180,6 +179,23 @@ def j_metric(d, x: int, y: int, punctures: Sequence[int]) -> float:
 def j_tilde_metric(d, x: int, y: int, punctures: Sequence[int]) -> float:
     """max of the two logs averaged by ``j_metric``."""
     return _scalar("j_tilde", d, x, y, punctures)
+
+
+def _resolve_anchor(variant: str, anchor, k: int) -> int | None:
+    """The anchor of ``variant`` over k punctures: checked against k, and 0
+    for a one-point variant with k = 1 when none is given."""
+    if anchor is None and variant in ONE_POINT_VARIANTS:
+        if k == 1:
+            return 0
+        raise InputError(f"variant {variant!r} needs an anchor when k={k} > 1")
+    if anchor is not None:
+        try:
+            anchor = int(anchor)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"anchor must be an integer, got {anchor!r}") from exc
+        if not 0 <= anchor < k:
+            raise InputError(f"anchor {anchor} out of range for k={k} punctures")
+    return anchor
 
 
 class PuncturedSpec:
@@ -247,24 +263,10 @@ class PuncturedSpec:
             coords.setflags(write=False)
             self.punctures = coords
 
-        k = len(self.punctures)
-        if anchor is None and variant in ONE_POINT_VARIANTS:
-            if k == 1:
-                anchor = 0
-            else:
-                raise InputError(f"variant {variant!r} needs an anchor when k={k} > 1")
-        if anchor is not None:
-            try:
-                anchor = int(anchor)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"anchor must be an integer, got {anchor!r}") from exc
-            if not 0 <= anchor < k:
-                raise InputError(f"anchor {anchor} out of range for k={k} punctures")
-
         self.base = base
         self.metric = metric
         self.variant = variant
-        self.anchor = anchor
+        self.anchor = _resolve_anchor(variant, anchor, len(self.punctures))
         self._by_index = by_index
 
     @property
@@ -369,6 +371,30 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
     return dom, gaps, dom_idx
 
 
+def _punctured_matrices(spec: PuncturedSpec, cells) -> list[DistanceMatrix]:
+    """The matrix of each ``(variant, k)`` cell: ``variant`` over the first
+    k punctures of ``spec``, with its anchor, from one ``_materialize``.
+
+    With coordinate punctures a cell equals ``punctured_matrix`` of the spec
+    cut to ``punctures[:k]`` bit for bit: the domain is the whole cloud
+    either way, and each base distance is computed on its own, so the first
+    k gap columns are that spec's gaps up to an exact power-of-two unit.
+    Index punctures leave the domain, so their cells take all k of them.
+    """
+    if spec.punctures_are_indices and any(k != spec.k for _, k in cells):
+        raise ValueError(f"index punctures leave the domain: every cell needs k={spec.k}")
+    anchors = [_resolve_anchor(variant, spec.anchor, k) for variant, k in cells]
+    dom, gaps, _ = _materialize(spec)
+    by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
+    out = []
+    for (variant, k), anchor in zip(cells, anchors):
+        g = by_puncture[:k]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = _variant_values(variant, dom, g[:, :, None], g[:, None, :], anchor)
+        out.append(DistanceMatrix(values))
+    return out
+
+
 def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:
     """Materialize the selected variant over the domain D = X minus P.
 
@@ -380,10 +406,4 @@ def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:
     formula. Base distances spanning more than the float range leave NaN or
     infinite values, which the DistanceMatrix rejects (``InputError``).
     """
-    dom, gaps, _ = _materialize(spec)
-    by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = _variant_values(
-            spec.variant, dom, by_puncture[:, :, None], by_puncture[:, None, :], spec.anchor
-        )
-    return DistanceMatrix(values)
+    return _punctured_matrices(spec, [(spec.variant, spec.k)])[0]

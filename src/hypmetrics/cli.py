@@ -5,8 +5,16 @@ Subcommands:
 * ``gen``    -- write a seeded random point cloud (CSV or JSON).
 * ``dist``   -- materialize a base or punctured-variant distance matrix.
 * ``delta``  -- exact or sampled four-point delta of a matrix or spec.
-* ``verify`` -- run a checker family; exit 1 when violations are found.
-* ``repro``  -- run a named reproduction scenario; exit mirrors its pass flag.
+* ``verify axioms|ptolemy|sandwich|lemmas`` -- run a checker family; exit 1
+  when violations are found.
+* ``repro four-point|arctan|sweep|all`` -- run reproduction scenarios; exit
+  mirrors their pass flags.
+
+Each command, verify target and repro scenario accepts only the flags it
+reads. ``dist``, ``delta`` and ``verify axioms|ptolemy|sandwich`` take one
+input: ``--cloud`` or ``--matrix`` (with ``--punctures`` and optionally
+``--variant`` and ``--anchor`` for a punctured variant), or ``--spec``,
+which holds all of these itself. Any other combination is an input error.
 
 All randomness is surfaced as ``--seed`` and echoed into the JSON reports,
 so re-running a subcommand with identical flags reproduces its output byte
@@ -94,10 +102,19 @@ def _parse_punctures(raw: str | None):
     return _number_list(raw, int, "puncture list")
 
 
+def _puncture_flags(args) -> str:
+    """The puncture flags given, by name ("" when none is)."""
+    given = {"--punctures": args.punctures, "--variant": args.variant, "--anchor": args.anchor}
+    return ", ".join(flag for flag, value in given.items() if value is not None)
+
+
 def _load_spec(args, variant: str | None = None) -> PuncturedSpec:
     """The spec from --spec, or from the input flags with ``variant`` in
-    place of --variant when given."""
+    place of --variant when given (``tau_p`` when neither is)."""
     if args.spec:
+        flags = _puncture_flags(args)
+        if flags:
+            raise InputError(f"--spec holds its punctures, variant and anchor: drop {flags}")
         return PuncturedSpec.from_dict(_read_json(args.spec))
     punctures = _parse_punctures(args.punctures)
     if punctures is None:
@@ -108,13 +125,17 @@ def _load_spec(args, variant: str | None = None) -> PuncturedSpec:
         base = load_point_cloud(args.cloud)
     else:
         raise InputError("need --cloud or --matrix")
-    return PuncturedSpec(base, punctures, variant or args.variant, args.anchor, args.metric)
+    variant = variant or args.variant or "tau_p"
+    return PuncturedSpec(base, punctures, variant, args.anchor, args.metric)
 
 
 def _matrix_from_args(args) -> DistanceMatrix:
     """A matrix from --matrix, or from --cloud (+ optional punctured variant)."""
-    if args.punctures or args.spec:
+    if args.punctures is not None or args.spec:
         return punctured_matrix(_load_spec(args))
+    flags = _puncture_flags(args)
+    if flags:
+        raise InputError(f"{flags} given without --punctures")
     if args.matrix:
         return load_distance_matrix(args.matrix)
     if args.cloud:
@@ -160,6 +181,9 @@ def _verify_sandwich(args):
     if args.kind == "taxicab":
         if not args.cloud:
             raise InputError("sandwich kind 'taxicab' needs --cloud")
+        flags = _puncture_flags(args)
+        if flags:
+            raise InputError(f"sandwich kind 'taxicab' reads no {flags}")
         target = load_point_cloud(args.cloud)
     else:
         # check_sandwich rebuilds both sides, so the averaged pair needs no anchor
@@ -168,9 +192,6 @@ def _verify_sandwich(args):
 
 
 def _verify_lemmas(args):
-    for flag in ("matrix", "spec", "punctures", "anchor"):
-        if getattr(args, flag) is not None:
-            raise InputError(f"verify lemmas reads --cloud or a generated cloud, not --{flag}")
     if args.cloud:
         cloud = load_point_cloud(args.cloud)
     else:
@@ -208,13 +229,7 @@ def _verify_lemmas(args):
 
 
 def cmd_verify(args) -> int:
-    runner = {
-        "axioms": _verify_axioms,
-        "ptolemy": _verify_ptolemy,
-        "sandwich": _verify_sandwich,
-        "lemmas": _verify_lemmas,
-    }[args.target]
-    reports = runner(args)
+    reports = args.checks(args)
     payload = {name: rep.to_dict() for name, rep in reports.items()}
     _emit(payload, args.out)
     width = max(len(name) for name in reports)
@@ -227,30 +242,31 @@ def cmd_verify(args) -> int:
     return 0 if all(rep.passed for rep in reports.values()) else 1
 
 
-def _run_scenario(name: str, args):
-    if name == "four-point":
-        return four_point_counterexample(args.tol)
-    if name == "arctan":
-        return arctan_family(
-            t_grid=_number_list(args.t_grid, float, "--t-grid"),
-            samples=args.samples,
-            seed=args.seed,
-            tol=args.tol,
-        )
-    if name == "sweep":
-        return hyperbolicity_sweep(
-            n=args.n,
-            k_list=_number_list(args.k_list, int, "--k-list"),
-            trials=args.trials,
-            seed=args.seed,
-            tol=args.tol,
-        )
-    raise InputError(f"unknown scenario {name!r}")
+def _four_point(args):
+    return four_point_counterexample(args.tol)
+
+
+def _arctan(args):
+    return arctan_family(
+        t_grid=_number_list(args.t_grid, float, "--t-grid"),
+        samples=args.samples,
+        seed=args.seed,
+        tol=args.tol,
+    )
+
+
+def _sweep(args):
+    return hyperbolicity_sweep(
+        n=args.n,
+        k_list=_number_list(args.k_list, int, "--k-list"),
+        trials=args.trials,
+        seed=args.seed,
+        tol=args.tol,
+    )
 
 
 def cmd_repro(args) -> int:
-    names = ["four-point", "arctan", "sweep"] if args.scenario == "all" else [args.scenario]
-    results = [_run_scenario(name, args) for name in names]
+    results = [run(args) for run in args.runs]
     if args.scenario == "all":
         report_dir = Path(args.out or (_outdir() / "repro"))
         report_dir.mkdir(parents=True, exist_ok=True)
@@ -263,17 +279,30 @@ def cmd_repro(args) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cloud", help="point cloud file (.csv or .json)")
-    p.add_argument("--matrix", help="distance matrix file (.json or .csv)")
-    p.add_argument("--metric", default="euclidean", choices=METRIC_NAMES)
-    p.add_argument("--spec", help="punctured-spec JSON file")
-    p.add_argument("--punctures", help='indices "0,5", JSON coords, or @file.json')
-    p.add_argument("--variant", default="tau_p", choices=VARIANTS)
-    p.add_argument("--anchor", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Flag groups shared by several commands: each command lists the ones it reads.
+    inputs = argparse.ArgumentParser(add_help=False)
+    source = inputs.add_mutually_exclusive_group()
+    source.add_argument("--cloud", help="point cloud file (.csv or .json)")
+    source.add_argument("--matrix", help="distance matrix file (.json or .csv)")
+    source.add_argument("--spec", help="punctured-spec JSON file")
+    inputs.add_argument("--metric", default="euclidean", choices=METRIC_NAMES)
+    inputs.add_argument("--punctures", help='indices "0,5", JSON coords, or @file.json')
+    inputs.add_argument("--variant", choices=VARIANTS, help="punctured variant (default tau_p)")
+    inputs.add_argument("--anchor", type=int, default=None)
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    checked.add_argument("--out", help="report file (a directory for 'repro all')")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    arctan = argparse.ArgumentParser(add_help=False)
+    arctan.add_argument("--t-grid", default="1,10,100")
+    arctan.add_argument("--samples", type=int, default=100000)
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--n", type=int, default=40)
+    sweep.add_argument("--k-list", default="1,2,4,8")
+    sweep.add_argument("--trials", type=int, default=30)
+
     ap = argparse.ArgumentParser(prog="hypmetrics", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -286,13 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", help="output path (.csv or .json)")
     g.set_defaults(fn=cmd_gen)
 
-    d = sub.add_parser("dist", help="materialize a distance matrix")
-    _add_input_flags(d)
+    d = sub.add_parser("dist", help="materialize a distance matrix", parents=[inputs])
     d.add_argument("--out", help="output path (.json or .csv)")
     d.set_defaults(fn=cmd_dist)
 
-    e = sub.add_parser("delta", help="four-point delta of a matrix or spec")
-    _add_input_flags(e)
+    e = sub.add_parser("delta", help="four-point delta of a matrix or spec", parents=[inputs])
     e.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     e.add_argument("--samples", type=int, default=100000)
     e.add_argument("--seed", type=int, default=0)
@@ -301,29 +328,31 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_delta)
 
     v = sub.add_parser("verify", help="run a checker family")
-    v.add_argument("target", choices=("axioms", "ptolemy", "sandwich", "lemmas"))
-    _add_input_flags(v)
-    v.add_argument("--kind", choices=("tau", "avg", "taxicab"), default="tau")
-    v.add_argument("--n", type=int, default=64, help="generated cloud size for lemmas")
-    v.add_argument("--dim", type=int, default=2)
-    v.add_argument("--k", type=int, default=4, help="puncture count for product lemmas")
-    v.add_argument("--samples", type=int, default=100000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    v.add_argument("--out")
-    v.set_defaults(fn=cmd_verify)
+    targets = v.add_subparsers(dest="target", required=True)
+    for name, checks in (("axioms", _verify_axioms), ("ptolemy", _verify_ptolemy)):
+        t = targets.add_parser(name, parents=[inputs, checked])
+        t.set_defaults(fn=cmd_verify, checks=checks)
+    t = targets.add_parser("sandwich", parents=[inputs, checked])
+    t.add_argument("--kind", choices=("tau", "avg", "taxicab"), default="tau")
+    t.set_defaults(fn=cmd_verify, checks=_verify_sandwich)
+    t = targets.add_parser("lemmas", parents=[seeded, checked])
+    t.add_argument("--cloud", help="point cloud file (default: a generated cloud)")
+    t.add_argument("--metric", default="euclidean", choices=METRIC_NAMES)
+    t.add_argument("--n", type=int, default=64, help="generated cloud size")
+    t.add_argument("--dim", type=int, default=2)
+    t.add_argument("--k", type=int, default=4, help="puncture count for product lemmas")
+    t.add_argument("--samples", type=int, default=100000)
+    t.set_defaults(fn=cmd_verify, checks=_verify_lemmas)
 
     r = sub.add_parser("repro", help="run a reproduction scenario")
-    r.add_argument("scenario", choices=("four-point", "arctan", "sweep", "all"))
-    r.add_argument("--t-grid", default="1,10,100")
-    r.add_argument("--samples", type=int, default=100000)
-    r.add_argument("--n", type=int, default=40)
-    r.add_argument("--k-list", default="1,2,4,8")
-    r.add_argument("--trials", type=int, default=30)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    r.add_argument("--out", help="output file (or directory for 'all')")
-    r.set_defaults(fn=cmd_repro)
+    scenarios = r.add_subparsers(dest="scenario", required=True)
+    for name, parents, runs in (
+        ("four-point", [checked], [_four_point]),
+        ("arctan", [seeded, arctan, checked], [_arctan]),
+        ("sweep", [seeded, sweep, checked], [_sweep]),
+        ("all", [seeded, arctan, sweep, checked], [_four_point, _arctan, _sweep]),
+    ):
+        scenarios.add_parser(name, parents=parents).set_defaults(fn=cmd_repro, runs=runs)
     return ap
 
 

@@ -225,8 +225,10 @@ def _pool_call(job):
 
 def _run(fn, shared, tasks: list[tuple], workers: int) -> list:
     """``fn(shared, *task)`` for every task, in task order: serially, or on
-    one process pool of ``workers`` processes that receives ``shared``
-    once. ``fn`` must be a module-level function."""
+    one process pool that receives ``shared`` once. The pool has at most
+    one process per task, since a forked pool starts all of its processes
+    at the first submit. ``fn`` must be a module-level function."""
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(shared,)

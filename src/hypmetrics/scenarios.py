@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cassinian import LOG2, ONE_POINT_VARIANTS, PuncturedSpec, punctured_matrix
+from .cassinian import (
+    LOG2,
+    ONE_POINT_VARIANTS,
+    PuncturedSpec,
+    _punctured_matrices,
+    punctured_matrix,
+)
 from .delta import exact_deltas, quadruple_delta, sampled_delta
 from .errors import InputError
 from .spaces import DistanceMatrix, PointCloud, build_distance_matrix
@@ -285,8 +291,8 @@ def hyperbolicity_sweep(
         rng = np.random.Generator(np.random.PCG64(int(seeds[trial])))
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
         punctures = _place_punctures(rng, pts, max(k_list))
-        cloud = PointCloud(pts)
-        matrices = [punctured_matrix(PuncturedSpec(cloud, punctures[:k], v)) for v, k in cells]
+        spec = PuncturedSpec(PointCloud(pts), punctures, "avg_tau")  # the cells name the variants
+        matrices = _punctured_matrices(spec, cells)
         for cell, rep in zip(cells, exact_deltas(matrices)):
             worst[cell] = max(worst[cell], rep.delta)
 

@@ -69,7 +69,7 @@ from itertools import product
 
 import numpy as np
 
-from .cassinian import LOG2, PuncturedSpec, _mu, punctured_matrix
+from .cassinian import LOG2, PuncturedSpec, _mu, _punctured_matrices
 from .delta import _drop_corner, _middle_grids
 from .errors import InputError
 from .spaces import (
@@ -325,12 +325,8 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
     if kind in ("tau", "avg"):
         if not isinstance(target, PuncturedSpec):
             raise InputError(f"kind {kind!r} expects a PuncturedSpec")
-        if kind == "tau":
-            lo = punctured_matrix(target.with_variant("tilde_tau_p")).entries
-            hi = punctured_matrix(target.with_variant("tau_p")).entries
-        else:
-            lo = punctured_matrix(target.with_variant("tilde_avg_tau")).entries
-            hi = punctured_matrix(target.with_variant("avg_tau")).entries
+        pair = ("tilde_tau_p", "tau_p") if kind == "tau" else ("tilde_avg_tau", "avg_tau")
+        lo, hi = (m.entries for m in _punctured_matrices(target, [(v, target.k) for v in pair]))
         gap = LOG2
     elif kind == "taxicab":
         if not isinstance(target, PointCloud) or target.dim != 2:

@@ -270,6 +270,12 @@ def test_power_of_two_scales_are_bit_identical(exponent):
     scaled_matrix = DistanceMatrix(np.ldexp(matrix.entries, exponent))
     scaled = PuncturedSpec(scaled_matrix, [0, 5], "tilde_avg_tau")
     assert np.array_equal(punctured_matrix(scaled).entries, base.entries)
+    scalars = [tau_p, tilde_tau_p, avg_tau, tilde_avg_tau, sup_tau, j_metric, j_tilde_metric]
+    for scalar in scalars:
+        p = 0 if scalar in (tau_p, tilde_tau_p) else [0, 5]
+        got = [scalar(scaled_matrix, x, y, p) for x, y in ((1, 2), (3, 7), (7, 3), (6, 6))]
+        want = [scalar(matrix, x, y, p) for x, y in ((1, 2), (3, 7), (7, 3), (6, 6))]
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 def test_scale_invariance_all_variants():

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from hypmetrics import DistanceMatrix, PuncturedSpec, load_point_cloud, punctured_matrix
-from hypmetrics.cli import main
+from hypmetrics.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -356,22 +357,103 @@ def test_verify_sandwich_avg_needs_no_variant(tmp_path, capsys):
         ["verify", "lemmas", "--n", "5", "--samples", "5", "--seed=-1"],
         ["verify", "lemmas", "--n", "5", "--samples", "5", "--tol", "nan"],
         ["verify", "lemmas", "--n", "5", "--samples", "5", "--tol", "inf"],
-        ["verify", "lemmas", "--matrix", "{d}/missing.json", "--n", "8", "--samples", "50"],
-        ["verify", "lemmas", "--spec", "{d}/missing.json", "--n", "8", "--samples", "50"],
-        ["verify", "lemmas", "--punctures", "0", "--n", "8", "--samples", "50"],
-        ["verify", "lemmas", "--anchor", "1", "--n", "8", "--samples", "50"],
     ],
     ids=["sweep-trials-0", "sweep-trials-negative", "lemmas-samples-negative",
          "matrix-not-utf8", "matrix-is-directory", "gen-low-above-high", "gen-nan-bound",
          "gen-range-overflows", "gen-negative-seed", "lemmas-negative-seed", "lemmas-nan-tol",
-         "lemmas-inf-tol", "lemmas-matrix-unread", "lemmas-spec-unread",
-         "lemmas-punctures-unread", "lemmas-anchor-unread"],
+         "lemmas-inf-tol"],
 )
 def test_bad_counts_and_unreadable_files_exit_2(tmp_path, capsys, argv):
     (tmp_path / "latin1.json").write_bytes('{"n": 2, "name": "caf\xe9"}'.encode("latin-1"))
     code, _, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+INPUT = ["--cloud", "--matrix", "--spec", "--metric", "--punctures", "--variant", "--anchor"]
+LEMMAS = ["--cloud", "--metric", "--n", "--dim", "--k", "--samples", "--seed"]
+ARCTAN = ["--t-grid", "--samples", "--seed"]
+SWEEP = ["--n", "--k-list", "--trials", "--seed"]
+#: The option strings each command path accepts (``--help`` aside).
+FLAGS = {
+    ("gen",): ["--n", "--dim", "--seed", "--low", "--high", "--out"],
+    ("dist",): INPUT + ["--out"],
+    ("delta",): INPUT + ["--mode", "--samples", "--seed", "--workers", "--out"],
+    ("verify", "axioms"): INPUT + ["--tol", "--out"],
+    ("verify", "ptolemy"): INPUT + ["--tol", "--out"],
+    ("verify", "sandwich"): INPUT + ["--kind", "--tol", "--out"],
+    ("verify", "lemmas"): LEMMAS + ["--tol", "--out"],
+    ("repro", "four-point"): ["--tol", "--out"],
+    ("repro", "arctan"): ARCTAN + ["--tol", "--out"],
+    ("repro", "sweep"): SWEEP + ["--tol", "--out"],
+    ("repro", "all"): ARCTAN + SWEEP + ["--tol", "--out"],
+}
+
+
+def _accepted_flags(parser, path=()):
+    """(command path, option strings) of each leaf parser under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        for name, child in subs[0].choices.items():
+            yield from _accepted_flags(child, (*path, name))
+    else:
+        yield path, {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    accepted = dict(_accepted_flags(build_parser()))
+    assert accepted == {path: set(flags) for path, flags in FLAGS.items()}
+    assert sum(map(len, accepted.values())) == 84
+
+
+OLD_VERIFY = INPUT + ["--kind", "--n", "--dim", "--k", "--samples", "--seed", "--tol", "--out"]
+OLD_REPRO = ["--t-grid", "--samples", "--n", "--k-list", "--trials", "--seed", "--tol", "--out"]
+#: Each (command path, flag) pair accepted before every verify target and
+#: repro scenario had a parser of its own, and never read.
+REMOVED = [
+    (path, flag)
+    for path, flags in FLAGS.items()
+    for flag in {"verify": OLD_VERIFY, "repro": OLD_REPRO}.get(path[0], [])
+    if flag not in flags
+]
+VALUES = {"--kind": "avg", "--n": "5", "--dim": "3", "--k": "2", "--samples": "3",
+          "--seed": "1", "--matrix": "{d}/m.json", "--spec": "{d}/s.json", "--punctures": "0",
+          "--variant": "avg_tau", "--anchor": "0", "--t-grid": "1", "--k-list": "1",
+          "--trials": "2"}
+CLOUD = ["--cloud", "{d}/c.csv"]
+SPEC = ["--spec", "{d}/s.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [([*path, flag, VALUES[flag]], flag) for path, flag in REMOVED]
+    + [
+        (["dist", *CLOUD, "--matrix", "{d}/m.json"], "--matrix"),
+        (["verify", "axioms", *SPEC, *CLOUD], "--cloud"),
+        (["dist", *CLOUD, "--variant", "avg_tau"], "--variant"),
+        (["delta", *CLOUD, "--anchor", "0"], "--anchor"),
+        (["delta", *SPEC, "--punctures", "0"], "--punctures"),
+        (["dist", *SPEC, "--variant", "tau_p"], "--variant"),
+        (["verify", "ptolemy", *SPEC, "--anchor", "0"], "--anchor"),
+        (["verify", "sandwich", "--kind", "avg", *SPEC, "--variant", "avg_tau"], "--variant"),
+        (["verify", "sandwich", "--kind", "taxicab", *CLOUD, "--punctures", "0"], "--punctures"),
+    ],
+    ids=[f"{'-'.join(path)}-{flag[2:]}" for path, flag in REMOVED]
+    + ["cloud-and-matrix", "spec-and-cloud", "variant-without-punctures",
+       "anchor-without-punctures", "spec-and-punctures", "spec-and-variant", "spec-and-anchor",
+       "sandwich-spec-and-variant", "taxicab-and-punctures"],
+)
+def test_unread_flags_exit_2(tmp_path, capsys, argv, flag):
+    (tmp_path / "c.csv").write_text(CLOUD_CSV)
+    (tmp_path / "m.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
+    (tmp_path / "s.json").write_text(SPEC_JSON)
+    try:
+        code = main([a.format(d=tmp_path) for a in argv])
+    except SystemExit as exc:  # argparse rejects the flag, after printing usage
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and "Traceback" not in err
 
 
 SPEC_JSON = (

@@ -21,6 +21,7 @@ from hypmetrics import (
     random_cloud,
     sampled_delta,
 )
+from hypmetrics import delta
 from hypmetrics.delta import SAMPLE_BATCH, _chunk_size, _draw_quadruples
 from hypmetrics.scenarios import _place_punctures
 
@@ -219,6 +220,38 @@ def test_parallel_bit_identical():
     s2 = sampled_delta(m, samples=1000, seed=7, workers=2)
     assert s1.delta == s2.delta
     assert s1.witness == s2.witness
+
+
+def test_pool_never_outnumbers_its_tasks(monkeypatch):
+    pools = []  # (max_workers, task count) of each pool asked for
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.max_workers = max_workers
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            jobs = list(jobs)
+            pools.append((self.max_workers, len(jobs)))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(delta, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(delta, "_POOL_SHARED", None)
+    four = build_distance_matrix(random_cloud(4, 2, seed=3))
+    assert exact_delta(four, workers=5000).witness == exact_delta(four, workers=1).witness
+    assert pools == []  # one task runs serially
+    m = build_distance_matrix(random_cloud(40, 2, seed=3))
+    for run in (lambda w: exact_delta(m, workers=w),
+                lambda w: sampled_delta(m, samples=SAMPLE_BATCH + 10, seed=2, workers=w)):
+        pooled, serial = run(5000), run(1)
+        assert (pooled.delta, pooled.witness) == (serial.delta, serial.witness)
+    assert len(pools) == 2 and all(1 < size == tasks for size, tasks in pools)
 
 
 def test_report_serialization():

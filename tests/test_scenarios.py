@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hypmetrics import (
@@ -8,7 +9,9 @@ from hypmetrics import (
     four_point_counterexample,
     hyperbolicity_sweep,
 )
-from hypmetrics.scenarios import ARCTAN_T_MAX
+from hypmetrics import PointCloud, PuncturedSpec, cassinian, punctured_matrix
+from hypmetrics.cassinian import VARIANTS, _punctured_matrices
+from hypmetrics.scenarios import ARCTAN_T_MAX, _place_punctures
 
 
 def test_four_point_counterexample_passes():
@@ -87,3 +90,28 @@ def test_scenario_json_shape():
     d = res.to_dict()
     assert set(d) == {"scenario", "config", "measured", "bounds", "passed"}
     assert all(set(b) == {"name", "measured", "bound", "relation", "ok"} for b in d["bounds"])
+
+
+def test_sweep_computes_base_distances_once_per_trial(monkeypatch):
+    calls = []
+    real = cassinian.pairwise_distances
+    monkeypatch.setattr(
+        cassinian, "pairwise_distances", lambda *a: calls.append(a) or real(*a)
+    )
+    hyperbolicity_sweep(n=8, k_list=(1, 2, 4), trials=3, seed=5)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "taxicab"])
+def test_sweep_cells_equal_their_own_specs(metric):
+    # Coordinate punctures keep the whole cloud as the domain, so the first
+    # k gap columns are the k-puncture spec's: equal bit for bit.
+    rng = np.random.Generator(np.random.PCG64(11))
+    pts = rng.uniform(0.0, 1.0, size=(12, 2))
+    punctures = _place_punctures(rng, pts, 8)
+    cloud = PointCloud(pts)
+    cells = [(v, k) for k in (1, 2, 4, 8) for v in VARIANTS]
+    spec = PuncturedSpec(cloud, punctures, "avg_tau", anchor=0, metric=metric)
+    for (v, k), got in zip(cells, _punctured_matrices(spec, cells)):
+        want = punctured_matrix(PuncturedSpec(cloud, punctures[:k], v, anchor=0, metric=metric))
+        assert np.array_equal(got.entries.view(np.uint64), want.entries.view(np.uint64)), (v, k)

@@ -25,7 +25,7 @@ from hypmetrics import (
     punctured_matrix,
     random_cloud,
 )
-from hypmetrics import delta, verify
+from hypmetrics import cassinian, delta, verify
 from hypmetrics.verify import DEFAULT_TOL, _CHECK_ELEMENTS
 
 COUNTEREXAMPLE = DistanceMatrix(
@@ -652,3 +652,17 @@ def test_mu_table_matches_rows(n, samples, monkeypatch):
         forced = lambda e, P, log, _, c=count: lookup(e, P, log, c)  # noqa: E731
         monkeypatch.setattr(verify, "_mu_lookup", forced)
         assert {k: repr(r.to_dict()) for k, r in _lemma_reports(e, samples).items()} == natural
+
+
+@pytest.mark.parametrize("kind", ["tau", "avg"])
+def test_sandwich_materializes_its_spec_once(monkeypatch, kind):
+    calls = []
+    real = cassinian._materialize
+    monkeypatch.setattr(cassinian, "_materialize", lambda spec: calls.append(spec) or real(spec))
+    cloud = random_cloud(12, 2, seed=4)
+    spec = PuncturedSpec(cloud, [[2.0, 2.0], [-1.0, 0.5]], "avg_tau", anchor=1)
+    assert check_sandwich(kind, spec).passed
+    assert len(calls) == 1
+    if kind == "tau":  # a one-point side over k > 1 punctures still needs an anchor
+        with pytest.raises(InputError, match="needs an anchor"):
+            check_sandwich(kind, PuncturedSpec(cloud, [[2.0, 2.0], [-1.0, 0.5]], "avg_tau"))
