@@ -189,10 +189,9 @@ def _resolve_anchor(variant: str, anchor, k: int) -> int | None:
             return 0
         raise InputError(f"variant {variant!r} needs an anchor when k={k} > 1")
     if anchor is not None:
-        try:
-            anchor = int(anchor)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"anchor must be an integer, got {anchor!r}") from exc
+        if isinstance(anchor, bool) or not isinstance(anchor, (int, np.integer)):
+            raise InputError(f"anchor must be an integer, got {anchor!r}")
+        anchor = int(anchor)
         if not 0 <= anchor < k:
             raise InputError(f"anchor {anchor} out of range for k={k} punctures")
     return anchor
@@ -202,11 +201,11 @@ class PuncturedSpec:
     """A base space, a puncture set, and a metric-variant selection.
 
     ``base`` is a PointCloud (with a named base ``metric``) or a raw
-    DistanceMatrix over X. ``punctures`` are either indices into X (removed
-    from the domain) or, for cloud bases, explicit coordinate rows placed
-    outside the cloud. ``anchor`` is a position in the puncture list and is
-    required by the one-point variants when k > 1 (it defaults to 0 when
-    k = 1).
+    DistanceMatrix over X. ``punctures`` is a list (tuple, range or array)
+    of either indices into X (removed from the domain) or, for cloud bases,
+    explicit coordinate rows placed outside the cloud; a boolean is neither.
+    ``anchor`` is an integer position in the puncture list and is required
+    by the one-point variants when k > 1 (it defaults to 0 when k = 1).
     """
 
     __slots__ = ("base", "metric", "punctures", "variant", "anchor", "_by_index")
@@ -225,7 +224,12 @@ class PuncturedSpec:
             raise InputError("base must be a PointCloud or a DistanceMatrix")
         if isinstance(base, PointCloud) and metric not in METRIC_NAMES:
             raise InputError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
+        listed = isinstance(punctures, (list, tuple, range, np.ndarray))
+        if not listed or getattr(punctures, "ndim", 1) == 0:
+            raise InputError(f"punctures must be a list, got {type(punctures).__name__}")
         punctures = list(punctures)
+        if any(isinstance(p, (bool, np.bool_)) for p in punctures):
+            raise InputError("a puncture is an index or a coordinate row, not a boolean")
         if len(punctures) == 0:
             raise InputError("need at least one puncture")
 

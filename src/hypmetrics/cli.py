@@ -12,9 +12,15 @@ Subcommands:
 
 Each command, verify target and repro scenario accepts only the flags it
 reads. ``dist``, ``delta`` and ``verify axioms|ptolemy|sandwich`` take one
-input: ``--cloud`` or ``--matrix`` (with ``--punctures`` and optionally
-``--variant`` and ``--anchor`` for a punctured variant), or ``--spec``,
-which holds all of these itself. Any other combination is an input error.
+input: ``--cloud`` (with ``--metric``, default euclidean) or ``--matrix``,
+each with ``--punctures`` and optionally ``--variant`` and ``--anchor`` for
+a punctured variant, or ``--spec``, which holds all of these itself.
+``verify sandwich --kind tau|avg`` takes only a ``--variant`` of its kind's
+pair (``verify.SANDWICH_PAIRS``), ``--anchor`` with ``--kind tau`` only, and
+``--kind taxicab`` reads ``--cloud`` alone. ``verify lemmas`` reads ``--n``
+(default 64) and ``--dim`` (default 2) only without ``--cloud``. A flag
+given where it is not read is an input error that names it, and so is any
+other combination.
 
 All randomness is surfaced as ``--seed`` and echoed into the JSON reports,
 so re-running a subcommand with identical flags reproduces its output byte
@@ -51,6 +57,7 @@ from .spaces import (
 )
 from .verify import (
     DEFAULT_TOL,
+    SANDWICH_PAIRS,
     _mu_lookup,
     check_lemma_K,
     check_lemma_nine,
@@ -102,45 +109,51 @@ def _parse_punctures(raw: str | None):
     return _number_list(raw, int, "puncture list")
 
 
-def _puncture_flags(args) -> str:
-    """The puncture flags given, by name ("" when none is)."""
-    given = {"--punctures": args.punctures, "--variant": args.variant, "--anchor": args.anchor}
-    return ", ".join(flag for flag, value in given.items() if value is not None)
+def _refuse(args, flags, why: str) -> None:
+    """Exit 2 (``InputError``) naming every one of ``flags`` that was given;
+    ``why`` says why the runner reads none of them."""
+    given = [flag for flag in flags if getattr(args, flag[2:]) is not None]
+    if given:
+        raise InputError(f"{why}: drop {', '.join(given)}")
 
 
-def _load_spec(args, variant: str | None = None) -> PuncturedSpec:
-    """The spec from --spec, or from the input flags with ``variant`` in
-    place of --variant when given (``tau_p`` when neither is)."""
-    if args.spec:
-        flags = _puncture_flags(args)
-        if flags:
-            raise InputError(f"--spec holds its punctures, variant and anchor: drop {flags}")
-        return PuncturedSpec.from_dict(_read_json(args.spec))
-    punctures = _parse_punctures(args.punctures)
-    if punctures is None:
-        raise InputError("need --punctures (or --spec) for a punctured variant")
+def _base(args) -> tuple[PointCloud | DistanceMatrix, str]:
+    """The base from --cloud or --matrix, and its metric: --metric for a
+    cloud, euclidean when none is given; a matrix reads no metric."""
     if args.matrix:
+        _refuse(args, ["--metric"], "--matrix holds its distances and reads no base metric")
         base: PointCloud | DistanceMatrix = load_distance_matrix(args.matrix)
     elif args.cloud:
         base = load_point_cloud(args.cloud)
     else:
-        raise InputError("need --cloud or --matrix")
-    variant = variant or args.variant or "tau_p"
-    return PuncturedSpec(base, punctures, variant, args.anchor, args.metric)
+        raise InputError("need --cloud, --matrix or --spec")
+    return base, args.metric or "euclidean"
+
+
+def _load_spec(args, variants=VARIANTS) -> PuncturedSpec:
+    """The spec from --spec, or from the input flags with --variant one of
+    ``variants`` (the first, ``tau_p`` for all of them, when not given)."""
+    if args.spec:
+        _refuse(args, ["--metric", "--punctures", "--variant", "--anchor"],
+                "--spec holds its metric, punctures, variant and anchor")
+        return PuncturedSpec.from_dict(_read_json(args.spec))
+    punctures = _parse_punctures(args.punctures)
+    if punctures is None:
+        raise InputError("need --punctures (or --spec) for a punctured variant")
+    variant = args.variant or variants[0]
+    if variant not in variants:
+        raise InputError(f"--variant {variant} is not one of {', '.join(variants)}")
+    base, metric = _base(args)
+    return PuncturedSpec(base, punctures, variant, args.anchor, metric)
 
 
 def _matrix_from_args(args) -> DistanceMatrix:
     """A matrix from --matrix, or from --cloud (+ optional punctured variant)."""
     if args.punctures is not None or args.spec:
         return punctured_matrix(_load_spec(args))
-    flags = _puncture_flags(args)
-    if flags:
-        raise InputError(f"{flags} given without --punctures")
-    if args.matrix:
-        return load_distance_matrix(args.matrix)
-    if args.cloud:
-        return build_distance_matrix(load_point_cloud(args.cloud), args.metric)
-    raise InputError("need --matrix, --cloud, or --spec")
+    _refuse(args, ["--variant", "--anchor"], "no punctured variant without --punctures")
+    base, metric = _base(args)
+    return base if isinstance(base, DistanceMatrix) else build_distance_matrix(base, metric)
 
 
 def cmd_gen(args) -> int:
@@ -179,36 +192,37 @@ def _verify_ptolemy(args):
 
 def _verify_sandwich(args):
     if args.kind == "taxicab":
+        _refuse(args, ["--matrix", "--spec", "--metric", "--punctures", "--variant", "--anchor"],
+                "sandwich kind 'taxicab' reads --cloud alone")
         if not args.cloud:
             raise InputError("sandwich kind 'taxicab' needs --cloud")
-        flags = _puncture_flags(args)
-        if flags:
-            raise InputError(f"sandwich kind 'taxicab' reads no {flags}")
         target = load_point_cloud(args.cloud)
     else:
-        # check_sandwich rebuilds both sides, so the averaged pair needs no anchor
-        target = _load_spec(args, "avg_tau" if args.kind == "avg" else None)
+        if args.kind == "avg":
+            _refuse(args, ["--anchor"], "sandwich kind 'avg' compares averages, with no anchor")
+        # check_sandwich builds both sides of the pair; --variant may name either
+        target = _load_spec(args, SANDWICH_PAIRS[args.kind])
     return {f"sandwich_{args.kind}": check_sandwich(args.kind, target, args.tol)}
 
 
 def _verify_lemmas(args):
     if args.cloud:
+        _refuse(args, ["--n", "--dim"], "--n and --dim size a generated cloud, not --cloud")
         cloud = load_point_cloud(args.cloud)
     else:
-        cloud = random_cloud(args.n, args.dim, args.seed)
-    matrix = build_distance_matrix(cloud, args.metric)
+        size = 64 if args.n is None else args.n
+        dim = 2 if args.dim is None else args.dim
+        cloud = random_cloud(size, dim, args.seed)
+    matrix = build_distance_matrix(cloud, args.metric or "euclidean")
     n = matrix.n
     if n < 4:
         raise InputError("lemma battery needs at least 4 points")
-    anchors = [0, min(1, n - 1)]
     k = min(args.k, n - 1)
     punctures = list(range(k))
     samples = args.samples
-    reports = {
-        "mu_bounds": check_mu_bounds(
-            matrix, anchors[0], anchors[1], samples, args.seed, args.tol
-        ),
-        "factor_nine": check_lemma_nine(matrix, anchors[0], samples, args.seed, args.tol),
+    reports = {  # anchors p = 0 and q = 1
+        "mu_bounds": check_mu_bounds(matrix, 0, 1, samples, args.seed, args.tol),
+        "factor_nine": check_lemma_nine(matrix, 0, samples, args.seed, args.tol),
         "product_split": check_product_lemma(matrix, punctures, samples, args.seed, args.tol),
         "muP_quasi_triangle": check_mu_P_quasi_triangle(
             matrix, punctures, samples, samples, args.seed, args.tol
@@ -216,14 +230,14 @@ def _verify_lemmas(args):
     }
     for K in (4.0, 6.0, 10.0):
         reports[f"separated_pair_K{K:g}"] = check_lemma_K(
-            matrix, anchors[0], K, samples, args.seed, args.tol
+            matrix, 0, K, samples, args.seed, args.tol
         )
     rng = np.random.Generator(np.random.PCG64(args.seed))
     quads = rng.integers(0, n, size=(min(samples, 100000), 4))
     e = matrix.entries
     rs = e[quads[:, :, None], quads[:, None, :]]
     reports["quasi_ptolemy_K1"] = check_quasi_ptolemy_many(rs, 1.0, args.tol)
-    mu = _mu_lookup(e, anchors[0], False, rs.size)(quads[:, :, None], quads[:, None, :])
+    mu = _mu_lookup(e, 0, False, rs.size)(quads[:, :, None], quads[:, None, :])
     reports["quasi_ptolemy_K1.5"] = check_quasi_ptolemy_many(mu, 1.5, args.tol)
     return reports
 
@@ -286,10 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--cloud", help="point cloud file (.csv or .json)")
     source.add_argument("--matrix", help="distance matrix file (.json or .csv)")
     source.add_argument("--spec", help="punctured-spec JSON file")
-    inputs.add_argument("--metric", default="euclidean", choices=METRIC_NAMES)
+    inputs.add_argument(
+        "--metric", choices=METRIC_NAMES, help="base metric of --cloud (default euclidean)"
+    )
     inputs.add_argument("--punctures", help='indices "0,5", JSON coords, or @file.json')
     inputs.add_argument("--variant", choices=VARIANTS, help="punctured variant (default tau_p)")
-    inputs.add_argument("--anchor", type=int, default=None)
+    inputs.add_argument("--anchor", type=int, help="puncture position of a one-point variant")
     checked = argparse.ArgumentParser(add_help=False)
     checked.add_argument("--tol", type=float, default=DEFAULT_TOL)
     checked.add_argument("--out", help="report file (a directory for 'repro all')")
@@ -333,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
         t = targets.add_parser(name, parents=[inputs, checked])
         t.set_defaults(fn=cmd_verify, checks=checks)
     t = targets.add_parser("sandwich", parents=[inputs, checked])
-    t.add_argument("--kind", choices=("tau", "avg", "taxicab"), default="tau")
+    t.add_argument("--kind", choices=(*SANDWICH_PAIRS, "taxicab"), default="tau")
     t.set_defaults(fn=cmd_verify, checks=_verify_sandwich)
     t = targets.add_parser("lemmas", parents=[seeded, checked])
     t.add_argument("--cloud", help="point cloud file (default: a generated cloud)")
-    t.add_argument("--metric", default="euclidean", choices=METRIC_NAMES)
-    t.add_argument("--n", type=int, default=64, help="generated cloud size")
-    t.add_argument("--dim", type=int, default=2)
+    t.add_argument("--metric", choices=METRIC_NAMES, help="base metric (default euclidean)")
+    t.add_argument("--n", type=int, help="generated cloud size (default 64)")
+    t.add_argument("--dim", type=int, help="generated cloud dimension (default 2)")
     t.add_argument("--k", type=int, default=4, help="puncture count for product lemmas")
     t.add_argument("--samples", type=int, default=100000)
     t.set_defaults(fn=cmd_verify, checks=_verify_lemmas)

@@ -27,7 +27,6 @@ from .cassinian import (
     ONE_POINT_VARIANTS,
     PuncturedSpec,
     _punctured_matrices,
-    punctured_matrix,
 )
 from .delta import exact_deltas, quadruple_delta, sampled_delta
 from .errors import InputError
@@ -142,9 +141,8 @@ def four_point_counterexample(tol: float = DEFAULT_TOL) -> ScenarioResult:
     base_axioms = check_metric_axioms(base, tol)
 
     spec = PuncturedSpec(base, [0], variant="tilde_tau_p", anchor=0)
-    tilde = punctured_matrix(spec)
+    tilde, tau = _punctured_matrices(spec, [("tilde_tau_p", 1), ("tau_p", 1)])
     tilde_axioms = check_metric_axioms(tilde, tol)
-    tau = punctured_matrix(spec.with_variant("tau_p"))
     tau_axioms = check_metric_axioms(tau, tol)
     base_ptolemy = check_ptolemaic(base, tol)
 

@@ -82,6 +82,9 @@ from .spaces import (
 
 DEFAULT_TOL = 1e-9
 
+#: The punctured variants (lower, upper) each sandwich kind compares.
+SANDWICH_PAIRS = {"tau": ("tilde_tau_p", "tau_p"), "avg": ("tilde_avg_tau", "avg_tau")}
+
 #: Entries of one comparison block in the triangle sweep (at least one row
 #: of x); bounds the checker's temporaries independently of n.
 _CHECK_ELEMENTS = 1 << 18
@@ -203,9 +206,9 @@ def _pair_mesh(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _degenerate_tuples(n: int, arity: int, anchors: tuple[int, ...]) -> np.ndarray:
+    """Every ``arity``-tuple over 0, 1, n - 1 and the in-range ``anchors``
+    (at most two, so at most 5**arity tuples)."""
     base = sorted({0, min(1, n - 1), n - 1} | {a for a in anchors if 0 <= a < n})
-    if len(base) > 5:
-        base = base[:5]
     rows = list(product(base, repeat=arity))
     return np.array(rows, dtype=np.int64).reshape(len(rows), arity)
 
@@ -322,11 +325,11 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
     * ``kind="taxicab"``: with a planar PointCloud, checks
       taxicab <= d1 + d2 <= taxicab + pi entrywise.
     """
-    if kind in ("tau", "avg"):
+    if kind in SANDWICH_PAIRS:
         if not isinstance(target, PuncturedSpec):
             raise InputError(f"kind {kind!r} expects a PuncturedSpec")
-        pair = ("tilde_tau_p", "tau_p") if kind == "tau" else ("tilde_avg_tau", "avg_tau")
-        lo, hi = (m.entries for m in _punctured_matrices(target, [(v, target.k) for v in pair]))
+        cells = [(v, target.k) for v in SANDWICH_PAIRS[kind]]
+        lo, hi = (m.entries for m in _punctured_matrices(target, cells))
         gap = LOG2
     elif kind == "taxicab":
         if not isinstance(target, PointCloud) or target.dim != 2:

@@ -299,6 +299,25 @@ SPEC_JSON = (
         ),
         ({"s.json": SPEC_JSON.replace("ANCHOR", '"x"')}, ["delta", "--spec", "{d}/s.json"]),
         ({"s.json": SPEC_JSON.replace("ANCHOR", "[0]")}, ["delta", "--spec", "{d}/s.json"]),
+        ({"s.json": SPEC_JSON.replace("ANCHOR", "0.7")}, ["delta", "--spec", "{d}/s.json"]),
+        (
+            {"s.json": SPEC_JSON.replace("[[3.0, 3.0]]", "[[3.0, 3.0], [4.0, 4.0]]")
+             .replace("ANCHOR", "true")},
+            ["delta", "--spec", "{d}/s.json"],
+        ),
+        (
+            {"c.csv": CLOUD_CSV, "p.json": "5"},
+            ["dist", "--cloud", "{d}/c.csv", "--punctures", "@{d}/p.json", "--out", "{d}/o.json"],
+        ),
+        (
+            {"s.json": SPEC_JSON.replace("[[3.0, 3.0]]", "5").replace("ANCHOR", "null")},
+            ["delta", "--spec", "{d}/s.json"],
+        ),
+        (
+            {"c.csv": CLOUD_CSV},
+            ["dist", "--cloud", "{d}/c.csv", "--punctures", "[true, false]", "--variant", "avg_tau",
+             "--out", "{d}/o.json"],
+        ),
     ],
     ids=[
         "matrix-json",
@@ -319,6 +338,11 @@ SPEC_JSON = (
         "cloud-dim-not-a-number",
         "spec-anchor-not-a-number",
         "spec-anchor-a-list",
+        "spec-anchor-a-float",
+        "spec-anchor-a-boolean",
+        "punctures-file-scalar",
+        "spec-punctures-scalar",
+        "punctures-booleans",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, files, argv):
@@ -333,13 +357,14 @@ def test_malformed_input_exit_2(tmp_path, capsys, files, argv):
 def test_verify_sandwich_avg_needs_no_variant(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
     run(capsys, "gen", "--n", "12", "--seed", "4", "--out", str(cloud))
+    (tmp_path / "p.json").write_text("[[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]]")
     argv = ["verify", "sandwich", "--kind", "avg", "--cloud", str(cloud),
-            "--punctures", "[[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]]"]
-    code, out, _ = run(capsys, *argv)
+            "--punctures", f"@{tmp_path / 'p.json'}"]
+    code, out, _ = run(capsys, *argv, "--variant", "avg_tau")
     assert code == 0
-    code_v, out_v, _ = run(capsys, *argv, "--variant", "avg_tau")
-    assert code_v == 0
-    assert out == out_v
+    assert json.loads(out)["sandwich_avg"]["checked"] > 0
+    for variant in (["--variant", "tilde_avg_tau"], []):
+        assert run(capsys, *argv, *variant)[:2] == (0, out)
 
 
 @pytest.mark.parametrize(
@@ -422,6 +447,28 @@ VALUES = {"--kind": "avg", "--n": "5", "--dim": "3", "--k": "2", "--samples": "3
           "--trials": "2"}
 CLOUD = ["--cloud", "{d}/c.csv"]
 SPEC = ["--spec", "{d}/s.json"]
+#: The input files of each call, large enough for a delta.
+UNREAD_FILES = {
+    "c.csv": CLOUD_CSV,
+    "m.json": '{"n": 4, "entries": [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]}',
+    "s.json": '{"base": {"dim": 2, "points": [{"coords": [0, 0]}, {"coords": [1, 0]}, '
+    '{"coords": [0, 1]}, {"coords": [1, 1]}]}, "punctures": [[3.0, 3.0]], "variant": "tau_p"}',
+}
+MATRIX = ["--matrix", "{d}/m.json"]
+#: --metric beside a --matrix or --spec input, which has no base metric or
+#: holds its own; a sandwich over a matrix needs a puncture, and dist an --out.
+METRIC_UNREAD = {
+    f"{name}-{source[0][2:]}-and-metric": [*path, *source, "--metric", "d1"]
+    for name, path, matrix in [
+        ("dist", ["dist", "--out", "{d}/out.json"], MATRIX),
+        ("delta", ["delta"], MATRIX),
+        ("axioms", ["verify", "axioms"], MATRIX),
+        ("ptolemy", ["verify", "ptolemy"], MATRIX),
+        ("sandwich-tau", ["verify", "sandwich", "--kind", "tau"], [*MATRIX, "--punctures", "0"]),
+        ("sandwich-avg", ["verify", "sandwich", "--kind", "avg"], [*MATRIX, "--punctures", "0"]),
+    ]
+    for source in (matrix, SPEC)
+}
 
 
 @pytest.mark.parametrize(
@@ -437,16 +484,31 @@ SPEC = ["--spec", "{d}/s.json"]
         (["verify", "ptolemy", *SPEC, "--anchor", "0"], "--anchor"),
         (["verify", "sandwich", "--kind", "avg", *SPEC, "--variant", "avg_tau"], "--variant"),
         (["verify", "sandwich", "--kind", "taxicab", *CLOUD, "--punctures", "0"], "--punctures"),
+    ]
+    + [(argv, "--metric") for argv in METRIC_UNREAD.values()]
+    + [
+        (["verify", "sandwich", "--kind", "taxicab", *CLOUD, "--metric", "d1"], "--metric"),
+        (["verify", "sandwich", "--kind", "tau", *CLOUD, "--punctures", "0",
+          "--variant", "sup_tau"], "--variant"),
+        (["verify", "sandwich", "--kind", "avg", *CLOUD, "--punctures", "0",
+          "--variant", "j"], "--variant"),
+        (["verify", "sandwich", "--kind", "avg", *CLOUD, "--punctures", "0,1",
+          "--anchor", "1"], "--anchor"),
+        (["verify", "lemmas", *CLOUD, "--samples", "3", "--n", "5"], "--n"),
+        (["verify", "lemmas", *CLOUD, "--samples", "3", "--dim", "3"], "--dim"),
     ],
     ids=[f"{'-'.join(path)}-{flag[2:]}" for path, flag in REMOVED]
     + ["cloud-and-matrix", "spec-and-cloud", "variant-without-punctures",
        "anchor-without-punctures", "spec-and-punctures", "spec-and-variant", "spec-and-anchor",
-       "sandwich-spec-and-variant", "taxicab-and-punctures"],
+       "sandwich-spec-and-variant", "taxicab-and-punctures"]
+    + list(METRIC_UNREAD)
+    + ["taxicab-and-metric", "sandwich-tau-variant-outside-pair",
+       "sandwich-avg-variant-outside-pair", "sandwich-avg-and-anchor",
+       "lemmas-cloud-and-n", "lemmas-cloud-and-dim"],
 )
 def test_unread_flags_exit_2(tmp_path, capsys, argv, flag):
-    (tmp_path / "c.csv").write_text(CLOUD_CSV)
-    (tmp_path / "m.json").write_text('{"n": 2, "entries": [[0, 1], [1, 0]]}')
-    (tmp_path / "s.json").write_text(SPEC_JSON)
+    for name, text in UNREAD_FILES.items():
+        (tmp_path / name).write_text(text)
     try:
         code = main([a.format(d=tmp_path) for a in argv])
     except SystemExit as exc:  # argparse rejects the flag, after printing usage
