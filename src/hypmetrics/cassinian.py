@@ -203,7 +203,8 @@ class PuncturedSpec:
     ``base`` is a PointCloud (with a named base ``metric``) or a raw
     DistanceMatrix over X. ``punctures`` is a list (tuple, range or array)
     of either indices into X (removed from the domain) or, for cloud bases,
-    explicit coordinate rows placed outside the cloud; a boolean is neither.
+    explicit coordinate rows placed outside the cloud; a boolean is neither,
+    nor is it a coordinate.
     ``anchor`` is an integer position in the puncture list and is required
     by the one-point variants when k > 1 (it defaults to 0 when k = 1).
     """
@@ -248,6 +249,9 @@ class PuncturedSpec:
         else:
             if isinstance(base, DistanceMatrix):
                 raise InputError("punctures over a raw matrix must be indices into it")
+            rows = [p for p in punctures if isinstance(p, (list, tuple, np.ndarray))]
+            if any(isinstance(x, (bool, np.bool_)) for row in rows for x in row):
+                raise InputError("a puncture coordinate is a number, not a boolean")
             try:
                 coords = np.array(punctures, dtype=float)
             except (TypeError, ValueError) as exc:

@@ -13,10 +13,11 @@ Subcommands:
 Each command, verify target and repro scenario accepts only the flags it
 reads. ``dist``, ``delta`` and ``verify axioms|ptolemy|sandwich`` take one
 input: ``--cloud`` (with ``--metric``, default euclidean) or ``--matrix``,
-each with ``--punctures`` and optionally ``--variant`` and ``--anchor`` for
-a punctured variant, or ``--spec``, which holds all of these itself.
-``verify sandwich --kind tau|avg`` takes only a ``--variant`` of its kind's
-pair (``verify.SANDWICH_PAIRS``), ``--anchor`` with ``--kind tau`` only, and
+each with ``--punctures`` and optionally ``--variant`` for a punctured
+variant and ``--anchor`` for a one-point one (``tau_p``, ``tilde_tau_p``),
+or ``--spec``, which holds all of these itself under the same rules.
+``verify sandwich --kind tau|avg`` takes only a variant of its kind's pair
+(``verify.SANDWICH_PAIRS``), from ``--variant`` or the spec, and
 ``--kind taxicab`` reads ``--cloud`` alone. ``verify lemmas`` reads ``--n``
 (default 64) and ``--dim`` (default 2) only without ``--cloud``. A flag
 given where it is not read is an input error that names it, and so is any
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cassinian import VARIANTS, PuncturedSpec, punctured_matrix
+from .cassinian import ONE_POINT_VARIANTS, VARIANTS, PuncturedSpec, punctured_matrix
 from .delta import exact_delta, sampled_delta
 from .errors import InputError
 from .scenarios import arctan_family, four_point_counterexample, hyperbolicity_sweep
@@ -132,17 +133,26 @@ def _base(args) -> tuple[PointCloud | DistanceMatrix, str]:
 
 def _load_spec(args, variants=VARIANTS) -> PuncturedSpec:
     """The spec from --spec, or from the input flags with --variant one of
-    ``variants`` (the first, ``tau_p`` for all of them, when not given)."""
+    ``variants`` (the first, ``tau_p`` for all of them, when not given).
+    Either way the variant must be one of ``variants``, and only a
+    one-point variant takes an anchor."""
     if args.spec:
         _refuse(args, ["--metric", "--punctures", "--variant", "--anchor"],
                 "--spec holds its metric, punctures, variant and anchor")
-        return PuncturedSpec.from_dict(_read_json(args.spec))
+        spec = PuncturedSpec.from_dict(_read_json(args.spec))
+        if spec.variant not in variants:
+            raise InputError(f"spec variant {spec.variant} is not one of {', '.join(variants)}")
+        if spec.anchor is not None and spec.variant not in ONE_POINT_VARIANTS:
+            raise InputError(f"spec variant {spec.variant} reads no anchor: drop \"anchor\"")
+        return spec
     punctures = _parse_punctures(args.punctures)
     if punctures is None:
         raise InputError("need --punctures (or --spec) for a punctured variant")
     variant = args.variant or variants[0]
     if variant not in variants:
         raise InputError(f"--variant {variant} is not one of {', '.join(variants)}")
+    if variant not in ONE_POINT_VARIANTS:
+        _refuse(args, ["--anchor"], f"variant {variant} reads no anchor")
     base, metric = _base(args)
     return PuncturedSpec(base, punctures, variant, args.anchor, metric)
 
@@ -198,9 +208,7 @@ def _verify_sandwich(args):
             raise InputError("sandwich kind 'taxicab' needs --cloud")
         target = load_point_cloud(args.cloud)
     else:
-        if args.kind == "avg":
-            _refuse(args, ["--anchor"], "sandwich kind 'avg' compares averages, with no anchor")
-        # check_sandwich builds both sides of the pair; --variant may name either
+        # check_sandwich builds both sides of the pair; the variant may name either
         target = _load_spec(args, SANDWICH_PAIRS[args.kind])
     return {f"sandwich_{args.kind}": check_sandwich(args.kind, target, args.tol)}
 

@@ -11,32 +11,59 @@ maximum of this quantity over all quadruples.
 
 ``exact_deltas`` maximizes over all C(n, 4) distinct quadruples
 i < j < k < l of every matrix in a batch of equal size; ``exact_delta`` is
-a batch of one. The kernel is indexed by the middle pair: a task fixes j,
+a batch of one. The walker is indexed by the middle pair: a task fixes j,
 and each Python-level step takes up to ``_GROUP`` consecutive k values
 from some k0 and vectorizes over a ``(B, i < j, k, l > k0)`` grid, so
 every entry but the l <= k corner of the (k, l) block is a distinct
 quadruple. ``_middle_grids`` fills the three pairing sums d(i,j) + d(k,l),
 d(i,k) + d(j,l) and d(i,l) + d(j,k) as broadcasts of upper-triangle
-slices, with no gather; the Ptolemy sweep takes the same grids with
-products. A step takes as many k values, and a chunk as many matrices, as
-keep one step's grid within ``_BATCH_ELEMENTS`` entries (at least one), so
-the kernel's memory is bounded by that budget, not by the batch.
+slices, with no gather, in the stack's dtype; the Ptolemy sweep takes the
+same grids with float64 products. A step takes as many k values, and a
+chunk as many matrices, as keep one step's grid within ``_BATCH_ELEMENTS``
+entries (at least one), so the kernel's memory is bounded by that budget,
+not by the batch.
+
+The sweep walks the grids in two passes. The *screen* runs every step on a
+float32 copy of the stack, each matrix scaled by an exact power of two
+2^-e, e from ``frexp`` of its largest |entry|, so that every copied entry
+has |x| <= 1: nothing overflows, and underflow costs at most 2^-149
+absolute. A step reports only each matrix's largest float32 doubled delta
+m. The *confirm* pass then evaluates in float64, with witness keys, only
+the steps that can hold the maximum: per matrix, first the step of largest
+bound, then every step whose bound is at least the best float64 value
+found by then (in units of 2^e). A step whose bound is below that value
+holds no quadruple reaching the maximum, so the delta and the witness
+equal those of a float64 sweep of every step. The confirm pass batches its
+steps per (chunk, j), as the screen does.
+
+The bound, in units of 2^e. A float32 entry is within 2^-25 of the float64
+one (half an ulp below 1), so a float32 pairing sum, rounded once more
+below 2, is within 2^-25 + 2^-25 + 2^-24 = 2^-23 of the exact sum of the
+float64 entries; a float64 pairing sum is within 2^-52 of it. The largest
+sum and the median are 1-Lipschitz in the largest change of a sum, so the
+float32 and float64 differences top - median are within
+2 (2^-23 + 2^-52) of each other. Both are nonnegative, and the final
+subtraction rounds them by a relative 2^-24 (float32) or 2^-53 (float64).
+So every float64 doubled delta D of a step with float32 maximum m has
+D <= m + 2^-23 m + 2^-21, and the bound m + 2^-22 m + 2^-19 keeps a margin
+of at least 2x on each term.
 
 The witness is the lexicographically smallest quadruple of maximal delta.
-Both kernels carry it as a key, the flat index of the sorted quadruple in
-an ``(n, n, n, n)`` array, so keys order as witnesses do. Within a step
-the corner is set to -inf and the first flat maximum is the lex-min
-(i, k, l); within a task the smallest key among the steps reaching the
-task's maximum wins. One runner, ``_run``, evaluates a kernel's tasks
-serially or on a process pool, and one fold, ``_fold``, merges their parts
-by value, ties going to the smaller key. The fold does not depend on task
-order, so exact tasks run heaviest first and the report is identical for
-any worker count.
+The confirm pass and the sampler carry it as a key, the flat index of the
+sorted quadruple in an ``(n, n, n, n)`` array, so keys order as witnesses
+do.
+Within a step the corner is set to -inf and the first flat maximum is the
+lex-min (i, k, l); within a confirmed (chunk, j) the smallest key among
+the steps reaching its maximum wins. One runner, ``_run``, evaluates a
+kernel's tasks serially or on a process pool, and one fold, ``_fold``,
+merges their parts by value, ties going to the smaller key. The fold does
+not depend on task order, so screen tasks run heaviest first and the
+report is identical for any worker count.
 
 Both kernels need finite, exactly symmetric entries (``InputError``
 otherwise). A matrix with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is
-evaluated scaled by 1/4, so no pairing sum overflows. The factor is a
-power of two, so the witness and the scaled-back delta are exact (unless
+evaluated scaled by 1/4, so no float64 pairing sum overflows. The factor is
+a power of two, so the witness and the scaled-back delta are exact (unless
 the matrix also holds entries below 2^-1020, which lose bits when scaled).
 
 ``sampled_delta`` draws distinct-index quadruples uniformly from a seeded
@@ -155,16 +182,19 @@ def _middle_steps(n: int, j: int, nb: int = 1) -> list[tuple[int, int]]:
     return steps
 
 
-def _middle_grids(stack: np.ndarray, j: int, op, count: int):
-    """Yield ``(k0, g, grids)`` for each ``_middle_steps(n, j, nb)`` step of
-    a ``(nb, n, n)`` stack: ``count`` scratch ``(nb, i < j, g, l > k0)``
-    grids, views of one allocation sized for the largest step. The first
-    three hold the pairings d(i,j) op d(k,l), d(i,k) op d(j,l) and
-    d(i,l) op d(j,k) of the binary ufunc ``op`` over k0 <= k < k0 + g;
-    every operand is read from the upper triangle."""
+def _middle_grids(stack: np.ndarray, j: int, op, count: int, steps=None):
+    """Yield ``(k0, g, grids)`` for each of ``steps`` (by default every
+    ``_middle_steps(n, j, nb)`` step) of a ``(nb, n, n)`` stack: ``count``
+    scratch ``(nb, i < j, g, l > k0)`` grids in the stack's dtype, views of
+    one allocation sized for the largest step. The first three hold the
+    pairings d(i,j) op d(k,l), d(i,k) op d(j,l) and d(i,l) op d(j,k) of the
+    binary ufunc ``op`` over k0 <= k < k0 + g; every operand is read from
+    the upper triangle."""
     nb, n = stack.shape[0], stack.shape[1]
-    steps = _middle_steps(n, j, nb)
-    bufs = np.empty((count, nb * j * max(g * (n - k0 - 1) for k0, g in steps)))
+    if steps is None:
+        steps = _middle_steps(n, j, nb)
+    size = nb * j * max(g * (n - k0 - 1) for k0, g in steps)
+    bufs = np.empty((count, size), dtype=stack.dtype)
     col_j, row_j = stack[:, :j, j, None, None], stack[:, j]
     for k0, g in steps:
         shape = (nb, j, g, n - k0 - 1)
@@ -186,16 +216,33 @@ def _drop_corner(grid: np.ndarray, g: int) -> None:
     np.copyto(grid[..., :g], -np.inf, where=_CORNER[:g, :g])
 
 
-def _scan_middle(stack: np.ndarray, lo: int, hi: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen_middle(scaled: np.ndarray, lo: int, hi: int, j: int) -> np.ndarray:
+    """The screen of task (lo, hi, j): per ``_middle_steps(n, j, hi - lo)``
+    step and matrix, the largest doubled delta over quadruples (i, j, k, l)
+    of matrices ``lo:hi`` of a float32 stack, shape ``(steps, hi - lo)``."""
+    stack = scaled[lo:hi]
+    nb = stack.shape[0]
+    maxima = []
+    for _, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5):
+        d2 = _doubled_delta(s1, s2, s3, (a, b))
+        _drop_corner(d2, g)
+        maxima.append(d2.reshape(nb, -1).max(axis=1))
+    return np.array(maxima)
+
+
+def _scan_middle(
+    stack: np.ndarray, lo: int, hi: int, j: int, steps: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix best doubled delta and the key of its lex-min witness among
-    quadruples (i, j, k, l), j fixed, i < j < k < l, of matrices ``lo:hi``
-    of a ``(B, n, n)`` stack. A witness's key is its flat index in an
-    ``(n, n, n, n)`` array, so keys order as witnesses do."""
+    quadruples (i, j, k, l), j fixed, i < j < k < l, k in one of ``steps``,
+    of matrices ``lo:hi`` of a ``(B, n, n)`` stack. A witness's key is its
+    flat index in an ``(n, n, n, n)`` array, so keys order as witnesses
+    do."""
     stack = stack[lo:hi]
     nb, n = stack.shape[0], stack.shape[1]
     rows = np.arange(nb)
     vals, keys = [], []
-    for k0, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5):
+    for k0, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5, steps):
         d2 = _doubled_delta(s1, s2, s3, (a, b))
         _drop_corner(d2, g)
         flat = d2.reshape(nb, -1)
@@ -208,6 +255,38 @@ def _scan_middle(stack: np.ndarray, lo: int, hi: int, j: int) -> tuple[np.ndarra
     best2 = vals.max(axis=0)
     key = np.where(vals == best2, keys, np.iinfo(np.int64).max).min(axis=0)
     return best2, key
+
+
+def _confirm(
+    stack: np.ndarray, lo: int, hi: int, middles: list[int], maxima: list[np.ndarray],
+    exps: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The float64 parts, as ``_scan_middle`` gives them, of the steps of
+    matrices ``lo:hi`` that can hold their maximum. ``maxima[t]`` is the
+    screen of ``middles[t]``, in units of ``2^exps``. The first round takes
+    each matrix's step of largest bound; the next takes every step left
+    whose bound reaches a matrix's best value so far, which leaves none."""
+    n = stack.shape[1]
+    m = np.concatenate(maxima).astype(float)
+    bounds = m + 2.0**-19 + 2.0**-22 * m
+    ends = np.cumsum([len(part) for part in maxima])
+    todo = np.zeros(len(m), dtype=bool)
+    todo[bounds.argmax(axis=0)] = True
+    done = np.zeros_like(todo)
+    best2 = np.full(hi - lo, -np.inf)
+    parts = []
+    while todo.any():
+        rows = np.flatnonzero(todo)
+        at = np.searchsorted(ends, rows, side="right")
+        for t in sorted(set(at.tolist())):
+            plan = _middle_steps(n, middles[t], hi - lo)
+            first = ends[t] - len(plan)
+            steps = [plan[r - first] for r in rows[at == t]]
+            parts.append(_scan_middle(stack, lo, hi, middles[t], steps))
+            np.maximum(best2, parts[-1][0], out=best2)
+        done |= todo
+        todo = ~done & (bounds >= np.ldexp(best2, -exps)).any(axis=1)
+    return parts
 
 
 _POOL_SHARED = None
@@ -262,15 +341,27 @@ def _chunk_size(n: int) -> int:
 
 def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
-    matrix in a ``(B, n, n)`` stack, from (chunk, j) tasks run heaviest
-    first."""
+    matrix in a ``(B, n, n)`` stack: a float32 screen of every step, from
+    (chunk, j) tasks run heaviest first, then a float64 confirm of the steps
+    that can hold each matrix's maximum."""
     nb, n = stack.shape[0], stack.shape[1]
     size = _chunk_size(n)
     # Task j covers j * C(n - j - 1, 2) quadruples per matrix.
     middles = sorted(range(1, n - 2), key=lambda j: -j * comb(n - j - 1, 2))
     tasks = [(lo, min(lo + size, nb), j) for j in middles for lo in range(0, nb, size)]
-    parts = _run(_scan_middle, stack, tasks, workers)
-    return _fold([task[:2] for task in tasks], parts, nb, n)
+    exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    scaled = np.ldexp(stack, -exps[:, None, None]).astype(np.float32)
+    maxima = _run(_screen_middle, scaled, tasks, workers)
+    del scaled
+    spans, parts = [], []
+    chunks = list(range(0, nb, size))
+    for c, lo in enumerate(chunks):
+        hi = min(lo + size, nb)
+        # tasks run j by j, each over every chunk
+        confirmed = _confirm(stack, lo, hi, middles, maxima[c :: len(chunks)], exps[lo:hi])
+        spans += [(lo, hi)] * len(confirmed)
+        parts += confirmed
+    return _fold(spans, parts, nb, n)
 
 
 def _reports(

@@ -318,6 +318,30 @@ SPEC_JSON = (
             ["dist", "--cloud", "{d}/c.csv", "--punctures", "[true, false]", "--variant", "avg_tau",
              "--out", "{d}/o.json"],
         ),
+        (
+            {"c.csv": CLOUD_CSV},
+            ["dist", "--cloud", "{d}/c.csv", "--punctures", "[[true, 3.0]]", "--out", "{d}/o.json"],
+        ),
+        (
+            {"s.json": SPEC_JSON.replace("[[3.0, 3.0]]", "[[3.0, false]]").replace("ANCHOR", "0")},
+            ["delta", "--spec", "{d}/s.json"],
+        ),
+        (
+            {"s.json": SPEC_JSON.replace('"tau_p"', '"avg_tau"').replace("ANCHOR", "0")},
+            ["delta", "--spec", "{d}/s.json"],
+        ),
+        (
+            {"s.json": SPEC_JSON.replace("ANCHOR", "0")},
+            ["verify", "sandwich", "--kind", "avg", "--spec", "{d}/s.json"],
+        ),
+        (
+            {"s.json": SPEC_JSON.replace('"tau_p"', '"avg_tau"').replace("ANCHOR", "null")},
+            ["verify", "sandwich", "--kind", "tau", "--spec", "{d}/s.json"],
+        ),
+        (
+            {"s.json": SPEC_JSON.replace('"tau_p"', '"tilde_avg_tau"').replace("ANCHOR", "0")},
+            ["verify", "sandwich", "--kind", "avg", "--spec", "{d}/s.json"],
+        ),
     ],
     ids=[
         "matrix-json",
@@ -343,6 +367,12 @@ SPEC_JSON = (
         "punctures-file-scalar",
         "spec-punctures-scalar",
         "punctures-booleans",
+        "punctures-boolean-in-row",
+        "spec-punctures-boolean-in-row",
+        "spec-anchor-beside-avg_tau",
+        "sandwich-avg-spec-outside-pair",
+        "sandwich-tau-spec-outside-pair",
+        "sandwich-avg-spec-anchor",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, files, argv):
@@ -455,6 +485,8 @@ UNREAD_FILES = {
     '{"coords": [0, 1]}, {"coords": [1, 1]}]}, "punctures": [[3.0, 3.0]], "variant": "tau_p"}',
 }
 MATRIX = ["--matrix", "{d}/m.json"]
+#: Two coordinate punctures off the 5-point cloud, so a delta has 5 points.
+TWO_COORDS = "[[3.0, 3.0], [4.0, 4.0]]"
 #: --metric beside a --matrix or --spec input, which has no base metric or
 #: holds its own; a sandwich over a matrix needs a puncture, and dist an --out.
 METRIC_UNREAD = {
@@ -496,6 +528,14 @@ METRIC_UNREAD = {
           "--anchor", "1"], "--anchor"),
         (["verify", "lemmas", *CLOUD, "--samples", "3", "--n", "5"], "--n"),
         (["verify", "lemmas", *CLOUD, "--samples", "3", "--dim", "3"], "--dim"),
+        (["dist", *CLOUD, "--punctures", TWO_COORDS, "--variant", "avg_tau", "--anchor", "1",
+          "--out", "{d}/o.json"], "--anchor"),
+        (["delta", *CLOUD, "--punctures", TWO_COORDS, "--variant", "sup_tau", "--anchor", "1"],
+         "--anchor"),
+        (["verify", "axioms", *CLOUD, "--punctures", TWO_COORDS, "--variant", "tilde_avg_tau",
+          "--anchor", "0"], "--anchor"),
+        (["verify", "ptolemy", *CLOUD, "--punctures", TWO_COORDS, "--variant", "j",
+          "--anchor", "0"], "--anchor"),
     ],
     ids=[f"{'-'.join(path)}-{flag[2:]}" for path, flag in REMOVED]
     + ["cloud-and-matrix", "spec-and-cloud", "variant-without-punctures",
@@ -504,7 +544,9 @@ METRIC_UNREAD = {
     + list(METRIC_UNREAD)
     + ["taxicab-and-metric", "sandwich-tau-variant-outside-pair",
        "sandwich-avg-variant-outside-pair", "sandwich-avg-and-anchor",
-       "lemmas-cloud-and-n", "lemmas-cloud-and-dim"],
+       "lemmas-cloud-and-n", "lemmas-cloud-and-dim", "dist-anchor-beside-avg_tau",
+       "delta-anchor-beside-sup_tau", "axioms-anchor-beside-tilde_avg_tau",
+       "ptolemy-anchor-beside-j"],
 )
 def test_unread_flags_exit_2(tmp_path, capsys, argv, flag):
     for name, text in UNREAD_FILES.items():

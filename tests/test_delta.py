@@ -477,6 +477,53 @@ def test_ties_across_middle_pairs_go_to_the_lex_min_witness(workers):
         assert (rep.delta, rep.witness) == expected[t % len(ties)]
 
 
+def _screen_matrices(n=10):
+    """Matrices that test the float32 screen: twice two planted maxima in
+    steps of different middle index j, (0, 2, 4, 6) and (1, 3, 5, 7), whose
+    deltas, 1 and 1 + 2^-40, float32 cannot tell apart, each of them once
+    the bigger; an exact tie across steps; an avg_tau matrix; and a
+    small-integer-valued one."""
+    near = []
+    for long_pairs in (((1, 7), (3, 5)), ((0, 2), (4, 6))):
+        e = _two_planted_maxima(n)
+        for x, y in long_pairs:
+            e[x, y] = e[y, x] = 2.0 + 2.0**-40
+        near.append(e)
+    cloud = random_cloud(n, 2, seed=93)
+    spec = PuncturedSpec(cloud, [[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]], variant="avg_tau")
+    return [*near, _two_planted_maxima(n), punctured_matrix(spec).entries, _tie_matrices(n)[3]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("exp", [-1000, -300, 0, 300, 1000])
+def test_screen_keeps_every_step_that_can_hold_the_maximum(exp, workers):
+    batch = [e * 2.0**exp for e in _screen_matrices()]
+    expected = [brute_force_delta(e) for e in batch]
+    near = 2.0**exp * (1.0 + 2.0**-40)
+    assert expected[:3] == [(near, (1, 3, 5, 7)), (near, (0, 2, 4, 6)), (2.0**exp, (0, 2, 4, 6))]
+    for e, exp_report, rep in zip(batch, expected, exact_deltas(batch, workers=workers)):
+        assert (rep.delta, rep.witness) == exp_report
+        single = exact_delta(e, workers=workers)
+        assert (single.delta, single.witness) == exp_report
+
+
+def test_confirm_pass_takes_a_handful_of_steps(monkeypatch):
+    # a bound too loose to screen anything would confirm all 232 steps
+    scan, confirmed = delta._scan_middle, []
+
+    def counting(stack, lo, hi, j, steps):
+        confirmed.extend(steps)
+        return scan(stack, lo, hi, j, steps)
+
+    monkeypatch.setattr(delta, "_scan_middle", counting)
+    n = 60
+    spec = PuncturedSpec(random_cloud(n, 2, seed=95), [[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]],
+                         variant="avg_tau")
+    exact_delta(punctured_matrix(spec))
+    assert sum(len(delta._middle_steps(n, j)) for j in range(1, n - 2)) == 232
+    assert 1 <= len(confirmed) <= 4
+
+
 def test_exact_delta_memory_is_bounded():
     # A step holds five grids of at most _BATCH_ELEMENTS float64 entries;
     # a step over every k of a task would hold five grids of up to 9 MB.
