@@ -394,11 +394,15 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[DistanceMatrix]:
     anchors = [_resolve_anchor(variant, spec.anchor, k) for variant, k in cells]
     dom, gaps, _ = _materialize(spec)
     by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
+    # Every variant is 0 at base distance 0, but a gap product that
+    # underflows makes it 0/0 there (a diagonal entry next to a puncture).
+    zero = np.flatnonzero(dom == 0.0)
     out = []
     for (variant, k), anchor in zip(cells, anchors):
         g = by_puncture[:k]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             values = _variant_values(variant, dom, g[:, :, None], g[:, None, :], anchor)
+        values.flat[zero] = 0.0
         out.append(DistanceMatrix(values))
     return out
 

@@ -33,8 +33,20 @@ the steps that can hold the maximum: per matrix, first the step of largest
 bound, then every step whose bound is at least the best float64 value
 found by then (in units of 2^e). A step whose bound is below that value
 holds no quadruple reaching the maximum, so the delta and the witness
-equal those of a float64 sweep of every step. The confirm pass batches its
-steps per (chunk, j), as the screen does.
+equal those of a float64 sweep of every step. Each of its two rounds
+batches its steps per (chunk, j), as the screen does.
+
+The screen needs no pass over the l <= k corner of a step's grid: the
+diagonal of its float32 copy is -inf. An entry with l < k is the quadruple
+(i, j, l, k) of the same step (l and k both lie in its k and l ranges),
+whose pairing sums are the same float32 operands with the second and the
+third swapped; the largest sum and the median are exact comparisons, so
+its value is that quadruple's, bit for bit. An entry with l = k has
+s1 = -inf and s2 = d(i,k) + d(j,k) = s3 bit for bit, so its value is
+exactly 0, while every step holds a quadruple, whose value is at least
+0. So each step maximum equals the one over its quadruples alone. The
+confirm pass and the Ptolemy sweep read witness keys, counts and
+violations, not just a maximum, so they keep ``_drop_corner``.
 
 The bound, in units of 2^e. A float32 entry is within 2^-25 of the float64
 one (half an ulp below 1), so a float32 pairing sum, rounded once more
@@ -52,13 +64,23 @@ The witness is the lexicographically smallest quadruple of maximal delta.
 The confirm pass and the sampler carry it as a key, the flat index of the
 sorted quadruple in an ``(n, n, n, n)`` array, so keys order as witnesses
 do.
-Within a step the corner is set to -inf and the first flat maximum is the
-lex-min (i, k, l); within a confirmed (chunk, j) the smallest key among
-the steps reaching its maximum wins. One runner, ``_run``, evaluates a
-kernel's tasks serially or on a process pool, and one fold, ``_fold``,
-merges their parts by value, ties going to the smaller key. The fold does
-not depend on task order, so screen tasks run heaviest first and the
+Within a confirmed step the corner is set to -inf and the first flat
+maximum is the lex-min (i, k, l); within a confirmed (chunk, j) the
+smallest key among the steps reaching its maximum wins. One fold,
+``_fold``, merges the parts by value, ties going to the smaller key. The
+fold does not depend on task order, so tasks run heaviest first and the
 report is identical for any worker count.
+
+One runner, ``_runner``, runs a kernel's tasks, and a sweep has one runner
+for its screen and both confirm rounds. With more than one worker, the
+first pass of more than one task opens the sweep's one process pool; its
+forked processes receive the float64 stack and the float32 copy once, and
+every later pass submits to the same pool. A pass deals its
+heaviest-first task list round-robin, ``tasks[w::p]`` over the pool's p
+processes, and sends each process its share as one job, so a pass costs p
+round trips, not one per task. A pass of one task, such as a first
+confirm round that holds a single (chunk, j), runs in the calling
+process.
 
 Both kernels need finite, exactly symmetric entries (``InputError``
 otherwise). A matrix with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is
@@ -68,7 +90,7 @@ the matrix also holds entries below 2^-1020, which lose bits when scaled).
 
 ``sampled_delta`` draws distinct-index quadruples uniformly from a seeded
 generator in fixed-size batches (one spawned substream per batch). Each
-batch is a task of the same runner, reporting its best value and the key
+batch is a task of a runner of its own, reporting its best value and the key
 of the lex-min sorted quadruple reaching it, and batches fold as exact
 tasks do, so the result is reproducible and independent of scheduling.
 """
@@ -78,6 +100,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from math import comb, prod
 
@@ -216,29 +239,42 @@ def _drop_corner(grid: np.ndarray, g: int) -> None:
     np.copyto(grid[..., :g], -np.inf, where=_CORNER[:g, :g])
 
 
-def _screen_middle(scaled: np.ndarray, lo: int, hi: int, j: int) -> np.ndarray:
+def _screen_copy(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's float32 copy of a ``(B, n, n)`` stack, each matrix scaled
+    by 2^-e with e from ``frexp`` of its largest |entry|, and the e of each.
+    The copy's diagonal is -inf, which leaves every step's corner no larger
+    than the step's maximum."""
+    n = stack.shape[1]
+    exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    scaled = np.ldexp(stack, -exps[:, None, None]).astype(np.float32)
+    scaled[:, range(n), range(n)] = -np.inf
+    return scaled, exps
+
+
+def _screen_middle(stacks, lo: int, hi: int, j: int) -> np.ndarray:
     """The screen of task (lo, hi, j): per ``_middle_steps(n, j, hi - lo)``
     step and matrix, the largest doubled delta over quadruples (i, j, k, l)
-    of matrices ``lo:hi`` of a float32 stack, shape ``(steps, hi - lo)``."""
-    stack = scaled[lo:hi]
+    of matrices ``lo:hi`` of the float32 copy ``stacks[1]``, shape
+    ``(steps, hi - lo)``. The step's corner is left in: see
+    ``_screen_copy``."""
+    stack = stacks[1][lo:hi]
     nb = stack.shape[0]
     maxima = []
-    for _, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5):
+    for _, _, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5):
         d2 = _doubled_delta(s1, s2, s3, (a, b))
-        _drop_corner(d2, g)
         maxima.append(d2.reshape(nb, -1).max(axis=1))
     return np.array(maxima)
 
 
 def _scan_middle(
-    stack: np.ndarray, lo: int, hi: int, j: int, steps: list[tuple[int, int]]
+    stacks, lo: int, hi: int, j: int, steps: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix best doubled delta and the key of its lex-min witness among
     quadruples (i, j, k, l), j fixed, i < j < k < l, k in one of ``steps``,
-    of matrices ``lo:hi`` of a ``(B, n, n)`` stack. A witness's key is its
-    flat index in an ``(n, n, n, n)`` array, so keys order as witnesses
-    do."""
-    stack = stack[lo:hi]
+    of matrices ``lo:hi`` of the float64 stack ``stacks[0]``, shape
+    ``(B, n, n)``. A witness's key is its flat index in an ``(n, n, n, n)``
+    array, so keys order as witnesses do."""
+    stack = stacks[0][lo:hi]
     nb, n = stack.shape[0], stack.shape[1]
     rows = np.arange(nb)
     vals, keys = [], []
@@ -258,35 +294,48 @@ def _scan_middle(
 
 
 def _confirm(
-    stack: np.ndarray, lo: int, hi: int, middles: list[int], maxima: list[np.ndarray],
-    exps: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The float64 parts, as ``_scan_middle`` gives them, of the steps of
-    matrices ``lo:hi`` that can hold their maximum. ``maxima[t]`` is the
-    screen of ``middles[t]``, in units of ``2^exps``. The first round takes
-    each matrix's step of largest bound; the next takes every step left
-    whose bound reaches a matrix's best value so far, which leaves none."""
-    n = stack.shape[1]
-    m = np.concatenate(maxima).astype(float)
-    bounds = m + 2.0**-19 + 2.0**-22 * m
-    ends = np.cumsum([len(part) for part in maxima])
-    todo = np.zeros(len(m), dtype=bool)
-    todo[bounds.argmax(axis=0)] = True
-    done = np.zeros_like(todo)
-    best2 = np.full(hi - lo, -np.inf)
-    parts = []
-    while todo.any():
-        rows = np.flatnonzero(todo)
-        at = np.searchsorted(ends, rows, side="right")
-        for t in sorted(set(at.tolist())):
+    run, n: int, chunks: list[tuple[int, int]], middles: list[int],
+    screens: list[list[np.ndarray]], exps: np.ndarray,
+) -> tuple[list[tuple[int, int]], list[tuple[np.ndarray, np.ndarray]]]:
+    """The float64 parts, as ``_scan_middle`` gives them, of the steps that
+    can hold their matrix's maximum, and the chunk of each part.
+    ``screens[c][t]`` is the screen of chunk ``chunks[c]`` at
+    ``middles[t]``, in units of ``2^exps``. The first round takes each
+    matrix's step of largest bound; the next takes every step left whose
+    bound reaches a matrix's best value so far, which leaves none. A round
+    is one call of ``run`` on its (j, chunk) groups of steps, heaviest j
+    first."""
+    bounds, ends, todo = [], [], []
+    for screen in screens:
+        m = np.concatenate(screen).astype(float)
+        bounds.append(m + 2.0**-19 + 2.0**-22 * m)
+        ends.append(np.cumsum([len(part) for part in screen]))
+        todo.append(np.zeros(len(m), dtype=bool))
+        todo[-1][bounds[-1].argmax(axis=0)] = True
+    best2 = np.full(len(exps), -np.inf)
+    done = [np.zeros_like(rows) for rows in todo]
+    spans, parts = [], []
+    while any(rows.any() for rows in todo):
+        groups = []  # (t, c, screen rows of middles[t] in chunk c)
+        for c, rows in enumerate(todo):
+            rows = np.flatnonzero(rows)
+            at = np.searchsorted(ends[c], rows, side="right")
+            groups += [(t, c, rows[at == t]) for t in sorted(set(at.tolist()))]
+        groups.sort(key=lambda group: group[:2])
+        tasks = []
+        for t, c, rows in groups:
+            lo, hi = chunks[c]
             plan = _middle_steps(n, middles[t], hi - lo)
-            first = ends[t] - len(plan)
-            steps = [plan[r - first] for r in rows[at == t]]
-            parts.append(_scan_middle(stack, lo, hi, middles[t], steps))
-            np.maximum(best2, parts[-1][0], out=best2)
-        done |= todo
-        todo = ~done & (bounds >= np.ldexp(best2, -exps)).any(axis=1)
-    return parts
+            first = ends[c][t] - len(plan)
+            tasks.append((lo, hi, middles[t], [plan[r - first] for r in rows]))
+        for (lo, hi, _, _), part in zip(tasks, run(_scan_middle, tasks)):
+            np.maximum(best2[lo:hi], part[0], out=best2[lo:hi])
+            spans.append((lo, hi))
+            parts.append(part)
+        for c, (lo, hi) in enumerate(chunks):
+            done[c] |= todo[c]
+            todo[c] = ~done[c] & (bounds[c] >= np.ldexp(best2[lo:hi], -exps[lo:hi])).any(axis=1)
+    return spans, parts
 
 
 _POOL_SHARED = None
@@ -297,23 +346,43 @@ def _pool_init(shared) -> None:
     _POOL_SHARED = shared
 
 
-def _pool_call(job):
-    fn, task = job
-    return fn(_POOL_SHARED, *task)
+def _pool_call(job) -> list:
+    fn, share = job
+    return [fn(_POOL_SHARED, *task) for task in share]
 
 
-def _run(fn, shared, tasks: list[tuple], workers: int) -> list:
-    """``fn(shared, *task)`` for every task, in task order: serially, or on
-    one process pool that receives ``shared`` once. The pool has at most
-    one process per task, since a forked pool starts all of its processes
-    at the first submit. ``fn`` must be a module-level function."""
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(shared,)
-        ) as pool:
-            return list(pool.map(_pool_call, [(fn, task) for task in tasks], chunksize=1))
-    return [fn(shared, *task) for task in tasks]
+@contextmanager
+def _runner(shared, workers: int):
+    """Yield ``run(fn, tasks)``, which gives ``fn(shared, *task)`` for every
+    task, in task order; ``fn`` must be a module-level function.
+
+    A call with one task, and every call when ``workers`` is 1, runs in the
+    calling process. The first call with more tasks opens the one process
+    pool, whose forked processes receive ``shared`` once, and every later
+    call submits to it. The pool has one process per task of that call, up
+    to ``workers``, since a forked pool starts all of its processes at the
+    first submit. A call deals its tasks round-robin, ``tasks[w::p]`` over
+    the pool's p processes, and sends each share as one job, so it costs at
+    most p round trips."""
+    with ExitStack() as stack:
+        pool = size = None
+
+        def run(fn, tasks: list[tuple]) -> list:
+            nonlocal pool, size
+            if pool is None and workers > 1 and len(tasks) > 1:
+                size = min(workers, len(tasks))
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=size, initializer=_pool_init, initargs=(shared,)
+                ))
+            if pool is None or len(tasks) < 2:
+                return [fn(shared, *task) for task in tasks]
+            shares = [tasks[w::size] for w in range(min(size, len(tasks)))]
+            out = [None] * len(tasks)
+            for w, results in enumerate(pool.map(_pool_call, [(fn, share) for share in shares])):
+                out[w::size] = results
+            return out
+
+        yield run
 
 
 def _fold(spans, parts, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,24 +412,18 @@ def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
     matrix in a ``(B, n, n)`` stack: a float32 screen of every step, from
     (chunk, j) tasks run heaviest first, then a float64 confirm of the steps
-    that can hold each matrix's maximum."""
+    that can hold each matrix's maximum, all on one runner."""
     nb, n = stack.shape[0], stack.shape[1]
     size = _chunk_size(n)
+    chunks = [(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
     # Task j covers j * C(n - j - 1, 2) quadruples per matrix.
     middles = sorted(range(1, n - 2), key=lambda j: -j * comb(n - j - 1, 2))
-    tasks = [(lo, min(lo + size, nb), j) for j in middles for lo in range(0, nb, size)]
-    exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
-    scaled = np.ldexp(stack, -exps[:, None, None]).astype(np.float32)
-    maxima = _run(_screen_middle, scaled, tasks, workers)
-    del scaled
-    spans, parts = [], []
-    chunks = list(range(0, nb, size))
-    for c, lo in enumerate(chunks):
-        hi = min(lo + size, nb)
+    scaled, exps = _screen_copy(stack)
+    with _runner((stack, scaled), workers) as run:
+        maxima = run(_screen_middle, [(lo, hi, j) for j in middles for lo, hi in chunks])
         # tasks run j by j, each over every chunk
-        confirmed = _confirm(stack, lo, hi, middles, maxima[c :: len(chunks)], exps[lo:hi])
-        spans += [(lo, hi)] * len(confirmed)
-        parts += confirmed
+        screens = [maxima[c :: len(chunks)] for c in range(len(chunks))]
+        spans, parts = _confirm(run, n, chunks, middles, screens, exps)
     return _fold(spans, parts, nb, n)
 
 
@@ -483,7 +546,8 @@ def sampled_delta(
     if samples % SAMPLE_BATCH:
         sizes.append(samples % SAMPLE_BATCH)
     tasks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
-    parts = _run(_batch_best, entries, tasks, workers)
+    with _runner(entries, workers) as run:
+        parts = run(_batch_best, tasks)
     best2, wit = _fold([(0, 1)] * len(parts), parts, 1, n)
     return DeltaReport(
         delta=float(best2[0]) / 2.0 * scale,

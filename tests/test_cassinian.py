@@ -343,3 +343,23 @@ def test_scalar_constructors_equal_matrix_entries_exactly():
     rows = e[xs, ys][:, None] + np.sqrt(e[xs[:, None], P] * e[ys[:, None], P])
     for x, y, row in zip(xs, ys, rows):
         assert mu_P(m, int(x), int(y), punctures) == math.prod(row.tolist())
+
+
+def test_point_next_to_a_puncture_keeps_a_zero_diagonal():
+    # d(0, 1) = 1e-170, so the gap product of point 1 underflows to 0 and
+    # its diagonal entry was 0 / 0
+    e = np.ones((5, 5)) - np.eye(5)
+    e[0, 1] = e[1, 0] = 1e-170
+    m = DistanceMatrix(e)
+    scalars = {
+        "tau_p": lambda x, y: tau_p(m, x, y, 0),
+        "tilde_tau_p": lambda x, y: tilde_tau_p(m, x, y, 0),
+        "avg_tau": lambda x, y: avg_tau(m, x, y, [0]),
+        "tilde_avg_tau": lambda x, y: tilde_avg_tau(m, x, y, [0]),
+        "sup_tau": lambda x, y: sup_tau(m, x, y, [0]),
+    }
+    for variant, scalar in scalars.items():
+        entries = punctured_matrix(PuncturedSpec(m, [0], variant=variant)).entries
+        expected = [[scalar(x, y) for y in range(1, 5)] for x in range(1, 5)]
+        assert np.array_equal(entries.view(np.uint64), np.array(expected).view(np.uint64)), variant
+        assert entries[0, 0] == 0.0 and entries[0, 1] > 195.0

@@ -223,11 +223,12 @@ def test_parallel_bit_identical():
 
 
 def test_pool_never_outnumbers_its_tasks(monkeypatch):
-    pools = []  # (max_workers, task count) of each pool asked for
+    pools = []  # per pool opened: its process count and, per pass, (kernel, jobs, tasks)
 
     class RecordingPool:
         def __init__(self, max_workers, initializer, initargs):
-            self.max_workers = max_workers
+            self.passes = []
+            pools.append((max_workers, self.passes))
             initializer(*initargs)
 
         def __enter__(self):
@@ -236,9 +237,11 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize):
+        def map(self, fn, jobs):
             jobs = list(jobs)
-            pools.append((self.max_workers, len(jobs)))
+            self.passes.append(
+                (jobs[0][0].__name__, len(jobs), sum(len(share) for _, share in jobs))
+            )
             return map(fn, jobs)
 
     monkeypatch.setattr(delta, "ProcessPoolExecutor", RecordingPool)
@@ -247,11 +250,41 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
     assert exact_delta(four, workers=5000).witness == exact_delta(four, workers=1).witness
     assert pools == []  # one task runs serially
     m = build_distance_matrix(random_cloud(40, 2, seed=3))
+    ones = np.ones((60, 60)) - np.eye(60)
     for run in (lambda w: exact_delta(m, workers=w),
-                lambda w: sampled_delta(m, samples=SAMPLE_BATCH + 10, seed=2, workers=w)):
-        pooled, serial = run(5000), run(1)
-        assert (pooled.delta, pooled.witness) == (serial.delta, serial.witness)
-    assert len(pools) == 2 and all(1 < size == tasks for size, tasks in pools)
+                lambda w: sampled_delta(m, samples=SAMPLE_BATCH + 10, seed=2, workers=w),
+                lambda w: exact_delta(ones, workers=w)):
+        for workers in (5000, 3):
+            pools.clear()
+            pooled, serial = run(workers), run(1)
+            assert (pooled.delta, pooled.witness) == (serial.delta, serial.witness)
+            assert len(pools) == 1  # at most one pool per call, none at workers=1
+            size, passes = pools[0]
+            assert 1 < size <= min(workers, passes[0][2])  # no more processes than tasks
+            assert all(jobs <= size for _, jobs, _ in passes)  # one job per process
+    # every step of the all-ones matrix ties, so its confirm rounds reach the pool
+    assert [(kernel, tasks) for kernel, _, tasks in passes] == [
+        ("_screen_middle", 57), ("_scan_middle", 57)
+    ]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_tie_heavy_reports_do_not_depend_on_workers(workers):
+    ones = np.ones((60, 60)) - np.eye(60)
+    serial = exact_delta(ones, workers=1)
+    pooled = exact_delta(ones, workers=workers)
+    assert (serial.delta, serial.witness) == (0.0, (0, 1, 2, 3))
+    assert (pooled.delta, pooled.witness) == (serial.delta, serial.witness)
+    rng = np.random.Generator(np.random.PCG64(97))
+    batch = []
+    for _ in range(12):
+        a = np.triu(rng.integers(1, 4, size=(40, 40)).astype(float), 1)
+        batch.append(a + a.T)
+    serial = exact_deltas(batch, workers=1)
+    pooled = exact_deltas(batch, workers=workers)
+    assert [(np.float64(r.delta).view(np.uint64), r.witness) for r in pooled] == [
+        (np.float64(r.delta).view(np.uint64), r.witness) for r in serial
+    ]
 
 
 def test_report_serialization():
@@ -522,6 +555,50 @@ def test_confirm_pass_takes_a_handful_of_steps(monkeypatch):
     exact_delta(punctured_matrix(spec))
     assert sum(len(delta._middle_steps(n, j)) for j in range(1, n - 2)) == 232
     assert 1 <= len(confirmed) <= 4
+
+
+def _brute_step_maxima(scaled, j, steps):
+    """Per step and matrix of a float32 stack, the largest doubled delta of
+    the step's quadruples i < j < k < l, from sorted pairing sums."""
+    n = scaled.shape[1]
+    out = []
+    for k0, g in steps:
+        quads = [(i, k, l) for i in range(j) for k in range(k0, k0 + g) for l in range(k + 1, n)]
+        i, k, l = np.array(quads).T
+        s = np.sort(
+            [scaled[:, i, j] + scaled[:, k, l],
+             scaled[:, i, k] + scaled[:, j, l],
+             scaled[:, i, l] + scaled[:, j, k]],
+            axis=0,
+        )
+        out.append((s[2] - s[1]).max(axis=1))
+    return np.array(out)
+
+
+def test_screen_maxima_need_no_corner_pass():
+    # the screen copy's -inf diagonal stands in for dropping each step's
+    # l <= k corner; non-metric inputs, so no triangle inequality helps.
+    # With a zero diagonal, corner entries would exceed the signed
+    # matrix's step maxima.
+    rng = np.random.Generator(np.random.PCG64(99))
+    spread = np.triu(10.0 ** rng.uniform(0.0, 3.0, size=(14, 14)), 1)
+    signed = np.triu(rng.uniform(-1.0, 1.0, size=(14, 14)), 1)
+    spec = PuncturedSpec(random_cloud(14, 2, seed=99), [[2.0, 2.0], [-1.0, 0.5]],
+                         variant="tilde_avg_tau")
+    forty = _mixed_batch(40)
+    for _ in range(4):
+        a = np.triu(rng.integers(1, 4, size=(40, 40)).astype(float), 1)
+        forty.append(a + a.T)
+    for batch in ([spread + spread.T], [signed + signed.T], [punctured_matrix(spec).entries],
+                  [np.ones((14, 14)) - np.eye(14)], forty):
+        nb, n = len(batch), batch[0].shape[0]
+        screen_copy = delta._screen_copy(np.stack(batch))[0]
+        scaled = screen_copy.copy()
+        scaled[:, range(n), range(n)] = 0.0
+        for j in range(1, n - 2):
+            screen = delta._screen_middle((None, screen_copy), 0, nb, j)
+            brute = _brute_step_maxima(scaled, j, delta._middle_steps(n, j, nb))
+            assert np.array_equal(screen.view(np.uint32), brute.view(np.uint32)), (n, j)
 
 
 def test_exact_delta_memory_is_bounded():
