@@ -62,16 +62,33 @@ def as_oracle(d) -> Oracle:
     raise InputError(f"expected a DistanceMatrix, ndarray, or callable oracle, got {type(d)!r}")
 
 
+def _root(gx, gy):
+    """sqrt(d(x,p) d(y,p)) over broadcastable arrays of anchor distances.
+
+    Where the product falls below the smallest normal float it is taken
+    at the exact scale 2^1022, where it does not, so two points next to a
+    puncture keep the entry the scalar constructors give them. The guard
+    reads only the smallest nonzero gaps: a zero gap needs no scale."""
+    tiny = np.finfo(float).tiny
+    product = gx * gy
+    least = np.min(gx, initial=np.inf, where=gx > 0) * np.min(gy, initial=np.inf, where=gy > 0)
+    if least >= tiny:  # no nonzero product underflows
+        return np.sqrt(product)
+    with np.errstate(over="ignore"):  # only where the product itself is taken
+        scaled = np.sqrt(np.ldexp(gx, 511) * np.ldexp(gy, 511)) * 2.0**-511
+    return np.where(product < tiny, scaled, np.sqrt(product))
+
+
 def _mu(dxy, gx, gy):
     """d(x,y) + sqrt(d(x,p) d(y,p)) over broadcastable arrays of base
     distances ``dxy`` and anchor distances ``gx``, ``gy``."""
-    return dxy + np.sqrt(gx * gy)
+    return dxy + _root(gx, gy)
 
 
 def _tau(dxy, gx, gy, factor: float):
     """log(1 + factor d(x,y) / sqrt(d(x,p) d(y,p))): tau_p for factor 2,
     tilde_tau_p for factor 1."""
-    return np.log1p(factor * dxy / np.sqrt(gx * gy))
+    return np.log1p(factor * dxy / _root(gx, gy))
 
 
 def _fold(op, start: float, dxy, gx, gy, factor: float):
@@ -394,8 +411,9 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[DistanceMatrix]:
     anchors = [_resolve_anchor(variant, spec.anchor, k) for variant, k in cells]
     dom, gaps, _ = _materialize(spec)
     by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
-    # Every variant is 0 at base distance 0, but a gap product that
-    # underflows makes it 0/0 there (a diagonal entry next to a puncture).
+    # Every variant is 0 at base distance 0, but gaps so small that even
+    # ``_root``'s scaled product underflows make it 0/0 there (a diagonal
+    # entry next to a puncture).
     zero = np.flatnonzero(dom == 0.0)
     out = []
     for (variant, k), anchor in zip(cells, anchors):

@@ -29,12 +29,14 @@ float32 copy of the stack, each matrix scaled by an exact power of two
 has |x| <= 1: nothing overflows, and underflow costs at most 2^-149
 absolute. A step reports only each matrix's largest float32 doubled delta
 m. The *confirm* pass then evaluates in float64, with witness keys, only
-the steps that can hold the maximum: per matrix, first the step of largest
-bound, then every step whose bound is at least the best float64 value
-found by then (in units of 2^e). A step whose bound is below that value
-holds no quadruple reaching the maximum, so the delta and the witness
-equal those of a float64 sweep of every step. Each of its two rounds
-batches its steps per (chunk, j), as the screen does.
+the steps that can hold the maximum, planned from the screen alone: per
+matrix, the floor F is the largest lower bound of any step, and a step is
+confirmed when its upper bound reaches F. Every step holds a quadruple at
+least its lower bound, so F is at most the maximum; a step whose upper
+bound is below F holds no quadruple reaching it, so the delta and the
+witness equal those of a float64 sweep of every step. The bounds and F are
+all in units of the matrix's own 2^e, so no comparison leaves them. The
+pass batches its steps per (chunk, j), as the screen does.
 
 The screen needs no pass over the l <= k corner of a step's grid: the
 diagonal of its float32 copy is -inf. An entry with l < k is the quadruple
@@ -57,8 +59,10 @@ float32 and float64 differences top - median are within
 2 (2^-23 + 2^-52) of each other. Both are nonnegative, and the final
 subtraction rounds them by a relative 2^-24 (float32) or 2^-53 (float64).
 So every float64 doubled delta D of a step with float32 maximum m has
-D <= m + 2^-23 m + 2^-21, and the bound m + 2^-22 m + 2^-19 keeps a margin
-of at least 2x on each term.
+D <= m + 2^-23 m + 2^-21, and the step holds a quadruple (the one reaching
+m) whose D >= m - 2^-23 m - 2^-21. The upper bound m + 2^-22 m + 2^-19 and
+the lower bound m - 2^-22 m - 2^-19 keep a margin of at least 2x on each
+term.
 
 The witness is the lexicographically smallest quadruple of maximal delta.
 The confirm pass and the sampler carry it as a key, the flat index of the
@@ -72,15 +76,14 @@ fold does not depend on task order, so tasks run heaviest first and the
 report is identical for any worker count.
 
 One runner, ``_runner``, runs a kernel's tasks, and a sweep has one runner
-for its screen and both confirm rounds. With more than one worker, the
-first pass of more than one task opens the sweep's one process pool; its
-forked processes receive the float64 stack and the float32 copy once, and
-every later pass submits to the same pool. A pass deals its
+for its screen and its confirm pass. With more than one worker, the first
+pass of more than one task opens the sweep's one process pool; its forked
+processes receive the float64 stack and the float32 copy once, and the
+confirm pass submits to the same pool. A pass deals its
 heaviest-first task list round-robin, ``tasks[w::p]`` over the pool's p
 processes, and sends each process its share as one job, so a pass costs p
-round trips, not one per task. A pass of one task, such as a first
-confirm round that holds a single (chunk, j), runs in the calling
-process.
+round trips, not one per task. A pass of one task, such as a confirm
+pass that holds a single (chunk, j), runs in the calling process.
 
 Both kernels need finite, exactly symmetric entries (``InputError``
 otherwise). A matrix with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is
@@ -102,6 +105,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from itertools import compress
 from math import comb, prod
 
 import numpy as np
@@ -239,16 +243,16 @@ def _drop_corner(grid: np.ndarray, g: int) -> None:
     np.copyto(grid[..., :g], -np.inf, where=_CORNER[:g, :g])
 
 
-def _screen_copy(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _screen_copy(stack: np.ndarray) -> np.ndarray:
     """The screen's float32 copy of a ``(B, n, n)`` stack, each matrix scaled
-    by 2^-e with e from ``frexp`` of its largest |entry|, and the e of each.
-    The copy's diagonal is -inf, which leaves every step's corner no larger
-    than the step's maximum."""
+    by 2^-e with e from ``frexp`` of its largest |entry|. The copy's diagonal
+    is -inf, which leaves every step's corner no larger than the step's
+    maximum."""
     n = stack.shape[1]
     exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
     scaled = np.ldexp(stack, -exps[:, None, None]).astype(np.float32)
     scaled[:, range(n), range(n)] = -np.inf
-    return scaled, exps
+    return scaled
 
 
 def _screen_middle(stacks, lo: int, hi: int, j: int) -> np.ndarray:
@@ -291,51 +295,6 @@ def _scan_middle(
     best2 = vals.max(axis=0)
     key = np.where(vals == best2, keys, np.iinfo(np.int64).max).min(axis=0)
     return best2, key
-
-
-def _confirm(
-    run, n: int, chunks: list[tuple[int, int]], middles: list[int],
-    screens: list[list[np.ndarray]], exps: np.ndarray,
-) -> tuple[list[tuple[int, int]], list[tuple[np.ndarray, np.ndarray]]]:
-    """The float64 parts, as ``_scan_middle`` gives them, of the steps that
-    can hold their matrix's maximum, and the chunk of each part.
-    ``screens[c][t]`` is the screen of chunk ``chunks[c]`` at
-    ``middles[t]``, in units of ``2^exps``. The first round takes each
-    matrix's step of largest bound; the next takes every step left whose
-    bound reaches a matrix's best value so far, which leaves none. A round
-    is one call of ``run`` on its (j, chunk) groups of steps, heaviest j
-    first."""
-    bounds, ends, todo = [], [], []
-    for screen in screens:
-        m = np.concatenate(screen).astype(float)
-        bounds.append(m + 2.0**-19 + 2.0**-22 * m)
-        ends.append(np.cumsum([len(part) for part in screen]))
-        todo.append(np.zeros(len(m), dtype=bool))
-        todo[-1][bounds[-1].argmax(axis=0)] = True
-    best2 = np.full(len(exps), -np.inf)
-    done = [np.zeros_like(rows) for rows in todo]
-    spans, parts = [], []
-    while any(rows.any() for rows in todo):
-        groups = []  # (t, c, screen rows of middles[t] in chunk c)
-        for c, rows in enumerate(todo):
-            rows = np.flatnonzero(rows)
-            at = np.searchsorted(ends[c], rows, side="right")
-            groups += [(t, c, rows[at == t]) for t in sorted(set(at.tolist()))]
-        groups.sort(key=lambda group: group[:2])
-        tasks = []
-        for t, c, rows in groups:
-            lo, hi = chunks[c]
-            plan = _middle_steps(n, middles[t], hi - lo)
-            first = ends[c][t] - len(plan)
-            tasks.append((lo, hi, middles[t], [plan[r - first] for r in rows]))
-        for (lo, hi, _, _), part in zip(tasks, run(_scan_middle, tasks)):
-            np.maximum(best2[lo:hi], part[0], out=best2[lo:hi])
-            spans.append((lo, hi))
-            parts.append(part)
-        for c, (lo, hi) in enumerate(chunks):
-            done[c] |= todo[c]
-            todo[c] = ~done[c] & (bounds[c] >= np.ldexp(best2[lo:hi], -exps[lo:hi])).any(axis=1)
-    return spans, parts
 
 
 _POOL_SHARED = None
@@ -411,20 +370,28 @@ def _chunk_size(n: int) -> int:
 def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
     matrix in a ``(B, n, n)`` stack: a float32 screen of every step, from
-    (chunk, j) tasks run heaviest first, then a float64 confirm of the steps
-    that can hold each matrix's maximum, all on one runner."""
+    (chunk, j) tasks run heaviest first, then one float64 confirm pass over
+    the steps whose bound reaches their matrix's floor, on one runner."""
     nb, n = stack.shape[0], stack.shape[1]
     size = _chunk_size(n)
     chunks = [(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
     # Task j covers j * C(n - j - 1, 2) quadruples per matrix.
     middles = sorted(range(1, n - 2), key=lambda j: -j * comb(n - j - 1, 2))
-    scaled, exps = _screen_copy(stack)
-    with _runner((stack, scaled), workers) as run:
-        maxima = run(_screen_middle, [(lo, hi, j) for j in middles for lo, hi in chunks])
-        # tasks run j by j, each over every chunk
-        screens = [maxima[c :: len(chunks)] for c in range(len(chunks))]
-        spans, parts = _confirm(run, n, chunks, middles, screens, exps)
-    return _fold(spans, parts, nb, n)
+    tasks = [(lo, hi, j) for j in middles for lo, hi in chunks]
+    with _runner((stack, _screen_copy(stack)), workers) as run:
+        # (steps, hi - lo) float32 maxima, each matrix in its own units
+        screens = [m.astype(float) for m in run(_screen_middle, tasks)]
+        floor = np.full(nb, -np.inf)
+        for (lo, hi, _), m in zip(tasks, screens):
+            np.maximum(floor[lo:hi], (m - 2.0**-22 * m - 2.0**-19).max(axis=0), out=floor[lo:hi])
+        confirm = []
+        for (lo, hi, j), m in zip(tasks, screens):
+            reach = (m + 2.0**-22 * m + 2.0**-19 >= floor[lo:hi]).any(axis=1)
+            steps = list(compress(_middle_steps(n, j, hi - lo), reach))
+            if steps:
+                confirm.append((lo, hi, j, steps))
+        parts = run(_scan_middle, confirm)
+    return _fold([task[:2] for task in confirm], parts, nb, n)
 
 
 def _reports(
@@ -466,7 +433,7 @@ def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
 
 def exact_deltas(matrices, workers: int = 1) -> list[DeltaReport]:
     """``exact_delta`` of every matrix in a batch of equal size, in one
-    sweep: each (i, j) step runs once for the whole batch.
+    sweep: each (j, k0) step runs once for the whole batch.
 
     Each report equals ``exact_delta(m, workers=workers)`` (its
     ``elapsed_s`` is the time of the whole batch).

@@ -407,7 +407,15 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
         unit, e = _unit_scale(pts)  # squares stay within the float range
         diff = unit[:, None, :] - unit[None, :, :]
         if metric == "euclidean":
-            d = np.sqrt(np.sum(diff * diff, axis=-1))
+            squares = np.sum(diff * diff, axis=-1)
+            d = np.sqrt(squares)
+            # Where the sum of squares underflows, take the norm again in
+            # units of the power of two of its largest term, which puts the
+            # largest square in [1/4, 1).
+            low = squares < np.finfo(float).tiny
+            top = np.frexp(np.abs(diff[low]).max(axis=-1, initial=0.0))[1]
+            terms = np.ldexp(diff[low], -top[:, None])
+            d[low] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
         else:
             d = np.sum(np.abs(diff), axis=-1)
         with np.errstate(over="ignore"):  # a distance past the float range reads inf

@@ -17,6 +17,7 @@ from hypmetrics import (
     j_tilde_metric,
     mu_P,
     mu_p,
+    pairwise_distances,
     punctured_matrix,
     random_cloud,
     sup_tau,
@@ -182,6 +183,9 @@ def test_puncture_coincidence_rejected():
     spec = PuncturedSpec(cloud, [[1.0, 0.0]], variant="tau_p")
     with pytest.raises(PunctureDomainError):
         punctured_matrix(spec)
+    # 1e-170 from a puncture a point is off it, though its squared distance underflows
+    near = PuncturedSpec(PointCloud([[1e-170, 0.0], [1.0, 1.0]]), [[0.0, 0.0]], variant="avg_tau")
+    assert punctured_matrix(near)(0, 1) > 195.0
     with pytest.raises(InputError, match="^punctures 0 and 1 coincide$"):
         PuncturedSpec(cloud, [[0.5, 0.5], [0.5, 0.5]], variant="avg_tau")
     with pytest.raises(InputError, match="^punctures 1 and 2 coincide$"):
@@ -196,10 +200,12 @@ def test_punctures_at_distance_zero_rejected():
         punctured_matrix(PuncturedSpec(m, [0, 1, 2, 4], "avg_tau"))
     with pytest.raises(InputError, match="^punctures 2 and 1 sit at distance zero$"):
         punctured_matrix(PuncturedSpec(m, [3, 2, 1], "avg_tau"))
-    # distinct coordinates whose distance underflows to zero
+    # distinct coordinates 5e-324 apart are distinct punctures, although
+    # the square of their distance underflows to zero
     far = [[3.0, 3.0], [0.0, 0.0], [5e-324, 0.0]]
-    with pytest.raises(InputError, match="^punctures 1 and 2 sit at distance zero$"):
-        punctured_matrix(PuncturedSpec(PointCloud([[1.0, 1.0], [2.0, 0.5]]), far, "avg_tau"))
+    spec = PuncturedSpec(PointCloud([[1.0, 1.0], [2.0, 0.5]]), far, "avg_tau")
+    assert punctured_matrix(spec).n == 2
+    assert pairwise_distances(np.array(far), "euclidean")[1, 2] == 5e-324
 
 
 def test_punctured_matrix_by_index_matches_scalar():
@@ -347,19 +353,23 @@ def test_scalar_constructors_equal_matrix_entries_exactly():
 
 def test_point_next_to_a_puncture_keeps_a_zero_diagonal():
     # d(0, 1) = 1e-170, so the gap product of point 1 underflows to 0 and
-    # its diagonal entry was 0 / 0
-    e = np.ones((5, 5)) - np.eye(5)
-    e[0, 1] = e[1, 0] = 1e-170
-    m = DistanceMatrix(e)
-    scalars = {
-        "tau_p": lambda x, y: tau_p(m, x, y, 0),
-        "tilde_tau_p": lambda x, y: tilde_tau_p(m, x, y, 0),
-        "avg_tau": lambda x, y: avg_tau(m, x, y, [0]),
-        "tilde_avg_tau": lambda x, y: tilde_avg_tau(m, x, y, [0]),
-        "sup_tau": lambda x, y: sup_tau(m, x, y, [0]),
-    }
-    for variant, scalar in scalars.items():
-        entries = punctured_matrix(PuncturedSpec(m, [0], variant=variant)).entries
-        expected = [[scalar(x, y) for y in range(1, 5)] for x in range(1, 5)]
-        assert np.array_equal(entries.view(np.uint64), np.array(expected).view(np.uint64)), variant
-        assert entries[0, 0] == 0.0 and entries[0, 1] > 195.0
+    # its diagonal entry was 0 / 0; with d(0, 2) = d(1, 2) = 1e-170 too, the
+    # gap product of points 1 and 2 underflows and their entry was infinite
+    one = np.ones((5, 5)) - np.eye(5)
+    one[0, 1] = one[1, 0] = 1e-170
+    two = one.copy()
+    two[[0, 1, 2, 2], [2, 2, 0, 1]] = 1e-170
+    for e in (one, two):
+        m = DistanceMatrix(e)
+        scalars = {
+            "tau_p": lambda x, y: tau_p(m, x, y, 0),
+            "tilde_tau_p": lambda x, y: tilde_tau_p(m, x, y, 0),
+            "avg_tau": lambda x, y: avg_tau(m, x, y, [0]),
+            "tilde_avg_tau": lambda x, y: tilde_avg_tau(m, x, y, [0]),
+            "sup_tau": lambda x, y: sup_tau(m, x, y, [0]),
+        }
+        for variant, scalar in scalars.items():
+            entries = punctured_matrix(PuncturedSpec(m, [0], variant=variant)).entries
+            expected = [[scalar(x, y) for y in range(1, 5)] for x in range(1, 5)]
+            assert np.array_equal(entries.view(np.uint64), np.array(expected).view(np.uint64)), variant
+            assert entries[0, 0] == 0.0 and entries[0, 2] > 195.0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
 import numpy as np
@@ -557,6 +558,32 @@ def test_confirm_pass_takes_a_handful_of_steps(monkeypatch):
     assert 1 <= len(confirmed) <= 4
 
 
+def test_sweep_runs_one_screen_pass_and_one_confirm_pass(monkeypatch):
+    # the confirm pass is planned from the screen alone, so a sweep calls
+    # its runner twice whether the screen keeps one step or every step
+    runner, passes = delta._runner, []
+
+    @contextmanager
+    def recording(shared, workers):
+        with runner(shared, workers) as run:
+            yield lambda fn, tasks: passes.append((fn.__name__, len(tasks))) or run(fn, tasks)
+
+    monkeypatch.setattr(delta, "_runner", recording)
+    n = 60
+    spec = PuncturedSpec(random_cloud(n, 2, seed=95), [[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]],
+                         variant="avg_tau")
+    ones = np.ones((n, n)) - np.eye(n)
+    for sweep in (lambda w: exact_delta(punctured_matrix(spec), workers=w),
+                  lambda w: exact_deltas(_screen_matrices(), workers=w),
+                  lambda w: exact_delta(ones, workers=w)):
+        for workers in (1, 2):
+            passes.clear()
+            sweep(workers)
+            assert [kernel for kernel, _ in passes] == ["_screen_middle", "_scan_middle"]
+    # every step of the all-ones matrix ties, so every (chunk, j) is confirmed
+    assert passes[0][1] == passes[1][1] > 1
+
+
 def _brute_step_maxima(scaled, j, steps):
     """Per step and matrix of a float32 stack, the largest doubled delta of
     the step's quadruples i < j < k < l, from sorted pairing sums."""
@@ -592,7 +619,7 @@ def test_screen_maxima_need_no_corner_pass():
     for batch in ([spread + spread.T], [signed + signed.T], [punctured_matrix(spec).entries],
                   [np.ones((14, 14)) - np.eye(14)], forty):
         nb, n = len(batch), batch[0].shape[0]
-        screen_copy = delta._screen_copy(np.stack(batch))[0]
+        screen_copy = delta._screen_copy(np.stack(batch))
         scaled = screen_copy.copy()
         scaled[:, range(n), range(n)] = 0.0
         for j in range(1, n - 2):

@@ -131,11 +131,15 @@ _SCALAR_METRICS = {
 
 
 def test_callable_metric_matrix_matches_named():
-    cloud = random_cloud(300, 2, seed=3, low=-50.0, high=50.0)
-    for metric, fn in _SCALAR_METRICS.items():
-        named = build_distance_matrix(cloud, metric).entries
-        custom = build_distance_matrix(cloud, fn).entries
-        assert np.array_equal(named, custom), metric
+    # in the second cloud the squares of the distances among the points
+    # near the origin underflow, and a lone pair's do not
+    near = PointCloud([[1e-170, 0.0], [1.0, 1.0], [0.0, 0.0], [3e-170, -4e-170]])
+    for cloud in (random_cloud(300, 2, seed=3, low=-50.0, high=50.0), near):
+        for metric, fn in _SCALAR_METRICS.items():
+            named = build_distance_matrix(cloud, metric).entries
+            custom = build_distance_matrix(cloud, fn).entries
+            assert np.array_equal(named, custom), metric
+    assert build_distance_matrix(near).entries[[0, 3], [2, 2]].tolist() == [1e-170, 5e-170]
 
 
 def test_cloud_rejects_nan_and_bad_labels():
