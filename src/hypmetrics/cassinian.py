@@ -62,21 +62,32 @@ def as_oracle(d) -> Oracle:
     raise InputError(f"expected a DistanceMatrix, ndarray, or callable oracle, got {type(d)!r}")
 
 
+def _least_gap(g) -> float:
+    """The smallest nonzero entry of an array of gaps, inf when none is."""
+    least = float(g.min(initial=np.inf))
+    return least if least > 0.0 else float(g.min(initial=np.inf, where=g > 0.0))
+
+
 def _root(gx, gy):
     """sqrt(d(x,p) d(y,p)) over broadcastable arrays of anchor distances.
 
     Where the product falls below the smallest normal float it is taken
-    at the exact scale 2^1022, where it does not, so two points next to a
-    puncture keep the entry the scalar constructors give them. The guard
-    reads only the smallest nonzero gaps: a zero gap needs no scale."""
+    at the exact scale 2^1022, and where it overflows at the scale 2^-1022,
+    where it does not, so two points next to a puncture keep the entry the
+    scalar constructors give them, also beside distances near the top of
+    the float range. The guard reads only the smallest nonzero gaps and the
+    largest ones: a zero gap needs no scale."""
     tiny = np.finfo(float).tiny
-    product = gx * gy
-    least = np.min(gx, initial=np.inf, where=gx > 0) * np.min(gy, initial=np.inf, where=gy > 0)
-    if least >= tiny:  # no nonzero product underflows
-        return np.sqrt(product)
+    # Python floats: a product past the float range reads inf, silently
+    least = _least_gap(gx) * _least_gap(gy)
+    most = float(gx.max(initial=0.0)) * float(gy.max(initial=0.0))
+    if least >= tiny and most < math.inf:  # no nonzero product leaves the normal range
+        return np.sqrt(gx * gy)
     with np.errstate(over="ignore"):  # only where the product itself is taken
-        scaled = np.sqrt(np.ldexp(gx, 511) * np.ldexp(gy, 511)) * 2.0**-511
-    return np.where(product < tiny, scaled, np.sqrt(product))
+        product = gx * gy
+        up = np.sqrt(np.ldexp(gx, 511) * np.ldexp(gy, 511)) * 2.0**-511
+        down = np.sqrt(np.ldexp(gx, -511) * np.ldexp(gy, -511)) * 2.0**511
+    return np.where(product < tiny, up, np.where(product == np.inf, down, np.sqrt(product)))
 
 
 def _mu(dxy, gx, gy):
@@ -355,9 +366,11 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
     Returns ``(dom, gaps, domain_indices)`` where ``dom[i, j]`` is the base
     distance between surviving points and ``gaps[i, a]`` the distance from
     surviving point i to puncture a, both in units of a power of two:
-    ``_unit_scale`` takes the base distances into a range where gap
-    products neither underflow nor overflow. Every variant is a ratio of
-    base distances, so an exact power-of-two unit leaves it unchanged.
+    ``_unit_scale`` scales tiny base distances up and halves those near the
+    top of the float range, so twice a distance stays finite, and ``_root``
+    rescales the gap products that leave the normal range. Every variant is
+    a ratio of base distances, so an exact power-of-two unit leaves it
+    unchanged.
     Raises PunctureDomainError when a domain point touches a puncture.
     """
     if isinstance(spec.base, DistanceMatrix):

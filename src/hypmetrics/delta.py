@@ -17,52 +17,74 @@ from some k0 and vectorizes over a ``(B, i < j, k, l > k0)`` grid, so
 every entry but the l <= k corner of the (k, l) block is a distinct
 quadruple. ``_middle_grids`` fills the three pairing sums d(i,j) + d(k,l),
 d(i,k) + d(j,l) and d(i,l) + d(j,k) as broadcasts of upper-triangle
-slices, with no gather, in the stack's dtype; the Ptolemy sweep takes the
-same grids with float64 products. A step takes as many k values, and a
-chunk as many matrices, as keep one step's grid within ``_BATCH_ELEMENTS``
-entries (at least one), so the kernel's memory is bounded by that budget,
-not by the batch.
+slices, with no gather, in the stack's dtype, for the confirm pass; the
+Ptolemy sweep takes the same grids with float64 products. A step takes as
+many k values, and a chunk as many matrices, as keep one step's grid
+within ``_BATCH_ELEMENTS`` entries (at least one), so the kernel's memory
+is bounded by that budget, not by the batch.
 
-The sweep walks the grids in two passes. The *screen* runs every step on a
-float32 copy of the stack, each matrix scaled by an exact power of two
-2^-e, e from ``frexp`` of its largest |entry|, so that every copied entry
-has |x| <= 1: nothing overflows, and underflow costs at most 2^-149
-absolute. A step reports only each matrix's largest float32 doubled delta
-m. The *confirm* pass then evaluates in float64, with witness keys, only
-the steps that can hold the maximum, planned from the screen alone: per
-matrix, the floor F is the largest lower bound of any step, and a step is
-confirmed when its upper bound reaches F. Every step holds a quadruple at
-least its lower bound, so F is at most the maximum; a step whose upper
-bound is below F holds no quadruple reaching it, so the delta and the
-witness equal those of a float64 sweep of every step. The bounds and F are
-all in units of the matrix's own 2^e, so no comparison leaves them. The
-pass batches its steps per (chunk, j), as the screen does.
+The sweep walks the steps in two passes. The *screen* runs every step in
+float32, on values read from a float64 copy of the stack, each matrix
+scaled by an exact power of two 2^-e, e from ``frexp`` of its largest
+|entry|, so that every copied entry has |x| < 1: nothing overflows, and
+underflow costs at most 2^-1075 absolute. A step reports only each
+matrix's largest float32 doubled delta m. The *confirm* pass then
+evaluates in float64, with witness keys, only the steps that can hold the
+maximum, planned from the screen alone: per matrix, the floor F is the
+largest lower bound of any step, and a step is confirmed when its upper
+bound reaches F. Every step holds a quadruple at least its lower bound, so
+F is at most the maximum; a step whose upper bound is below F holds no
+quadruple reaching it, so the delta and the witness equal those of a
+float64 sweep of every step. The bounds and F are all in units of the
+matrix's own 2^e, so no comparison leaves them. The pass batches its steps
+per (chunk, j), as the screen does.
 
-The screen needs no pass over the l <= k corner of a step's grid: the
-diagonal of its float32 copy is -inf. An entry with l < k is the quadruple
-(i, j, l, k) of the same step (l and k both lie in its k and l ranges),
-whose pairing sums are the same float32 operands with the second and the
-third swapped; the largest sum and the median are exact comparisons, so
-its value is that quadruple's, bit for bit. An entry with l = k has
-s1 = -inf and s2 = d(i,k) + d(j,k) = s3 bit for bit, so its value is
-exactly 0, while every step holds a quadruple, whose value is at least
-0. So each step maximum equals the one over its quadruples alone. The
-confirm pass and the Ptolemy sweep read witness keys, counts and
-violations, not just a maximum, so they keep ``_drop_corner``.
+The screen takes the four-point condition in Gromov-product form with the
+middle index j as base point (Fournier, Ismail and Vigneron, IPL 2015).
+Subtracting the term d(i,j) + d(j,k) + d(j,l) common to the three pairing
+sums leaves
 
-The bound, in units of 2^e. A float32 entry is within 2^-25 of the float64
-one (half an ulp below 1), so a float32 pairing sum, rounded once more
-below 2, is within 2^-25 + 2^-25 + 2^-24 = 2^-23 of the exact sum of the
-float64 entries; a float64 pairing sum is within 2^-52 of it. The largest
-sum and the median are 1-Lipschitz in the largest change of a sum, so the
-float32 and float64 differences top - median are within
-2 (2^-23 + 2^-52) of each other. Both are nonnegative, and the final
-subtraction rounds them by a relative 2^-24 (float32) or 2^-53 (float64).
-So every float64 doubled delta D of a step with float32 maximum m has
-D <= m + 2^-23 m + 2^-21, and the step holds a quadruple (the one reaching
-m) whose D >= m - 2^-23 m - 2^-21. The upper bound m + 2^-22 m + 2^-19 and
-the lower bound m - 2^-22 m - 2^-19 keep a margin of at least 2x on each
-term.
+    R[k,l] = d(k,l) - (d(j,k) + d(j,l)),
+    Q[i,k] = d(i,k) - (d(i,j) + d(j,k)),   Q[i,l],
+
+whose top minus median is the quadruple's doubled delta. A task
+(chunk, j) builds R (m x m, m = n - j - 1) and Q, stored as its
+transpose (m x j), once, in float64 from the scaled copy, rounding each
+value once to float32 (``_gromov_rows``); a step then reads R, Q over k
+and Q over l as three broadcasts, with no addition per quadruple. Its
+grid is ordered (k, l, i), so Q over l is one contiguous block of rows
+and the two passes that read it run over whole rows.
+
+The screen needs no pass over the l <= k corner of a step's grid. R takes
+the sum d(j,k) + d(j,l) first, the same float for (k, l) and (l, k), so it
+is bitwise symmetric, and its diagonal is -inf. An entry with l < k reads R[k,l] = R[l,k], Q[i,k] and
+Q[i,l]: the values of the quadruple (i, j, l, k) of the same step (l and k
+both lie in its k and l ranges) with the second and the third swapped; the
+largest value and the median are exact comparisons, so its value is that
+quadruple's, bit for bit. An entry with l = k has top and median both
+Q[i,k], so its value is exactly 0, while every step holds a quadruple,
+whose value is at least 0. So each step maximum equals the one over its
+quadruples alone. The confirm pass and the Ptolemy sweep read witness
+keys, counts and violations, not just a maximum, so they keep
+``_drop_corner``.
+
+The bound, in units of 2^e. Each scaled entry has |x| < 1, so a float64
+sum of two is within 2^-53 of the exact sum (half an ulp below 2), and an
+R or Q value, |value| < 2, is within 2^-53 + 2^-53 = 2^-52 in float64
+and, rounded once to float32 (half an ulp below 2 is 2^-24), within
+2^-24 + 2^-52 of its exact value; the underflow of its three scaled
+entries adds under 2^-1073. A float64 pairing sum of the confirm pass,
+below 2, is within 2^-53 of the exact sum. The largest value and the
+median are 1-Lipschitz in the largest change of a value, and the common
+term cancels, so the float32 and float64 differences top - median are
+within 2 (2^-24 + 2^-52) and 2^-52 of the exact one, respectively. Both
+are nonnegative, and the final subtraction rounds them by a relative
+2^-24 (float32) or 2^-53 (float64). So every float64 doubled delta D of a
+step with float32 maximum m has D <= m + 2^-23 m + 2^-22, and the step
+holds a quadruple (the one reaching m) whose D >= m - 2^-23 m - 2^-22.
+The upper bound m + 2^-22 m + 2^-19 and the lower bound
+m - 2^-22 m - 2^-19 keep a margin of at least 2x on the first term and 8x
+on the second.
 
 The witness is the lexicographically smallest quadruple of maximal delta.
 The confirm pass and the sampler carry it as a key, the flat index of the
@@ -78,7 +100,7 @@ report is identical for any worker count.
 One runner, ``_runner``, runs a kernel's tasks, and a sweep has one runner
 for its screen and its confirm pass. With more than one worker, the first
 pass of more than one task opens the sweep's one process pool; its forked
-processes receive the float64 stack and the float32 copy once, and the
+processes receive the float64 stack and its scaled copy once, and the
 confirm pass submits to the same pool. A pass deals its
 heaviest-first task list round-robin, ``tasks[w::p]`` over the pool's p
 processes, and sends each process its share as one job, so a pass costs p
@@ -209,23 +231,29 @@ def _middle_steps(n: int, j: int, nb: int = 1) -> list[tuple[int, int]]:
     return steps
 
 
+def _step_grids(nb: int, n: int, j: int, steps, count: int, dtype):
+    """Yield ``(k0, g, grids)`` for each ``(k0, g)`` of ``steps``: ``count``
+    scratch ``(nb, i < j, g, l > k0)`` grids of ``dtype``, views of one
+    allocation sized for the largest step."""
+    size = nb * j * max(g * (n - k0 - 1) for k0, g in steps)
+    bufs = np.empty((count, size), dtype=dtype)
+    for k0, g in steps:
+        shape = (nb, j, g, n - k0 - 1)
+        yield k0, g, tuple(buf[: prod(shape)].reshape(shape) for buf in bufs)
+
+
 def _middle_grids(stack: np.ndarray, j: int, op, count: int, steps=None):
     """Yield ``(k0, g, grids)`` for each of ``steps`` (by default every
     ``_middle_steps(n, j, nb)`` step) of a ``(nb, n, n)`` stack: ``count``
-    scratch ``(nb, i < j, g, l > k0)`` grids in the stack's dtype, views of
-    one allocation sized for the largest step. The first three hold the
+    ``_step_grids`` in the stack's dtype. The first three hold the
     pairings d(i,j) op d(k,l), d(i,k) op d(j,l) and d(i,l) op d(j,k) of the
     binary ufunc ``op`` over k0 <= k < k0 + g; every operand is read from
     the upper triangle."""
     nb, n = stack.shape[0], stack.shape[1]
     if steps is None:
         steps = _middle_steps(n, j, nb)
-    size = nb * j * max(g * (n - k0 - 1) for k0, g in steps)
-    bufs = np.empty((count, size), dtype=stack.dtype)
     col_j, row_j = stack[:, :j, j, None, None], stack[:, j]
-    for k0, g in steps:
-        shape = (nb, j, g, n - k0 - 1)
-        grids = tuple(buf[: prod(shape)].reshape(shape) for buf in bufs)
+    for k0, g, grids in _step_grids(nb, n, j, steps, count, stack.dtype):
         ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
         op(col_j, stack[:, None, ks, ls], out=grids[0])
         op(stack[:, :j, ks, None], row_j[:, None, None, ls], out=grids[1])
@@ -244,28 +272,43 @@ def _drop_corner(grid: np.ndarray, g: int) -> None:
 
 
 def _screen_copy(stack: np.ndarray) -> np.ndarray:
-    """The screen's float32 copy of a ``(B, n, n)`` stack, each matrix scaled
-    by 2^-e with e from ``frexp`` of its largest |entry|. The copy's diagonal
-    is -inf, which leaves every step's corner no larger than the step's
-    maximum."""
-    n = stack.shape[1]
+    """The screen's copy of a ``(B, n, n)`` stack, each matrix scaled by 2^-e
+    with e from ``frexp`` of its largest |entry|, so every entry has
+    |x| < 1."""
     exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
-    scaled = np.ldexp(stack, -exps[:, None, None]).astype(np.float32)
-    scaled[:, range(n), range(n)] = -np.inf
-    return scaled
+    return np.ldexp(stack, -exps[:, None, None])
+
+
+def _gromov_rows(scaled: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(QT, R)`` of middle index j for a ``(nb, n, n)`` scaled stack, in
+    float32, with k = j + 1 + k' and l = j + 1 + l':
+    QT[:, k', i] = d(i,k) - (d(i,j) + d(j,k)) for i < j and
+    R[:, k', l'] = d(k,l) - (d(j,k) + d(j,l)), each computed in float64 and
+    rounded once. R is bitwise symmetric, and its diagonal is -inf."""
+    nb, m = scaled.shape[0], scaled.shape[1] - j - 1
+    # row k' is d(k,r) - (d(k,j) + d(j,r)) over every r
+    rows = np.subtract(scaled[:, j + 1 :], np.add(scaled[:, j + 1 :, j, None], scaled[:, None, j]))
+    qt = rows[:, :, :j].astype(np.float32)
+    r = rows[:, :, j + 1 :].astype(np.float32)
+    r.reshape(nb, -1)[:, :: m + 1] = -np.inf
+    return qt, r
 
 
 def _screen_middle(stacks, lo: int, hi: int, j: int) -> np.ndarray:
     """The screen of task (lo, hi, j): per ``_middle_steps(n, j, hi - lo)``
-    step and matrix, the largest doubled delta over quadruples (i, j, k, l)
-    of matrices ``lo:hi`` of the float32 copy ``stacks[1]``, shape
-    ``(steps, hi - lo)``. The step's corner is left in: see
-    ``_screen_copy``."""
-    stack = stacks[1][lo:hi]
-    nb = stack.shape[0]
+    step and matrix, the largest float32 doubled delta over quadruples
+    (i, j, k, l) of matrices ``lo:hi`` of the scaled copy ``stacks[1]``,
+    from the Gromov-product form ``_gromov_rows``, shape
+    ``(steps, hi - lo)``. The step's corner is left in: see the module
+    docstring."""
+    qt, r = _gromov_rows(stacks[1][lo:hi], j)
+    nb, n = qt.shape[0], stacks[1].shape[1]
     maxima = []
-    for _, _, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5):
-        d2 = _doubled_delta(s1, s2, s3, (a, b))
+    for k0, g, bufs in _step_grids(nb, n, j, _middle_steps(n, j, nb), 2, np.float32):
+        ks, ls = slice(k0 - j - 1, k0 - j - 1 + g), slice(k0 - j, None)
+        # (nb, k, l, i) grids: Q over l is then one contiguous block of rows
+        grids = tuple(buf.reshape(nb, g, -1, j) for buf in bufs)
+        d2 = _doubled_delta(r[:, ks, ls, None], qt[:, ks, None, :], qt[:, None, ls, :], grids)
         maxima.append(d2.reshape(nb, -1).max(axis=1))
     return np.array(maxima)
 

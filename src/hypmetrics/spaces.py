@@ -18,10 +18,14 @@ scalar functions are views of it, evaluating it on the two-row stack of
 their arguments, so a matrix built from them equals the named matrix bit
 for bit.
 
-The Euclidean and taxicab formulas run on coordinates scaled by an exact
-power of two when their largest magnitude lies outside [2^-500, 2^500]
-(``_unit_scale``) and scale the distances back, so squares neither
-underflow nor overflow; inside that range nothing is scaled.
+The Euclidean and taxicab formulas take coordinate differences on
+coordinates scaled up by an exact power of two when their largest
+magnitude lies below 2^-500, and halved when it is 2^1023 or more
+(``_unit_scale``), so no difference overflows, and scale the distances
+back; in between nothing is scaled. A Euclidean entry whose sum of squares
+underflows or overflows is taken again in units of the power of two of its
+largest coordinate difference, so a point next to another keeps its
+distance even when the cloud spans the float range.
 
 Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
@@ -242,14 +246,16 @@ def random_cloud(
 
 
 def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(a * 2^-e, e)``, with ``e`` bringing the largest magnitude of ``a``
-    into [1/2, 1) when it lies outside [2^-500, 2^500]; ``(a, 0)`` when it
-    lies inside, is zero or is not finite. The scaling is exact for every
+    """``(a * 2^-e, e)``: ``e`` brings the largest magnitude of ``a`` into
+    [1/2, 1) when it lies below 2^-500, and is 1 when it is 2^1023 or more,
+    so that twice it stays finite; ``(a, 0)`` otherwise, and when it is zero
+    or not finite. No entry is scaled down by more than 1/2, so a small
+    entry beside a huge one keeps its value; the scaling is exact for every
     entry that does not become subnormal."""
     top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    if 2.0**-_SAFE_EXPONENT <= top <= 2.0**_SAFE_EXPONENT or top in (0.0, math.inf):
+    if 2.0**-_SAFE_EXPONENT <= top < 2.0**1023 or top in (0.0, math.inf):
         return a, 0
-    e = math.frexp(top)[1]
+    e = 1 if top >= 2.0**1023 else math.frexp(top)[1]
     return np.ldexp(a, -e), e
 
 
@@ -404,21 +410,21 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
     if callable(metric):
         return _as_entries(lambda i, j: metric(pts[i], pts[j]), n)
     if metric in ("euclidean", "taxicab"):
-        unit, e = _unit_scale(pts)  # squares stay within the float range
+        unit, e = _unit_scale(pts)  # no difference overflows
         diff = unit[:, None, :] - unit[None, :, :]
-        if metric == "euclidean":
-            squares = np.sum(diff * diff, axis=-1)
-            d = np.sqrt(squares)
-            # Where the sum of squares underflows, take the norm again in
-            # units of the power of two of its largest term, which puts the
-            # largest square in [1/4, 1).
-            low = squares < np.finfo(float).tiny
-            top = np.frexp(np.abs(diff[low]).max(axis=-1, initial=0.0))[1]
-            terms = np.ldexp(diff[low], -top[:, None])
-            d[low] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
-        else:
-            d = np.sum(np.abs(diff), axis=-1)
         with np.errstate(over="ignore"):  # a distance past the float range reads inf
+            if metric == "euclidean":
+                squares = np.sum(diff * diff, axis=-1)
+                d = np.sqrt(squares)
+                # Where the sum of squares underflows or overflows, take the
+                # norm again in units of the power of two of its largest
+                # term, which puts the largest square in [1/4, 1).
+                off = (squares < np.finfo(float).tiny) | (squares == np.inf)
+                top = np.frexp(np.abs(diff[off]).max(axis=-1, initial=0.0))[1]
+                terms = np.ldexp(diff[off], -top[:, None])
+                d[off] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
+            else:
+                d = np.sum(np.abs(diff), axis=-1)
             return np.ldexp(d, e) if e else d
     if metric in ("d1", "d2", "d1+d2"):
         if pts.shape[1] != 2:

@@ -99,6 +99,22 @@ def test_dist_point_on_puncture_is_input_error(tmp_path, capsys):
     assert "puncture" in err
 
 
+def test_dist_point_next_to_puncture_in_a_wide_cloud(tmp_path, capsys):
+    # 1e-170 from the puncture beside points at 1e300: no coordinate is
+    # scaled down far enough to underflow before its difference is taken,
+    # and the gap product of points 1 and 2 overflows unless rescaled
+    cloud = tmp_path / "wide.csv"
+    cloud.write_text("label,x1,x2\np0,1e-170,0\np1,1e300,1\np2,-1e300,0\n")
+    out = tmp_path / "m.json"
+    code, _, err = run(capsys, "dist", "--cloud", str(cloud), "--punctures", "[[0.0, 0.0]]",
+                       "--variant", "avg_tau", "--out", str(out))
+    assert (code, err) == (0, "")
+    entries = json.loads(out.read_text())["entries"]
+    # log(1 + 2e300 / sqrt(1e-170 * 1e300)) and log(1 + 4e300 / 1e300)
+    assert entries[0][1] == pytest.approx(np.log(2.0) + 235 * np.log(10.0), rel=1e-12)
+    assert entries[1][2] == pytest.approx(np.log(5.0), rel=1e-12)
+
+
 def test_dist_avg_k1_equals_tau(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
     run(capsys, "gen", "--n", "7", "--seed", "3", "--out", str(cloud))

@@ -584,29 +584,9 @@ def test_sweep_runs_one_screen_pass_and_one_confirm_pass(monkeypatch):
     assert passes[0][1] == passes[1][1] > 1
 
 
-def _brute_step_maxima(scaled, j, steps):
-    """Per step and matrix of a float32 stack, the largest doubled delta of
-    the step's quadruples i < j < k < l, from sorted pairing sums."""
-    n = scaled.shape[1]
-    out = []
-    for k0, g in steps:
-        quads = [(i, k, l) for i in range(j) for k in range(k0, k0 + g) for l in range(k + 1, n)]
-        i, k, l = np.array(quads).T
-        s = np.sort(
-            [scaled[:, i, j] + scaled[:, k, l],
-             scaled[:, i, k] + scaled[:, j, l],
-             scaled[:, i, l] + scaled[:, j, k]],
-            axis=0,
-        )
-        out.append((s[2] - s[1]).max(axis=1))
-    return np.array(out)
-
-
-def test_screen_maxima_need_no_corner_pass():
-    # the screen copy's -inf diagonal stands in for dropping each step's
-    # l <= k corner; non-metric inputs, so no triangle inequality helps.
-    # With a zero diagonal, corner entries would exceed the signed
-    # matrix's step maxima.
+def _screen_batches():
+    """Batches for the screen's step maxima: non-metric inputs, so no
+    triangle inequality helps."""
     rng = np.random.Generator(np.random.PCG64(99))
     spread = np.triu(10.0 ** rng.uniform(0.0, 3.0, size=(14, 14)), 1)
     signed = np.triu(rng.uniform(-1.0, 1.0, size=(14, 14)), 1)
@@ -616,21 +596,72 @@ def test_screen_maxima_need_no_corner_pass():
     for _ in range(4):
         a = np.triu(rng.integers(1, 4, size=(40, 40)).astype(float), 1)
         forty.append(a + a.T)
-    for batch in ([spread + spread.T], [signed + signed.T], [punctured_matrix(spec).entries],
-                  [np.ones((14, 14)) - np.eye(14)], forty):
+    return [[spread + spread.T], [signed + signed.T], [punctured_matrix(spec).entries],
+            [np.ones((14, 14)) - np.eye(14)], forty]
+
+
+def _brute_step_maxima(scaled, j, steps):
+    """Per step and matrix of a scaled float64 stack, the largest float32
+    doubled delta of the step's quadruples i < j < k < l: top minus median
+    of the Gromov-product values at base point j, d(k,l) - (d(j,k) + d(j,l)),
+    d(i,k) - (d(i,j) + d(j,k)) and d(i,l) - (d(i,j) + d(j,l)), each
+    rounded once to float32."""
+    n = scaled.shape[1]
+    out = []
+    for k0, g in steps:
+        quads = [(i, k, l) for i in range(j) for k in range(k0, k0 + g) for l in range(k + 1, n)]
+        i, k, l = np.array(quads).T
+        s = np.sort(
+            np.array([scaled[:, k, l] - (scaled[:, j, k] + scaled[:, j, l]),
+                      scaled[:, i, k] - (scaled[:, i, j] + scaled[:, j, k]),
+                      scaled[:, i, l] - (scaled[:, i, j] + scaled[:, j, l])]).astype(np.float32),
+            axis=0,
+        )
+        out.append((s[2] - s[1]).max(axis=1))
+    return np.array(out)
+
+
+def test_screen_maxima_need_no_corner_pass():
+    # the -inf diagonal of the screen's R = d(k,l) - (d(j,k) + d(j,l))
+    # stands in for dropping each step's l <= k corner. With the computed
+    # diagonal -2 d(j,k), corner entries would exceed the signed matrix's
+    # step maxima.
+    for batch in _screen_batches():
         nb, n = len(batch), batch[0].shape[0]
-        screen_copy = delta._screen_copy(np.stack(batch))
-        scaled = screen_copy.copy()
-        scaled[:, range(n), range(n)] = 0.0
+        scaled = delta._screen_copy(np.stack(batch))
         for j in range(1, n - 2):
-            screen = delta._screen_middle((None, screen_copy), 0, nb, j)
+            screen = delta._screen_middle((None, scaled), 0, nb, j)
             brute = _brute_step_maxima(scaled, j, delta._middle_steps(n, j, nb))
             assert np.array_equal(screen.view(np.uint32), brute.view(np.uint32)), (n, j)
 
 
+def test_screen_bound_holds_at_every_step():
+    # the confirm plan rests on this inequality: every step's float64
+    # maximum, in units of its matrix's 2^e, lies within
+    # m +- (2^-22 m + 2^-19) of the screen's m for that step
+    batches = _screen_batches() + [
+        [e * 2.0**exp for e in _screen_matrices()] for exp in (-1000, -300, 0, 300, 1000)
+    ]
+    for batch in batches:
+        stack = np.stack([delta._kernel_entries(e)[0] for e in batch])
+        nb, n = stack.shape[0], stack.shape[1]
+        exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+        stacks = (stack, delta._screen_copy(stack))
+        size = _chunk_size(n)
+        for lo in range(0, nb, size):
+            hi = min(lo + size, nb)
+            for j in range(1, n - 2):
+                screen = delta._screen_middle(stacks, lo, hi, j).astype(float)
+                for step, m in zip(delta._middle_steps(n, j, hi - lo), screen):
+                    d2 = np.ldexp(delta._scan_middle(stacks, lo, hi, j, [step])[0], -exps[lo:hi])
+                    assert np.all(np.abs(d2 - m) <= 2.0**-22 * m + 2.0**-19), (n, j, step)
+
+
 def test_exact_delta_memory_is_bounded():
-    # A step holds five grids of at most _BATCH_ELEMENTS float64 entries;
-    # a step over every k of a task would hold five grids of up to 9 MB.
+    # A confirm step holds five grids of at most _BATCH_ELEMENTS float64
+    # entries, a screen step two float32 ones beside its task's
+    # (n, n - j - 1) rows; a step over every k of a task would hold five
+    # grids of up to 9 MB.
     m = build_distance_matrix(random_cloud(200, 2, seed=91))
     tracemalloc.start()
     try:

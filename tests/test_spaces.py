@@ -142,6 +142,17 @@ def test_callable_metric_matrix_matches_named():
     assert build_distance_matrix(near).entries[[0, 3], [2, 2]].tolist() == [1e-170, 5e-170]
 
 
+def test_wide_cloud_keeps_small_differences():
+    # the cloud spans 1e300, so a unit scale of its coordinates would take
+    # 1e-170 below the smallest float; the pair (0, 2) is 1e-170 apart
+    wide = np.array([[1e-170, 0.0], [1e300, 1.0], [0.0, 0.0], [-1.7e308, 3e-170]])
+    for metric in ("euclidean", "taxicab"):
+        named = pairwise_distances(wide, metric)
+        pairs = [_SCALAR_METRICS[metric](wide[a], wide[b]) for a in range(4) for b in range(4)]
+        assert np.array_equal(named, np.reshape(pairs, (4, 4))), metric
+        assert named[0, 2] == 1e-170
+
+
 def test_cloud_rejects_nan_and_bad_labels():
     with pytest.raises(InputError):
         PointCloud([[0.0, float("nan")]])
