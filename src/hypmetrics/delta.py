@@ -20,8 +20,11 @@ d(i,k) + d(j,l) and d(i,l) + d(j,k) as broadcasts of upper-triangle
 slices, with no gather, in the stack's dtype, for the confirm pass; the
 Ptolemy sweep takes the same grids with float64 products. A step takes as
 many k values, and a chunk as many matrices, as keep one step's grid
-within ``_BATCH_ELEMENTS`` entries (at least one), so the kernel's memory
-is bounded by that budget, not by the batch.
+within ``_BATCH_ELEMENTS`` entries (at least one), so a step's grids are
+bounded by that budget, not by the batch. A screen task also holds its
+Gromov rows (below): one float64 buffer no larger than its chunk's slice
+of the stack and float32 copies of at most half that size. The sweep holds
+one scaled float64 copy of the whole stack.
 
 The sweep walks the steps in two passes. The *screen* runs every step in
 float32, on values read from a float64 copy of the stack, each matrix
@@ -69,22 +72,26 @@ keys, counts and violations, not just a maximum, so they keep
 ``_drop_corner``.
 
 The bound, in units of 2^e. Each scaled entry has |x| < 1, so a float64
-sum of two is within 2^-53 of the exact sum (half an ulp below 2), and an
-R or Q value, |value| < 2, is within 2^-53 + 2^-53 = 2^-52 in float64
-and, rounded once to float32 (half an ulp below 2 is 2^-24), within
-2^-24 + 2^-52 of its exact value; the underflow of its three scaled
-entries adds under 2^-1073. A float64 pairing sum of the confirm pass,
-below 2, is within 2^-53 of the exact sum. The largest value and the
-median are 1-Lipschitz in the largest change of a value, and the common
-term cancels, so the float32 and float64 differences top - median are
-within 2 (2^-24 + 2^-52) and 2^-52 of the exact one, respectively. Both
-are nonnegative, and the final subtraction rounds them by a relative
-2^-24 (float32) or 2^-53 (float64). So every float64 doubled delta D of a
-step with float32 maximum m has D <= m + 2^-23 m + 2^-22, and the step
-holds a quadruple (the one reaching m) whose D >= m - 2^-23 m - 2^-22.
-The upper bound m + 2^-22 m + 2^-19 and the lower bound
-m - 2^-22 m - 2^-19 keep a margin of at least 2x on the first term and 8x
-on the second.
+sum of two is within 2^-53 of the exact sum (half an ulp below 2). An R or
+Q value is an entry minus such a sum. For a nonnegative matrix it has
+|value| < 2, so it is within 2^-53 + 2^-53 = 2^-52 in float64 and, rounded
+once to float32 (half an ulp below 2 is 2^-24), within 2^-24 + 2^-52 of
+its exact value. A signed matrix can reach |value| < 3, where the float64
+subtraction and the float32 rounding cost half an ulp below 4, 2^-52 and
+2^-23, so the value is within 2^-23 + 2^-53 + 2^-52 < 2^-23 + 2^-51. The
+underflow of its three scaled entries adds under 2^-1073. A float64
+pairing sum of the confirm pass, below 2, is within 2^-53 of the exact
+sum. The largest value and the median are 1-Lipschitz in the largest
+change of a value, and the common term cancels, so the float32 and
+float64 differences top - median are within 2 (2^-23 + 2^-51) and 2^-52
+of the exact one, respectively. Both are nonnegative, and the final
+subtraction rounds them by a relative 2^-24 (float32) or 2^-53 (float64).
+So every float64 doubled delta D of a step with float32 maximum m has
+D <= m + 2^-23 m + 2^-21, and the step holds a quadruple (the one reaching
+m) whose D >= m - 2^-23 m - 2^-21; for a nonnegative matrix the last term
+is 2^-22. The upper bound m + 2^-22 m + 2^-19 and the lower bound
+m - 2^-22 m - 2^-19 keep a margin of at least 2x on the first term and 4x
+on the second (8x for a nonnegative matrix).
 
 The witness is the lexicographically smallest quadruple of maximal delta.
 The confirm pass and the sampler carry it as a key, the flat index of the
@@ -286,8 +293,9 @@ def _gromov_rows(scaled: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     R[:, k', l'] = d(k,l) - (d(j,k) + d(j,l)), each computed in float64 and
     rounded once. R is bitwise symmetric, and its diagonal is -inf."""
     nb, m = scaled.shape[0], scaled.shape[1] - j - 1
-    # row k' is d(k,r) - (d(k,j) + d(j,r)) over every r
-    rows = np.subtract(scaled[:, j + 1 :], np.add(scaled[:, j + 1 :, j, None], scaled[:, None, j]))
+    # row k' is d(k,r) - (d(k,j) + d(j,r)) over every r, in one buffer
+    rows = np.add(scaled[:, j + 1 :, j, None], scaled[:, None, j])
+    np.subtract(scaled[:, j + 1 :], rows, out=rows)
     qt = rows[:, :, :j].astype(np.float32)
     r = rows[:, :, j + 1 :].astype(np.float32)
     r.reshape(nb, -1)[:, :: m + 1] = -np.inf

@@ -657,16 +657,32 @@ def test_screen_bound_holds_at_every_step():
                     assert np.all(np.abs(d2 - m) <= 2.0**-22 * m + 2.0**-19), (n, j, step)
 
 
-def test_exact_delta_memory_is_bounded():
-    # A confirm step holds five grids of at most _BATCH_ELEMENTS float64
-    # entries, a screen step two float32 ones beside its task's
-    # (n, n - j - 1) rows; a step over every k of a task would hold five
-    # grids of up to 9 MB.
-    m = build_distance_matrix(random_cloud(200, 2, seed=91))
+def _traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
-        exact_delta(m)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6
+
+
+def test_exact_delta_memory_is_bounded():
+    # A confirm step holds five grids of at most _BATCH_ELEMENTS float64
+    # entries, a screen step two float32 ones beside its task's Gromov
+    # rows, (n - j - 1) x n in float64 and float32; a step over every k of
+    # a task would hold five grids of up to 9 MB.
+    m = build_distance_matrix(random_cloud(200, 2, seed=91))
+    assert _traced_peak(exact_delta, m) < 1.5e6
+    # At small n a chunk holds thousands of matrices. A screen task's rows
+    # then take at most one float64 copy of its chunk's slice of the stack
+    # and float32 copies of half that, beside its two step grids and its
+    # per-step maxima.
+    rng = np.random.default_rng(92)
+    for n in (5, 12):
+        nb = _chunk_size(n)
+        x = rng.random((nb, n, n))
+        scaled = delta._screen_copy(x + x.transpose(0, 2, 1))
+        for j in range(1, n - 2):
+            steps = len(delta._middle_steps(n, j, nb))
+            bound = 1.5 * scaled.nbytes + 8 * delta._BATCH_ELEMENTS + 8 * steps * nb
+            assert _traced_peak(delta._screen_middle, (None, scaled), 0, nb, j) < bound, (n, j)
