@@ -72,7 +72,7 @@ def _root(gx, gy):
     """sqrt(d(x,p) d(y,p)) over broadcastable arrays of anchor distances.
 
     Where the product falls below the smallest normal float it is taken
-    at the exact scale 2^1022, and where it overflows at the scale 2^-1022,
+    at the exact scale 2^1022, and where it overflows at the scale 2^-1024,
     where it does not, so two points next to a puncture keep the entry the
     scalar constructors give them, also beside distances near the top of
     the float range. The guard reads only the smallest nonzero gaps and the
@@ -86,7 +86,7 @@ def _root(gx, gy):
     with np.errstate(over="ignore"):  # only where the product itself is taken
         product = gx * gy
         up = np.sqrt(np.ldexp(gx, 511) * np.ldexp(gy, 511)) * 2.0**-511
-        down = np.sqrt(np.ldexp(gx, -511) * np.ldexp(gy, -511)) * 2.0**511
+        down = np.sqrt(np.ldexp(gx, -512) * np.ldexp(gy, -512)) * 2.0**512
     return np.where(product < tiny, up, np.where(product == np.inf, down, np.sqrt(product)))
 
 
@@ -98,8 +98,9 @@ def _mu(dxy, gx, gy):
 
 def _tau(dxy, gx, gy, factor: float):
     """log(1 + factor d(x,y) / sqrt(d(x,p) d(y,p))): tau_p for factor 2,
-    tilde_tau_p for factor 1."""
-    return np.log1p(factor * dxy / _root(gx, gy))
+    tilde_tau_p for factor 1. The factor multiplies the ratio, so a
+    distance near the top of the float range does not overflow first."""
+    return np.log1p(factor * (dxy / _root(gx, gy)))
 
 
 def _fold(op, start: float, dxy, gx, gy, factor: float):
@@ -133,16 +134,27 @@ def _variant_values(variant: str, dxy, gx, gy, anchor: int | None):
     raise InputError(f"unknown variant {variant!r}")  # PuncturedSpec validates
 
 
+def _unit(a: np.ndarray) -> np.ndarray:
+    """Base distances in a power-of-two unit: scaled up by ``_unit_scale``
+    when their largest magnitude lies below 2^-500, which is exact, and as
+    given otherwise. Halving them near the top of the float range would
+    round subnormal entries to even, and no variant needs it: ``_tau``
+    divides before it doubles, and ``_root`` rescales the gap products that
+    leave the normal range."""
+    scaled, e = _unit_scale(a)
+    return scaled if e < 0 else a
+
+
 def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=None) -> float:
     """One entry of ``variant``: the oracle's values as a 0-d distance and
     (k,) gaps, through the formula ``punctured_matrix`` uses, in the same
-    power-of-two unit ``_unit_scale`` gives ``_materialize``."""
+    power-of-two unit ``_unit`` gives ``_materialize``."""
     k = len(punctures)
     if k < 1:
         raise InputError("need at least one puncture")
     o = as_oracle(d)
     raw = [o(x, y)] + [o(x, p) for p in punctures] + [o(y, p) for p in punctures]
-    unit = _unit_scale(np.array(raw, dtype=float))[0]
+    unit = _unit(np.array(raw, dtype=float))
     gx, gy = unit[1 : k + 1], unit[k + 1 :]
     for point, gaps in ((x, gx), (y, gy)):
         hit = np.flatnonzero(gaps <= 0.0)
@@ -366,11 +378,9 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
     Returns ``(dom, gaps, domain_indices)`` where ``dom[i, j]`` is the base
     distance between surviving points and ``gaps[i, a]`` the distance from
     surviving point i to puncture a, both in units of a power of two:
-    ``_unit_scale`` scales tiny base distances up and halves those near the
-    top of the float range, so twice a distance stays finite, and ``_root``
-    rescales the gap products that leave the normal range. Every variant is
-    a ratio of base distances, so an exact power-of-two unit leaves it
-    unchanged.
+    ``_unit`` scales tiny base distances up, and ``_root`` rescales the gap
+    products that leave the normal range. Every variant is a ratio of base
+    distances, so an exact power-of-two unit leaves it unchanged.
     Raises PunctureDomainError when a domain point touches a puncture.
     """
     if isinstance(spec.base, DistanceMatrix):
@@ -380,7 +390,7 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
         if not spec.punctures_are_indices:
             pts = np.vstack([pts, np.asarray(spec.punctures, dtype=float)])
         full = pairwise_distances(pts, spec.metric)
-    full = _unit_scale(full)[0]
+    full = _unit(full)
     if spec.punctures_are_indices:
         n = full.shape[0]
         pset = set(spec.punctures)

@@ -22,9 +22,10 @@ Ptolemy sweep takes the same grids with float64 products. A step takes as
 many k values, and a chunk as many matrices, as keep one step's grid
 within ``_BATCH_ELEMENTS`` entries (at least one), so a step's grids are
 bounded by that budget, not by the batch. A screen task also holds its
-Gromov rows (below): one float64 buffer no larger than its chunk's slice
-of the stack and float32 copies of at most half that size. The sweep holds
-one scaled float64 copy of the whole stack.
+Gromov rows (below): one float64 (m, n, nb) buffer, no larger than its
+chunk's scaled copy, and float32 copies of at most half that size. The
+sweep holds one scaled float64 copy of the whole stack, as one
+C-contiguous (n, n, nb) array per chunk of nb matrices.
 
 The sweep walks the steps in two passes. The *screen* runs every step in
 float32, on values read from a float64 copy of the stack, each matrix
@@ -39,8 +40,11 @@ bound reaches F. Every step holds a quadruple at least its lower bound, so
 F is at most the maximum; a step whose upper bound is below F holds no
 quadruple reaching it, so the delta and the witness equal those of a
 float64 sweep of every step. The bounds and F are all in units of the
-matrix's own 2^e, so no comparison leaves them. The pass batches its steps
-per (chunk, j), as the screen does.
+matrix's own 2^e, so no comparison leaves them. A confirm task is
+(rows, j, steps): of a screened (chunk, j), the matrices with a step whose
+bound reaches their own floor, and every step that reaches it for one of
+them. It gathers those rows from the stack, so a matrix costs the float64
+pass only in the few (j, step) places that can hold its maximum.
 
 The screen takes the four-point condition in Gromov-product form with the
 middle index j as base point (Fournier, Ismail and Vigneron, IPL 2015).
@@ -51,12 +55,15 @@ sums leaves
     Q[i,k] = d(i,k) - (d(i,j) + d(j,k)),   Q[i,l],
 
 whose top minus median is the quadruple's doubled delta. A task
-(chunk, j) builds R (m x m, m = n - j - 1) and Q, stored as its
-transpose (m x j), once, in float64 from the scaled copy, rounding each
-value once to float32 (``_gromov_rows``); a step then reads R, Q over k
-and Q over l as three broadcasts, with no addition per quadruple. Its
-grid is ordered (k, l, i), so Q over l is one contiguous block of rows
-and the two passes that read it run over whole rows.
+(chunk, j) builds R (m x m x nb, m = n - j - 1) and Q, stored as its
+transpose (m x j x nb), once, in float64 from the chunk's scaled copy,
+rounding each value once to float32 (``_gromov_rows``); a step then reads
+R, Q over k and Q over l as three broadcasts, with no addition per
+quadruple. Everything the screen reads and writes has the batch axis b
+innermost, and a step's grid is ordered (k, l, i, b). The two passes that
+combine R (broadcast over i) with Q over k (broadcast over l) run inner
+loops over the batch; Q over l is one contiguous block of (l, i, b), so
+the other four passes coalesce over it. At nb = 1 the grid is (k, l, i).
 
 The screen needs no pass over the l <= k corner of a step's grid. R takes
 the sum d(j,k) + d(j,l) first, the same float for (k, l) and (l, k), so it
@@ -278,67 +285,73 @@ def _drop_corner(grid: np.ndarray, g: int) -> None:
     np.copyto(grid[..., :g], -np.inf, where=_CORNER[:g, :g])
 
 
-def _screen_copy(stack: np.ndarray) -> np.ndarray:
-    """The screen's copy of a ``(B, n, n)`` stack, each matrix scaled by 2^-e
-    with e from ``frexp`` of its largest |entry|, so every entry has
-    |x| < 1."""
-    exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
-    return np.ldexp(stack, -exps[:, None, None])
+def _screen_copy(stack: np.ndarray, size: int):
+    """Yield the screen's copy of each chunk of ``size`` matrices of a
+    ``(B, n, n)`` stack: a C-contiguous ``(n, n, nb)`` array, the batch axis
+    innermost, each matrix scaled by 2^-e with e from ``frexp`` of its
+    largest |entry|, so every entry has |x| < 1."""
+    for lo in range(0, stack.shape[0], size):
+        part = stack[lo : lo + size]
+        exps = np.frexp(np.abs(part).max(axis=(1, 2)))[1]
+        out = np.empty(part.shape[1:] + part.shape[:1])
+        yield np.ldexp(part.transpose(1, 2, 0), -exps, out=out)
 
 
 def _gromov_rows(scaled: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(QT, R)`` of middle index j for a ``(nb, n, n)`` scaled stack, in
-    float32, with k = j + 1 + k' and l = j + 1 + l':
-    QT[:, k', i] = d(i,k) - (d(i,j) + d(j,k)) for i < j and
-    R[:, k', l'] = d(k,l) - (d(j,k) + d(j,l)), each computed in float64 and
+    """``(Q, R)`` of middle index j for an ``(n, n, nb)`` scaled chunk, in
+    float32, with k = j + 1 + k' and l = j + 1 + l', the batch axis last:
+    Q[k', i] = d(i,k) - (d(i,j) + d(j,k)) for i < j and
+    R[k', l'] = d(k,l) - (d(j,k) + d(j,l)), each computed in float64 and
     rounded once. R is bitwise symmetric, and its diagonal is -inf."""
-    nb, m = scaled.shape[0], scaled.shape[1] - j - 1
+    m = scaled.shape[0] - j - 1
     # row k' is d(k,r) - (d(k,j) + d(j,r)) over every r, in one buffer
-    rows = np.add(scaled[:, j + 1 :, j, None], scaled[:, None, j])
-    np.subtract(scaled[:, j + 1 :], rows, out=rows)
-    qt = rows[:, :, :j].astype(np.float32)
-    r = rows[:, :, j + 1 :].astype(np.float32)
-    r.reshape(nb, -1)[:, :: m + 1] = -np.inf
-    return qt, r
+    rows = np.add(scaled[j + 1 :, j, None], scaled[None, j])
+    np.subtract(scaled[j + 1 :], rows, out=rows)
+    q = rows[:, :j].astype(np.float32)
+    r = rows[:, j + 1 :].astype(np.float32)
+    r.reshape(m * m, -1)[:: m + 1] = -np.inf
+    return q, r
 
 
-def _screen_middle(stacks, lo: int, hi: int, j: int) -> np.ndarray:
-    """The screen of task (lo, hi, j): per ``_middle_steps(n, j, hi - lo)``
-    step and matrix, the largest float32 doubled delta over quadruples
-    (i, j, k, l) of matrices ``lo:hi`` of the scaled copy ``stacks[1]``,
-    from the Gromov-product form ``_gromov_rows``, shape
-    ``(steps, hi - lo)``. The step's corner is left in: see the module
+def _screen_middle(stacks, c: int, j: int) -> np.ndarray:
+    """The screen of task (c, j): per ``_middle_steps(n, j, nb)`` step and
+    matrix, the largest float32 doubled delta over quadruples (i, j, k, l)
+    of the nb matrices of chunk c, read from its scaled copy
+    ``stacks[1][c]`` in the Gromov-product form ``_gromov_rows``, shape
+    ``(steps, nb)``. The step's corner is left in: see the module
     docstring."""
-    qt, r = _gromov_rows(stacks[1][lo:hi], j)
-    nb, n = qt.shape[0], stacks[1].shape[1]
+    scaled = stacks[1][c]
+    n, nb = scaled.shape[0], scaled.shape[2]
+    q, r = _gromov_rows(scaled, j)
     maxima = []
     for k0, g, bufs in _step_grids(nb, n, j, _middle_steps(n, j, nb), 2, np.float32):
         ks, ls = slice(k0 - j - 1, k0 - j - 1 + g), slice(k0 - j, None)
-        # (nb, k, l, i) grids: Q over l is then one contiguous block of rows
-        grids = tuple(buf.reshape(nb, g, -1, j) for buf in bufs)
-        d2 = _doubled_delta(r[:, ks, ls, None], qt[:, ks, None, :], qt[:, None, ls, :], grids)
-        maxima.append(d2.reshape(nb, -1).max(axis=1))
+        # (k, l, i, b) grids: Q over l is one contiguous block, so four of
+        # the six passes run over whole (l, i, b) rows
+        grids = tuple(buf.reshape(g, -1, j, nb) for buf in bufs)
+        d2 = _doubled_delta(r[ks, ls, None], q[ks, None], q[None, ls], grids)
+        maxima.append(d2.reshape(-1, nb).max(axis=0))
     return np.array(maxima)
 
 
 def _scan_middle(
-    stacks, lo: int, hi: int, j: int, steps: list[tuple[int, int]]
+    stacks, rows: np.ndarray, j: int, steps: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix best doubled delta and the key of its lex-min witness among
     quadruples (i, j, k, l), j fixed, i < j < k < l, k in one of ``steps``,
-    of matrices ``lo:hi`` of the float64 stack ``stacks[0]``, shape
+    of the matrices ``rows`` of the float64 stack ``stacks[0]``, shape
     ``(B, n, n)``. A witness's key is its flat index in an ``(n, n, n, n)``
     array, so keys order as witnesses do."""
-    stack = stacks[0][lo:hi]
+    stack = stacks[0][rows]
     nb, n = stack.shape[0], stack.shape[1]
-    rows = np.arange(nb)
+    each = np.arange(nb)
     vals, keys = [], []
     for k0, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5, steps):
         d2 = _doubled_delta(s1, s2, s3, (a, b))
         _drop_corner(d2, g)
         flat = d2.reshape(nb, -1)
         at = np.argmax(flat, axis=1)  # first flat maximum: lex-min (i, k, l)
-        vals.append(flat[rows, at])
+        vals.append(flat[each, at])
         i, dk, dl = np.unravel_index(at, d2.shape[1:])
         keys.append(np.ravel_multi_index((i, j, k0 + dk, k0 + 1 + dl), (n,) * 4))
     # Entries are finite and below 2^1022, so no value is NaN.
@@ -395,19 +408,19 @@ def _runner(shared, workers: int):
         yield run
 
 
-def _fold(spans, parts, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _fold(rows, parts, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(nb,)`` and lex-min witness ``(nb, 4)`` of ``nb``
     matrices over n points, from task parts: ``parts[t]`` holds the values
-    and witness keys of matrices ``lo:hi`` for ``spans[t] = (lo, hi)``.
-    Parts fold by value, ties going to the smaller key, so the result does
-    not depend on task order."""
+    and witness keys of the matrices ``rows[t]``, an array of distinct
+    indices. Parts fold by value, ties going to the smaller key, so the
+    result does not depend on task order."""
     best2 = np.full(nb, -np.inf)
     key = np.zeros(nb, dtype=np.int64)
-    for (lo, hi), (part2, part_key) in zip(spans, parts):
-        cur2, cur_key = best2[lo:hi], key[lo:hi]
+    for at, (part2, part_key) in zip(rows, parts):
+        cur2, cur_key = best2[at], key[at]
         better = (part2 > cur2) | ((part2 == cur2) & (part_key < cur_key))
-        np.copyto(cur2, part2, where=better)
-        np.copyto(cur_key, part_key, where=better)
+        best2[at] = np.where(better, part2, cur2)
+        key[at] = np.where(better, part_key, cur_key)
     return best2, np.stack(np.unravel_index(key, (n,) * 4), axis=1)
 
 
@@ -422,27 +435,30 @@ def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
     matrix in a ``(B, n, n)`` stack: a float32 screen of every step, from
     (chunk, j) tasks run heaviest first, then one float64 confirm pass over
-    the steps whose bound reaches their matrix's floor, on one runner."""
+    the matrices and steps whose bound reaches the matrix's floor, on one
+    runner."""
     nb, n = stack.shape[0], stack.shape[1]
     size = _chunk_size(n)
-    chunks = [(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
+    chunks = [np.arange(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
     # Task j covers j * C(n - j - 1, 2) quadruples per matrix.
     middles = sorted(range(1, n - 2), key=lambda j: -j * comb(n - j - 1, 2))
-    tasks = [(lo, hi, j) for j in middles for lo, hi in chunks]
-    with _runner((stack, _screen_copy(stack)), workers) as run:
-        # (steps, hi - lo) float32 maxima, each matrix in its own units
+    tasks = [(c, j) for j in middles for c in range(len(chunks))]
+    with _runner((stack, list(_screen_copy(stack, size))), workers) as run:
+        # (steps, matrices of chunk c) float32 maxima, each matrix in its own units
         screens = [m.astype(float) for m in run(_screen_middle, tasks)]
         floor = np.full(nb, -np.inf)
-        for (lo, hi, _), m in zip(tasks, screens):
-            np.maximum(floor[lo:hi], (m - 2.0**-22 * m - 2.0**-19).max(axis=0), out=floor[lo:hi])
+        for (c, _), m in zip(tasks, screens):
+            at = chunks[c]
+            floor[at] = np.maximum(floor[at], (m - 2.0**-22 * m - 2.0**-19).max(axis=0))
         confirm = []
-        for (lo, hi, j), m in zip(tasks, screens):
-            reach = (m + 2.0**-22 * m + 2.0**-19 >= floor[lo:hi]).any(axis=1)
-            steps = list(compress(_middle_steps(n, j, hi - lo), reach))
-            if steps:
-                confirm.append((lo, hi, j, steps))
+        for (c, j), m in zip(tasks, screens):
+            reach = m + 2.0**-22 * m + 2.0**-19 >= floor[chunks[c]]
+            rows = chunks[c][reach.any(axis=0)]
+            if rows.size:
+                steps = list(compress(_middle_steps(n, j, len(chunks[c])), reach.any(axis=1)))
+                confirm.append((rows, j, steps))
         parts = run(_scan_middle, confirm)
-    return _fold([task[:2] for task in confirm], parts, nb, n)
+    return _fold([task[0] for task in confirm], parts, nb, n)
 
 
 def _reports(
@@ -484,7 +500,8 @@ def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
 
 def exact_deltas(matrices, workers: int = 1) -> list[DeltaReport]:
     """``exact_delta`` of every matrix in a batch of equal size, in one
-    sweep: each (j, k0) step runs once for the whole batch.
+    sweep: each (j, k0) step runs once per chunk of up to
+    ``_chunk_size(n)`` matrices, not once per matrix.
 
     Each report equals ``exact_delta(m, workers=workers)`` (its
     ``elapsed_s`` is the time of the whole batch).
@@ -566,7 +583,7 @@ def sampled_delta(
     tasks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
     with _runner(entries, workers) as run:
         parts = run(_batch_best, tasks)
-    best2, wit = _fold([(0, 1)] * len(parts), parts, 1, n)
+    best2, wit = _fold([[0]] * len(parts), parts, 1, n)
     return DeltaReport(
         delta=float(best2[0]) / 2.0 * scale,
         witness=tuple(int(x) for x in wit[0]),

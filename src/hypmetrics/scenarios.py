@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .cassinian import (
     PuncturedSpec,
     _punctured_matrices,
 )
-from .delta import exact_deltas, quadruple_delta, sampled_delta
+from .delta import _chunk_size, exact_deltas, quadruple_delta, sampled_delta
 from .errors import InputError
 from .spaces import DistanceMatrix, PointCloud, build_distance_matrix
 from .verify import DEFAULT_TOL, check_metric_axioms, check_ptolemaic
@@ -285,13 +286,17 @@ def hyperbolicity_sweep(
 
     worst = dict.fromkeys([(v, k) for k in k_list for v in _SWEEP_VARIANTS], -math.inf)
     cells = list(worst)  # a k listed twice is measured once
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(int(seeds[trial])))
-        pts = rng.uniform(0.0, 1.0, size=(n, 2))
-        punctures = _place_punctures(rng, pts, max(k_list))
-        spec = PuncturedSpec(PointCloud(pts), punctures, "avg_tau")  # the cells name the variants
-        matrices = _punctured_matrices(spec, cells)
-        for cell, rep in zip(cells, exact_deltas(matrices)):
+    # one exact_deltas call takes as many trials as fill one kernel chunk
+    per_call = max(1, _chunk_size(n) // len(cells))
+    for first in range(0, trials, per_call):
+        matrices = []
+        for trial in range(first, min(first + per_call, trials)):
+            rng = np.random.Generator(np.random.PCG64(int(seeds[trial])))
+            pts = rng.uniform(0.0, 1.0, size=(n, 2))
+            punctures = _place_punctures(rng, pts, max(k_list))
+            spec = PuncturedSpec(PointCloud(pts), punctures, "avg_tau")  # the cells name the variants
+            matrices += _punctured_matrices(spec, cells)
+        for cell, rep in zip(cycle(cells), exact_deltas(matrices)):
             worst[cell] = max(worst[cell], rep.delta)
 
     def asserted(variant: str, k: int) -> BoundCheck:

@@ -22,7 +22,9 @@ The Euclidean and taxicab formulas take coordinate differences on
 coordinates scaled up by an exact power of two when their largest
 magnitude lies below 2^-500, and halved when it is 2^1023 or more
 (``_unit_scale``), so no difference overflows, and scale the distances
-back; in between nothing is scaled. A Euclidean entry whose sum of squares
+back; in between nothing is scaled. Halving rounds a subnormal coordinate,
+so a halved distance below the smallest normal float is taken again from
+the unscaled coordinates. A Euclidean entry whose sum of squares
 underflows or overflows is taken again in units of the power of two of its
 largest coordinate difference, so a point next to another keeps its
 distance even when the cloud spans the float range.
@@ -396,6 +398,24 @@ def load_distance_matrix(path: str | Path) -> DistanceMatrix:
     return DistanceMatrix.from_dict(_read_json(path))
 
 
+def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
+    """The Euclidean or taxicab norm of each coordinate-difference row along
+    the last axis of ``diff``; a norm past the float range reads inf."""
+    with np.errstate(over="ignore"):
+        if metric == "taxicab":
+            return np.sum(np.abs(diff), axis=-1)
+        squares = np.sum(diff * diff, axis=-1)
+        d = np.sqrt(squares)
+        # Where the sum of squares underflows or overflows, take the norm
+        # again in units of the power of two of its largest term, which
+        # puts the largest square in [1/4, 1).
+        off = (squares < np.finfo(float).tiny) | (squares == np.inf)
+        top = np.frexp(np.abs(diff[off]).max(axis=-1, initial=0.0))[1]
+        terms = np.ldexp(diff[off], -top[:, None])
+        d[off] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
+        return d
+
+
 def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray:
     """Dense pairwise distances under a named metric or a scalar callable.
 
@@ -411,21 +431,17 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
         return _as_entries(lambda i, j: metric(pts[i], pts[j]), n)
     if metric in ("euclidean", "taxicab"):
         unit, e = _unit_scale(pts)  # no difference overflows
-        diff = unit[:, None, :] - unit[None, :, :]
+        d = _norms(unit[:, None, :] - unit[None, :, :], metric)
         with np.errstate(over="ignore"):  # a distance past the float range reads inf
-            if metric == "euclidean":
-                squares = np.sum(diff * diff, axis=-1)
-                d = np.sqrt(squares)
-                # Where the sum of squares underflows or overflows, take the
-                # norm again in units of the power of two of its largest
-                # term, which puts the largest square in [1/4, 1).
-                off = (squares < np.finfo(float).tiny) | (squares == np.inf)
-                top = np.frexp(np.abs(diff[off]).max(axis=-1, initial=0.0))[1]
-                terms = np.ldexp(diff[off], -top[:, None])
-                d[off] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
-            else:
-                d = np.sum(np.abs(diff), axis=-1)
-            return np.ldexp(d, e) if e else d
+            out = np.ldexp(d, e) if e else d
+        if e > 0:
+            # Halving rounds a subnormal coordinate. Where the halved
+            # distance is below the smallest normal float, so is every
+            # halved coordinate difference, and the unscaled differences
+            # cannot overflow: take those distances again from them.
+            small = np.nonzero(d < np.finfo(float).tiny)
+            out[small] = _norms(pts[small[0]] - pts[small[1]], metric)
+        return out
     if metric in ("d1", "d2", "d1+d2"):
         if pts.shape[1] != 2:
             raise InputError(f"metric {metric!r} needs dim 2, got dim {pts.shape[1]}")

@@ -373,3 +373,38 @@ def test_point_next_to_a_puncture_keeps_a_zero_diagonal():
             expected = [[scalar(x, y) for y in range(1, 5)] for x in range(1, 5)]
             assert np.array_equal(entries.view(np.uint64), np.array(expected).view(np.uint64)), variant
             assert entries[0, 0] == 0.0 and entries[0, 2] > 195.0
+
+
+def test_matrix_reaching_the_float_limit_keeps_subnormal_distances():
+    # The matrix holds 1.7e308, where halving every entry would round
+    # 5e-324 (2^-1074) to 0 and 1.5e-323 to 2e-323: point 0 would lie on
+    # puncture 1, and the tilde entry of points 0 and 2 over puncture 4
+    # would read 2e-323.
+    e = np.ones((5, 5)) - np.eye(5)
+    e[0, 1] = e[1, 0] = 5e-324
+    e[0, 2] = e[2, 0] = 1.5e-323
+    e[3, 4] = e[4, 3] = 1.7e308
+    e[1, 3:] = e[3:, 1] = 4.0  # 2 d(3, 4) / 4 stays finite
+    m = DistanceMatrix(e)
+    for p in (1, 4):
+        scalars = {
+            "tau_p": lambda x, y: tau_p(m, x, y, p),
+            "tilde_tau_p": lambda x, y: tilde_tau_p(m, x, y, p),
+            "avg_tau": lambda x, y: avg_tau(m, x, y, [p]),
+            "tilde_avg_tau": lambda x, y: tilde_avg_tau(m, x, y, [p]),
+            "sup_tau": lambda x, y: sup_tau(m, x, y, [p]),
+            "j": lambda x, y: j_metric(m, x, y, [p]),
+            "j_tilde": lambda x, y: j_tilde_metric(m, x, y, [p]),
+        }
+        if p == 1:  # d(0, 3) / d(0, 1), the ratio of the j variants, overflows
+            del scalars["j"], scalars["j_tilde"]
+        dom = [i for i in range(5) if i != p]
+        for variant, scalar in scalars.items():
+            entries = punctured_matrix(PuncturedSpec(m, [p], variant=variant)).entries
+            expected = [[scalar(x, y) for y in dom] for x in dom]
+            assert np.array_equal(entries.view(np.uint64), np.array(expected).view(np.uint64)), variant
+        tilde = punctured_matrix(PuncturedSpec(m, [p], variant="tilde_avg_tau")).entries
+        if p == 4:
+            assert tilde[0, 2] == 1.5e-323  # d(0, 2) over gaps of 1
+        else:
+            assert np.isfinite(tilde).all() and tilde[0, 2] > 370.0  # point 3, 1 from point 0

@@ -22,7 +22,7 @@ from hypmetrics import (
     random_cloud,
     sampled_delta,
 )
-from hypmetrics import delta
+from hypmetrics import delta, scenarios
 from hypmetrics.delta import SAMPLE_BATCH, _chunk_size, _draw_quadruples
 from hypmetrics.scenarios import _place_punctures
 
@@ -407,9 +407,9 @@ def test_exact_deltas_rejects_mixed_n_and_small_n():
     assert exact_deltas([]) == []
 
 
-def test_sweep_maxima_equal_per_matrix_exact_delta():
-    n, k_list, trials, seed = 10, (1, 3), 3, 7
-    res = hyperbolicity_sweep(n=n, k_list=k_list, trials=trials, seed=seed)
+def _per_matrix_sweep_maxima(n, k_list, trials, seed):
+    """The sweep's measured maxima from one ``exact_delta`` call per matrix,
+    the one-point variants from their own matrices."""
     best = {v: {k: -math.inf for k in k_list} for v in ("avg_tau", "tilde_avg_tau", "sup_tau")}
     best_1p = {"tau_p": -math.inf, "tilde_tau_p": -math.inf}
     seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
@@ -426,10 +426,27 @@ def test_sweep_maxima_equal_per_matrix_exact_delta():
                 for variant in best_1p:
                     rep = exact_delta(punctured_matrix(spec.with_variant(variant, anchor=0)))
                     best_1p[variant] = max(best_1p[variant], rep.delta)
-    assert res.measured["max_delta"] == {
-        v: {str(k): d for k, d in per_k.items()} for v, per_k in best.items()
-    }
-    assert res.measured["one_point_max_delta"] == best_1p
+    return {v: {str(k): d for k, d in per_k.items()} for v, per_k in best.items()}, best_1p
+
+
+def test_sweep_maxima_equal_per_matrix_exact_delta(monkeypatch):
+    batches = []
+
+    def recording(matrices, workers=1):
+        batches.append(len(matrices))
+        return exact_deltas(matrices, workers)
+
+    monkeypatch.setattr(scenarios, "exact_deltas", recording)
+    # one call of all three trials' 6 cells; then, as many trials of 12
+    # cells as fill a chunk of 45 matrices at n = 40, calls of 3, 3 and 1
+    for n, k_list, trials, seed, calls in ((10, (1, 3), 3, 7, [18]),
+                                           (40, (1, 2, 4, 8), 7, 1, [36, 36, 12])):
+        batches.clear()
+        res = hyperbolicity_sweep(n=n, k_list=k_list, trials=trials, seed=seed)
+        assert batches == calls
+        expected, expected_1p = _per_matrix_sweep_maxima(n, k_list, trials, seed)
+        assert res.measured["max_delta"] == expected
+        assert res.measured["one_point_max_delta"] == expected_1p
 
 
 @pytest.mark.parametrize("factor", [2.0**1000, 2.0**1020], ids=["2**1000", "2**1020"])
@@ -545,9 +562,9 @@ def test_confirm_pass_takes_a_handful_of_steps(monkeypatch):
     # a bound too loose to screen anything would confirm all 232 steps
     scan, confirmed = delta._scan_middle, []
 
-    def counting(stack, lo, hi, j, steps):
+    def counting(stacks, rows, j, steps):
         confirmed.extend(steps)
-        return scan(stack, lo, hi, j, steps)
+        return scan(stacks, rows, j, steps)
 
     monkeypatch.setattr(delta, "_scan_middle", counting)
     n = 60
@@ -556,6 +573,22 @@ def test_confirm_pass_takes_a_handful_of_steps(monkeypatch):
     exact_delta(punctured_matrix(spec))
     assert sum(len(delta._middle_steps(n, j)) for j in range(1, n - 2)) == 232
     assert 1 <= len(confirmed) <= 4
+
+
+def test_sweep_confirms_only_the_rows_that_need_it(monkeypatch):
+    # Confirming every matrix of a (chunk, j) in each step that reaches
+    # the floor of any of them took 2,460 (matrix, step) pairs over the
+    # default sweep at seed 0 (205 steps x 12 matrices); confirming only
+    # the rows whose own bound reaches their floor takes 751.
+    scan, pairs = delta._scan_middle, []
+
+    def counting(stacks, rows, j, steps):
+        pairs.append(len(rows) * len(steps))
+        return scan(stacks, rows, j, steps)
+
+    monkeypatch.setattr(delta, "_scan_middle", counting)
+    hyperbolicity_sweep(seed=0)
+    assert 0 < sum(pairs) <= 2460 // 2
 
 
 def test_sweep_runs_one_screen_pass_and_one_confirm_pass(monkeypatch):
@@ -628,10 +661,11 @@ def test_screen_maxima_need_no_corner_pass():
     # step maxima.
     for batch in _screen_batches():
         nb, n = len(batch), batch[0].shape[0]
-        scaled = delta._screen_copy(np.stack(batch))
+        [scaled] = delta._screen_copy(np.stack(batch), nb)
         for j in range(1, n - 2):
-            screen = delta._screen_middle((None, scaled), 0, nb, j)
-            brute = _brute_step_maxima(scaled, j, delta._middle_steps(n, j, nb))
+            screen = delta._screen_middle((None, [scaled]), 0, j)
+            steps = delta._middle_steps(n, j, nb)
+            brute = _brute_step_maxima(scaled.transpose(2, 0, 1), j, steps)
             assert np.array_equal(screen.view(np.uint32), brute.view(np.uint32)), (n, j)
 
 
@@ -646,14 +680,14 @@ def test_screen_bound_holds_at_every_step():
         stack = np.stack([delta._kernel_entries(e)[0] for e in batch])
         nb, n = stack.shape[0], stack.shape[1]
         exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
-        stacks = (stack, delta._screen_copy(stack))
         size = _chunk_size(n)
-        for lo in range(0, nb, size):
-            hi = min(lo + size, nb)
+        stacks = (stack, list(delta._screen_copy(stack, size)))
+        for c, lo in enumerate(range(0, nb, size)):
+            rows = np.arange(lo, min(lo + size, nb))
             for j in range(1, n - 2):
-                screen = delta._screen_middle(stacks, lo, hi, j).astype(float)
-                for step, m in zip(delta._middle_steps(n, j, hi - lo), screen):
-                    d2 = np.ldexp(delta._scan_middle(stacks, lo, hi, j, [step])[0], -exps[lo:hi])
+                screen = delta._screen_middle(stacks, c, j).astype(float)
+                for step, m in zip(delta._middle_steps(n, j, rows.size), screen):
+                    d2 = np.ldexp(delta._scan_middle(stacks, rows, j, [step])[0], -exps[rows])
                     assert np.all(np.abs(d2 - m) <= 2.0**-22 * m + 2.0**-19), (n, j, step)
 
 
@@ -681,8 +715,8 @@ def test_exact_delta_memory_is_bounded():
     for n in (5, 12):
         nb = _chunk_size(n)
         x = rng.random((nb, n, n))
-        scaled = delta._screen_copy(x + x.transpose(0, 2, 1))
+        [scaled] = delta._screen_copy(x + x.transpose(0, 2, 1), nb)
         for j in range(1, n - 2):
             steps = len(delta._middle_steps(n, j, nb))
             bound = 1.5 * scaled.nbytes + 8 * delta._BATCH_ELEMENTS + 8 * steps * nb
-            assert _traced_peak(delta._screen_middle, (None, scaled), 0, nb, j) < bound, (n, j)
+            assert _traced_peak(delta._screen_middle, (None, [scaled]), 0, j) < bound, (n, j)

@@ -143,14 +143,21 @@ def test_callable_metric_matrix_matches_named():
 
 
 def test_wide_cloud_keeps_small_differences():
-    # the cloud spans 1e300, so a unit scale of its coordinates would take
-    # 1e-170 below the smallest float; the pair (0, 2) is 1e-170 apart
+    # the first cloud spans 1e300, so a unit scale of its coordinates would
+    # take 1e-170 below the smallest float; the pair (0, 2) is 1e-170 apart.
+    # The others reach 1.7e308, so their coordinates are halved, which
+    # rounds 5e-324 (2^-1074) to 0 and 1.5e-323 (3 * 2^-1074) to 2e-323.
     wide = np.array([[1e-170, 0.0], [1e300, 1.0], [0.0, 0.0], [-1.7e308, 3e-170]])
-    for metric in ("euclidean", "taxicab"):
-        named = pairwise_distances(wide, metric)
-        pairs = [_SCALAR_METRICS[metric](wide[a], wide[b]) for a in range(4) for b in range(4)]
-        assert np.array_equal(named, np.reshape(pairs, (4, 4))), metric
-        assert named[0, 2] == 1e-170
+    clouds = [(wide, (0, 2), 1e-170)]
+    for tiny in (5e-324, 1.5e-323):
+        clouds.append((np.array([[tiny, 0.0], [0.0, 0.0], [1.7e308, 0.0]]), (0, 1), tiny))
+    for cloud, (a, b), expected in clouds:
+        size = len(cloud)
+        for metric in ("euclidean", "taxicab"):
+            named = pairwise_distances(cloud, metric)
+            pairs = [_SCALAR_METRICS[metric](x, y) for x in cloud for y in cloud]
+            assert np.array_equal(named, np.reshape(pairs, (size, size))), metric
+            assert named[a, b] == named[b, a] == expected, metric
 
 
 def test_cloud_rejects_nan_and_bad_labels():
