@@ -68,8 +68,9 @@ def _least_gap(g) -> float:
     return least if least > 0.0 else float(g.min(initial=np.inf, where=g > 0.0))
 
 
-def _root(gx, gy):
-    """sqrt(d(x,p) d(y,p)) over broadcastable arrays of anchor distances.
+def _root(gx, gy, out=None):
+    """sqrt(d(x,p) d(y,p)) over broadcastable arrays of anchor distances,
+    written to ``out`` when it is given.
 
     Where the product falls below the smallest normal float it is taken
     at the exact scale 2^1022, and where it overflows at the scale 2^-1024,
@@ -82,12 +83,16 @@ def _root(gx, gy):
     least = _least_gap(gx) * _least_gap(gy)
     most = float(gx.max(initial=0.0)) * float(gy.max(initial=0.0))
     if least >= tiny and most < math.inf:  # no nonzero product leaves the normal range
-        return np.sqrt(gx * gy)
+        return np.sqrt(np.multiply(gx, gy, out=out), out=out)
     with np.errstate(over="ignore"):  # only where the product itself is taken
         product = gx * gy
         up = np.sqrt(np.ldexp(gx, 511) * np.ldexp(gy, 511)) * 2.0**-511
         down = np.sqrt(np.ldexp(gx, -512) * np.ldexp(gy, -512)) * 2.0**512
-    return np.where(product < tiny, up, np.where(product == np.inf, down, np.sqrt(product)))
+    root = np.where(product < tiny, up, np.where(product == np.inf, down, np.sqrt(product)))
+    if out is None:
+        return root
+    out[...] = root
+    return out
 
 
 def _mu(dxy, gx, gy):
@@ -96,58 +101,130 @@ def _mu(dxy, gx, gy):
     return dxy + _root(gx, gy)
 
 
-def _tau(dxy, gx, gy, factor: float):
-    """log(1 + factor d(x,y) / sqrt(d(x,p) d(y,p))): tau_p for factor 2,
-    tilde_tau_p for factor 1. The factor multiplies the ratio, so a
-    distance near the top of the float range does not overflow first."""
-    return np.log1p(factor * (dxy / _root(gx, gy)))
-
-
-def _fold(op, start: float, dxy, gx, gy, factor: float):
-    """Reduce the one-point values over the puncture axis, one 2-D step per
-    puncture, so no array with a puncture axis is materialized."""
-    out = np.full_like(dxy, start)
-    for a in range(len(gx)):
-        op(out, _tau(dxy, gx[a], gy[a], factor), out=out)
+def _log1p_ratio(ratio, factor: float, out, wide: bool, dxy, gaps):
+    """log(1 + factor ratio) into ``out`` (a new array when it is None), for
+    ``ratio`` = d(x,y) over the geometric mean of the arrays ``gaps``. The
+    factor multiplies the ratio, so a distance near the top of the float
+    range does not overflow first. Where the product still overflows, which
+    ``wide`` says can happen, the entry is log(factor) + log d(x,y) minus
+    the mean of the log gaps: finite, and within rounding of the exact
+    value. Every other entry keeps the bits of the log1p."""
+    out = np.log1p(ratio if factor == 1.0 else np.multiply(factor, ratio, out=out), out=out)
+    if wide:
+        over = out == np.inf
+        if over.any():
+            log_den = sum(np.log(g) for g in gaps) / len(gaps)
+            np.copyto(out, math.log(factor) + np.log(dxy) - log_den, where=over)
     return out
 
 
-def _variant_values(variant: str, dxy, gx, gy, anchor: int | None):
-    """The single formula of each variant.
+#: The factor of each ratio variant: log(1 + factor d(x,y) / sqrt(d(x,p) d(y,p))).
+_FACTORS = {"tau_p": 2.0, "tilde_tau_p": 1.0, "avg_tau": 2.0, "tilde_avg_tau": 1.0, "sup_tau": 2.0}
+#: The fold of each variant over the punctures, and the value it starts from.
+_FOLDS = {
+    "avg_tau": (np.add, 0.0),
+    "tilde_avg_tau": (np.add, 0.0),
+    "sup_tau": (np.maximum, -np.inf),
+}
+
+
+def _walk(cells, dxy, gx, gy) -> list:
+    """The values of each ``(variant, k, anchor)`` cell: ``variant`` over
+    the first k punctures, and a one-point variant over its anchor.
 
     ``dxy`` holds base distances d(x,y); ``gx[a]`` and ``gy[a]`` hold the
     gaps d(x,p_a) and d(y,p_a) to puncture a. The axes after the puncture
-    axis broadcast: ``punctured_matrix`` passes (n,n), (k,n,1) and (k,1,n),
-    the scalar constructors a 0-d distance and (k,) gaps.
+    axis broadcast: ``_punctured_matrices`` passes (n,n), (k,n,1) and
+    (k,1,n), the scalar constructors a (1,) distance and (k,1) gaps.
+
+    The walk visits each puncture once, in order, the outermost loop. At a
+    puncture some ratio cell needs it takes the root sqrt(d(x,p) d(y,p))
+    and the ratio d(x,y) / root once, and log1p(factor ratio) once per
+    factor needed there (``_FACTORS``), in two buffers reused for every
+    puncture. A one-point cell copies the term of its anchor. Each averaged
+    or supremum variant keeps one running fold (``_FOLDS``), and its cell
+    over k punctures is a snapshot of that fold after the first k: divided
+    by k for an average, copied for the supremum, and the fold itself at
+    the variant's largest k. A snapshot is the fold over a prefix of the
+    same terms in the same order, so it has the bits of a fold over those
+    k punctures alone. The j variants keep the running minimum of the gaps,
+    dist(x, P). Every variant is 0 at base distance 0, so those entries
+    are 0, also where gaps so small that even ``_root``'s scaled product
+    underflows make a ratio 0/0 (a diagonal entry next to a puncture).
     """
-    factor = 1.0 if variant.startswith("tilde") else 2.0
-    if variant in ONE_POINT_VARIANTS:
-        return _tau(dxy, gx[anchor], gy[anchor], factor)
-    if variant in ("avg_tau", "tilde_avg_tau"):
-        return _fold(np.add, 0.0, dxy, gx, gy, factor) / len(gx)
-    if variant == "sup_tau":
-        return _fold(np.maximum, -np.inf, dxy, gx, gy, factor)
-    if variant in ("j", "j_tilde"):
-        t1 = np.log1p(dxy / gx.min(axis=0))
-        t2 = np.log1p(dxy / gy.min(axis=0))
-        return 0.5 * (t1 + t2) if variant == "j" else np.maximum(t1, t2)
-    raise InputError(f"unknown variant {variant!r}")  # PuncturedSpec validates
+    shape = np.broadcast_shapes(np.shape(dxy), gx.shape[1:], gy.shape[1:])
+    ends = [anchor + 1 if v in ONE_POINT_VARIANTS else k for v, k, anchor in cells]
+    last = max(ends)
+    factors = [set() for _ in range(last)]  # the terms each puncture gives
+    reach = {}  # each folded variant's largest k
+    for (variant, k, anchor), end in zip(cells, ends):
+        if variant not in VARIANTS:
+            raise InputError(f"unknown variant {variant!r}")  # PuncturedSpec validates
+        if variant in _FOLDS:
+            reach[variant] = max(reach.get(variant, 0), k)
+        if variant in _FACTORS:  # a one-point cell needs its anchor alone
+            for a in range(end - 1 if variant in ONE_POINT_VARIANTS else 0, end):
+                factors[a].add(_FACTORS[variant])
+    folds = {v: np.full(shape, _FOLDS[v][1]) for v in reach}
+    bufs = [np.empty(shape) for _ in range(max(map(len, factors)))]
+    tiny = np.finfo(float).tiny
+    least = min(_least_gap(gx[:last]), _least_gap(gy[:last]))
+    # Python floats: a quotient past the float range reads inf, silently.
+    # Every denominator is at least the least gap up to rounding; 4, not 2,
+    # leaves a margin for it, and a subnormal gap can underflow ``_root``.
+    wide = least < tiny or 4.0 * float(np.max(dxy, initial=0.0)) / least == math.inf
+    zero = np.flatnonzero(np.equal(dxy, 0.0))
+    lo = gx[0], gy[0]  # running dist(x, P), dist(y, P)
+    snaps = {}
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a in range(last):
+            terms = {}
+            if factors[a]:
+                ratio = np.divide(dxy, _root(gx[a], gy[a], out=bufs[0]), out=bufs[0])
+                # the largest factor first: the last term overwrites the ratio
+                order = sorted(factors[a], reverse=True)
+                for factor, buf in zip(order, bufs[len(order) - 1 :: -1]):
+                    terms[factor] = _log1p_ratio(ratio, factor, buf, wide, dxy, (gx[a], gy[a]))
+            for variant, fold in folds.items():
+                if a < reach[variant]:
+                    _FOLDS[variant][0](fold, terms[_FACTORS[variant]], out=fold)
+            lo = np.minimum(lo[0], gx[a]), np.minimum(lo[1], gy[a])
+            for (variant, k, anchor), end in zip(cells, ends):
+                key = (variant, end)
+                if end != a + 1 or key in snaps:
+                    continue
+                if variant in ONE_POINT_VARIANTS:
+                    values = terms[_FACTORS[variant]].copy()
+                elif variant in _FOLDS:
+                    fold = folds[variant]
+                    done = k == reach[variant]  # no later cell reads the fold
+                    if variant == "sup_tau":
+                        values = fold if done else fold.copy()
+                    else:
+                        values = np.divide(fold, k, out=fold if done else None)
+                else:
+                    t1, t2 = (_log1p_ratio(dxy / g, 1.0, None, wide, dxy, (g,)) for g in lo)
+                    values = 0.5 * (t1 + t2) if variant == "j" else np.maximum(t1, t2)
+                values.flat[zero] = 0.0
+                snaps[key] = values
+    return [snaps[variant, end] for (variant, _, _), end in zip(cells, ends)]
 
 
 def _unit(a: np.ndarray) -> np.ndarray:
     """Base distances in a power-of-two unit: scaled up by ``_unit_scale``
     when their largest magnitude lies below 2^-500, which is exact, and as
     given otherwise. Halving them near the top of the float range would
-    round subnormal entries to even, and no variant needs it: ``_tau``
-    divides before it doubles, and ``_root`` rescales the gap products that
-    leave the normal range."""
+    round subnormal entries to even, and no variant needs it: ``_walk``
+    divides before it doubles, ``_log1p_ratio`` takes the logarithms apart
+    where a ratio still overflows, and ``_root`` rescales the gap products
+    that leave the normal range."""
     scaled, e = _unit_scale(a)
     return scaled if e < 0 else a
 
 
 def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=None) -> float:
-    """One entry of ``variant``: the oracle's values as a 0-d distance and
-    (k,) gaps, through the formula ``punctured_matrix`` uses, in the same
+    """One entry of ``variant``: the oracle's values as a (1,) distance and
+    (k, 1) gaps, through the walk ``punctured_matrix`` takes, in the same
     power-of-two unit ``_unit`` gives ``_materialize``."""
     k = len(punctures)
     if k < 1:
@@ -155,12 +232,12 @@ def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=No
     o = as_oracle(d)
     raw = [o(x, y)] + [o(x, p) for p in punctures] + [o(y, p) for p in punctures]
     unit = _unit(np.array(raw, dtype=float))
-    gx, gy = unit[1 : k + 1], unit[k + 1 :]
+    gx, gy = unit[1 : k + 1, None], unit[k + 1 :, None]
     for point, gaps in ((x, gx), (y, gy)):
         hit = np.flatnonzero(gaps <= 0.0)
         if hit.size:
             raise PunctureDomainError(f"point {point} lies on puncture {punctures[hit[0]]}")
-    return float(_variant_values(variant, np.asarray(unit[0]), gx, gy, anchor))
+    return float(_walk([(variant, k, anchor)], unit[:1], gx, gy)[0][0])
 
 
 def mu_p(d, x: int, y: int, p: int) -> float:
@@ -421,7 +498,17 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
 
 def _punctured_matrices(spec: PuncturedSpec, cells) -> list[DistanceMatrix]:
     """The matrix of each ``(variant, k)`` cell: ``variant`` over the first
-    k punctures of ``spec``, with its anchor, from one ``_materialize``.
+    k punctures of ``spec``, with its anchor, from one ``_materialize`` and
+    one ``_walk``.
+
+    The walk is outermost over the punctures: each puncture's root and
+    ratio d(x,y) / sqrt(d(x,p) d(y,p)) are taken once and shared by every
+    cell, and log1p once per factor. A folded cell over k punctures is a
+    snapshot of its variant's running fold after the first k, so the cells
+    of one variant at k = 1, 2, 4, 8 cost one fold over 8 punctures, and
+    each equals the fold over its k punctures alone bit for bit. The walk
+    holds one fold per folded variant and at most two buffers of the
+    domain's size, and lets them go before the matrices are copied.
 
     With coordinate punctures a cell equals ``punctured_matrix`` of the spec
     cut to ``punctures[:k]`` bit for bit: the domain is the whole cloud
@@ -431,21 +518,12 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[DistanceMatrix]:
     """
     if spec.punctures_are_indices and any(k != spec.k for _, k in cells):
         raise ValueError(f"index punctures leave the domain: every cell needs k={spec.k}")
-    anchors = [_resolve_anchor(variant, spec.anchor, k) for variant, k in cells]
+    walk = [(variant, k, _resolve_anchor(variant, spec.anchor, k)) for variant, k in cells]
     dom, gaps, _ = _materialize(spec)
     by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
-    # Every variant is 0 at base distance 0, but gaps so small that even
-    # ``_root``'s scaled product underflows make it 0/0 there (a diagonal
-    # entry next to a puncture).
-    zero = np.flatnonzero(dom == 0.0)
-    out = []
-    for (variant, k), anchor in zip(cells, anchors):
-        g = by_puncture[:k]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            values = _variant_values(variant, dom, g[:, :, None], g[:, None, :], anchor)
-        values.flat[zero] = 0.0
-        out.append(DistanceMatrix(values))
-    return out
+    values = _walk(walk, dom, by_puncture[:, :, None], by_puncture[:, None, :])
+    # the walk's buffers are gone: each matrix is copied once, its values let go
+    return [DistanceMatrix(values.pop(0)) for _ in cells]
 
 
 def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:

@@ -60,10 +60,15 @@ transpose (m x j x nb), once, in float64 from the chunk's scaled copy,
 rounding each value once to float32 (``_gromov_rows``); a step then reads
 R, Q over k and Q over l as three broadcasts, with no addition per
 quadruple. Everything the screen reads and writes has the batch axis b
-innermost, and a step's grid is ordered (k, l, i, b). The two passes that
-combine R (broadcast over i) with Q over k (broadcast over l) run inner
-loops over the batch; Q over l is one contiguous block of (l, i, b), so
-the other four passes coalesce over it. At nb = 1 the grid is (k, l, i).
+innermost, and a step's grid is ordered (k, l, i, b). A step's doubled
+delta takes five ufunc passes (``_doubled_delta``). Q over l is one
+contiguous block of (l, i, b), so the two passes that combine it with Q
+over k (broadcast over l) run inner loops over whole (i, b) rows, and the
+subtraction and the absolute value over the whole grid; only the pass that
+reads R (broadcast over i) runs inner loops over the batch. A step's
+maximum per matrix is taken over rows of (i, b) first, then over i, so its
+inner loops, too, run over rows, not over the batch. At nb = 1 the grid is
+(k, l, i), and the maximum is one flat reduction.
 
 The screen needs no pass over the l <= k corner of a step's grid. R takes
 the sum d(j,k) + d(j,l) first, the same float for (k, l) and (l, k), so it
@@ -209,20 +214,24 @@ def _kernel_entries(d, n: int | None = None) -> tuple[np.ndarray, float]:
 
 def _doubled_delta(s1, s2, s3, bufs=(None, None)):
     """Twice the delta of the quadruples with pairing sums ``s1``, ``s2`` and
-    ``s3``: the largest sum minus the median. Operands broadcast as in a
-    ufunc.
+    ``s3``: the largest sum minus the median, as
+    |max(s1, min(s2, s3)) - max(s2, s3)|, in five ufunc passes. Operands
+    broadcast as in a ufunc.
 
-    The median is ``s3`` clamped to the range of the first two; every step
-    is an exact comparison, so only the final subtraction rounds. With two
-    scratch buffers of the result's shape nothing is allocated, and the
+    The two operands are the largest sum and the median, as values: when
+    s1 is the largest, max(s1, min(s2, s3)) is s1 and max(s2, s3) the
+    median; otherwise max(s2, s3) is the largest and max(s1, min(s2, s3))
+    the median. Every step but the subtraction is an exact comparison,
+    fl(a - b) and fl(b - a) differ only in sign in IEEE arithmetic, and
+    the absolute value is exact, so the result has the bits of the largest
+    minus the median. An s1 of -inf gives max(s2, s3) - min(s2, s3). With
+    two scratch buffers of the result's shape nothing is allocated, and the
     result is the first of them.
     """
     a, b = bufs
-    hi12 = np.maximum(s1, s2, out=a)
-    lo12 = np.minimum(s1, s2, out=b)
-    mid = np.minimum(hi12, np.maximum(lo12, s3, out=b), out=b)
-    top = np.maximum(hi12, s3, out=a)
-    return np.subtract(top, mid, out=a)
+    near = np.maximum(s1, np.minimum(s2, s3, out=b), out=b)
+    diff = np.subtract(near, np.maximum(s2, s3, out=a), out=a)
+    return np.abs(diff, out=a)
 
 
 def quadruple_delta(d, x: int, y: int, z: int, v: int) -> float:
@@ -327,10 +336,12 @@ def _screen_middle(stacks, c: int, j: int) -> np.ndarray:
     for k0, g, bufs in _step_grids(nb, n, j, _middle_steps(n, j, nb), 2, np.float32):
         ks, ls = slice(k0 - j - 1, k0 - j - 1 + g), slice(k0 - j, None)
         # (k, l, i, b) grids: Q over l is one contiguous block, so four of
-        # the six passes run over whole (l, i, b) rows
+        # the five passes run over whole (i, b) rows or more
         grids = tuple(buf.reshape(g, -1, j, nb) for buf in bufs)
         d2 = _doubled_delta(r[ks, ls, None], q[ks, None], q[None, ls], grids)
-        maxima.append(d2.reshape(-1, nb).max(axis=0))
+        # above nb = 1, reduce whole (i, b) rows first, not one b per row
+        rows = d2.reshape(-1, j * nb).max(axis=0).reshape(j, nb) if nb > 1 else d2.reshape(-1, 1)
+        maxima.append(rows.max(axis=0))
     return np.array(maxima)
 
 

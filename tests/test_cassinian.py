@@ -25,6 +25,7 @@ from hypmetrics import (
     tilde_avg_tau,
     tilde_tau_p,
 )
+from hypmetrics.cassinian import _materialize, _punctured_matrices, _root
 
 LOG2 = math.log(2.0)
 
@@ -408,3 +409,106 @@ def test_matrix_reaching_the_float_limit_keeps_subnormal_distances():
             assert tilde[0, 2] == 1.5e-323  # d(0, 2) over gaps of 1
         else:
             assert np.isfinite(tilde).all() and tilde[0, 2] > 370.0  # point 3, 1 from point 0
+
+
+def _scalars(m, punctures, anchor):
+    """Every scalar constructor over ``punctures``, the one-point ones at
+    ``anchor``, by variant."""
+    p = punctures[anchor]
+    return {
+        "tau_p": lambda x, y: tau_p(m, x, y, p),
+        "tilde_tau_p": lambda x, y: tilde_tau_p(m, x, y, p),
+        "avg_tau": lambda x, y: avg_tau(m, x, y, punctures),
+        "tilde_avg_tau": lambda x, y: tilde_avg_tau(m, x, y, punctures),
+        "sup_tau": lambda x, y: sup_tau(m, x, y, punctures),
+        "j": lambda x, y: j_metric(m, x, y, punctures),
+        "j_tilde": lambda x, y: j_tilde_metric(m, x, y, punctures),
+    }
+
+
+def _assert_matrices_equal_scalars(m, punctures, anchor=0):
+    dom = [i for i in range(m.n) if i not in punctures]
+    for variant, scalar in _scalars(m, punctures, anchor).items():
+        one_point = variant in ("tau_p", "tilde_tau_p")
+        spec = PuncturedSpec(m, punctures, variant, anchor=anchor if one_point else None)
+        entries = punctured_matrix(spec).entries  # finite: DistanceMatrix checks
+        expected = np.array([[scalar(x, y) for y in dom] for x in dom])
+        assert np.array_equal(entries.view(np.uint64), expected.view(np.uint64)), variant
+
+
+def test_ratio_past_the_float_range_keeps_a_finite_log():
+    # 1 / 5e-324 overflows, while log(1 + 1 / 5e-324) is about 744.44: the
+    # j ratio d(0, 3) / dist(0, {1}) takes the logarithms apart
+    sub = np.ones((5, 5)) - np.eye(5)
+    sub[0, 1] = sub[1, 0] = 5e-324
+    m = DistanceMatrix(sub)
+    far = -math.log(5e-324)
+    assert j_metric(m, 0, 3, [1]) == pytest.approx(0.5 * (far + LOG2), rel=1e-15)
+    assert j_tilde_metric(m, 0, 3, [1]) == pytest.approx(far, rel=1e-15)
+    _assert_matrices_equal_scalars(m, [1])
+    _assert_matrices_equal_scalars(m, [1, 4], anchor=1)
+    # 2 * 1.7e308 overflows, while log(1 + 2 * 1.7e308) is about 710.42;
+    # with gaps of 1/4 the ratio itself overflows, for the tilde variants too
+    for other in (1.0, 0.25):
+        top = np.full((4, 4), other) - other * np.eye(4)
+        top[0, 1] = top[1, 0] = 1.7e308
+        m = DistanceMatrix(top)
+        ratio = math.log(1.7e308) - math.log(other)
+        assert tau_p(m, 0, 1, 2) == pytest.approx(LOG2 + ratio, rel=1e-15)
+        assert tilde_tau_p(m, 0, 1, 2) == pytest.approx(ratio, rel=1e-15)
+        assert avg_tau(m, 0, 1, [2, 3]) == pytest.approx(LOG2 + ratio, rel=1e-15)
+        assert sup_tau(m, 0, 1, [2, 3]) == pytest.approx(LOG2 + ratio, rel=1e-15)
+        _assert_matrices_equal_scalars(m, [2])
+        _assert_matrices_equal_scalars(m, [2, 3], anchor=1)
+    # two points 2^-1060 from a puncture, the other distances 2^-500: even
+    # ``_root``'s scaled product of their gaps underflows, so the ratio
+    # 2^-500 / 0 overflows, where log(1 + 2^-499 / 2^-1060) is 561 log 2
+    near = 2.0**-500 * (np.ones((4, 4)) - np.eye(4))
+    near[0, 1:3] = near[1:3, 0] = 2.0**-1060
+    m = DistanceMatrix(near)
+    assert tau_p(m, 1, 2, 0) == pytest.approx(561 * LOG2, rel=1e-15)
+    assert tilde_tau_p(m, 1, 2, 0) == pytest.approx(560 * LOG2, rel=1e-15)
+    _assert_matrices_equal_scalars(m, [0])
+
+
+def _sequential_fold(spec, variant, k, anchor):
+    """The cell as one fold over its own punctures: start, then
+    op(out, log1p(f (d / root))) per puncture, the average divided by k,
+    with ``_root`` for sqrt(d(x,p) d(y,p)) so that gap products past the
+    float range keep their value; the j variants from the gap minima."""
+    dom, gaps, _ = _materialize(spec)
+    g = gaps.T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if variant in ("j", "j_tilde"):
+            t1 = np.log1p(dom / g[:k].min(axis=0)[:, None])
+            t2 = np.log1p(dom / g[:k].min(axis=0)[None, :])
+            return 0.5 * (t1 + t2) if variant == "j" else np.maximum(t1, t2)
+        f = 1.0 if variant.startswith("tilde") else 2.0
+        terms = [np.log1p(f * (dom / _root(g[a][:, None], g[a][None, :]))) for a in range(k)]
+    if variant in ("tau_p", "tilde_tau_p"):
+        return terms[anchor]
+    op, start = (np.maximum, -np.inf) if variant == "sup_tau" else (np.add, 0.0)
+    out = np.full_like(dom, start)
+    for term in terms:
+        out = op(out, term)
+    return out if variant == "sup_tau" else out / k
+
+
+@pytest.mark.parametrize("exponent", [-1000, 0, 1000])
+def test_walk_cells_equal_a_sequential_fold(exponent):
+    # unsorted, repeated and mixed cells, one walk
+    cells = [("avg_tau", 4), ("sup_tau", 2), ("avg_tau", 1), ("tilde_avg_tau", 8),
+             ("avg_tau", 4), ("tau_p", 1), ("j", 3), ("sup_tau", 8), ("j_tilde", 8)]
+    rng = np.random.Generator(np.random.PCG64(19))
+    pts = np.ldexp(rng.uniform(0.0, 1.0, size=(11, 2)), exponent)
+    punctures = np.ldexp(rng.uniform(-1.0, 2.0, size=(8, 2)), exponent)
+    cloud_spec = PuncturedSpec(PointCloud(pts), punctures, "avg_tau")
+    base = build_distance_matrix(random_cloud(12, 2, seed=8)).entries
+    matrix = DistanceMatrix(np.ldexp(base, exponent))
+    index_spec = PuncturedSpec(matrix, [7, 2, 10], "avg_tau", anchor=1)
+    index_cells = [("sup_tau", 3), ("tau_p", 3), ("avg_tau", 3), ("tilde_tau_p", 3),
+                   ("j_tilde", 3), ("tilde_avg_tau", 3), ("avg_tau", 3)]
+    for spec, cells, anchor in ((cloud_spec, cells, 0), (index_spec, index_cells, 1)):
+        for (variant, k), got in zip(cells, _punctured_matrices(spec, cells)):
+            want = _sequential_fold(spec, variant, k, anchor)
+            assert np.array_equal(got.entries.view(np.uint64), want.view(np.uint64)), (variant, k)

@@ -115,6 +115,20 @@ def test_dist_point_next_to_puncture_in_a_wide_cloud(tmp_path, capsys):
     assert entries[1][2] == pytest.approx(np.log(5.0), rel=1e-12)
 
 
+def test_dist_j_beside_a_subnormal_gap(tmp_path, capsys):
+    # d(0, 3) / d(0, 1) = 1 / 5e-324 overflows; its log1p does not
+    sub = np.ones((5, 5)) - np.eye(5)
+    sub[0, 1] = sub[1, 0] = 5e-324
+    matrix = tmp_path / "sub.json"
+    matrix.write_text(json.dumps({"n": 5, "entries": sub.tolist()}))
+    out = tmp_path / "m.json"
+    code, _, err = run(capsys, "dist", "--matrix", str(matrix), "--punctures", "1",
+                       "--variant", "j", "--out", str(out))
+    assert (code, err) == (0, "")
+    entries = json.loads(out.read_text())["entries"]
+    assert entries[0][2] == pytest.approx(0.5 * (np.log(2.0) - np.log(5e-324)), rel=1e-15)
+
+
 def test_dist_avg_k1_equals_tau(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
     run(capsys, "gen", "--n", "7", "--seed", "3", "--out", str(cloud))

@@ -720,3 +720,44 @@ def test_exact_delta_memory_is_bounded():
             steps = len(delta._middle_steps(n, j, nb))
             bound = 1.5 * scaled.nbytes + 8 * delta._BATCH_ELEMENTS + 8 * steps * nb
             assert _traced_peak(delta._screen_middle, (None, [scaled]), 0, j) < bound, (n, j)
+
+
+def _six_pass_doubled_delta(s1, s2, s3):
+    """The largest pairing sum minus the median in six ufunc passes: the
+    median as s3 clamped to the range of s1 and s2."""
+    hi12, lo12 = np.maximum(s1, s2), np.minimum(s1, s2)
+    return np.maximum(hi12, s3) - np.minimum(hi12, np.maximum(lo12, s3))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_five_pass_doubled_delta_has_the_six_pass_bits(dtype):
+    rng = np.random.Generator(np.random.PCG64(23))
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, tiny, -tiny, 2 * tiny, np.finfo(dtype).tiny, 1.0], dtype)
+    near = lambda c: c + rng.uniform(-1e-3, 1e-3, 600)  # noqa: E731
+    triples = [
+        rng.uniform(-3.0, 3.0, (3, 600)),  # the screen's signed range
+        rng.uniform(0.0, 2.0, (3, 600)),  # its nonnegative range
+        np.stack([near(2.0), near(2.0), near(-2.0)]),
+        np.stack([near(3.0), near(-3.0), near(2.9)]),
+        np.array(list(np.broadcast(*np.ix_(specials, specials, specials)))).T,
+    ]
+    t = rng.uniform(-3.0, 3.0, (3, 600))
+    for a, b in ((0, 1), (0, 2), (1, 2)):  # ties of each pair, then of all three
+        tied = t.copy()
+        tied[b] = tied[a]
+        triples.append(tied)
+    triples.append(np.stack([t[0]] * 3))
+    triples.append(np.stack([np.full(600, -np.inf), t[1], t[2]]))  # R's diagonal as s1
+    triples.append(np.stack([np.full(600, -np.inf), t[1], t[1]]))
+    words = np.uint32 if dtype == np.float32 else np.uint64
+    for s1, s2, s3 in (np.asarray(x, dtype=dtype) for x in triples):
+        want = _six_pass_doubled_delta(s1, s2, s3).view(words)
+        bufs = (np.empty_like(s1), np.empty_like(s1))
+        for got in (delta._doubled_delta(s1, s2, s3), delta._doubled_delta(s1, s2, s3, bufs)):
+            assert got.dtype == dtype
+            assert np.array_equal(got.view(words), want)
+        # broadcast operands, as the screen passes them
+        got = delta._doubled_delta(s1[:, None], s2[None, :50], s3[None, :50])
+        want = _six_pass_doubled_delta(s1[:, None], s2[None, :50], s3[None, :50])
+        assert np.array_equal(got.view(words), want.view(words))

@@ -102,6 +102,17 @@ def test_sweep_computes_base_distances_once_per_trial(monkeypatch):
     assert len(calls) == 3
 
 
+def test_sweep_takes_one_root_per_puncture(monkeypatch):
+    # 3 trials of 4 punctures: every (variant, k) cell of a trial shares
+    # each puncture's root, where folding each cell on its own took
+    # 3 variants x (1 + 2 + 4) = 21 per trial
+    calls = []
+    real = cassinian._root
+    monkeypatch.setattr(cassinian, "_root", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    hyperbolicity_sweep(n=8, k_list=(1, 2, 4), trials=3)
+    assert len(calls) == 12
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "taxicab"])
 def test_sweep_cells_equal_their_own_specs(metric):
     # Coordinate punctures keep the whole cloud as the domain, so the first
