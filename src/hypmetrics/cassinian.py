@@ -496,7 +496,7 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
     return dom, gaps, dom_idx
 
 
-def _punctured_matrices(spec: PuncturedSpec, cells) -> list[DistanceMatrix]:
+def _punctured_matrices(spec: PuncturedSpec, cells) -> list[np.ndarray]:
     """The matrix of each ``(variant, k)`` cell: ``variant`` over the first
     k punctures of ``spec``, with its anchor, from one ``_materialize`` and
     one ``_walk``.
@@ -508,7 +508,9 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[DistanceMatrix]:
     of one variant at k = 1, 2, 4, 8 cost one fold over 8 punctures, and
     each equals the fold over its k punctures alone bit for bit. The walk
     holds one fold per folded variant and at most two buffers of the
-    domain's size, and lets them go before the matrices are copied.
+    domain's size. The cells are its own arrays, neither copied nor
+    checked: each consumer checks what it reads, once. Only the public
+    ``punctured_matrix`` wraps its one matrix, in a ``DistanceMatrix``.
 
     With coordinate punctures a cell equals ``punctured_matrix`` of the spec
     cut to ``punctures[:k]`` bit for bit: the domain is the whole cloud
@@ -521,9 +523,7 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[DistanceMatrix]:
     walk = [(variant, k, _resolve_anchor(variant, spec.anchor, k)) for variant, k in cells]
     dom, gaps, _ = _materialize(spec)
     by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
-    values = _walk(walk, dom, by_puncture[:, :, None], by_puncture[:, None, :])
-    # the walk's buffers are gone: each matrix is copied once, its values let go
-    return [DistanceMatrix(values.pop(0)) for _ in cells]
+    return _walk(walk, dom, by_puncture[:, :, None], by_puncture[:, None, :])
 
 
 def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:
@@ -537,4 +537,4 @@ def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:
     formula. Base distances spanning more than the float range leave NaN or
     infinite values, which the DistanceMatrix rejects (``InputError``).
     """
-    return _punctured_matrices(spec, [(spec.variant, spec.k)])[0]
+    return DistanceMatrix(_punctured_matrices(spec, [(spec.variant, spec.k)])[0])

@@ -31,7 +31,7 @@ from .cassinian import (
 )
 from .delta import _chunk_size, exact_deltas, quadruple_delta, sampled_delta
 from .errors import InputError
-from .spaces import DistanceMatrix, PointCloud, build_distance_matrix
+from .spaces import DistanceMatrix, PointCloud, build_distance_matrix, random_cloud
 from .verify import DEFAULT_TOL, check_metric_axioms, check_ptolemaic
 
 LOG3 = math.log(3.0)
@@ -150,7 +150,7 @@ def four_point_counterexample(tol: float = DEFAULT_TOL) -> ScenarioResult:
     # Domain order after removing p: [x, y, z] = indices 0, 1, 2.
     violating = sorted(v.indices for v in tilde_axioms.violations)
     expected_family = [(1, 2, 0), (2, 1, 0)]
-    slack = float(tilde.entries[1, 2] - tilde.entries[0, 1] - tilde.entries[0, 2])
+    slack = float(tilde[1, 2] - tilde[0, 1] - tilde[0, 2])
     expected_slack = math.log(3.0) - 2.0 * math.log(1.0 + 1.0 / math.sqrt(2.0))
 
     bounds = [
@@ -222,9 +222,7 @@ def arctan_family(
             BoundCheck(f"sum_delta_reaches_t (t={t:g})", ms, float(t), ms >= float(t), ">=")
         )
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pts = rng.uniform(0.0, 50.0, size=(cloud_n, 2))
-    cloud_matrix = build_distance_matrix(PointCloud(pts), "d1")
+    cloud_matrix = build_distance_matrix(random_cloud(cloud_n, 2, seed, 0.0, 50.0), "d1")
     sampled = sampled_delta(cloud_matrix, samples=samples, seed=seed)
     bounds.append(
         _bound("d1_sampled_delta_below_half_pi", sampled.delta, math.pi / 2.0, tol)

@@ -445,14 +445,14 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
     if metric in ("d1", "d2", "d1+d2"):
         if pts.shape[1] != 2:
             raise InputError(f"metric {metric!r} needs dim 2, got dim {pts.shape[1]}")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a distance past the float range reads inf
             du = np.abs(pts[:, 0][:, None] - pts[:, 0][None, :])
             dv = np.abs(pts[:, 1][:, None] - pts[:, 1][None, :])
-        if metric == "d1":
-            return du + np.arctan(dv)
-        if metric == "d2":
-            return dv + np.arctan(du)
-        return (du + np.arctan(dv)) + (dv + np.arctan(du))
+            if metric == "d1":
+                return du + np.arctan(dv)
+            if metric == "d2":
+                return dv + np.arctan(du)
+            return (du + np.arctan(dv)) + (dv + np.arctan(du))
     raise InputError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
 
 

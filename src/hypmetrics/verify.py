@@ -24,9 +24,9 @@ entries, at least one row of x, and the Ptolemy sweep walks the exact delta
 kernel's grids, ``delta._middle_grids``: one step's ``(i < j, g, l > k0)``
 grid at a time for a fixed j, within the kernel's ``_BATCH_ELEMENTS``
 budget. Both sweeps need finite entries (``InputError`` otherwise), and so
-do the sampled lemma checkers, which also reject entries beyond 2^500 in
-magnitude (their mu products would overflow) and an anchor or puncture
-index outside the matrix.
+do the sandwich, on both sides, and the sampled lemma checkers, which also
+reject entries beyond 2^500 in magnitude (their mu products would
+overflow) and an anchor or puncture index outside the matrix.
 
 The triangle sweep is one loop over blocks of rows x. On a bitwise
 symmetric matrix (its ``uint64`` view equals its transpose's, so 0.0
@@ -316,7 +316,8 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
 
 
 def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationReport:
-    """Two-sided additive bounds between paired constructions.
+    """Two-sided additive bounds between paired constructions, whose
+    entries must be finite for every kind (``InputError`` otherwise).
 
     * ``kind="tau"``: with a one-point PuncturedSpec, checks
       tilde <= tau <= tilde + log 2 entrywise.
@@ -328,8 +329,7 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
     if kind in SANDWICH_PAIRS:
         if not isinstance(target, PuncturedSpec):
             raise InputError(f"kind {kind!r} expects a PuncturedSpec")
-        cells = [(v, target.k) for v in SANDWICH_PAIRS[kind]]
-        lo, hi = (m.entries for m in _punctured_matrices(target, cells))
+        lo, hi = _punctured_matrices(target, [(v, target.k) for v in SANDWICH_PAIRS[kind]])
         gap = LOG2
     elif kind == "taxicab":
         if not isinstance(target, PointCloud) or target.dim != 2:
@@ -339,6 +339,8 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
         gap = math.pi
     else:
         raise InputError(f"unknown sandwich kind {kind!r} (want tau, avg, or taxicab)")
+    _require_finite(lo)
+    _require_finite(hi)
     rows, cols, upper = _pair_mesh(lo.shape[0])
     col = _Collector(tol)
     col.compare("sandwich_lower", (rows, cols), lo, hi, where=upper)

@@ -511,4 +511,4 @@ def test_walk_cells_equal_a_sequential_fold(exponent):
     for spec, cells, anchor in ((cloud_spec, cells, 0), (index_spec, index_cells, 1)):
         for (variant, k), got in zip(cells, _punctured_matrices(spec, cells)):
             want = _sequential_fold(spec, variant, k, anchor)
-            assert np.array_equal(got.entries.view(np.uint64), want.view(np.uint64)), (variant, k)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (variant, k)

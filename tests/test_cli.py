@@ -372,6 +372,11 @@ SPEC_JSON = (
             {"s.json": SPEC_JSON.replace('"tau_p"', '"tilde_avg_tau"').replace("ANCHOR", "0")},
             ["verify", "sandwich", "--kind", "avg", "--spec", "{d}/s.json"],
         ),
+        (
+            {"h.csv": "label,x1,x2\na,8e307,8e307\nb,-8e307,-8e307\nc,0,1\n"},
+            ["verify", "sandwich", "--kind", "taxicab", "--cloud", "{d}/h.csv",
+             "--out", "{d}/h.json"],
+        ),
     ],
     ids=[
         "matrix-json",
@@ -403,6 +408,7 @@ SPEC_JSON = (
         "sandwich-avg-spec-outside-pair",
         "sandwich-tau-spec-outside-pair",
         "sandwich-avg-spec-anchor",
+        "sandwich-taxicab-overflow",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, files, argv):

@@ -9,7 +9,7 @@ from hypmetrics import (
     four_point_counterexample,
     hyperbolicity_sweep,
 )
-from hypmetrics import PointCloud, PuncturedSpec, cassinian, punctured_matrix
+from hypmetrics import DistanceMatrix, PointCloud, PuncturedSpec, cassinian, punctured_matrix
 from hypmetrics.cassinian import VARIANTS, _punctured_matrices
 from hypmetrics.scenarios import ARCTAN_T_MAX, _place_punctures
 
@@ -113,6 +113,16 @@ def test_sweep_takes_one_root_per_puncture(monkeypatch):
     assert len(calls) == 12
 
 
+def test_sweep_builds_no_distance_matrix(monkeypatch):
+    # the walk's arrays go to exact_deltas as they are, and its
+    # _kernel_entries is their one finiteness and symmetry check
+    calls = []
+    real = DistanceMatrix.__init__
+    monkeypatch.setattr(DistanceMatrix, "__init__", lambda *a: calls.append(a) or real(*a))
+    hyperbolicity_sweep(n=8, k_list=(1, 2), trials=3)
+    assert calls == []
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "taxicab"])
 def test_sweep_cells_equal_their_own_specs(metric):
     # Coordinate punctures keep the whole cloud as the domain, so the first
@@ -125,4 +135,4 @@ def test_sweep_cells_equal_their_own_specs(metric):
     spec = PuncturedSpec(cloud, punctures, "avg_tau", anchor=0, metric=metric)
     for (v, k), got in zip(cells, _punctured_matrices(spec, cells)):
         want = punctured_matrix(PuncturedSpec(cloud, punctures[:k], v, anchor=0, metric=metric))
-        assert np.array_equal(got.entries.view(np.uint64), want.entries.view(np.uint64)), (v, k)
+        assert np.array_equal(got.view(np.uint64), want.entries.view(np.uint64)), (v, k)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,18 @@ def test_matrix_save_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def test_arctan_split_overflow_reads_inf_quietly():
+    # d1 and d2 of the first pair are 1.6e308; their sum overflows, and
+    # reads inf without a warning, as Euclidean and taxicab distances do
+    pts = np.array([[8e307, 8e307], [-8e307, -8e307], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d1, d2, dsum = (pairwise_distances(pts, m) for m in ("d1", "d2", "d1+d2"))
+    assert d1[0, 1] == d2[0, 1] == 1.6e308 + math.atan(1.6e308)
+    assert dsum[0, 1] == dsum[1, 0] == math.inf
+    assert np.isfinite(dsum[[0, 1], 2]).all()
 
 
 def test_pairwise_d1_formula_spot_check():

@@ -131,6 +131,20 @@ def test_sandwich_bad_inputs():
         check_sandwich("tau", random_cloud(5, 2, seed=1))
 
 
+def test_sandwich_rejects_distances_past_the_float_range():
+    # a distance past the float range reads inf, and its slack inf - inf
+    # is NaN: without the finiteness rule the taxicab kind passed vacuously
+    huge = PointCloud([[8e307, 8e307], [-8e307, -8e307], [0.0, 1.0]])
+    wide = PointCloud([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+    for kind, target in (
+        ("taxicab", huge),
+        ("tau", PuncturedSpec(wide, [[0.0, 5.0]], "tau_p")),
+        ("avg", PuncturedSpec(wide, [[0.0, 5.0], [0.0, -5.0]], "avg_tau")),
+    ):
+        with pytest.raises(InputError, match="NaN or infinite"):
+            check_sandwich(kind, target)
+
+
 def test_mu_bounds_clean_and_degenerate():
     m = build_distance_matrix(random_cloud(30, 2, seed=11))
     rep = check_mu_bounds(m, p=0, q=1, samples=20000, seed=13)
