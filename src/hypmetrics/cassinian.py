@@ -210,28 +210,16 @@ def _walk(cells, dxy, gx, gy) -> list:
     return [snaps[variant, end] for (variant, _, _), end in zip(cells, ends)]
 
 
-def _unit(a: np.ndarray) -> np.ndarray:
-    """Base distances in a power-of-two unit: scaled up by ``_unit_scale``
-    when their largest magnitude lies below 2^-500, which is exact, and as
-    given otherwise. Halving them near the top of the float range would
-    round subnormal entries to even, and no variant needs it: ``_walk``
-    divides before it doubles, ``_log1p_ratio`` takes the logarithms apart
-    where a ratio still overflows, and ``_root`` rescales the gap products
-    that leave the normal range."""
-    scaled, e = _unit_scale(a)
-    return scaled if e < 0 else a
-
-
 def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=None) -> float:
     """One entry of ``variant``: the oracle's values as a (1,) distance and
     (k, 1) gaps, through the walk ``punctured_matrix`` takes, in the same
-    power-of-two unit ``_unit`` gives ``_materialize``."""
+    power-of-two unit ``_unit_scale`` gives ``_materialize``."""
     k = len(punctures)
     if k < 1:
         raise InputError("need at least one puncture")
     o = as_oracle(d)
     raw = [o(x, y)] + [o(x, p) for p in punctures] + [o(y, p) for p in punctures]
-    unit = _unit(np.array(raw, dtype=float))
+    unit = _unit_scale(np.array(raw, dtype=float))[0]
     gx, gy = unit[1 : k + 1, None], unit[k + 1 :, None]
     for point, gaps in ((x, gx), (y, gy)):
         hit = np.flatnonzero(gaps <= 0.0)
@@ -455,9 +443,10 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
     Returns ``(dom, gaps, domain_indices)`` where ``dom[i, j]`` is the base
     distance between surviving points and ``gaps[i, a]`` the distance from
     surviving point i to puncture a, both in units of a power of two:
-    ``_unit`` scales tiny base distances up, and ``_root`` rescales the gap
-    products that leave the normal range. Every variant is a ratio of base
-    distances, so an exact power-of-two unit leaves it unchanged.
+    ``_unit_scale`` scales tiny base distances up, never down, and
+    ``_root`` rescales the gap products that leave the normal range. Every
+    variant is a ratio of base distances, so an exact power-of-two unit
+    leaves it unchanged.
     Raises PunctureDomainError when a domain point touches a puncture.
     """
     if isinstance(spec.base, DistanceMatrix):
@@ -467,7 +456,7 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
         if not spec.punctures_are_indices:
             pts = np.vstack([pts, np.asarray(spec.punctures, dtype=float)])
         full = pairwise_distances(pts, spec.metric)
-    full = _unit(full)
+    full = _unit_scale(full)[0]
     if spec.punctures_are_indices:
         n = full.shape[0]
         pset = set(spec.punctures)

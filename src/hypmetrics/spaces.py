@@ -20,14 +20,13 @@ for bit.
 
 The Euclidean and taxicab formulas take coordinate differences on
 coordinates scaled up by an exact power of two when their largest
-magnitude lies below 2^-500, and halved when it is 2^1023 or more
-(``_unit_scale``), so no difference overflows, and scale the distances
-back; in between nothing is scaled. Halving rounds a subnormal coordinate,
-so a halved distance below the smallest normal float is taken again from
-the unscaled coordinates. A Euclidean entry whose sum of squares
-underflows or overflows is taken again in units of the power of two of its
-largest coordinate difference, so a point next to another keeps its
-distance even when the cloud spans the float range.
+magnitude lies below 2^-500 (``_unit_scale``), and scale the distances
+back; coordinates are never scaled down, so none is rounded. A coordinate
+difference overflows only where the distance overflows too, and reads inf
+as the distance does. A Euclidean entry whose sum of squares underflows or
+overflows is taken again in units of the power of two of its largest
+coordinate difference, so a point next to another keeps its distance even
+when the cloud spans the float range.
 
 Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
@@ -249,15 +248,12 @@ def random_cloud(
 
 def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``(a * 2^-e, e)``: ``e`` brings the largest magnitude of ``a`` into
-    [1/2, 1) when it lies below 2^-500, and is 1 when it is 2^1023 or more,
-    so that twice it stays finite; ``(a, 0)`` otherwise, and when it is zero
-    or not finite. No entry is scaled down by more than 1/2, so a small
-    entry beside a huge one keeps its value; the scaling is exact for every
-    entry that does not become subnormal."""
+    [1/2, 1) when it lies below 2^-500; ``(a, 0)`` otherwise, and when it is
+    zero. Arrays are scaled up, never down, so the scaling is exact."""
     top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    if 2.0**-_SAFE_EXPONENT <= top < 2.0**1023 or top in (0.0, math.inf):
+    if top >= 2.0**-_SAFE_EXPONENT or top == 0.0:
         return a, 0
-    e = 1 if top >= 2.0**1023 else math.frexp(top)[1]
+    e = math.frexp(top)[1]
     return np.ldexp(a, -e), e
 
 
@@ -430,18 +426,10 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
     if callable(metric):
         return _as_entries(lambda i, j: metric(pts[i], pts[j]), n)
     if metric in ("euclidean", "taxicab"):
-        unit, e = _unit_scale(pts)  # no difference overflows
-        d = _norms(unit[:, None, :] - unit[None, :, :], metric)
+        unit, e = _unit_scale(pts)  # the squares of a tiny cloud do not underflow
         with np.errstate(over="ignore"):  # a distance past the float range reads inf
-            out = np.ldexp(d, e) if e else d
-        if e > 0:
-            # Halving rounds a subnormal coordinate. Where the halved
-            # distance is below the smallest normal float, so is every
-            # halved coordinate difference, and the unscaled differences
-            # cannot overflow: take those distances again from them.
-            small = np.nonzero(d < np.finfo(float).tiny)
-            out[small] = _norms(pts[small[0]] - pts[small[1]], metric)
-        return out
+            d = _norms(unit[:, None, :] - unit[None, :, :], metric)
+            return np.ldexp(d, e) if e else d
     if metric in ("d1", "d2", "d1+d2"):
         if pts.shape[1] != 2:
             raise InputError(f"metric {metric!r} needs dim 2, got dim {pts.shape[1]}")

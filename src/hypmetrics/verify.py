@@ -483,8 +483,8 @@ def check_lemma_K(
     Triples failing the hypothesis are skipped and counted in
     ``meta["skipped"]``, never silently dropped.
     """
-    if K <= 3.0:
-        raise InputError(f"the separation factor must exceed 3, got K={K}")
+    if not 3.0 < K < math.inf:
+        raise InputError(f"the separation factor must be finite and exceed 3, got K={K}")
     e = _lemma_entries(m, (p,))
     n = e.shape[0]
     t = _sample_tuples(n, 3, samples, seed, (p,))
@@ -618,8 +618,8 @@ def check_quasi_ptolemy_many(
     arr = np.asarray(rs, dtype=float)
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise InputError(f"expected an (N, 4, 4) batch, got shape {arr.shape}")
-    if K < 1.0:
-        raise InputError(f"need K >= 1, got K={K}")
+    if not 1.0 <= K < math.inf:
+        raise InputError(f"need finite K >= 1, got K={K}")
     col = _Collector(tol)
     cols = _qp_columns(arr)
     failed = np.zeros(arr.shape[0], dtype=bool)

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypmetrics import (
+    ONE_POINT_VARIANTS,
+    VARIANTS,
     DistanceMatrix,
     InputError,
     PointCloud,
@@ -259,20 +262,20 @@ def test_scale_invariance(lam):
     assert np.allclose(base, scaled, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("exponent", [-1000, -600, -500, 500, 600, 1000])
+@pytest.mark.parametrize("exponent", [-1000, -600, -500, 500, 600, 1000, 1022])
 def test_power_of_two_scales_are_bit_identical(exponent):
+    # at 2^1022 the punctures reach 2^1023, the top binade of the floats
     cloud = random_cloud(8, 2, seed=55)
     punctures = np.array([[2.0, 0.5], [-1.0, 1.0]])
     matrix = build_distance_matrix(cloud)
-    for metric in ("euclidean", "taxicab"):
-        base = punctured_matrix(PuncturedSpec(cloud, punctures, "avg_tau", metric=metric))
+    scaled_cloud = PointCloud(np.ldexp(cloud.points, exponent))
+    for variant, metric in product(VARIANTS, ("euclidean", "taxicab")):
+        anchor = 1 if variant in ONE_POINT_VARIANTS else None
+        base = punctured_matrix(PuncturedSpec(cloud, punctures, variant, anchor, metric))
         scaled = PuncturedSpec(
-            PointCloud(np.ldexp(cloud.points, exponent)),
-            np.ldexp(punctures, exponent),
-            "avg_tau",
-            metric=metric,
+            scaled_cloud, np.ldexp(punctures, exponent), variant, anchor, metric
         )
-        assert np.array_equal(punctured_matrix(scaled).entries, base.entries)
+        assert np.array_equal(punctured_matrix(scaled).entries, base.entries), (variant, metric)
     base = punctured_matrix(PuncturedSpec(matrix, [0, 5], "tilde_avg_tau"))
     scaled_matrix = DistanceMatrix(np.ldexp(matrix.entries, exponent))
     scaled = PuncturedSpec(scaled_matrix, [0, 5], "tilde_avg_tau")

@@ -144,21 +144,24 @@ def test_callable_metric_matrix_matches_named():
 
 
 def test_wide_cloud_keeps_small_differences():
-    # the first cloud spans 1e300, so a unit scale of its coordinates would
-    # take 1e-170 below the smallest float; the pair (0, 2) is 1e-170 apart.
-    # The others reach 1.7e308, so their coordinates are halved, which
-    # rounds 5e-324 (2^-1074) to 0 and 1.5e-323 (3 * 2^-1074) to 2e-323.
+    # Coordinates are never scaled down, so none is rounded. The first cloud
+    # spans 1e300, so a unit scale of its coordinates would take 1e-170
+    # below the smallest float; the pair (0, 2) is 1e-170 apart. The others
+    # reach 1.7e308 and keep their subnormal coordinates: in the last, the
+    # taxicab sum 2^-1074 + 4.450147717014404e-308 is a tie that rounds up.
     wide = np.array([[1e-170, 0.0], [1e300, 1.0], [0.0, 0.0], [-1.7e308, 3e-170]])
-    clouds = [(wide, (0, 2), 1e-170)]
+    clouds = [(wide, (0, 2), (1e-170, 1e-170))]
     for tiny in (5e-324, 1.5e-323):
-        clouds.append((np.array([[tiny, 0.0], [0.0, 0.0], [1.7e308, 0.0]]), (0, 1), tiny))
+        clouds.append((np.array([[tiny, 0.0], [0.0, 0.0], [1.7e308, 0.0]]), (0, 1), (tiny, tiny)))
+    edge = np.array([[0.0, 0.0], [5e-324, -4.450147717014404e-308], [1.7e308, 0.0]])
+    clouds.append((edge, (0, 1), (4.450147717014404e-308, 4.450147717014405e-308)))
     for cloud, (a, b), expected in clouds:
         size = len(cloud)
-        for metric in ("euclidean", "taxicab"):
+        for metric, want in zip(("euclidean", "taxicab"), expected):
             named = pairwise_distances(cloud, metric)
             pairs = [_SCALAR_METRICS[metric](x, y) for x in cloud for y in cloud]
             assert np.array_equal(named, np.reshape(pairs, (size, size))), metric
-            assert named[a, b] == named[b, a] == expected, metric
+            assert named[a, b] == named[b, a] == want, metric
 
 
 def test_cloud_rejects_nan_and_bad_labels():

@@ -211,8 +211,9 @@ def test_lemma_K_constant_and_skips():
 
 def test_lemma_K_rejects_small_K():
     m = build_distance_matrix(random_cloud(6, 2, seed=1))
-    with pytest.raises(InputError):
-        check_lemma_K(m, p=0, K=3.0)
+    for K in (3.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            check_lemma_K(m, p=0, K=K)
 
 
 def test_product_lemma_k1_and_degenerate():
@@ -275,8 +276,11 @@ def test_quasi_ptolemy_hypothesis_failure_reported():
 def test_quasi_ptolemy_input_validation():
     with pytest.raises(InputError):
         check_quasi_ptolemy(np.zeros((3, 3)), K=1.0)
-    with pytest.raises(InputError):
-        check_quasi_ptolemy(np.zeros((4, 4)), K=0.5)
+    for K in (0.5, math.nan, math.inf):
+        with pytest.raises(InputError):
+            check_quasi_ptolemy(np.zeros((4, 4)), K=K)
+        with pytest.raises(InputError):
+            check_quasi_ptolemy_many(np.ones((3, 4, 4)) - np.eye(4), K=K)
     bad = np.zeros((4, 4))
     bad[0, 1] = 1.0
     with pytest.raises(InputError):
