@@ -10,10 +10,11 @@ every relabeling of the quadruple. A space is delta-hyperbolic with the
 maximum of this quantity over all quadruples.
 
 ``exact_deltas`` maximizes over all C(n, 4) distinct quadruples
-i < j < k < l of every matrix in a batch of equal size; ``exact_delta`` is
-a batch of one. The walker is indexed by the middle pair: a task fixes j,
-and each Python-level step takes up to ``_GROUP`` consecutive k values
-from some k0 and vectorizes over a ``(B, i < j, k, l > k0)`` grid, so
+i < j < k < l of every matrix in a batch of equal size, and is the one way
+into the kernel: ``exact_delta`` calls it on a batch of one. The walker is
+indexed by the middle pair: a task fixes j, and each Python-level step
+takes up to ``_GROUP`` consecutive k values from some k0 and vectorizes
+over a ``(B, i < j, k, l > k0)`` grid, so
 every entry but the l <= k corner of the (k, l) block is a distinct
 quadruple. ``_middle_grids`` fills the three pairing sums d(i,j) + d(k,l),
 d(i,k) + d(j,l) and d(i,l) + d(j,k) as broadcasts of upper-triangle
@@ -24,11 +25,12 @@ within ``_BATCH_ELEMENTS`` entries (at least one), so a step's grids are
 bounded by that budget, not by the batch. A screen task also holds its
 Gromov rows (below): one float64 (m, n, nb) buffer, no larger than its
 chunk's scaled copy, and float32 copies of at most half that size. The
-sweep holds one scaled float64 copy of the whole stack, as one
-C-contiguous (n, n, nb) array per chunk of nb matrices.
+sweep reads its caller's matrices as they are and holds one scaled float64
+copy of them, as one C-contiguous (n, n, nb) array per chunk of nb
+matrices.
 
 The sweep walks the steps in two passes. The *screen* runs every step in
-float32, on values read from a float64 copy of the stack, each matrix
+float32, on values read from a float64 copy of the matrices, each matrix
 scaled by an exact power of two 2^-e, e from ``frexp`` of its largest
 |entry|, so that every copied entry has |x| < 1: nothing overflows, and
 underflow costs at most 2^-1075 absolute. A step reports only each
@@ -43,7 +45,7 @@ float64 sweep of every step. The bounds and F are all in units of the
 matrix's own 2^e, so no comparison leaves them. A confirm task is
 (rows, j, steps): of a screened (chunk, j), the matrices with a step whose
 bound reaches their own floor, and every step that reaches it for one of
-them. It gathers those rows from the stack, so a matrix costs the float64
+them. It stacks only those matrices, so a matrix costs the float64
 pass only in the few (j, step) places that can hold its maximum.
 
 The screen takes the four-point condition in Gromov-product form with the
@@ -119,11 +121,11 @@ report is identical for any worker count.
 One runner, ``_runner``, runs a kernel's tasks, and a sweep has one runner
 for its screen and its confirm pass. With more than one worker, the first
 pass of more than one task opens the sweep's one process pool; its forked
-processes receive the float64 stack and its scaled copy once, and the
-confirm pass submits to the same pool. A pass deals its
-heaviest-first task list round-robin, ``tasks[w::p]`` over the pool's p
-processes, and sends each process its share as one job, so a pass costs p
-round trips, not one per task. A pass of one task, such as a confirm
+processes receive the caller's matrices and their scaled copies once, and
+the confirm pass submits to the same pool. A pass deals its heaviest-first
+task list round-robin, ``tasks[w::p]`` over the pool's p processes, and
+sends each process its share as one job, so a pass costs p round trips,
+not one per task. A pass of one task, such as a confirm
 pass that holds a single (chunk, j), runs in the calling process.
 
 Both kernels need finite, exactly symmetric entries (``InputError``
@@ -294,16 +296,14 @@ def _drop_corner(grid: np.ndarray, g: int) -> None:
     np.copyto(grid[..., :g], -np.inf, where=_CORNER[:g, :g])
 
 
-def _screen_copy(stack: np.ndarray, size: int):
-    """Yield the screen's copy of each chunk of ``size`` matrices of a
-    ``(B, n, n)`` stack: a C-contiguous ``(n, n, nb)`` array, the batch axis
-    innermost, each matrix scaled by 2^-e with e from ``frexp`` of its
-    largest |entry|, so every entry has |x| < 1."""
-    for lo in range(0, stack.shape[0], size):
-        part = stack[lo : lo + size]
-        exps = np.frexp(np.abs(part).max(axis=(1, 2)))[1]
-        out = np.empty(part.shape[1:] + part.shape[:1])
-        yield np.ldexp(part.transpose(1, 2, 0), -exps, out=out)
+def _screen_copy(part: list[np.ndarray]) -> np.ndarray:
+    """The screen's copy of a chunk of nb ``(n, n)`` matrices: a
+    C-contiguous ``(n, n, nb)`` array, the batch axis innermost, each matrix
+    scaled by 2^-e with e from ``frexp`` of its largest |entry|, so every
+    entry has |x| < 1."""
+    exps = np.frexp([np.abs(e).max() for e in part])[1]
+    out = np.stack(part, axis=2)
+    return np.ldexp(out, -exps, out=out)
 
 
 def _gromov_rows(scaled: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -350,10 +350,10 @@ def _scan_middle(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix best doubled delta and the key of its lex-min witness among
     quadruples (i, j, k, l), j fixed, i < j < k < l, k in one of ``steps``,
-    of the matrices ``rows`` of the float64 stack ``stacks[0]``, shape
-    ``(B, n, n)``. A witness's key is its flat index in an ``(n, n, n, n)``
-    array, so keys order as witnesses do."""
-    stack = stacks[0][rows]
+    of the matrices ``rows`` of the list of float64 ``(n, n)`` matrices
+    ``stacks[0]``. A witness's key is its flat index in an
+    ``(n, n, n, n)`` array, so keys order as witnesses do."""
+    stack = np.stack([stacks[0][r] for r in rows])
     nb, n = stack.shape[0], stack.shape[1]
     each = np.arange(nb)
     vals, keys = [], []
@@ -442,19 +442,20 @@ def _chunk_size(n: int) -> int:
     return max(1, _BATCH_ELEMENTS // ((n - 2) ** 2 // 4))
 
 
-def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
-    matrix in a ``(B, n, n)`` stack: a float32 screen of every step, from
-    (chunk, j) tasks run heaviest first, then one float64 confirm pass over
-    the matrices and steps whose bound reaches the matrix's floor, on one
-    runner."""
-    nb, n = stack.shape[0], stack.shape[1]
+    matrix in a list of B ``(n, n)`` matrices: a float32 screen of every
+    step, from (chunk, j) tasks run heaviest first, then one float64 confirm
+    pass over the matrices and steps whose bound reaches the matrix's floor,
+    on one runner."""
+    nb, n = len(entries), entries[0].shape[0]
     size = _chunk_size(n)
     chunks = [np.arange(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
     # Task j covers j * C(n - j - 1, 2) quadruples per matrix.
     middles = sorted(range(1, n - 2), key=lambda j: -j * comb(n - j - 1, 2))
     tasks = [(c, j) for j in middles for c in range(len(chunks))]
-    with _runner((stack, list(_screen_copy(stack, size))), workers) as run:
+    copies = [_screen_copy(entries[lo : lo + size]) for lo in range(0, nb, size)]
+    with _runner((entries, copies), workers) as run:
         # (steps, matrices of chunk c) float32 maxima, each matrix in its own units
         screens = [m.astype(float) for m in run(_screen_middle, tasks)]
         floor = np.full(nb, -np.inf)
@@ -472,27 +473,6 @@ def _sweep(stack: np.ndarray, workers: int) -> tuple[np.ndarray, np.ndarray]:
     return _fold([task[0] for task in confirm], parts, nb, n)
 
 
-def _reports(
-    stack: np.ndarray, scales: tuple[float, ...], workers: int, t0: float
-) -> list[DeltaReport]:
-    n = stack.shape[1]
-    if n < 4:
-        raise InputError(f"need at least 4 points, got n={n}")
-    best2, wit = _sweep(stack, workers)
-    elapsed = time.perf_counter() - t0
-    return [
-        DeltaReport(
-            delta=float(b) / 2.0 * s,
-            witness=tuple(int(x) for x in w),
-            mode="exact",
-            quadruples_evaluated=comb(n, 4),
-            seed=None,
-            elapsed_s=elapsed,
-        )
-        for b, w, s in zip(best2, wit, scales)
-    ]
-
-
 def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
     """Maximize quadruple delta over all distinct quadruples.
 
@@ -503,10 +483,7 @@ def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
     witness are bit-identical for any ``workers`` value. This is
     ``exact_deltas`` on a batch of one.
     """
-    t0 = time.perf_counter()
-    workers = _worker_count(workers)
-    entries, scale = _kernel_entries(d, n)
-    return _reports(entries[None], (scale,), workers, t0)[0]
+    return exact_deltas([_as_entries(d, n)], workers)[0]
 
 
 def exact_deltas(matrices, workers: int = 1) -> list[DeltaReport]:
@@ -526,7 +503,21 @@ def exact_deltas(matrices, workers: int = 1) -> list[DeltaReport]:
     sizes = sorted({e.shape[0] for e in entries})
     if len(sizes) > 1:
         raise InputError(f"a batch needs matrices of one size, got n in {sizes}")
-    return _reports(np.stack(entries), scales, workers, t0)
+    n = sizes[0]
+    if n < 4:
+        raise InputError(f"need at least 4 points, got n={n}")
+    best2, wit = _sweep(list(entries), workers)
+    elapsed = time.perf_counter() - t0
+    return [
+        DeltaReport(
+            delta=float(b) / 2.0 * s,
+            witness=tuple(int(x) for x in w),
+            mode="exact",
+            quadruples_evaluated=comb(n, 4),
+            elapsed_s=elapsed,
+        )
+        for b, w, s in zip(best2, wit, scales)
+    ]
 
 
 def _draw_quadruples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -574,19 +565,20 @@ def sampled_delta(
     exact kernel's tasks do, so the report does not depend on worker count.
     A callable oracle (with ``n``) is read once into a matrix, as in
     ``exact_delta``. When ``samples`` covers all C(n, 4) quadruples the run
-    falls back to exhaustive enumeration (reported with ``mode="exact"``),
-    for matrices and callables alike.
+    falls back to exhaustive enumeration, ``exact_deltas`` of the one matrix
+    (reported with ``mode="exact"``), for matrices and callables alike.
     """
     t0 = time.perf_counter()
     workers = _worker_count(workers)
     if samples < 1:
         raise InputError("need samples >= 1")
-    entries, scale = _kernel_entries(d, n)
-    n = entries.shape[0]
-    if samples >= comb(n, 4):  # C(n, 4) = 0 below 4 points, which _reports rejects
-        report = _reports(entries[None], (scale,), workers, t0)[0]
+    e = _as_entries(d, n)
+    n = e.shape[0]
+    if samples >= comb(n, 4):  # C(n, 4) = 0 below 4 points, which exact_deltas rejects
+        report = exact_deltas([e], workers)[0]
         report.seed = seed
         return report
+    entries, scale = _kernel_entries(e)
 
     sizes = [SAMPLE_BATCH] * (samples // SAMPLE_BATCH)
     if samples % SAMPLE_BATCH:

@@ -24,9 +24,11 @@ entries, at least one row of x, and the Ptolemy sweep walks the exact delta
 kernel's grids, ``delta._middle_grids``: one step's ``(i < j, g, l > k0)``
 grid at a time for a fixed j, within the kernel's ``_BATCH_ELEMENTS``
 budget. Both sweeps need finite entries (``InputError`` otherwise), and so
-do the sandwich, on both sides, and the sampled lemma checkers, which also
-reject entries beyond 2^500 in magnitude (their mu products would
-overflow) and an anchor or puncture index outside the matrix.
+do the sandwich, on both sides, and the sampled lemma checkers. The
+Ptolemy sweep and the lemma checkers also reject entries beyond 2^500 in
+magnitude (their products would overflow); the Ptolemy sweep, which reads
+one triangle, rejects a matrix that is not exactly symmetric, and the
+lemma checkers an anchor or puncture index outside the matrix.
 
 The triangle sweep is one loop over blocks of rows x. On a bitwise
 symmetric matrix (its ``uint64`` view equals its transpose's, so 0.0
@@ -287,25 +289,25 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     ``delta._middle_grids`` fills the steps' ``(i < j, g, l > k0)`` grids
     with the three products, reading every operand from the upper
     triangle, and ``delta._drop_corner`` leaves out their l <= k corner.
-    Violations keep (i, j, k, l) row-major order, and ``worst_slack`` is
-    the largest non-NaN slack.
+    Violations keep (i, j, k, l) row-major order. The matrix must be finite,
+    exactly symmetric and at most 2^500 in magnitude, so no product
+    overflows (``InputError`` otherwise).
     """
-    e = _as_entries(m)
-    _require_finite(e)
+    e = _lemma_entries(m, ())
+    # the sweep reads each pair from the upper triangle
+    if not np.array_equal(e, e.T):
+        raise InputError("distance matrix must be exactly symmetric")
     n = e.shape[0]
     col = _Collector(tol)
-    # a product past the float range reads inf; its slack inf - inf is NaN,
-    # never a violation
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, n - 2):
-            for k0, g, (p1, p2, p3, tot) in _middle_grids(e[None], j, np.multiply, 4):
-                np.add(np.add(p1, p2, out=tot), p3, out=tot)
-                lhs = np.multiply(2.0, np.maximum(np.maximum(p1, p2, out=p1), p3, out=p1), out=p1)
-                slack = np.subtract(lhs, tot, out=p2)
-                _drop_corner(slack, g)
-                ks_col = np.arange(k0, k0 + g)[:, None]
-                ids = (np.arange(j)[:, None, None], j, ks_col, np.arange(k0 + 1, n))
-                col.collect("ptolemy", ids, lhs, tot, slack)
+    for j in range(1, n - 2):
+        for k0, g, (p1, p2, p3, tot) in _middle_grids(e[None], j, np.multiply, 4):
+            np.add(np.add(p1, p2, out=tot), p3, out=tot)
+            lhs = np.multiply(2.0, np.maximum(np.maximum(p1, p2, out=p1), p3, out=p1), out=p1)
+            slack = np.subtract(lhs, tot, out=p2)
+            _drop_corner(slack, g)
+            ks_col = np.arange(k0, k0 + g)[:, None]
+            ids = (np.arange(j)[:, None, None], j, ks_col, np.arange(k0 + 1, n))
+            col.collect("ptolemy", ids, lhs, tot, slack)
     col.checked = math.comb(n, 4)
     col.violations.sort(key=lambda v: v.indices)
     return col.report(quadruples=col.checked)
@@ -353,14 +355,15 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
 
 
 def _lemma_entries(m, indices) -> np.ndarray:
-    """The entries of ``m`` for a sampled lemma checker: finite and at most
-    2^500 in magnitude, so no mu product overflows, with every anchor or
-    puncture in ``indices`` naming one of its points."""
+    """The entries of ``m`` for a sampled lemma checker or the Ptolemy
+    sweep: finite and at most 2^500 in magnitude, so no product of two
+    entries or of mu values overflows, with every anchor or puncture in
+    ``indices`` naming one of its points."""
     e = _as_entries(m)
     _require_finite(e)
     if max(e.max(initial=0.0), -e.min(initial=0.0)) > 2.0**_SAFE_EXPONENT:
         raise InputError(
-            "lemma checks need entries of magnitude at most 2^500 (mu products overflow)"
+            "this check needs entries of magnitude at most 2^500 (their products overflow)"
         )
     n = e.shape[0]
     for i in indices:

@@ -224,6 +224,18 @@ def test_verify_ptolemy_and_sandwich(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_ptolemy_rejects_products_past_the_float_range(tmp_path, capsys):
+    # a non-Ptolemaic matrix scaled by 1e155, whose products overflow
+    big, half = 2e155, 1e155
+    entries = [[0, big, half, half], [big, 0, half, half],
+               [half, half, 0, big], [half, half, big, 0]]
+    path = tmp_path / "huge4.json"
+    path.write_text(json.dumps({"n": 4, "entries": entries}))
+    code, _, err = run(capsys, "verify", "ptolemy", "--matrix", str(path))
+    assert code == 2
+    assert "2^500" in err
+
+
 def test_verify_lemmas_quick(capsys):
     code, out, _ = run(
         capsys, "verify", "lemmas", "--n", "16", "--samples", "2000", "--seed", "10"

@@ -661,7 +661,7 @@ def test_screen_maxima_need_no_corner_pass():
     # step maxima.
     for batch in _screen_batches():
         nb, n = len(batch), batch[0].shape[0]
-        [scaled] = delta._screen_copy(np.stack(batch), nb)
+        scaled = delta._screen_copy(batch)
         for j in range(1, n - 2):
             screen = delta._screen_middle((None, [scaled]), 0, j)
             steps = delta._middle_steps(n, j, nb)
@@ -677,11 +677,12 @@ def test_screen_bound_holds_at_every_step():
         [e * 2.0**exp for e in _screen_matrices()] for exp in (-1000, -300, 0, 300, 1000)
     ]
     for batch in batches:
-        stack = np.stack([delta._kernel_entries(e)[0] for e in batch])
+        entries = [delta._kernel_entries(e)[0] for e in batch]
+        stack = np.stack(entries)
         nb, n = stack.shape[0], stack.shape[1]
         exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
         size = _chunk_size(n)
-        stacks = (stack, list(delta._screen_copy(stack, size)))
+        stacks = (entries, [delta._screen_copy(entries[lo : lo + size]) for lo in range(0, nb, size)])
         for c, lo in enumerate(range(0, nb, size)):
             rows = np.arange(lo, min(lo + size, nb))
             for j in range(1, n - 2):
@@ -715,11 +716,21 @@ def test_exact_delta_memory_is_bounded():
     for n in (5, 12):
         nb = _chunk_size(n)
         x = rng.random((nb, n, n))
-        [scaled] = delta._screen_copy(x + x.transpose(0, 2, 1), nb)
+        scaled = delta._screen_copy(list(x + x.transpose(0, 2, 1)))
         for j in range(1, n - 2):
             steps = len(delta._middle_steps(n, j, nb))
             bound = 1.5 * scaled.nbytes + 8 * delta._BATCH_ELEMENTS + 8 * steps * nb
             assert _traced_peak(delta._screen_middle, (None, [scaled]), 0, j) < bound, (n, j)
+
+
+def test_exact_deltas_holds_no_stack_of_its_input():
+    # The sweep reads its caller's matrices and holds one scaled copy of
+    # them for the screen, beside a task's Gromov rows and grids; a second,
+    # stacked float64 copy of the batch would take the peak to about 2.8x
+    # the input.
+    rng = np.random.default_rng(93)
+    batch = [a + a.T for a in rng.random((100, 40, 40))]
+    assert _traced_peak(exact_deltas, batch) < 2.2 * sum(e.nbytes for e in batch)
 
 
 def _six_pass_doubled_delta(s1, s2, s3):

@@ -438,13 +438,22 @@ def _violating_matrices():
     }
 
 
+#: Matrices the Ptolemy sweep rejects: it reads one triangle and multiplies
+#: entries.
+_PTOLEMY_REJECTS = {"raw-asymmetric": "exactly symmetric", "huge": "2\\^500"}
+
+
 @pytest.mark.parametrize("name", list(_violating_matrices()))
 def test_sweeps_match_brute_force(name):
     e = _violating_matrices()[name]
     axioms = check_metric_axioms(e)
     assert not axioms.passed
     _assert_matches(axioms, _reference_axioms(e))
-    _assert_matches(check_ptolemaic(e), _reference_ptolemy(e))
+    if name in _PTOLEMY_REJECTS:
+        with pytest.raises(InputError, match=_PTOLEMY_REJECTS[name]):
+            check_ptolemaic(e)
+    else:
+        _assert_matches(check_ptolemaic(e), _reference_ptolemy(e))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg-inf"])
@@ -456,20 +465,40 @@ def test_sweeps_reject_non_finite_entries(bad):
             check(e)
 
 
-def test_ptolemy_overflow_nan_beside_violations():
-    # d(0,1) d(12,13) overflows to inf, so quadruple (0, 1, 12, 13) has
-    # slack inf - inf = NaN in the step (j = 1, k0 = 10) whose other
-    # (0, 1, k, l) quadruples violate; the NaN must neither hide those
-    # violations nor keep the largest slack, at (0, 1, 2, 13) in the step
-    # before, out of worst_slack
+def test_ptolemy_rejects_entries_whose_products_overflow():
+    # d(0,1) d(12,13) = 1e400 would read inf, and the slack inf - inf of
+    # quadruple (0, 1, 12, 13) a NaN, which is never a violation
     e = build_distance_matrix(random_cloud(14, 2, seed=91)).entries ** 3
     e[0, 1] = e[1, 0] = e[12, 13] = e[13, 12] = 1e200
-    e[2, 13] = e[13, 2] = 10.0
-    assert delta._middle_steps(14, 1) == [(2, 8), (10, 3)]
-    rep = check_ptolemaic(e)
-    assert {(0, 1, 2, 13), (0, 1, 10, 11)} <= {v.indices for v in rep.violations}
-    _assert_matches(rep, _reference_ptolemy(e))
-    assert rep.worst_slack >= max(v.slack for v in rep.violations)
+    with pytest.raises(InputError, match="2\\^500"):
+        check_ptolemaic(e)
+    # at the bound every product and sum is finite
+    e[0, 1] = e[1, 0] = e[12, 13] = e[13, 12] = 2.0**500
+    _assert_matches(check_ptolemaic(e), _reference_ptolemy(e))
+
+
+#: The 4-point matrix with d(0,1) = d(2,3) = 2 and every other distance 1:
+#: 2 * 2 = 4 > 1 * 1 + 1 * 1, so it is not Ptolemaic.
+_NON_PTOLEMAIC = np.array([[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 2], [1, 1, 2, 0]], dtype=float)
+
+
+def test_ptolemy_rejects_a_scaled_counterexample():
+    # scaled by 1e155 every product overflows, and a slack inf - inf is
+    # NaN, never a violation
+    assert not check_ptolemaic(_NON_PTOLEMAIC).passed
+    with pytest.raises(InputError, match="2\\^500"):
+        check_ptolemaic(_NON_PTOLEMAIC * 1e155)
+
+
+def test_ptolemy_rejects_an_asymmetric_array():
+    # the upper triangle is all ones, which passes, and the lower one
+    # fails, so a sweep of one triangle would pass one of a and a.T
+    a = np.ones((4, 4)) - np.eye(4)
+    lower = np.tril_indices(4, -1)
+    a[lower] = _NON_PTOLEMAIC[lower]
+    for m in (a, a.T):
+        with pytest.raises(InputError, match="exactly symmetric"):
+            check_ptolemaic(m)
 
 
 def test_ptolemy_sweep_across_steps(monkeypatch):
