@@ -242,10 +242,10 @@ def _verify_lemmas(args):
         )
     rng = np.random.Generator(np.random.PCG64(args.seed))
     quads = rng.integers(0, n, size=(min(samples, 100000), 4))
-    e = matrix.entries
-    rs = e[quads[:, :, None], quads[:, None, :]]
-    reports["quasi_ptolemy_K1"] = check_quasi_ptolemy_many(rs, 1.0, args.tol)
-    mu = _mu_lookup(e, 0, False, rs.size)(quads[:, :, None], quads[:, None, :])
+    e, rows, cols = matrix.entries, quads[:, :, None], quads[:, None, :]
+    # one (N, 4, 4) batch alive at a time
+    reports["quasi_ptolemy_K1"] = check_quasi_ptolemy_many(e[rows, cols], 1.0, args.tol)
+    mu = _mu_lookup(e, 0, False, 4 * quads.size)(rows, cols)
     reports["quasi_ptolemy_K1.5"] = check_quasi_ptolemy_many(mu, 1.5, args.tol)
     return reports
 

@@ -42,15 +42,18 @@ violations, in row-major order, as a sweep over every triple. A passing
 block reuses one scratch buffer; its right-hand sides are materialized
 only when it can fail.
 
-The lemma checkers read mu_p and log mu_P (the sum of the logs over the
-contiguous puncture axis) through one evaluator, ``_mu_rows``. A checker
-that evaluates N index rows in all gets an n x n table of every pair
-when n^2 <= N, filled in row blocks of at most ``_CHECK_ELEMENTS``
-entries, and gathers its rows from it; otherwise it evaluates the rows
-themselves. Both give the same bits, so the rule needs no flag.
+The lemma checkers read mu_p, each puncture's mu_i (on the last, contiguous
+axis) and log mu_P (the sum of the logs over that axis) through one
+evaluator, ``_mu_rows``; the product lemma builds both of its sides from
+one read of the mu_i. A checker that evaluates N index rows in all gets an
+n x n table of every pair when n^2 <= N, filled in row blocks of at most
+``_CHECK_ELEMENTS`` entries, and gathers its rows from it; otherwise it
+evaluates the rows themselves. Both give the same bits.
 
-The quasi-Ptolemy hypothesis reads a batch of 4x4 arrays as one
-contiguous (16, N) array and evaluates its 64 index triples in place.
+The quasi-Ptolemy checkers make one pass over a batch of 4x4 arrays read
+as one contiguous (16, N) array: the hypothesis evaluates its 64 index
+triples in place, and the conclusions read only the rows where it holds,
+whose entries must be at most 2^500 in magnitude, with 1 <= K < 2^511.
 
 Product-form inequalities (the 9^k split bound and the (27/2)^k
 quasi-triangle family) are evaluated in the log domain so k up to the
@@ -361,10 +364,7 @@ def _lemma_entries(m, indices) -> np.ndarray:
     ``indices`` naming one of its points."""
     e = _as_entries(m)
     _require_finite(e)
-    if max(e.max(initial=0.0), -e.min(initial=0.0)) > 2.0**_SAFE_EXPONENT:
-        raise InputError(
-            "this check needs entries of magnitude at most 2^500 (their products overflow)"
-        )
+    _require_bounded(e)
     n = e.shape[0]
     for i in indices:
         if not 0 <= i < n:
@@ -372,14 +372,24 @@ def _lemma_entries(m, indices) -> np.ndarray:
     return e
 
 
+def _require_bounded(*arrays: np.ndarray) -> None:
+    """``InputError`` unless every entry is at most 2^500 in magnitude."""
+    if any(max(a.max(initial=0.0), -a.min(initial=0.0)) > 2.0**_SAFE_EXPONENT for a in arrays):
+        raise InputError(
+            "this check needs entries of magnitude at most 2^500 (their products overflow)"
+        )
+
+
 def _mu_rows(e: np.ndarray, P: np.ndarray, u, v, log: bool) -> np.ndarray:
-    """mu_p (``log`` False, one puncture in ``P``) or log mu_P (``log``
-    True) at the broadcast index rows (u, v). The puncture axis is the
-    last, contiguous one, so each log mu_P sums its terms in puncture
-    order whatever the shape of the rows; -inf (mu = 0) is legal."""
-    mu = _mu(e[u, v][..., None], e[u[..., None], P], e[v[..., None], P])
+    """mu_i (``log`` False) or log mu_P (``log`` True) at the broadcast
+    index rows (u, v). A list ``P`` puts each puncture's mu_i on the last,
+    contiguous axis, which log mu_P sums in puncture order whatever the
+    shape of the rows; a 0-d ``P`` has no such axis. -inf (mu = 0) is legal."""
+    if P.ndim:
+        u, v = u[..., None], v[..., None]
+    mu = _mu(e[u, v], e[u, P], e[v, P])
     if not log:
-        return mu[..., 0]
+        return mu
     with np.errstate(divide="ignore"):
         return np.log(mu).sum(axis=-1)
 
@@ -395,7 +405,7 @@ def _mu_lookup(e: np.ndarray, P, log: bool, count: int):
     same bits: every value is the same float operations on the same
     operands.
     """
-    P = np.atleast_1d(np.asarray(P, dtype=np.int64))
+    P = np.asarray(P, dtype=np.int64)
     n = e.shape[0]
     if n * n > count:
         return lambda u, v: _mu_rows(e, P, u, v, log)
@@ -529,57 +539,72 @@ def check_product_lemma(
     if P.size < 1:
         raise InputError("need at least one puncture")
     e = _lemma_entries(m, P.tolist())
-    n = e.shape[0]
-    k = P.size
-    t = _sample_tuples(n, 3, samples, seed, tuple(int(a) for a in P[:2]))
+    t = _sample_tuples(e.shape[0], 3, samples, seed, tuple(int(a) for a in P[:2]))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
-    gz = e[z[:, None], P]
-    a = _mu(e[x, z][:, None], e[x[:, None], P], gz)
-    b = _mu(e[y, z][:, None], e[y[:, None], P], gz)
+    mu = _mu_lookup(e, P, False, 2 * t.shape[0])
+    a, b = mu(x, z), mu(y, z)  # mu_i(x,z) and mu_i(y,z), one column per puncture
     with np.errstate(divide="ignore"):
         lhs = np.log(a + b).sum(axis=1)
-    log_mu_P = _mu_lookup(e, P, True, 2 * t.shape[0])
-    log_pa, log_pb = log_mu_P(x, z), log_mu_P(y, z)
-    rhs = k * math.log(9.0) + np.logaddexp(log_pa, log_pb)
+        log_pa, log_pb = np.log(a).sum(axis=1), np.log(b).sum(axis=1)
+    rhs = P.size * math.log(9.0) + np.logaddexp(log_pa, log_pb)
     col = _Collector(tol)
     col.compare("mu_product_split", (x, y, z), lhs, rhs)
-    return col.report(k=int(k), seed=int(seed), log_domain=True)
+    return col.report(k=int(P.size), seed=int(seed), log_domain=True)
 
 
 #: Index triples (i, j, k) of the quasi-Ptolemy hypothesis r_ij <= K (r_ik + r_jk).
 _QP_TRIPLES = tuple(product(range(4), repeat=3))
 
 
-def _qp_columns(arr: np.ndarray) -> np.ndarray:
-    """A batch of N 4x4 arrays as one contiguous (16, N) array: row 4i + j
-    holds entry (i, j) of every array."""
-    return np.ascontiguousarray(arr.reshape(-1, 16).T)
+def _qp_hypothesis(cols: np.ndarray, K: float, tol: float) -> tuple[np.ndarray, list]:
+    """The hypothesis over the (16, N) columns of N 4x4 arrays (row 4i + j
+    holds entry (i, j) of each): True on the arrays where every triple
+    holds, and the triples that fail on some array, in ``_QP_TRIPLES``
+    order. A NaN slack breaks it; an overflowing right side holds."""
+    held, failing = np.ones(cols.shape[1], dtype=bool), []
+    rhs, slack = np.empty(held.size), np.empty(held.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, kk in _QP_TRIPLES:
+            lhs = cols[4 * i + j]
+            np.multiply(K, np.add(cols[4 * i + kk], cols[4 * j + kk], out=rhs), out=rhs)
+            np.subtract(lhs, rhs, out=slack)
+            if not slack.max(initial=-np.inf) <= tol:  # the scale is at least 1
+                ok = slack <= tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+                if not ok.all():
+                    held &= ok
+                    failing.append([i, j, kk])
+    return held, failing
 
 
-def _qp_hypothesis_fails(cols: np.ndarray, K: float, tol: float) -> dict[int, np.ndarray]:
-    """Failure masks over the ``_qp_columns`` of a batch of N 4x4 arrays,
-    keyed by t in increasing order: True where triple ``_QP_TRIPLES[t]``
-    breaks the hypothesis beyond the tolerance. A triple that holds on
-    every array has no mask."""
-    n = cols.shape[1]
-    fails = {}
-    rhs, slack = np.empty(n), np.empty(n)
-    for t, (i, j, kk) in enumerate(_QP_TRIPLES):
-        lhs = cols[4 * i + j]
-        np.multiply(K, np.add(cols[4 * i + kk], cols[4 * j + kk], out=rhs), out=rhs)
-        np.subtract(lhs, rhs, out=slack)
-        # the scale is at least 1; a NaN slack breaks the hypothesis
-        if n and not slack.max() <= tol:
-            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            fails[t] = ~(slack <= tol * scale)
-    return fails
+def _quasi_ptolemy(rs, K: float, tol: float) -> tuple[ViolationReport, list]:
+    """The report of ``check_quasi_ptolemy_many`` and the hypothesis
+    triples that fail on some array, from one pass over the batch."""
+    arr = np.asarray(rs, dtype=float)
+    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
+        raise InputError(f"expected an (N, 4, 4) batch, got shape {arr.shape}")
+    if not 1.0 <= K < 2.0**511:  # so 4 K^2 is finite
+        raise InputError(f"need 1 <= K < 2^511, got K={K}")
+    col = _Collector(tol)
+    cols = np.ascontiguousarray(arr.reshape(-1, 16).T)
+    held, failing = _qp_hypothesis(cols, K, tol)
+    rows = np.flatnonzero(held)
+    # r01 r23, r02 r13 and r03 r12 of the held rows: views unless some row failed
+    ops = [cols[o, rows] if failing else cols[o] for o in (1, 11, 2, 7, 3, 6)]
+    _require_bounded(*ops)
+    p1, p2, p3 = (np.multiply(a, b) for a, b in zip(ops[::2], ops[1::2]))
+    with np.errstate(over="ignore"):  # an inf right side bounds any finite left side
+        col.compare("quasi_ptolemy_sqrt", (rows,), np.sqrt(p1), K * (np.sqrt(p2) + np.sqrt(p3)))
+        col.compare("quasi_ptolemy_product", (rows,), p1, 2.0 * K * K * (p2 + p3))
+        col.compare("quasi_ptolemy_max", (rows,), p1, 4.0 * K * K * np.maximum(p2, p3))
+    skipped, checked = len(arr) - rows.size, len(arr)
+    return col.report(hypothesis_skipped=skipped, hypothesis_checked=checked), failing
 
 
 def check_quasi_ptolemy(r, K: float, tol: float = DEFAULT_TOL) -> ViolationReport:
     """Quasi-Ptolemy for one 4x4 array of quasi-distances r.
 
     Hypothesis (checked first, over every index triple): r is symmetric,
-    nonnegative, and r_ij <= K (r_ik + r_jk) with K >= 1. If the hypothesis
+    nonnegative, and r_ij <= K (r_ik + r_jk), 1 <= K < 2^511. If the hypothesis
     fails the report carries ``meta["hypothesis_satisfied"] = False``, the
     failing triples in ``meta["hypothesis_failures"]``, and no conclusion
     is evaluated. Otherwise the conclusions
@@ -587,8 +612,9 @@ def check_quasi_ptolemy(r, K: float, tol: float = DEFAULT_TOL) -> ViolationRepor
         sqrt(r12 r34) <= K [sqrt(r13 r24) + sqrt(r14 r23)]
         r12 r34 <= 2 K^2 (r13 r24 + r14 r23) <= 4 K^2 max(r13 r24, r14 r23)
 
-    are verified for the labeling as given. This is a batch of one through
-    ``check_quasi_ptolemy_many``: ``checked`` and ``worst_slack`` cover the
+    are verified for the labeling as given, on entries at most 2^500 in
+    magnitude (``InputError`` otherwise). One pass of the batch checker over
+    a batch of one yields both: ``checked`` and ``worst_slack`` cover the
     conclusions only, and violation indices name batch row 0.
     """
     arr = np.asarray(r, dtype=float)
@@ -598,14 +624,10 @@ def check_quasi_ptolemy(r, K: float, tol: float = DEFAULT_TOL) -> ViolationRepor
         raise InputError("quasi-distance array must be finite and nonnegative")
     if not np.array_equal(arr, arr.T):
         raise InputError("quasi-distance array must be symmetric")
-    report = check_quasi_ptolemy_many(arr[None], K, tol)
-    satisfied = report.meta["hypothesis_skipped"] == 0
-    report.meta = {"hypothesis_satisfied": satisfied}
-    if not satisfied:
-        fails = _qp_hypothesis_fails(_qp_columns(arr), K, tol)
-        report.meta["hypothesis_failures"] = [
-            list(_QP_TRIPLES[t]) for t, failed in fails.items() if failed[0]
-        ]
+    report, failing = _quasi_ptolemy(arr[None], K, tol)
+    report.meta = {"hypothesis_satisfied": not failing}
+    if failing:
+        report.meta["hypothesis_failures"] = failing
     return report
 
 
@@ -614,36 +636,12 @@ def check_quasi_ptolemy_many(
 ) -> ViolationReport:
     """Vectorized quasi-Ptolemy over a batch of 4x4 arrays (N, 4, 4).
 
-    Rows whose hypothesis fails are skipped and counted in
-    ``meta["hypothesis_skipped"]``; conclusions are checked on the rest.
-    Violation indices are batch rows.
+    Rows whose hypothesis fails (as a NaN or infinite entry makes it) are
+    skipped and counted in ``meta["hypothesis_skipped"]``; conclusions are
+    checked on the rest, whose entries r01, r02, r03, r12, r13 and r23 must
+    be at most 2^500 in magnitude. Violation indices are batch rows.
     """
-    arr = np.asarray(rs, dtype=float)
-    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
-        raise InputError(f"expected an (N, 4, 4) batch, got shape {arr.shape}")
-    if not 1.0 <= K < math.inf:
-        raise InputError(f"need finite K >= 1, got K={K}")
-    col = _Collector(tol)
-    cols = _qp_columns(arr)
-    failed = np.zeros(arr.shape[0], dtype=bool)
-    for fails in _qp_hypothesis_fails(cols, K, tol).values():
-        failed |= fails
-    rows = np.flatnonzero(~failed)
-    p1 = (cols[1] * cols[11])[rows]  # r01 r23
-    p2 = (cols[2] * cols[7])[rows]  # r02 r13
-    p3 = (cols[3] * cols[6])[rows]  # r03 r12
-    col.compare(
-        "quasi_ptolemy_sqrt",
-        (rows,),
-        np.sqrt(p1),
-        K * (np.sqrt(p2) + np.sqrt(p3)),
-    )
-    col.compare("quasi_ptolemy_product", (rows,), p1, 2.0 * K * K * (p2 + p3))
-    col.compare("quasi_ptolemy_max", (rows,), p1, 4.0 * K * K * np.maximum(p2, p3))
-    return col.report(
-        hypothesis_skipped=int(arr.shape[0] - rows.size),
-        hypothesis_checked=int(arr.shape[0]),
-    )
+    return _quasi_ptolemy(rs, K, tol)[0]
 
 
 def check_mu_P_quasi_triangle(

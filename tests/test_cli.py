@@ -675,3 +675,21 @@ def test_verify_lemmas_same_on_mu_rows_and_tables(capsys, monkeypatch):
         monkeypatch.setattr(verify, "_mu_lookup", forced)
         monkeypatch.setattr(cli, "_mu_lookup", forced)
         assert run(capsys, *argv)[1] == natural
+
+
+def test_verify_lemmas_holds_one_quasi_ptolemy_batch():
+    # at the defaults each quasi-Ptolemy batch is (100000, 4, 4) floats, 12.8 MB;
+    # a distance batch kept alive while the mu batch is built reads 3.7 times that
+    import tracemalloc
+
+    from hypmetrics import cli
+
+    args = build_parser().parse_args(["verify", "lemmas"])
+    tracemalloc.start()
+    try:
+        reports = cli._verify_lemmas(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reports.values())
+    assert peak < 3.2 * 100000 * 16 * 8

@@ -6,11 +6,14 @@ same operands in another order, within a stated rounding bound where they
 do not.
 """
 
+from itertools import product
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypmetrics import PointCloud, PuncturedSpec, exact_delta, punctured_matrix, quadruple_delta
+from hypmetrics.cassinian import ONE_POINT_VARIANTS, VARIANTS
 from hypmetrics.scenarios import _place_punctures
 
 EPS = 2.0**-52
@@ -29,8 +32,9 @@ def clouds(draw, ks=(1, 4), dims=(2,)):
     return pts, _place_punctures(rng, pts, k)
 
 
-def _matrix(pts, punctures, variant):
-    return punctured_matrix(PuncturedSpec(PointCloud(pts), punctures, variant)).entries
+def _matrix(pts, punctures, variant, anchor=None, metric="euclidean"):
+    spec = PuncturedSpec(PointCloud(pts), punctures, variant, anchor, metric)
+    return punctured_matrix(spec).entries
 
 
 def _bits(a):
@@ -83,3 +87,46 @@ def test_inversion_about_the_anchor(cloud):
         bound = 8 * EPS * np.abs(m).max()
         assert np.abs(mi - m).max() <= bound, variant
         assert abs(exact_delta(mi).delta - exact_delta(m).delta) <= bound, variant
+
+
+def _anchor(data, punctures, variant):
+    """A drawn puncture index for a one-point variant, None for the others."""
+    if variant not in ONE_POINT_VARIANTS:
+        return None
+    return data.draw(st.integers(0, len(punctures) - 1), label=f"{variant} anchor")
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(clouds(dims=(2, 3)), st.integers(-1000, 1000), st.data())
+def test_power_of_two_scaling(cloud, exponent, data):
+    # every distance scales by the same exact power of two, and every variant
+    # reads only ratios of distances, so no rounding changes
+    pts, punctures = cloud
+    scaled_pts, scaled_punctures = np.ldexp(pts, exponent), np.ldexp(punctures, exponent)
+    for variant, metric in product(VARIANTS, ("euclidean", "taxicab")):
+        anchor = _anchor(data, punctures, variant)
+        m = _matrix(pts, punctures, variant, anchor, metric)
+        ms = _matrix(scaled_pts, scaled_punctures, variant, anchor, metric)
+        assert np.array_equal(_bits(ms), _bits(m)), (variant, metric)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(clouds(dims=(2, 3)), st.integers(0, 2**32 - 1), st.data())
+def test_rotation(cloud, seed, data):
+    # an orthogonal map keeps every Euclidean distance; rounding the rotated
+    # coordinates moves each distance by a few ulps of R, the largest norm in
+    # play, and so moves an entry, a log of 1 + a distance over a gap, by about
+    # that over the smaller gap of its pair, and delta by twice the largest move
+    pts, punctures = cloud
+    gauss = np.random.Generator(np.random.PCG64(seed)).normal(size=(pts.shape[1],) * 2)
+    q = np.linalg.qr(gauss)[0]
+    R = np.linalg.norm(np.vstack([pts, punctures]), axis=1).max()
+    gaps = np.linalg.norm(pts[:, None] - punctures[None], axis=2)
+    for variant in VARIANTS:
+        anchor = _anchor(data, punctures, variant)
+        near = (gaps if anchor is None else gaps[:, [anchor]]).min(axis=1)
+        bound = 16 * EPS * R / np.minimum.outer(near, near)
+        m = _matrix(pts, punctures, variant, anchor)
+        mr = _matrix(pts @ q.T, punctures @ q.T, variant, anchor)
+        assert np.all(np.abs(mr - m) <= bound), variant
+        assert abs(exact_delta(mr).delta - exact_delta(m).delta) <= 2 * bound.max(), variant

@@ -575,6 +575,61 @@ def test_qp_hypothesis_matches_reference(K):
         assert meta.get("hypothesis_failures", []) == fails
 
 
+def test_quasi_ptolemy_runs_its_hypothesis_once(monkeypatch):
+    calls = []
+    real = verify._qp_hypothesis
+    monkeypatch.setattr(verify, "_qp_hypothesis", lambda *a: calls.append(a) or real(*a))
+    bad = np.ones((4, 4)) - np.eye(4)
+    bad[0, 1] = bad[1, 0] = 5.0
+    rep = check_quasi_ptolemy(bad, K=1.0)
+    assert rep.meta["hypothesis_failures"] == [[0, 1, 2], [0, 1, 3], [1, 0, 2], [1, 0, 3]]
+    assert len(calls) == 1
+
+
+def test_quasi_ptolemy_rejects_held_entries_past_2_500():
+    # r01 r23 = 4e320 would overflow; the hypothesis holds, so it is read
+    big = _NON_PTOLEMAIC * 1e160
+    with pytest.raises(InputError, match="2\\^500"):
+        check_quasi_ptolemy(big, 1.0)
+    with pytest.raises(InputError, match="2\\^500"):
+        check_quasi_ptolemy_many(np.stack([_NON_PTOLEMAIC, big]), 1.0)
+    # a row whose hypothesis fails is skipped, whatever its size
+    skipped = big.copy()
+    skipped[0, 1] = skipped[1, 0] = 1e170
+    rep = check_quasi_ptolemy_many(np.stack([_NON_PTOLEMAIC, skipped]), 1.0)
+    assert rep.meta["hypothesis_skipped"] == 1
+    assert rep.to_dict() == {
+        **check_quasi_ptolemy_many(_NON_PTOLEMAIC[None], 1.0).to_dict(),
+        "meta": {"hypothesis_skipped": 1, "hypothesis_checked": 2},
+    }
+
+
+@pytest.mark.parametrize("value", [np.inf, 1.5e308])
+def test_quasi_ptolemy_skips_rows_past_the_float_range(value):
+    # with r01 = r02 = r12 = inf, inf - inf (a NaN slack) breaks the
+    # hypothesis; at 1.5e308 the sum r02 + r12 overflows, which holds
+    # (0, 1, 2), and the row fails on (0, 1, 3). Neither warns.
+    row = _NON_PTOLEMAIC.copy()
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        row[i, j] = row[j, i] = value
+    rep = check_quasi_ptolemy_many(np.stack([_NON_PTOLEMAIC, row]), 1.0)
+    assert rep.to_dict() == {
+        **check_quasi_ptolemy_many(_NON_PTOLEMAIC[None], 1.0).to_dict(),
+        "meta": {"hypothesis_skipped": 1, "hypothesis_checked": 2},
+    }
+
+
+def test_quasi_ptolemy_K_rule():
+    # 4 K^2 is finite below 2^511; a right side that overflows bounds the left
+    for K in (2.0**511, 1e200):
+        with pytest.raises(InputError, match="2\\^511"):
+            check_quasi_ptolemy_many(np.zeros((1, 4, 4)), K)
+    K = np.nextafter(2.0**511, 0.0)
+    assert check_quasi_ptolemy_many(np.zeros((1, 4, 4)), K).passed
+    rep = check_quasi_ptolemy(2.0 * _NON_PTOLEMAIC, K)
+    assert rep.passed and rep.checked == 3
+
+
 def test_triangle_sweep_across_blocks():
     n = 70
     rows = _CHECK_ELEMENTS // (n * n)
@@ -699,6 +754,49 @@ def test_mu_table_matches_rows(n, samples, monkeypatch):
         forced = lambda e, P, log, _, c=count: lookup(e, P, log, c)  # noqa: E731
         monkeypatch.setattr(verify, "_mu_lookup", forced)
         assert {k: repr(r.to_dict()) for k, r in _lemma_reports(e, samples).items()} == natural
+
+
+def _reference_product_lemma(e, P, samples, seed):
+    """``check_product_lemma`` with mu_i gathered inline and log mu_P
+    evaluated apart from it."""
+    t = verify._sample_tuples(e.shape[0], 3, samples, seed, tuple(P[:2]))
+    x, y, z = t[:, 0], t[:, 1], t[:, 2]
+    gz = e[z[:, None], P]
+    a = cassinian._mu(e[x, z][:, None], e[x[:, None], P], gz)
+    b = cassinian._mu(e[y, z][:, None], e[y[:, None], P], gz)
+    with np.errstate(divide="ignore"):
+        lhs = np.log(a + b).sum(axis=1)
+        log_mu_P = [
+            np.log(cassinian._mu(e[u, z][:, None], e[u[:, None], P], e[z[:, None], P])).sum(axis=1)
+            for u in (x, y)
+        ]
+    col = verify._Collector(DEFAULT_TOL)
+    rhs = len(P) * math.log(9.0) + np.logaddexp(*log_mu_P)
+    col.compare("mu_product_split", (x, y, z), lhs, rhs)
+    return col.report(k=len(P), seed=seed, log_domain=True)
+
+
+@pytest.mark.parametrize("n", [12, 64, 300])  # mu tables at 12 and 64, rows at 300
+def test_product_lemma_reads_each_mu_once(n, monkeypatch):
+    pts = random_cloud(n, 2, seed=115).points
+    e = build_distance_matrix(PointCloud(pts[[0, 1, 2, 2, *range(4, n)]])).entries  # a duplicate
+    calls = {"_mu_lookup": 0, "_mu_rows": 0, "_mu": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    for P in ([0], [0, 1, 2, 3], [5, 2, 0]):
+        calls.update(dict.fromkeys(calls, 0))
+        rep = check_product_lemma(e, P, 3000, 7)
+        # one lookup, and every mu evaluated inside it
+        assert calls["_mu_lookup"] == 1 and calls["_mu"] == calls["_mu_rows"] > 0
+        assert repr(rep.to_dict()) == repr(_reference_product_lemma(e, P, 3000, 7).to_dict())
 
 
 @pytest.mark.parametrize("kind", ["tau", "avg"])
