@@ -13,21 +13,27 @@ maximum of this quantity over all quadruples.
 i < j < k < l of every matrix in a batch of equal size, and is the one way
 into the kernel: ``exact_delta`` calls it on a batch of one. The walker is
 indexed by the middle pair: a task fixes j, and each Python-level step
-takes up to ``_GROUP`` consecutive k values from some k0 and vectorizes
-over a ``(B, i < j, k, l > k0)`` grid, so
-every entry but the l <= k corner of the (k, l) block is a distinct
-quadruple. ``_middle_grids`` fills the three pairing sums d(i,j) + d(k,l),
-d(i,k) + d(j,l) and d(i,l) + d(j,k) as broadcasts of upper-triangle
-slices, with no gather, in the stack's dtype, for the confirm pass; the
-Ptolemy sweep takes the same grids with float64 products. A step takes as
-many k values, and a chunk as many matrices, as keep one step's grid
-within ``_BATCH_ELEMENTS`` entries (at least one), so a step's grids are
-bounded by that budget, not by the batch. A screen task also holds its
-Gromov rows (below): one float64 (m, n, nb) buffer, no larger than its
-chunk's scaled copy, and float32 copies of at most half that size. The
-sweep reads its caller's matrices as they are and holds one scaled float64
-copy of them, as one C-contiguous (n, n, nb) array per chunk of nb
-matrices.
+takes g consecutive k values from some k0 and vectorizes over a
+``(B, i < j, k, l > k0)`` grid, so every entry but the l <= k corner of the
+(k, l) block is a distinct quadruple. ``_middle_grids`` fills the three
+pairing sums d(i,j) + d(k,l), d(i,k) + d(j,l) and d(i,l) + d(j,k) as
+broadcasts of upper-triangle slices, with no gather, in the stack's dtype,
+for the confirm pass; the Ptolemy sweep takes the same grids with float64
+products.
+
+One budget, ``_STEP_BYTES`` (512 KiB), sizes every step: a step takes as
+many k values as keep its scratch grids, summed over the grids and the
+matrices of its chunk, within the budget (at least one k). A kernel's
+entries per step follow from its own grid count and dtype: the float32
+screen's two grids get 64K entries, the Ptolemy sweep's four float64 grids
+16K and the float64 confirm's five grids about 13K. A chunk holds as many
+matrices as keep the confirm's largest single-k step within the budget
+(36 at n = 40), so a step's grids are bounded by the budget, not by the
+batch. A screen task also holds its Gromov rows (below): one float64
+(m, n, nb) buffer, no larger than its chunk's scaled copy, and float32
+copies of at most half that size. The sweep reads its caller's matrices as
+they are and holds one scaled float64 copy of them, as one C-contiguous
+(n, n, nb) array per chunk of nb matrices.
 
 The sweep walks the steps in two passes. The *screen* runs every step in
 float32, on values read from a float64 copy of the matrices, each matrix
@@ -44,9 +50,11 @@ quadruple reaching it, so the delta and the witness equal those of a
 float64 sweep of every step. The bounds and F are all in units of the
 matrix's own 2^e, so no comparison leaves them. A confirm task is
 (rows, j, steps): of a screened (chunk, j), the matrices with a step whose
-bound reaches their own floor, and every step that reaches it for one of
-them. It stacks only those matrices, so a matrix costs the float64
-pass only in the few (j, step) places that can hold its maximum.
+bound reaches their own floor, and every screen step that reaches it for
+one of them. It stacks only those matrices and re-splits each screen step
+into steps within the budget for its own rows at the confirm's bytes per
+entry, so it covers the same k values; a matrix costs the float64 pass
+only in the few (j, step) places that can hold its maximum.
 
 The screen takes the four-point condition in Gromov-product form with the
 middle index j as base point (Fournier, Ismail and Vigneron, IPL 2015).
@@ -159,11 +167,13 @@ from .spaces import _as_entries
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
-#: Entries of one exact-kernel step's grid summed over the matrices of a
-#: batch chunk; bounds the kernel's temporaries independently of the batch.
-_BATCH_ELEMENTS = 1 << 14
-#: Most consecutive k values one step of the exact kernel takes.
-_GROUP = 8
+#: Scratch bytes of one exact-kernel step, summed over the step's grids and
+#: the matrices of its chunk; bounds the kernels' temporaries independently
+#: of the batch.
+_STEP_BYTES = 1 << 19
+#: Scratch bytes per grid entry: the screen's two float32 grids and the
+#: confirm pass's five float64 ones.
+_SCREEN_ENTRY, _CONFIRM_ENTRY = 2 * 4, 5 * 8
 #: A matrix with an entry this large runs the kernels scaled by 1/4.
 _HUGE_ENTRY = 2.0**1022
 
@@ -242,17 +252,22 @@ def quadruple_delta(d, x: int, y: int, z: int, v: int) -> float:
     return float(_doubled_delta(o(x, y) + o(z, v), o(x, z) + o(y, v), o(x, v) + o(y, z))) / 2.0
 
 
-def _middle_steps(n: int, j: int, nb: int = 1) -> list[tuple[int, int]]:
-    """The ``(k0, g)`` steps of middle index j over n points: each takes g
-    consecutive k values from k0, up to ``_GROUP``, none past n - 2, and as
-    many as keep an ``(nb, j, g, n - k0 - 1)`` grid within
-    ``_BATCH_ELEMENTS`` (at least one)."""
+def _middle_steps(
+    n: int, j: int, nb: int, entry_bytes: int, spans=None
+) -> list[tuple[int, int]]:
+    """The ``(k0, g)`` steps of middle index j over n points for nb matrices
+    of ``entry_bytes`` scratch bytes per grid entry: each takes g
+    consecutive k values from k0, as many as keep its
+    ``(nb, j, g, n - k0 - 1)`` grids within ``_STEP_BYTES`` (at least one).
+    The steps cover the ``(k0, g)`` ``spans`` in order, none crossing a
+    span's end; by default one span of every k from j + 1 to n - 2."""
     steps = []
-    k0 = j + 1
-    while k0 <= n - 2:
-        g = max(1, min(_GROUP, n - 1 - k0, _BATCH_ELEMENTS // (nb * j * (n - k0 - 1))))
-        steps.append((k0, g))
-        k0 += g
+    for lo, count in [(j + 1, n - 2 - j)] if spans is None else spans:
+        k0, end = lo, lo + count
+        while k0 < end:
+            g = max(1, min(end - k0, _STEP_BYTES // (entry_bytes * nb * j * (n - k0 - 1))))
+            steps.append((k0, g))
+            k0 += g
     return steps
 
 
@@ -267,16 +282,15 @@ def _step_grids(nb: int, n: int, j: int, steps, count: int, dtype):
         yield k0, g, tuple(buf[: prod(shape)].reshape(shape) for buf in bufs)
 
 
-def _middle_grids(stack: np.ndarray, j: int, op, count: int, steps=None):
-    """Yield ``(k0, g, grids)`` for each of ``steps`` (by default every
-    ``_middle_steps(n, j, nb)`` step) of a ``(nb, n, n)`` stack: ``count``
-    ``_step_grids`` in the stack's dtype. The first three hold the
-    pairings d(i,j) op d(k,l), d(i,k) op d(j,l) and d(i,l) op d(j,k) of the
-    binary ufunc ``op`` over k0 <= k < k0 + g; every operand is read from
-    the upper triangle."""
+def _middle_grids(stack: np.ndarray, j: int, op, count: int, spans=None):
+    """Yield ``(k0, g, grids)`` for each ``_middle_steps`` step of the
+    ``spans`` (by default every k) of a ``(nb, n, n)`` stack: ``count``
+    ``_step_grids`` in the stack's dtype, within ``_STEP_BYTES`` together.
+    The first three hold the pairings d(i,j) op d(k,l), d(i,k) op d(j,l)
+    and d(i,l) op d(j,k) of the binary ufunc ``op`` over k0 <= k < k0 + g;
+    every operand is read from the upper triangle."""
     nb, n = stack.shape[0], stack.shape[1]
-    if steps is None:
-        steps = _middle_steps(n, j, nb)
+    steps = _middle_steps(n, j, nb, count * stack.itemsize, spans)
     col_j, row_j = stack[:, :j, j, None, None], stack[:, j]
     for k0, g, grids in _step_grids(nb, n, j, steps, count, stack.dtype):
         ks, ls = slice(k0, k0 + g), slice(k0 + 1, n)
@@ -286,14 +300,10 @@ def _middle_grids(stack: np.ndarray, j: int, op, count: int, steps=None):
         yield k0, g, grids
 
 
-#: ``[k - k0, l - k0 - 1]`` of a step's grid: the l <= k corner.
-_CORNER = np.tri(_GROUP, _GROUP, -1, dtype=bool)
-
-
 def _drop_corner(grid: np.ndarray, g: int) -> None:
-    """Set the l <= k corner of a g-step grid, which holds no quadruple, to
-    -inf."""
-    np.copyto(grid[..., :g], -np.inf, where=_CORNER[:g, :g])
+    """Set the l <= k corner of a g-step grid, ``[k - k0, l - k0 - 1]``,
+    which holds no quadruple, to -inf."""
+    np.copyto(grid[..., :g], -np.inf, where=np.tri(g, g, -1, dtype=bool))
 
 
 def _screen_copy(part: list[np.ndarray]) -> np.ndarray:
@@ -323,17 +333,18 @@ def _gromov_rows(scaled: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _screen_middle(stacks, c: int, j: int) -> np.ndarray:
-    """The screen of task (c, j): per ``_middle_steps(n, j, nb)`` step and
-    matrix, the largest float32 doubled delta over quadruples (i, j, k, l)
-    of the nb matrices of chunk c, read from its scaled copy
-    ``stacks[1][c]`` in the Gromov-product form ``_gromov_rows``, shape
-    ``(steps, nb)``. The step's corner is left in: see the module
-    docstring."""
+    """The screen of task (c, j): per ``_middle_steps(n, j, nb,
+    _SCREEN_ENTRY)`` step and matrix, the largest float32 doubled delta
+    over quadruples (i, j, k, l) of the nb matrices of chunk c, read from
+    its scaled copy ``stacks[1][c]`` in the Gromov-product form
+    ``_gromov_rows``, shape ``(steps, nb)``. The step's corner is left in:
+    see the module docstring."""
     scaled = stacks[1][c]
     n, nb = scaled.shape[0], scaled.shape[2]
     q, r = _gromov_rows(scaled, j)
     maxima = []
-    for k0, g, bufs in _step_grids(nb, n, j, _middle_steps(n, j, nb), 2, np.float32):
+    steps = _middle_steps(n, j, nb, _SCREEN_ENTRY)
+    for k0, g, bufs in _step_grids(nb, n, j, steps, 2, np.float32):
         ks, ls = slice(k0 - j - 1, k0 - j - 1 + g), slice(k0 - j, None)
         # (k, l, i, b) grids: Q over l is one contiguous block, so four of
         # the five passes run over whole (i, b) rows or more
@@ -346,18 +357,20 @@ def _screen_middle(stacks, c: int, j: int) -> np.ndarray:
 
 
 def _scan_middle(
-    stacks, rows: np.ndarray, j: int, steps: list[tuple[int, int]]
+    stacks, rows: np.ndarray, j: int, spans: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-matrix best doubled delta and the key of its lex-min witness among
-    quadruples (i, j, k, l), j fixed, i < j < k < l, k in one of ``steps``,
-    of the matrices ``rows`` of the list of float64 ``(n, n)`` matrices
-    ``stacks[0]``. A witness's key is its flat index in an
-    ``(n, n, n, n)`` array, so keys order as witnesses do."""
+    quadruples (i, j, k, l), j fixed, i < j < k < l, k in one of the
+    ``(k0, g)`` ``spans``, of the matrices ``rows`` of the list of float64
+    ``(n, n)`` matrices ``stacks[0]``. Each span, a screen step, is re-split
+    into steps within ``_STEP_BYTES`` for these rows. A witness's key is
+    its flat index in an ``(n, n, n, n)`` array, so keys order as witnesses
+    do."""
     stack = np.stack([stacks[0][r] for r in rows])
     nb, n = stack.shape[0], stack.shape[1]
     each = np.arange(nb)
     vals, keys = [], []
-    for k0, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5, steps):
+    for k0, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5, spans):
         d2 = _doubled_delta(s1, s2, s3, (a, b))
         _drop_corner(d2, g)
         flat = d2.reshape(nb, -1)
@@ -436,10 +449,11 @@ def _fold(rows, parts, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunk_size(n: int) -> int:
-    """Matrices per chunk: as many as keep the largest single-k grid,
-    max over j of j (n - j - 2) = (n - 2)^2 // 4 entries per matrix, within
-    ``_BATCH_ELEMENTS`` (at least one)."""
-    return max(1, _BATCH_ELEMENTS // ((n - 2) ** 2 // 4))
+    """Matrices per chunk: as many as keep the confirm pass's largest
+    single-k step, five float64 grids of max over j of
+    j (n - j - 2) = (n - 2)^2 // 4 entries per matrix, within
+    ``_STEP_BYTES`` (at least one)."""
+    return max(1, _STEP_BYTES // (_CONFIRM_ENTRY * ((n - 2) ** 2 // 4)))
 
 
 def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndarray]:
@@ -467,8 +481,8 @@ def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndar
             reach = m + 2.0**-22 * m + 2.0**-19 >= floor[chunks[c]]
             rows = chunks[c][reach.any(axis=0)]
             if rows.size:
-                steps = list(compress(_middle_steps(n, j, len(chunks[c])), reach.any(axis=1)))
-                confirm.append((rows, j, steps))
+                steps = _middle_steps(n, j, len(chunks[c]), _SCREEN_ENTRY)
+                confirm.append((rows, j, list(compress(steps, reach.any(axis=1)))))
         parts = run(_scan_middle, confirm)
     return _fold([task[0] for task in confirm], parts, nb, n)
 

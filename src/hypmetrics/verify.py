@@ -21,14 +21,15 @@ the scale and failure passes. The exhaustive sweeps hold one bounded block
 at a time, so their memory does not grow with the number of comparisons:
 the triangle sweep compares blocks of ``_CHECK_ELEMENTS`` (x, y, z)
 entries, at least one row of x, and the Ptolemy sweep walks the exact delta
-kernel's grids, ``delta._middle_grids``: one step's ``(i < j, g, l > k0)``
-grid at a time for a fixed j, within the kernel's ``_BATCH_ELEMENTS``
-budget. Both sweeps need finite entries (``InputError`` otherwise), and so
-do the sandwich, on both sides, and the sampled lemma checkers. The
-Ptolemy sweep and the lemma checkers also reject entries beyond 2^500 in
-magnitude (their products would overflow); the Ptolemy sweep, which reads
-one triangle, rejects a matrix that is not exactly symmetric, and the
-lemma checkers an anchor or puncture index outside the matrix.
+kernel's grids, ``delta._middle_grids``: one step's four float64
+``(i < j, g, l > k0)`` grids at a time for a fixed j, within the kernel's
+one step budget, ``delta._STEP_BYTES`` (16K entries a grid). Both sweeps
+need finite entries (``InputError`` otherwise), and so do the sandwich, on
+both sides, and the sampled lemma checkers. The Ptolemy sweep and the
+lemma checkers also reject entries beyond 2^500 in magnitude (their
+products would overflow); the Ptolemy sweep, which reads one triangle,
+rejects a matrix that is not exactly symmetric, and the lemma checkers an
+anchor or puncture index outside the matrix.
 
 The triangle sweep is one loop over blocks of rows x. On a bitwise
 symmetric matrix (its ``uint64`` view equals its transpose's, so 0.0

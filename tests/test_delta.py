@@ -559,7 +559,7 @@ def test_screen_keeps_every_step_that_can_hold_the_maximum(exp, workers):
 
 
 def test_confirm_pass_takes_a_handful_of_steps(monkeypatch):
-    # a bound too loose to screen anything would confirm all 232 steps
+    # a bound too loose to screen anything would confirm all 57 steps
     scan, confirmed = delta._scan_middle, []
 
     def counting(stacks, rows, j, steps):
@@ -571,7 +571,8 @@ def test_confirm_pass_takes_a_handful_of_steps(monkeypatch):
     spec = PuncturedSpec(random_cloud(n, 2, seed=95), [[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]],
                          variant="avg_tau")
     exact_delta(punctured_matrix(spec))
-    assert sum(len(delta._middle_steps(n, j)) for j in range(1, n - 2)) == 232
+    screen_steps = [delta._middle_steps(n, j, 1, delta._SCREEN_ENTRY) for j in range(1, n - 2)]
+    assert sum(map(len, screen_steps)) == 57
     assert 1 <= len(confirmed) <= 4
 
 
@@ -664,7 +665,7 @@ def test_screen_maxima_need_no_corner_pass():
         scaled = delta._screen_copy(batch)
         for j in range(1, n - 2):
             screen = delta._screen_middle((None, [scaled]), 0, j)
-            steps = delta._middle_steps(n, j, nb)
+            steps = delta._middle_steps(n, j, nb, delta._SCREEN_ENTRY)
             brute = _brute_step_maxima(scaled.transpose(2, 0, 1), j, steps)
             assert np.array_equal(screen.view(np.uint32), brute.view(np.uint32)), (n, j)
 
@@ -687,9 +688,54 @@ def test_screen_bound_holds_at_every_step():
             rows = np.arange(lo, min(lo + size, nb))
             for j in range(1, n - 2):
                 screen = delta._screen_middle(stacks, c, j).astype(float)
-                for step, m in zip(delta._middle_steps(n, j, rows.size), screen):
+                steps = delta._middle_steps(n, j, rows.size, delta._SCREEN_ENTRY)
+                for step, m in zip(steps, screen):
                     d2 = np.ldexp(delta._scan_middle(stacks, rows, j, [step])[0], -exps[rows])
                     assert np.all(np.abs(d2 - m) <= 2.0**-22 * m + 2.0**-19), (n, j, step)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.data())
+def test_middle_steps_cover_each_span_within_the_budget(data):
+    n = data.draw(st.integers(4, 80))
+    j = data.draw(st.integers(1, n - 3))
+    nb = data.draw(st.integers(1, 5000))
+    entry_bytes = data.draw(st.sampled_from([8, 32, 40]))
+    # disjoint increasing spans of k in [j + 1, n - 2], as the confirm
+    # pass gets them, or every k
+    cuts = data.draw(st.lists(st.integers(j + 1, n - 1), unique=True).map(sorted))
+    spans = [(lo, hi - lo) for lo, hi in zip(cuts[::2], cuts[1::2])]
+    for given_spans, want in ((spans, [k for lo, g in spans for k in range(lo, lo + g)]),
+                              (None, list(range(j + 1, n - 1)))):
+        steps = delta._middle_steps(n, j, nb, entry_bytes, given_spans)
+        assert [k for k0, g in steps for k in range(k0, k0 + g)] == want
+        for k0, g in steps:
+            assert g >= 1
+            if g > 1:
+                assert entry_bytes * nb * j * g * (n - k0 - 1) <= delta._STEP_BYTES
+
+
+def test_step_budget_changes_no_delta_or_witness(monkeypatch):
+    # one k per step, the default, and one step per middle index j: the
+    # steps and the chunks differ, the deltas and witnesses do not
+    batches = _screen_batches() + [
+        [e * 2.0**exp for e in _screen_matrices()] for exp in (-1000, 1000)
+    ]
+    plans = ((1, lambda steps: all(g == 1 for _, g in steps)),
+             (delta._STEP_BYTES, lambda steps: True),
+             (1 << 40, lambda steps: len(steps) == 1))
+    results = []
+    for budget, plan_holds in plans:
+        monkeypatch.setattr(delta, "_STEP_BYTES", budget)
+        for batch in batches:
+            n = batch[0].shape[0]
+            for j in range(1, n - 2):
+                assert plan_holds(delta._middle_steps(n, j, len(batch), delta._SCREEN_ENTRY))
+        results.append([
+            [(np.float64(rep.delta).view(np.uint64), rep.witness) for rep in exact_deltas(batch)]
+            for batch in batches
+        ])
+    assert results[0] == results[1] == results[2]
 
 
 def _traced_peak(fn, *args) -> int:
@@ -702,24 +748,24 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_exact_delta_memory_is_bounded():
-    # A confirm step holds five grids of at most _BATCH_ELEMENTS float64
-    # entries, a screen step two float32 ones beside its task's Gromov
-    # rows, (n - j - 1) x n in float64 and float32; a step over every k of
-    # a task would hold five grids of up to 9 MB.
+    # A confirm step holds five float64 grids, and a screen step two
+    # float32 ones beside its task's Gromov rows, (n - j - 1) x n in
+    # float64 and float32; each step's grids fit _STEP_BYTES. A step over
+    # every k of a task would hold five grids of up to 9 MB.
     m = build_distance_matrix(random_cloud(200, 2, seed=91))
     assert _traced_peak(exact_delta, m) < 1.5e6
     # At small n a chunk holds thousands of matrices. A screen task's rows
     # then take at most one float64 copy of its chunk's slice of the stack
-    # and float32 copies of half that, beside its two step grids and its
-    # per-step maxima.
+    # and float32 copies of half that, beside its two step grids, within
+    # the step budget, and its per-step maxima.
     rng = np.random.default_rng(92)
     for n in (5, 12):
         nb = _chunk_size(n)
         x = rng.random((nb, n, n))
         scaled = delta._screen_copy(list(x + x.transpose(0, 2, 1)))
         for j in range(1, n - 2):
-            steps = len(delta._middle_steps(n, j, nb))
-            bound = 1.5 * scaled.nbytes + 8 * delta._BATCH_ELEMENTS + 8 * steps * nb
+            steps = len(delta._middle_steps(n, j, nb, delta._SCREEN_ENTRY))
+            bound = 1.5 * scaled.nbytes + delta._STEP_BYTES + 8 * steps * nb
             assert _traced_peak(delta._screen_middle, (None, [scaled]), 0, j) < bound, (n, j)
 
 

@@ -503,9 +503,10 @@ def test_ptolemy_rejects_an_asymmetric_array():
 
 def test_ptolemy_sweep_across_steps(monkeypatch):
     e = build_distance_matrix(random_cloud(31, 2, seed=97)).entries ** 3
-    for budget in (delta._BATCH_ELEMENTS, 60):
-        monkeypatch.setattr(delta, "_BATCH_ELEMENTS", budget)
-        groups = {g for j in range(1, 28) for _, g in delta._middle_steps(31, j)}
+    # four float64 grids: 32 bytes per entry
+    for budget in (delta._STEP_BYTES, 60 * 32):
+        monkeypatch.setattr(delta, "_STEP_BYTES", budget)
+        groups = {g for j in range(1, 28) for _, g in delta._middle_steps(31, j, 1, 32)}
         assert len(groups) > 2  # full and ragged k groups
         rep = check_ptolemaic(e)
         assert len({v.indices[1] for v in rep.violations}) > 2  # several j tasks
