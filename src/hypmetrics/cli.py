@@ -242,11 +242,15 @@ def _verify_lemmas(args):
         )
     rng = np.random.Generator(np.random.PCG64(args.seed))
     quads = rng.integers(0, n, size=(min(samples, 100000), 4))
-    e, rows, cols = matrix.entries, quads[:, :, None], quads[:, None, :]
-    # one (N, 4, 4) batch alive at a time
-    reports["quasi_ptolemy_K1"] = check_quasi_ptolemy_many(e[rows, cols], 1.0, args.tol)
+    # one batch alive at a time, gathered as (4, 4, N): the checker copies
+    # each block of its (N, 4, 4) view into a (16, B) buffer as 16 runs
+    q = np.ascontiguousarray(quads.T)
+    e, rows, cols = matrix.entries, q[:, None], q[None, :]
+    reports["quasi_ptolemy_K1"] = check_quasi_ptolemy_many(
+        e[rows, cols].transpose(2, 0, 1), 1.0, args.tol
+    )
     mu = _mu_lookup(e, 0, False, 4 * quads.size)(rows, cols)
-    reports["quasi_ptolemy_K1.5"] = check_quasi_ptolemy_many(mu, 1.5, args.tol)
+    reports["quasi_ptolemy_K1.5"] = check_quasi_ptolemy_many(mu.transpose(2, 0, 1), 1.5, args.tol)
     return reports
 
 

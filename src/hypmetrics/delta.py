@@ -300,10 +300,12 @@ def _middle_grids(stack: np.ndarray, j: int, op, count: int, spans=None):
         yield k0, g, grids
 
 
-def _drop_corner(grid: np.ndarray, g: int) -> None:
+def _drop_corner(grid: np.ndarray, g: int, tri: np.ndarray) -> None:
     """Set the l <= k corner of a g-step grid, ``[k - k0, l - k0 - 1]``,
-    which holds no quadruple, to -inf."""
-    np.copyto(grid[..., :g], -np.inf, where=np.tri(g, g, -1, dtype=bool))
+    which holds no quadruple, to -inf. ``tri`` is a sweep's one
+    ``np.tri(G, G, -1, dtype=bool)`` for its largest step G >= g, whose
+    top-left g x g corner is that of ``np.tri(g, g, -1)``."""
+    np.copyto(grid[..., :g], -np.inf, where=tri[:g, :g])
 
 
 def _screen_copy(part: list[np.ndarray]) -> np.ndarray:
@@ -370,9 +372,11 @@ def _scan_middle(
     nb, n = stack.shape[0], stack.shape[1]
     each = np.arange(nb)
     vals, keys = [], []
+    top = max(g for _, g in spans)  # no step is longer than its span
+    tri = np.tri(top, top, -1, dtype=bool)
     for k0, g, (s1, s2, s3, a, b) in _middle_grids(stack, j, np.add, 5, spans):
         d2 = _doubled_delta(s1, s2, s3, (a, b))
-        _drop_corner(d2, g)
+        _drop_corner(d2, g, tri)
         flat = d2.reshape(nb, -1)
         at = np.argmax(flat, axis=1)  # first flat maximum: lex-min (i, k, l)
         vals.append(flat[each, at])

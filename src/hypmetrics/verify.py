@@ -39,9 +39,12 @@ y >= x0 while every earlier block had nothing to report; once a block's
 largest slack exceeds ``tol``, every later block evaluates y from that
 block's x0. Each skipped slack mirrors one in an earlier block that
 passed, so the report counts all n^3 comparisons and lists the same
-violations, in row-major order, as a sweep over every triple. A passing
-block reuses one scratch buffer; its right-hand sides are materialized
-only when it can fail.
+violations, in row-major order, as a sweep over every triple. Each block
+adds d(x,z) + d(z,y) into one reused scratch buffer and takes the least
+sum over z: fl(a - s) falls as s grows, so d(x,y) minus that least sum is
+exactly the block's largest slack. Only a block whose largest slack
+exceeds ``tol`` turns the sums into slacks and materializes its
+right-hand sides.
 
 The lemma checkers read mu_p, each puncture's mu_i (on the last, contiguous
 axis) and log mu_P (the sum of the logs over that axis) through one
@@ -51,10 +54,16 @@ n x n table of every pair when n^2 <= N, filled in row blocks of at most
 ``_CHECK_ELEMENTS`` entries, and gathers its rows from it; otherwise it
 evaluates the rows themselves. Both give the same bits.
 
-The quasi-Ptolemy checkers make one pass over a batch of 4x4 arrays read
-as one contiguous (16, N) array: the hypothesis evaluates its 64 index
-triples in place, and the conclusions read only the rows where it holds,
-whose entries must be at most 2^500 in magnitude, with 1 <= K < 2^511.
+The quasi-Ptolemy checkers make one pass over a batch of 4x4 arrays in
+blocks of ``_CHECK_ELEMENTS // 16`` arrays, each transposed into one
+reused (16, B) buffer, so the pass holds one block whatever N is. On a
+block that is finite, nonnegative and symmetric under ``==`` the
+hypothesis evaluates 24 of its 64 index triples: one with k in {i, j}
+holds, and (i, j, k) with i > j repeats the comparison of (j, i, k). Any
+other block evaluates all 64. The conclusions read only the rows where
+the hypothesis holds, whose entries must be at most 2^500 in magnitude,
+with 1 <= K < 2^511. Violations are listed by conclusion, in batch-row
+order, and the failing triples in ``_QP_TRIPLES`` order.
 
 Product-form inequalities (the 9^k split bound and the (27/2)^k
 quasi-triangle family) are evaluated in the log domain so k up to the
@@ -71,7 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -92,7 +101,8 @@ DEFAULT_TOL = 1e-9
 SANDWICH_PAIRS = {"tau": ("tilde_tau_p", "tau_p"), "avg": ("tilde_avg_tau", "avg_tau")}
 
 #: Entries of one comparison block in the triangle sweep (at least one row
-#: of x); bounds the checker's temporaries independently of n.
+#: of x) and in the quasi-Ptolemy pass (``_CHECK_ELEMENTS // 16`` arrays);
+#: bounds the checkers' temporaries independently of n and N.
 _CHECK_ELEMENTS = 1 << 18
 
 
@@ -248,7 +258,10 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     a block of rows from x0 evaluates only y >= x0 until some block has a
     slack beyond ``tol``; from that block on, y starts at its x0. Every
     skipped slack is bit for bit one in an earlier block that passed, so
-    the report is that of the sweep over every triple.
+    the report is that of the sweep over every triple. A block's largest
+    slack is d(x,y) - min_z (d(x,z) + d(z,y)), exactly, since rounding is
+    monotone; only a block where that exceeds ``tol`` computes every slack
+    and looks for violations.
     """
     e = _as_entries(m)
     _require_finite(e)
@@ -269,14 +282,19 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
         for x0 in range(0, n, step):
             chunk, y0 = e[x0 : x0 + step], min(x0, lo)
             xs = np.arange(x0, x0 + chunk.shape[0])[:, None, None]
-            slack = buf[: xs.size * (n - y0) * n].reshape(xs.size, n - y0, n)
-            np.add(chunk[:, None, :], e_zy[None, y0:], out=slack)  # d(x,z) + d(z,y)
+            sums = buf[: xs.size * (n - y0) * n].reshape(xs.size, n - y0, n)
+            np.add(chunk[:, None, :], e_zy[None, y0:], out=sums)  # d(x,z) + d(z,y)
+            # fl(a - s) falls as s grows: the largest slack is a - min_z s
+            worst = float(np.subtract(chunk[:, y0:], sums.min(axis=2)).max())
+            if not worst > col.tol:
+                col.worst = max(col.worst, worst)
+                continue
             lhs = chunk[:, y0:, None]
-            np.subtract(lhs, slack, out=slack)
+            slack = np.subtract(lhs, sums, out=sums)
             ids = (xs, np.arange(y0, n)[None, :, None], cols[None])
             rhs = partial(np.add, chunk[:, None, :], e_zy[None, y0:])
-            if col.collect("triangle", ids, lhs, rhs, slack) > col.tol:
-                lo = min(lo, x0)
+            col.collect("triangle", ids, lhs, rhs, slack)
+            lo = min(lo, x0)
     col.checked += n**3
     offdiag_positive = bool(np.all((e > 0.0) | ~upper))
     return col.report(offdiagonal_positive=offdiag_positive)
@@ -303,12 +321,13 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
         raise InputError("distance matrix must be exactly symmetric")
     n = e.shape[0]
     col = _Collector(tol)
+    tri = np.tri(n, n, -1, dtype=bool)  # every step takes g < n values of k
     for j in range(1, n - 2):
         for k0, g, (p1, p2, p3, tot) in _middle_grids(e[None], j, np.multiply, 4):
             np.add(np.add(p1, p2, out=tot), p3, out=tot)
             lhs = np.multiply(2.0, np.maximum(np.maximum(p1, p2, out=p1), p3, out=p1), out=p1)
             slack = np.subtract(lhs, tot, out=p2)
-            _drop_corner(slack, g)
+            _drop_corner(slack, g, tri)
             ks_col = np.arange(k0, k0 + g)[:, None]
             ids = (np.arange(j)[:, None, None], j, ks_col, np.arange(k0 + 1, n))
             col.collect("ptolemy", ids, lhs, tot, slack)
@@ -557,15 +576,29 @@ def check_product_lemma(
 _QP_TRIPLES = tuple(product(range(4), repeat=3))
 
 
-def _qp_hypothesis(cols: np.ndarray, K: float, tol: float) -> tuple[np.ndarray, list]:
-    """The hypothesis over the (16, N) columns of N 4x4 arrays (row 4i + j
-    holds entry (i, j) of each): True on the arrays where every triple
-    holds, and the triples that fail on some array, in ``_QP_TRIPLES``
-    order. A NaN slack breaks it; an overflowing right side holds."""
-    held, failing = np.ones(cols.shape[1], dtype=bool), []
+def _qp_hypothesis(cols: np.ndarray, K: float, tol: float) -> tuple[np.ndarray, set]:
+    """The hypothesis over the (16, B) columns of a block of B 4x4 arrays
+    (row 4i + j holds entry (i, j) of each): True on the arrays where every
+    triple holds, and the set of triples ``(i, j, k)`` that fail on some
+    array. A NaN slack breaks it; an overflowing right side holds.
+
+    On a block that is finite, nonnegative and symmetric under ``==``, a
+    triple with k in {i, j} holds (K >= 1, r_kk >= 0 and rounding is
+    monotone), and (i, j, k) with i > j makes the comparison of (j, i, k),
+    since float addition commutes, so it fails where (j, i, k) does: 24 of
+    the 64 triples are evaluated. Any other block evaluates all 64."""
+    held, failing = np.ones(cols.shape[1], dtype=bool), set()
     rhs, slack = np.empty(held.size), np.empty(held.size)
+    pairs = combinations(range(4), 2)
+    regular = (
+        cols.min(initial=0.0) >= 0.0  # False on a NaN
+        and cols.max(initial=0.0) < np.inf
+        and all(np.array_equal(cols[4 * i + j], cols[4 * j + i]) for i, j in pairs)
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         for i, j, kk in _QP_TRIPLES:
+            if regular and (i > j or kk in (i, j)):
+                continue
             lhs = cols[4 * i + j]
             np.multiply(K, np.add(cols[4 * i + kk], cols[4 * j + kk], out=rhs), out=rhs)
             np.subtract(lhs, rhs, out=slack)
@@ -573,32 +606,52 @@ def _qp_hypothesis(cols: np.ndarray, K: float, tol: float) -> tuple[np.ndarray, 
                 ok = slack <= tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
                 if not ok.all():
                     held &= ok
-                    failing.append([i, j, kk])
+                    failing.add((i, j, kk))
+    if regular:
+        failing |= {(j, i, kk) for i, j, kk in failing}
     return held, failing
 
 
 def _quasi_ptolemy(rs, K: float, tol: float) -> tuple[ViolationReport, list]:
     """The report of ``check_quasi_ptolemy_many`` and the hypothesis
-    triples that fail on some array, from one pass over the batch."""
+    triples that fail on some array, in ``_QP_TRIPLES`` order, from one
+    pass over the batch.
+
+    The pass walks the batch in blocks of ``_CHECK_ELEMENTS // 16`` arrays,
+    each transposed into one reused (16, B) buffer, so its memory is
+    bounded by the block. Each block runs the hypothesis and then the
+    conclusions on its held rows; the violations are listed by conclusion,
+    each in batch-row order."""
     arr = np.asarray(rs, dtype=float)
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise InputError(f"expected an (N, 4, 4) batch, got shape {arr.shape}")
     if not 1.0 <= K < 2.0**511:  # so 4 K^2 is finite
         raise InputError(f"need 1 <= K < 2^511, got K={K}")
     col = _Collector(tol)
-    cols = np.ascontiguousarray(arr.reshape(-1, 16).T)
-    held, failing = _qp_hypothesis(cols, K, tol)
-    rows = np.flatnonzero(held)
-    # r01 r23, r02 r13 and r03 r12 of the held rows: views unless some row failed
-    ops = [cols[o, rows] if failing else cols[o] for o in (1, 11, 2, 7, 3, 6)]
-    _require_bounded(*ops)
-    p1, p2, p3 = (np.multiply(a, b) for a, b in zip(ops[::2], ops[1::2]))
-    with np.errstate(over="ignore"):  # an inf right side bounds any finite left side
-        col.compare("quasi_ptolemy_sqrt", (rows,), np.sqrt(p1), K * (np.sqrt(p2) + np.sqrt(p3)))
-        col.compare("quasi_ptolemy_product", (rows,), p1, 2.0 * K * K * (p2 + p3))
-        col.compare("quasi_ptolemy_max", (rows,), p1, 4.0 * K * K * np.maximum(p2, p3))
-    skipped, checked = len(arr) - rows.size, len(arr)
-    return col.report(hypothesis_skipped=skipped, hypothesis_checked=checked), failing
+    kinds = ("quasi_ptolemy_sqrt", "quasi_ptolemy_product", "quasi_ptolemy_max")
+    step = _CHECK_ELEMENTS // 16
+    buf = np.empty((16, min(step, len(arr))))
+    failing, held_count = set(), 0
+    for r0 in range(0, len(arr), step):
+        block = arr[r0 : r0 + step]
+        cols = buf[:, : len(block)]
+        np.copyto(cols.reshape(4, 4, -1), block.transpose(1, 2, 0))
+        held, fails = _qp_hypothesis(cols, K, tol)
+        failing |= fails
+        rows = np.flatnonzero(held)
+        held_count += rows.size
+        # r01 r23, r02 r13 and r03 r12 of the held rows: views unless some row failed
+        ops = [cols[o, rows] if fails else cols[o] for o in (1, 11, 2, 7, 3, 6)]
+        _require_bounded(*ops)
+        p1, p2, p3 = (np.multiply(a, b) for a, b in zip(ops[::2], ops[1::2]))
+        ids = (rows + r0,)
+        with np.errstate(over="ignore"):  # an inf right side bounds any finite left side
+            col.compare(kinds[0], ids, np.sqrt(p1), K * (np.sqrt(p2) + np.sqrt(p3)))
+            col.compare(kinds[1], ids, p1, 2.0 * K * K * (p2 + p3))
+            col.compare(kinds[2], ids, p1, 4.0 * K * K * np.maximum(p2, p3))
+    col.violations.sort(key=lambda v: kinds.index(v.kind))  # stable: rows stay in order
+    meta = {"hypothesis_skipped": len(arr) - held_count, "hypothesis_checked": len(arr)}
+    return col.report(**meta), [list(t) for t in sorted(failing)]
 
 
 def check_quasi_ptolemy(r, K: float, tol: float = DEFAULT_TOL) -> ViolationReport:

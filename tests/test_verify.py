@@ -363,6 +363,7 @@ def test_quasi_ptolemy_is_a_batch_of_one():
     rep = check_quasi_ptolemy(bad, K=1.0)
     assert rep.checked == 0
     assert rep.meta["hypothesis_satisfied"] is False
+    # (1, 0, k) is not evaluated on a symmetric array: it fails where (0, 1, k) does
     assert rep.meta["hypothesis_failures"] == [[0, 1, 2], [0, 1, 3], [1, 0, 2], [1, 0, 3]]
 
 
@@ -629,6 +630,143 @@ def test_quasi_ptolemy_K_rule():
     assert check_quasi_ptolemy_many(np.zeros((1, 4, 4)), K).passed
     rep = check_quasi_ptolemy(2.0 * _NON_PTOLEMAIC, K)
     assert rep.passed and rep.checked == 3
+
+
+def _reference_quasi_ptolemy(rs, K, tol=DEFAULT_TOL):
+    """``check_quasi_ptolemy_many(rs, K).to_dict()`` and the failing
+    hypothesis triples over the whole batch at once: every one of the 64
+    triples on every array, then each conclusion in Python floats on the
+    arrays where all of them hold."""
+    held, failing = np.ones(len(rs), dtype=bool), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, k in product(range(4), repeat=3):
+            lhs, rhs = rs[:, i, j], K * (rs[:, i, k] + rs[:, j, k])
+            ok = lhs - rhs <= tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            held &= ok
+            if not ok.all():
+                failing.append([i, j, k])
+    rows = np.flatnonzero(held)
+    r = rs[rows]
+    p1, p2, p3 = r[:, 0, 1] * r[:, 2, 3], r[:, 0, 2] * r[:, 1, 3], r[:, 0, 3] * r[:, 1, 2]
+    conclusions = (
+        ("quasi_ptolemy_sqrt", np.sqrt(p1), K * (np.sqrt(p2) + np.sqrt(p3))),
+        ("quasi_ptolemy_product", p1, 2.0 * K * K * (p2 + p3)),
+        ("quasi_ptolemy_max", p1, 4.0 * K * K * np.maximum(p2, p3)),
+    )
+    checks = [
+        (kind, [t], lv, rv)
+        for kind, lhs, rhs in conclusions
+        for t, lv, rv in zip(rows.tolist(), lhs.tolist(), rhs.tolist())
+    ]
+    violations, checked, worst = _reference(checks, tol)
+    keys = ("kind", "indices", "lhs", "rhs", "slack")
+    report = {
+        "checked": checked,
+        "violations": [dict(zip(keys, v)) for v in violations],
+        "tolerance": tol,
+        "worst_slack": worst,
+        "meta": {"hypothesis_skipped": len(rs) - rows.size, "hypothesis_checked": len(rs)},
+    }
+    return report, failing
+
+
+def _qp_blocks(K):
+    """Two and a half blocks of the quasi-Ptolemy pass: a regular block
+    (finite, nonnegative, symmetric), one with a NaN, an asymmetric, a
+    negative, an infinite and a nonzero-diagonal array, and a regular
+    ragged block. Each block holds arrays whose hypothesis fails (r01 ten
+    times the rest) and arrays that hold it within the tolerance but fail
+    two conclusions (r01 = r23 just past 2K times the rest)."""
+    B = _CHECK_ELEMENTS // 16
+    rng = np.random.Generator(np.random.PCG64(121))
+    m = build_distance_matrix(random_cloud(30, 2, seed=122)).entries
+    q = rng.integers(0, 30, size=(2 * B + B // 2, 4))
+    rs = m[q[:, :, None], q[:, None, :]]
+    ones = np.ones((4, 4)) - np.eye(4)
+    for lo in (0, B, 2 * B):
+        at = lo + rng.choice(B // 2, size=20, replace=False)
+        s = rng.uniform(1.0, 10.0, size=20)
+        rs[at] = s[:, None, None] * ones
+        rs[at[:10], 0, 1] = rs[at[:10], 1, 0] = 10.0 * s[:10]
+        long = 2.0 * K * s[10:] * (1.0 + 0.9 * DEFAULT_TOL)
+        rs[at[10:], 0, 1] = rs[at[10:], 1, 0] = rs[at[10:], 2, 3] = rs[at[10:], 3, 2] = long
+    odd = B + B // 2 + np.arange(5)
+    rs[odd[0], 1, 2] = np.nan
+    rs[odd[1], 0, 3] += 0.5
+    rs[odd[2], 2, 1] = -0.25
+    rs[odd[3], 3, 0] = np.inf
+    rs[odd[4], 2, 2] = 0.75
+    return rs
+
+
+@pytest.mark.parametrize("K", [1.0, 1.5])
+def test_blockwise_quasi_ptolemy_matches_reference(K):
+    rs = _qp_blocks(K)
+    B = _CHECK_ELEMENTS // 16
+    report, failing = _reference_quasi_ptolemy(rs, K)
+    kinds = {(v["kind"], v["indices"][0] // B) for v in report["violations"]}
+    failed = ("quasi_ptolemy_product", "quasi_ptolemy_max")
+    assert kinds == {(kind, b) for kind in failed for b in range(3)}  # in every block
+    assert report["meta"]["hypothesis_skipped"] >= 30
+    assert check_quasi_ptolemy_many(rs, K).to_dict() == report
+    assert verify._quasi_ptolemy(rs, K, DEFAULT_TOL)[1] == failing
+    # the (4, 4, N) layout that `verify lemmas` gathers, read through views
+    view = np.ascontiguousarray(rs.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert check_quasi_ptolemy_many(view, K).to_dict() == report
+    empty = np.zeros((0, 4, 4))
+    assert check_quasi_ptolemy_many(empty, K).to_dict() == _reference_quasi_ptolemy(empty, K)[0]
+
+
+def test_quasi_ptolemy_memory_is_bounded():
+    # the batch is 12.8 MB; the pass holds one (16, B) block of
+    # _CHECK_ELEMENTS entries (2 MiB) and the block's temporaries
+    m = build_distance_matrix(random_cloud(50, 2, seed=123)).entries
+    q = np.random.Generator(np.random.PCG64(124)).integers(0, 50, size=(100000, 4))
+    rs = m[q[:, :, None], q[:, None, :]]
+    rs[::7, 0, 1] = rs[::7, 1, 0] = 100.0  # the conclusions gather held rows
+    tracemalloc.start()
+    try:
+        rep = check_quasi_ptolemy_many(rs, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.meta == {"hypothesis_skipped": 14286, "hypothesis_checked": 100000}
+    assert peak < 3 * _CHECK_ELEMENTS * 8
+
+
+def _brute_triangle(e):
+    """Every slack d(x,y) - (d(x,z) + d(z,y)), as an (x, y, z) array."""
+    return e[:, :, None] - (e[:, None, :] + e.T[None, :, :])
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**400, 2.0**-400])
+@pytest.mark.parametrize("kind", ["line", "plane", "log1p"])
+def test_triangle_sweep_worst_slack_is_the_brute_force_maximum(kind, scale):
+    # on a line, rounding leaves slacks just above 0; the sweep reads each
+    # block's largest as d(x,y) - min over z of d(x,z) + d(z,y)
+    n = 70
+    pts = random_cloud(n, 2, seed=125).points
+    if kind == "line":
+        pts = pts[:, :1] * [1.0, 2.0]
+    e = build_distance_matrix(PointCloud(pts)).entries
+    e = (np.log1p(e) if kind == "log1p" else e) * scale
+    rep = check_metric_axioms(e)
+    assert rep.passed
+    worst = float(_brute_triangle(e).max())
+    assert rep.worst_slack.hex() == worst.hex()
+    assert (worst > 0.0) == (kind == "line")
+
+
+def test_triangle_sweep_lists_a_violation_in_the_last_block():
+    n = 70
+    rows = _CHECK_ELEMENTS // (n * n)
+    assert rows < 60 and 65 < n
+    e = build_distance_matrix(random_cloud(n, 2, seed=126)).entries.copy()
+    e[60, 65] = e[65, 60] = 5.0
+    rep = check_metric_axioms(e)
+    assert {v.indices[:2] for v in rep.violations} == {(60, 65), (65, 60)}
+    assert rep.worst_slack == float(_brute_triangle(e).max())
+    _assert_matches(rep, _reference_axioms(e))
 
 
 def test_triangle_sweep_across_blocks():
