@@ -359,7 +359,7 @@ class PuncturedSpec:
                 raise InputError("a puncture coordinate is a number, not a boolean")
             try:
                 coords = np.array(punctures, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"puncture coordinates must be numeric: {exc}") from exc
             if coords.ndim == 1:
                 coords = coords.reshape(-1, 1)

@@ -123,7 +123,10 @@ def _base(args) -> tuple[PointCloud | DistanceMatrix, str]:
     cloud, euclidean when none is given; a matrix reads no metric."""
     if args.matrix:
         _refuse(args, ["--metric"], "--matrix holds its distances and reads no base metric")
-        base: PointCloud | DistanceMatrix = load_distance_matrix(args.matrix)
+        # delta reads the file with its --workers, other commands one per core
+        base: PointCloud | DistanceMatrix = load_distance_matrix(
+            args.matrix, getattr(args, "workers", None)
+        )
     elif args.cloud:
         base = load_point_cloud(args.cloud)
     else:

@@ -126,15 +126,10 @@ smallest key among the steps reaching its maximum wins. One fold,
 fold does not depend on task order, so tasks run heaviest first and the
 report is identical for any worker count.
 
-One runner, ``_runner``, runs a kernel's tasks, and a sweep has one runner
-for its screen and its confirm pass. With more than one worker, the first
-pass of more than one task opens the sweep's one process pool; its forked
-processes receive the caller's matrices and their scaled copies once, and
-the confirm pass submits to the same pool. A pass deals its heaviest-first
-task list round-robin, ``tasks[w::p]`` over the pool's p processes, and
-sends each process its share as one job, so a pass costs p round trips,
-not one per task. A pass of one task, such as a confirm
-pass that holds a single (chunk, j), runs in the calling process.
+A sweep runs its screen and its confirm pass on one ``_pool._runner``, so
+one process pool serves both, and the sampler runs its batches on a
+runner of its own. A confirm pass that holds a single (chunk, j) runs in
+the calling process.
 
 Both kernels need finite, exactly symmetric entries (``InputError``
 otherwise). A matrix with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is
@@ -151,16 +146,14 @@ tasks do, so the result is reproducible and independent of scheduling.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import compress
 from math import comb, prod
 
 import numpy as np
 
+from ._pool import _runner, _worker_count
 from .cassinian import as_oracle
 from .errors import InputError
 from .spaces import _as_entries
@@ -198,15 +191,6 @@ class DeltaReport:
             "seed": self.seed,
             "elapsed_ms": round(self.elapsed_s * 1000.0, 3),
         }
-
-
-def _worker_count(workers: int | None) -> int:
-    """``None`` means one worker per core; anything below 1 is an error."""
-    if workers is None:
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise InputError(f"need workers >= 1, got {workers}")
-    return workers
 
 
 def _kernel_entries(d, n: int | None = None) -> tuple[np.ndarray, float]:
@@ -389,53 +373,6 @@ def _scan_middle(
     return best2, key
 
 
-_POOL_SHARED = None
-
-
-def _pool_init(shared) -> None:
-    global _POOL_SHARED
-    _POOL_SHARED = shared
-
-
-def _pool_call(job) -> list:
-    fn, share = job
-    return [fn(_POOL_SHARED, *task) for task in share]
-
-
-@contextmanager
-def _runner(shared, workers: int):
-    """Yield ``run(fn, tasks)``, which gives ``fn(shared, *task)`` for every
-    task, in task order; ``fn`` must be a module-level function.
-
-    A call with one task, and every call when ``workers`` is 1, runs in the
-    calling process. The first call with more tasks opens the one process
-    pool, whose forked processes receive ``shared`` once, and every later
-    call submits to it. The pool has one process per task of that call, up
-    to ``workers``, since a forked pool starts all of its processes at the
-    first submit. A call deals its tasks round-robin, ``tasks[w::p]`` over
-    the pool's p processes, and sends each share as one job, so it costs at
-    most p round trips."""
-    with ExitStack() as stack:
-        pool = size = None
-
-        def run(fn, tasks: list[tuple]) -> list:
-            nonlocal pool, size
-            if pool is None and workers > 1 and len(tasks) > 1:
-                size = min(workers, len(tasks))
-                pool = stack.enter_context(ProcessPoolExecutor(
-                    max_workers=size, initializer=_pool_init, initargs=(shared,)
-                ))
-            if pool is None or len(tasks) < 2:
-                return [fn(shared, *task) for task in tasks]
-            shares = [tasks[w::size] for w in range(min(size, len(tasks)))]
-            out = [None] * len(tasks)
-            for w, results in enumerate(pool.map(_pool_call, [(fn, share) for share in shares])):
-                out[w::size] = results
-            return out
-
-        yield run
-
-
 def _fold(rows, parts, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(nb,)`` and lex-min witness ``(nb, 4)`` of ``nb``
     matrices over n points, from task parts: ``parts[t]`` holds the values
@@ -563,10 +500,11 @@ def _batch_best(entries: np.ndarray, count: int, seq: np.random.SeedSequence) ->
     n = entries.shape[0]
     idx = _draw_quadruples(rng, n, count)
     xi, yi, zi, vi = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
+    flat = entries.ravel()  # entry (a, b) of the C-contiguous matrix is flat[a * n + b]
     d2 = _doubled_delta(
-        entries[xi, yi] + entries[zi, vi],
-        entries[xi, zi] + entries[yi, vi],
-        entries[xi, vi] + entries[yi, zi],
+        flat.take(xi * n + yi) + flat.take(zi * n + vi),
+        flat.take(xi * n + zi) + flat.take(yi * n + vi),
+        flat.take(xi * n + vi) + flat.take(yi * n + zi),
     )
     best2 = d2.max()
     srt = np.sort(idx[d2 == best2], axis=1)
@@ -602,7 +540,7 @@ def sampled_delta(
     if samples % SAMPLE_BATCH:
         sizes.append(samples % SAMPLE_BATCH)
     tasks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
-    with _runner(entries, workers) as run:
+    with _runner(np.ascontiguousarray(entries), workers) as run:
         parts = run(_batch_best, tasks)
     best2, wit = _fold([[0]] * len(parts), parts, 1, n)
     return DeltaReport(

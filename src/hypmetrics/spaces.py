@@ -30,8 +30,12 @@ when the cloud spans the float range.
 
 Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
-rows), streamed row by row from one grid of reprs that formats each
-symmetric pair once.
+rows) for any worker count. It formats each symmetric pair once, in row
+bands of equal upper-triangle size run on the process pool of ``_pool``
+(one band, in the calling process, below ``2 * _BAND_ENTRIES`` entries),
+and writes the rows once every band is done. ``load_distance_matrix``
+decodes a large JSON matrix file in row pieces on the same pool, and
+otherwise reads it as ``json.loads`` does, with the same bits and errors.
 """
 
 from __future__ import annotations
@@ -40,11 +44,16 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._pool import _runner, _worker_count
 from .errors import InputError
 
 Vector = Sequence[float]
@@ -52,6 +61,21 @@ MetricFn = Callable[[Vector, Vector], float]
 
 #: Metric selector strings accepted everywhere a base metric is named.
 METRIC_NAMES = ("euclidean", "taxicab", "d1", "d2", "d1+d2")
+
+#: Entries per band of the matrix-file writer and per piece of the reader,
+#: at least: about 100 ms of formatting, against the 15-20 ms it costs to
+#: open the process pool.
+_BAND_ENTRIES = 1 << 17
+
+#: The matrix-file reader's patterns, tokens separated by JSON whitespace;
+#: ``re`` compiles them on first use.
+_WS = "[ \t\n\r]*"
+_MATRIX_HEAD = _WS.join(
+    ["", r"\{", '"n"', ":", "(0|[1-9][0-9]{0,17})", ",", '"entries"', ":", r"\[", ""]
+)
+_MATRIX_TAIL = _WS.join(["", r"\]", r"\}", r"\Z"])
+_ROW_BREAK = _WS.join([r"\]", ",", r"\["])
+_ROW_GAP = _WS.join(["", ",", ""])
 
 #: Arrays whose largest magnitude lies in [2^-500, 2^500] are used as given:
 #: their squares and pairwise products neither underflow nor overflow.
@@ -105,7 +129,7 @@ class PointCloud:
     def __init__(self, points, labels: Sequence[str] | None = None):
         try:
             pts = np.array(points, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"point coordinates must form a numeric n x dim array: {exc}") from exc
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -277,7 +301,7 @@ class DistanceMatrix:
     def __init__(self, entries):
         try:
             m = np.array(entries, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"distance matrix must be a numeric square array: {exc}") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise InputError("distance matrix must be square and nonempty")
@@ -321,22 +345,33 @@ class DistanceMatrix:
         """Write ``.csv`` (excel dialect, one row per line) or, for any other
         suffix, JSON in the layout of ``json.dumps(self.to_dict(), indent=2)``.
 
-        Both are streamed row by row from ``_repr_rows``; every entry is
-        written as its ``float.__repr__``, so a load gives back the same bits.
+        Every entry is written as its ``float.__repr__``, so a load gives back
+        the same bits. The text is formatted in ``_bands`` of rows by
+        ``_band_text`` on one process per core, up to one per band. Each
+        band writes its text to a file of its own in a temporary directory
+        and returns the length of each piece, and once every band is done the
+        rows are copied from those files: the pool carries lengths, not text,
+        and no process holds more than one band's text.
         """
         path = Path(path)
-        rows = _repr_rows(self._entries)
-        if path.suffix == ".csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
+        sep = "," if path.suffix == ".csv" else ",\n      "
+        bands = _bands(self.n, _worker_count(None))
+        with tempfile.TemporaryDirectory() as tmp, ExitStack() as stack:
+            names = [os.path.join(tmp, str(b)) for b in range(len(bands))]
+            with _runner(self._entries, len(bands)) as run:
+                sizes = run(_band_text, [(*band, sep, name) for band, name in zip(bands, names)])
+            files = [stack.enter_context(open(name, "rb")) for name in names]
+            rows = _band_rows(bands, files, sizes, sep.encode())
+            with open(path, "wb") as fh:
+                if path.suffix == ".csv":
+                    for row in rows:
+                        fh.write(row + b"\r\n")
+                    return
+                head = f'{{\n  "n": {self.n},\n  "entries": [\n'.encode()
                 for row in rows:
-                    fh.write(",".join(row) + "\r\n")
-            return
-        with open(path, "w", encoding="utf-8") as fh:
-            sep = f'{{\n  "n": {self.n},\n  "entries": [\n'
-            for row in rows:
-                fh.write(sep + "    [\n      " + ",\n      ".join(row) + "\n    ]")
-                sep = ",\n"
-            fh.write("\n  ]\n}\n")
+                    fh.write(head + b"    [\n      " + row + b"\n    ]")
+                    head = b",\n"
+                fh.write(b"\n  ]\n}\n")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "DistanceMatrix":
@@ -347,21 +382,60 @@ class DistanceMatrix:
         return cls(rows)
 
 
-def _repr_rows(m: np.ndarray):
-    """The rows of a symmetric matrix as ``float.__repr__`` strings.
+def _bands(n: int, workers: int) -> list[tuple[int, int]]:
+    """Row bands ``[r0, r1)`` of an n-point matrix that split its n(n+1)/2
+    upper-triangle entries, diagonal included, into equal parts: one per
+    worker, but none below ``_BAND_ENTRIES`` entries, and at least one."""
+    total = n * (n + 1) // 2
+    parts = max(1, min(workers, total // _BAND_ENTRIES))
+    above = np.concatenate([[0], np.cumsum(np.arange(n, 0, -1))])  # entries in rows < i
+    cuts = np.unique(np.searchsorted(above, [total * k // parts for k in range(parts + 1)]))
+    return [(int(r0), int(r1)) for r0, r1 in zip(cuts[:-1], cuts[1:])]
 
-    Each symmetric pair is formatted once: the upper triangle with the
-    diagonal, mirrored below it. An entry whose bits differ from its
-    mirror's (``0.0`` against ``-0.0``, which the ``==`` symmetry check
-    accepts) gets its own repr.
+
+def _band_rows(bands, files, sizes, sep: bytes):
+    """Yield the bytes of each row from the open ``_band_text`` ``files``
+    of the ``bands`` and the lengths ``sizes`` of their pieces: row i is the
+    next piece of each band above its own (its column text), then the next
+    piece of its own band (its row text). Each file is read in the order it
+    was written."""
+    lengths = [iter(s) for s in sizes]
+    for b, (r0, r1) in enumerate(bands):
+        for _ in range(r0, r1):
+            yield sep.join([fh.read(next(n)) for fh, n in zip(files[: b + 1], lengths)])
+
+
+def _band_text(m: np.ndarray, r0: int, r1: int, sep: str, out: str) -> list[int]:
+    """Write the text of the row band ``[r0, r1)`` of a symmetric matrix to
+    the file ``out``, entries as ``float.__repr__`` joined by ``sep``: each
+    row from column r0 on, then for each later column c >= r1 its entries
+    in the band's rows, which are row c's entries in the band's columns.
+    Return the length of each of these pieces, in that order.
+
+    Each symmetric pair of the band is formatted once: the band's upper
+    triangle with the diagonal, mirrored below it. An entry whose bits
+    differ from its mirror's (``0.0`` against ``-0.0``, which the ``==``
+    symmetry check accepts) gets its own repr.
     """
-    upper = [list(map(float.__repr__, m[i, i:].tolist())) for i in range(m.shape[0])]
+    size = r1 - r0
+    upper = [list(map(float.__repr__, m[i, i:].tolist())) for i in range(r0, r1)]
+    # padded[j][c] for c > j: the text of entry (r0 + c, r0 + j), its mirror's
+    # unless their bits differ
+    padded = [[None] * j + row for j, row in enumerate(upper)]
     bits = m.view(np.uint64)
-    for i, tail in enumerate(upper):
-        row = [upper[j][i - j] for j in range(i)] + tail
-        for j in np.flatnonzero(bits[i, :i] != bits[:i, i]):
-            row[j] = repr(float(m[i, j]))
-        yield row
+    for c, j in zip(*np.nonzero(np.tril(bits[r0:, r0:r1] != bits[r0:r1, r0:].T, -1))):
+        padded[j][c] = repr(float(m[r0 + c, r0 + j]))
+    below = list(zip(*padded))  # below[c][j] = padded[j][c]
+    del padded
+    cols = [sep.join(col) for col in below[size:]]
+    del below[size:]
+    # last row first: once a row is joined, the strings of its upper part
+    # are in texts already and are freed with it
+    rows = [sep.join([*below.pop()[:i], *upper.pop()]) for i in reversed(range(size))]
+    pieces = rows[::-1] + cols
+    with open(out, "w", encoding="ascii", newline="") as fh:
+        fh.writelines(pieces)
+    return [len(p) for p in pieces]
 
 
 def _as_entries(d, n: int | None = None) -> np.ndarray:
@@ -387,11 +461,90 @@ def _as_entries(d, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def load_distance_matrix(path: str | Path) -> DistanceMatrix:
+def load_distance_matrix(path: str | Path, workers: int | None = None) -> DistanceMatrix:
+    """Load a matrix from ``.csv`` or, for any other suffix, JSON.
+
+    A JSON file is read as ``DistanceMatrix.from_dict(json.loads(text))``
+    reads it, with the same bits, errors and messages. A file of at least
+    ``2 * _BAND_ENTRIES`` declared entries in the layout
+    ``{"n": <digits>, "entries": [<rows>]}``, JSON whitespace allowed between
+    tokens, takes a fast path: its rows are cut into pieces at row breaks
+    ``]``, ``,``, ``[``, one per worker of ``workers`` (default one per core)
+    but none below ``_BAND_ENTRIES`` entries, and ``_read_rows`` decodes each
+    piece into a float64 array on the process pool. The file is read the
+    exact way instead when the fast path finds anything else: another
+    layout, a row that is not a flat list of numbers, ragged rows, a
+    separator between rows other than a comma and JSON whitespace, a
+    number that does not convert, or a worker count below 1, which the
+    caller that runs on it reports.
+    """
     path = Path(path)
     if path.suffix == ".csv":
         return DistanceMatrix.from_csv(path)
-    return DistanceMatrix.from_dict(_read_json(path))
+    text = _read_text(path)
+    matrix = _read_matrix(text, workers)
+    return DistanceMatrix.from_dict(_parse_json(text, path)) if matrix is None else matrix
+
+
+def _read_matrix(text: str, workers: int | None) -> DistanceMatrix | None:
+    """The fast path of ``load_distance_matrix``: the matrix of a JSON
+    matrix file, or None where the exact path must read it."""
+    if workers is not None and workers < 1:
+        return None
+    head = re.match(_MATRIX_HEAD, text)
+    n = int(head[1]) if head else 0
+    if n * n < 2 * _BAND_ENTRIES:
+        return None
+    # the tail is read from the end, not searched for through the rows
+    window = text[-256:]
+    tail = re.search(_MATRIX_TAIL, window)
+    if tail is None:
+        return None
+    start, end = head.end(), len(text) - len(window) + tail.start()
+    if end <= start:
+        return None
+    parts = max(1, min(_worker_count(workers), n * n // _BAND_ENTRIES))
+    row_break = re.compile(_ROW_BREAK)
+    pieces, at = [], start
+    for k in range(1, parts):
+        cut = row_break.search(text, max(at, start + (end - start) * k // parts), end)
+        if cut is None:
+            break
+        pieces.append((at, cut.start() + 1))
+        at = cut.end() - 1
+    pieces.append((at, end))
+    with _runner(text, len(pieces)) as run:
+        rows = run(_read_rows, pieces)
+    if any(r is None for r in rows) or len({r.shape[1] for r in rows}) > 1:
+        return None
+    return DistanceMatrix.from_dict({"n": n, "entries": [row for piece in rows for row in piece]})
+
+
+def _read_rows(text: str, start: int, end: int) -> np.ndarray | None:
+    """The rows of the piece ``text[start:end]``, JSON lists of numbers
+    separated by a comma and JSON whitespace, as one float64 array; None
+    when the piece holds anything else. Each row is decoded in place with
+    ``raw_decode`` and written into the array, so the piece is never
+    copied and no list holds more than one row."""
+    decode, gap = json.JSONDecoder().raw_decode, re.compile(_ROW_GAP)
+    out, count, at = None, 0, start
+    try:
+        while True:
+            row, at = decode(text, at)
+            if type(row) is not list or not set(map(type, row)) <= {float, int}:
+                return None
+            if out is None:  # each flat row closes with one of the piece's "]"
+                out = np.empty((text.count("]", start, end), len(row)))
+            out[count] = row  # a ragged row raises
+            count += 1
+            if at == end:
+                return out[:count]
+            sep = gap.match(text, at, end)
+            if sep is None:
+                return None
+            at = sep.end()
+    except Exception:  # the exact path reads the file and reports what it finds
+        return None
 
 
 def _norms(diff: np.ndarray, metric: str) -> np.ndarray:

@@ -432,6 +432,31 @@ def test_malformed_input_exit_2(tmp_path, capsys, files, argv):
     assert "Traceback" not in err
 
 
+BIG_INT = "9" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "files, argv, what",
+    [
+        ({"m.json": f'{{"n": 2, "entries": [[0, {BIG_INT}], [{BIG_INT}, 0]]}}'},
+         ["delta", "--matrix", "{d}/m.json"], "distance matrix"),
+        ({"c.json": '{"dim": 2, "points": [{"coords": [0, BIG]}, {"coords": [1, 1]}]}'
+          .replace("BIG", BIG_INT)},
+         ["dist", "--cloud", "{d}/c.json", "--out", "{d}/o.json"], "point coordinates"),
+        ({"c.csv": CLOUD_CSV, "p.json": f"[[{BIG_INT}, 0.0]]"},
+         ["dist", "--cloud", "{d}/c.csv", "--punctures", "@{d}/p.json", "--out", "{d}/o.json"],
+         "puncture coordinates"),
+    ],
+    ids=["matrix", "cloud", "punctures"],
+)
+def test_integer_past_the_float_range_exit_2(tmp_path, capsys, files, argv, what):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith(f"error: {what}") and "int too large to convert to float" in err
+
+
 def test_verify_sandwich_avg_needs_no_variant(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
     run(capsys, "gen", "--n", "12", "--seed", "4", "--out", str(cloud))

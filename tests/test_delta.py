@@ -22,7 +22,7 @@ from hypmetrics import (
     random_cloud,
     sampled_delta,
 )
-from hypmetrics import delta, scenarios
+from hypmetrics import _pool, delta, scenarios
 from hypmetrics.delta import SAMPLE_BATCH, _chunk_size, _draw_quadruples
 from hypmetrics.scenarios import _place_punctures
 
@@ -245,8 +245,8 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
             )
             return map(fn, jobs)
 
-    monkeypatch.setattr(delta, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(delta, "_POOL_SHARED", None)
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_pool, "_POOL_SHARED", None)
     four = build_distance_matrix(random_cloud(4, 2, seed=3))
     assert exact_delta(four, workers=5000).witness == exact_delta(four, workers=1).witness
     assert pools == []  # one task runs serially
@@ -327,6 +327,38 @@ def test_sampled_ties_fold_across_batches(workers):
     assert firsts.index(min(firsts)) == 1  # neither the first nor the last batch
     rep = sampled_delta(np.ones((n, n)) - np.eye(n), samples=sum(sizes), seed=seed, workers=workers)
     assert (rep.delta, rep.witness, rep.mode) == (0.0, min(firsts), "sampled")
+
+
+def _sampled_reference(e, samples, seed):
+    """``sampled_delta``'s best doubled delta and witness, from the same
+    batches, gathered with 2-D indexing and ranked with a sort."""
+    n = e.shape[0]
+    sizes = [SAMPLE_BATCH] * (samples // SAMPLE_BATCH) + [samples % SAMPLE_BATCH]
+    sizes = [size for size in sizes if size]
+    best, witness = -math.inf, None
+    for size, seq in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        x, y, z, v = _draw_quadruples(np.random.Generator(np.random.PCG64(seq)), n, size).T
+        sums = np.sort([e[x, y] + e[z, v], e[x, z] + e[y, v], e[x, v] + e[y, z]], axis=0)
+        d2 = sums[2] - sums[1]
+        top = min(tuple(sorted(q)) for q in np.stack([x, y, z, v], axis=1)[d2 == d2.max()].tolist())
+        if d2.max() > best or (d2.max() == best and top < witness):
+            best, witness = d2.max(), top
+    return best / 2.0, witness
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sampled_matches_a_2d_gather_reference(seed):
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(1, 4, size=(50, 50)).astype(float)  # few distinct values: tied maxima
+    matrices = [
+        build_distance_matrix(random_cloud(50, 2, seed=seed)).entries,
+        np.triu(steps, 1) + np.triu(steps, 1).T,
+        np.ones((50, 50)) - np.eye(50),
+    ]
+    for e in matrices:
+        for samples in (5000, SAMPLE_BATCH + 5000):
+            rep = sampled_delta(e, samples=samples, seed=seed)
+            assert (rep.delta, rep.witness) == _sampled_reference(e, samples, seed)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

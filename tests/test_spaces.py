@@ -32,6 +32,7 @@ from hypmetrics import (
     sampled_delta,
     taxicab_distance,
 )
+from hypmetrics import spaces
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 planar = st.tuples(coord, coord)
@@ -316,6 +317,174 @@ def test_matrix_save_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("entries", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_banded_save_writes_reference_bytes(
+    tmp_path, monkeypatch, reference_matrix_bytes, entries, suffix, workers
+):
+    # a band of one entry, so every case splits into up to one band per worker
+    monkeypatch.setattr(spaces, "_BAND_ENTRIES", 1)
+    monkeypatch.setattr(spaces, "_worker_count", lambda _: workers)
+    m = DistanceMatrix(entries)
+    assert len(spaces._bands(m.n, workers)) == min(workers, m.n)
+    path = tmp_path / f"m{suffix}"
+    m.save(path)
+    assert path.read_bytes() == reference_matrix_bytes(m, suffix)
+
+
+@pytest.mark.parametrize("n, bands", [(511, 1), (512, 1), (700, 1), (724, 2)])
+def test_save_at_the_band_size_writes_reference_bytes(
+    tmp_path, monkeypatch, reference_matrix_bytes, n, bands
+):
+    # 2 bands need 2 * 2^17 upper-triangle entries: n = 724 is the first
+    monkeypatch.setattr(spaces, "_worker_count", lambda _: 2)
+    m = DistanceMatrix(_symmetric(n, n))
+    assert len(spaces._bands(n, 2)) == bands
+    path = tmp_path / "m.json"
+    m.save(path)
+    assert path.read_bytes() == reference_matrix_bytes(m, ".json")
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_banded_save_keeps_signed_zero_mirrors(
+    tmp_path, monkeypatch, reference_matrix_bytes, suffix
+):
+    monkeypatch.setattr(spaces, "_BAND_ENTRIES", 1)
+    monkeypatch.setattr(spaces, "_worker_count", lambda _: 2)
+    a = _symmetric(6, 4)
+    # (4, 0) and (3, 1) cross the bands, (5, 4) lies inside the second
+    for i, j in ((4, 0), (3, 1), (5, 4)):
+        a[i, j], a[j, i] = -0.0, 0.0
+    m = DistanceMatrix(a)
+    assert spaces._bands(6, 2) == [(0, 2), (2, 6)]
+    path = tmp_path / f"m{suffix}"
+    m.save(path)
+    assert path.read_bytes() == reference_matrix_bytes(m, suffix)
+    back = load_distance_matrix(path)
+    assert np.array_equal(back.entries.view(np.uint64), m.entries.view(np.uint64))
+
+
+def _reader_documents() -> dict[str, tuple[str, bool]]:
+    """Matrix documents of n = 24, each with whether the fast reader, at a
+    band of 64 entries, reads it (True) or leaves it to the exact path."""
+    rows = DistanceMatrix(_symmetric(24, 9)).to_dict()["entries"]
+    doc = {"n": 24, "entries": rows}
+    compact = json.dumps(doc)
+
+    def edited(at, value, mirror=True):
+        new = [list(r) for r in rows]
+        new[at[0]][at[1]] = value
+        if mirror:
+            new[at[1]][at[0]] = value
+        return json.dumps({"n": 24, "entries": new})
+
+    def rows_edited(edit):
+        new = [list(r) for r in rows]
+        edit(new)
+        return json.dumps({"n": 24, "entries": new})
+
+    ints = np.random.default_rng(3).integers(1, 9, size=(24, 24))
+    ints = np.triu(ints, 1) + np.triu(ints, 1).T
+    # rows of 120 characters each: two pieces split them after row 12, into
+    # 13 rows of 24 entries and 11 rows of 20
+    two_widths = [[1.5] * 24] * 13 + [[1.25] * 20] * 11
+    breaks = [k for k in range(len(compact)) if compact.startswith("], [", k)]
+    cut = breaks[5]
+    return {
+        "compact": (json.dumps(doc, separators=(",", ":")), True),
+        "spaced": (compact, True),
+        "indented": (json.dumps(doc, indent=2), True),
+        "crlf": (json.dumps(doc, indent=2).replace("\n", "\r\n"), True),
+        "tabs": (json.dumps(doc, indent="\t"), True),
+        "integers": (json.dumps({"n": 24, "entries": ints.tolist()}), True),
+        "integer-past-2^53": (edited((3, 4), 2**53 + 1), True),
+        "signed-zero-mirror": (rows_edited(lambda r: (r[3].__setitem__(4, 0.0),
+                                                      r[4].__setitem__(3, -0.0))), True),
+        "nan": (edited((3, 4), float("nan")), True),
+        "asymmetric": (edited((3, 4), 11.0, mirror=False), True),
+        "n-mismatch": (json.dumps({"n": 25, "entries": rows}), True),
+        "keys-swapped": (json.dumps({"entries": rows, "n": 24}), False),
+        "extra-key": (json.dumps({**doc, "label": "x"}), False),
+        "duplicate-entries": (
+            compact[:-1] + ', "entries": ' + json.dumps([[2 * v for v in r] for r in rows]) + "}",
+            False,
+        ),
+        "true": (edited((3, 4), True), False),
+        "string": (edited((3, 4), "1.5"), False),
+        "string-holding-a-row-break": (edited((3, 4), "a], [b"), False),
+        "null": (edited((3, 4), None), False),
+        "nested-row": (rows_edited(lambda r: r.__setitem__(3, [r[3]])), False),
+        "nested-entry": (edited((3, 4), [1.0]), False),
+        "ragged-row": (rows_edited(lambda r: r[7].pop()), False),
+        "empty-row": (rows_edited(lambda r: r[7].clear()), False),
+        "pieces-of-two-widths": (json.dumps({"n": 24, "entries": two_widths}), False),
+        "fewer-rows-than-pieces": (json.dumps({"n": 24, "entries": rows[:1]}), True),
+        "integer-past-the-float-range": (edited((3, 4), 10**400), False),
+        "stray-comma": (compact[:cut] + "], , [" + compact[cut + 4 :], False),
+        "vertical-tab": (compact[:cut] + "],\v[" + compact[cut + 4 :], False),
+        "trailing-comma": (compact[:-2] + ",]}", False),
+        "cut-in-a-row": (compact[: len(compact) // 2], False),
+        "trailing-text": (compact + " x", False),
+        "byte-order-mark": ("\ufeff" + compact, False),
+        "n-leading-zero": (compact.replace('"n": 24', '"n": 024'), False),
+        "n-float": (compact.replace('"n": 24', '"n": 24.0'), False),
+    }
+
+
+def _load_outcome(load):
+    try:
+        return "ok", load().entries.view(np.uint64).tobytes()
+    except Exception as exc:  # the outcome under test: type and message
+        return type(exc), str(exc)
+
+
+READER_DOCUMENTS = _reader_documents()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", READER_DOCUMENTS)
+def test_fast_reader_matches_the_exact_reader(tmp_path, monkeypatch, name, workers):
+    text, fast = READER_DOCUMENTS[name]
+    monkeypatch.setattr(spaces, "_BAND_ENTRIES", 64)
+    path = tmp_path / "m.json"
+    path.write_bytes(text.encode("utf-8"))
+    exact = _load_outcome(lambda: DistanceMatrix.from_dict(spaces._parse_json(text, path)))
+    assert _load_outcome(lambda: load_distance_matrix(path, workers)) == exact
+    try:
+        read = spaces._read_matrix(text, workers) is not None
+    except InputError:  # rows read, then rejected as the exact path rejects them
+        read = True
+    assert read == fast
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_fast_reader_at_the_band_size(tmp_path, indent):
+    m = DistanceMatrix(_symmetric(512, 6))  # 2 * 2^17 entries, the fewest it reads
+    text = json.dumps(m.to_dict(), indent=indent)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    for workers in (1, 2):
+        assert spaces._read_matrix(text, workers) is not None
+        back = load_distance_matrix(path, workers)
+        assert np.array_equal(back.entries.view(np.uint64), m.entries.view(np.uint64))
+
+
+def test_matrix_load_memory_is_bounded(tmp_path):
+    path = tmp_path / "m.json"
+    DistanceMatrix(_symmetric(1000, 5)).save(path)
+    tracemalloc.start()
+    try:
+        load_distance_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the json.loads reader traced 58-59 MB: the text, a list of a million
+    # floats and the matrix; reading the file's bytes into the text peaks at
+    # about 51 MB, and the rows decoded in pieces stay below that
+    assert peak < 55e6
 
 
 def test_arctan_split_overflow_reads_inf_quietly():
