@@ -20,13 +20,13 @@ D = X \\ P:
                       exercise.
 
 All constructors are ratios of base distances (scale-invariant), except the
-mu family, which keeps base units.
+mu family, which keeps base units. Scalar ones read ``d`` by ``spaces.as_oracle``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .spaces import (
     METRIC_NAMES,
     DistanceMatrix,
     PointCloud,
-    _as_entries,
     _unit_scale,
+    as_oracle,
     pairwise_distances,
 )
 
@@ -47,20 +47,6 @@ VARIANTS = ("tau_p", "tilde_tau_p", "avg_tau", "tilde_avg_tau", "sup_tau", "j", 
 
 #: Variants that measure from a single anchor puncture.
 ONE_POINT_VARIANTS = ("tau_p", "tilde_tau_p")
-
-Oracle = Callable[[int, int], float]
-
-
-def as_oracle(d) -> Oracle:
-    """Normalize a DistanceMatrix, a square ndarray, or a callable to an
-    ``(i, j) -> float`` evaluation."""
-    if callable(d):  # a DistanceMatrix evaluates itself
-        return d
-    if isinstance(d, np.ndarray):
-        entries = _as_entries(d)
-        return lambda i, j: float(entries[i, j])
-    raise InputError(f"expected a DistanceMatrix, ndarray, or callable oracle, got {type(d)!r}")
-
 
 def _least_gap(g) -> float:
     """The smallest nonzero entry of an array of gaps, inf when none is."""

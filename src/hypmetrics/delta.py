@@ -131,8 +131,9 @@ one process pool serves both, and the sampler runs its batches on a
 runner of its own. A confirm pass that holds a single (chunk, j) runs in
 the calling process.
 
-Both kernels need finite, exactly symmetric entries (``InputError``
-otherwise). A matrix with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is
+Both kernels read any input, a nested list included, by ``spaces``' one
+gate, and need finite, exactly symmetric entries (``InputError`` otherwise).
+A matrix with an entry of at least ``_HUGE_ENTRY`` = 2^1022 is
 evaluated scaled by 1/4, so no float64 pairing sum overflows. The factor is
 a power of two, so the witness and the scaled-back delta are exact (unless
 the matrix also holds entries below 2^-1020, which lose bits when scaled).
@@ -154,9 +155,8 @@ from math import comb, prod
 import numpy as np
 
 from ._pool import _runner, _worker_count
-from .cassinian import as_oracle
 from .errors import InputError
-from .spaces import _as_entries
+from .spaces import _as_entries, _require_finite, _require_symmetric, as_oracle
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
@@ -197,15 +197,9 @@ def _kernel_entries(d, n: int | None = None) -> tuple[np.ndarray, float]:
     """The finite matrix behind ``d`` as the kernels read it, and the factor
     that scales their delta back: 4 when the matrix was scaled by 1/4."""
     e = _as_entries(d, n)
-    top = float(np.abs(e).max())  # NaN when any entry is NaN
-    if not np.isfinite(top):
-        raise InputError("distance matrix contains NaN or infinite entries")
-    # The exact kernel reads each pair from one triangle.
-    if not np.array_equal(e, e.T):
-        raise InputError("distance matrix must be exactly symmetric")
-    if top >= _HUGE_ENTRY:
-        return e * 0.25, 4.0
-    return e, 1.0
+    _require_finite(e)
+    _require_symmetric(e)  # the exact kernel reads each pair from one triangle
+    return (e * 0.25, 4.0) if np.abs(e).max() >= _HUGE_ENTRY else (e, 1.0)
 
 
 def _doubled_delta(s1, s2, s3, bufs=(None, None)):

@@ -31,8 +31,8 @@ from .cassinian import (
 )
 from .delta import _chunk_size, exact_deltas, quadruple_delta, sampled_delta
 from .errors import InputError
-from .spaces import DistanceMatrix, PointCloud, build_distance_matrix, random_cloud
-from .verify import DEFAULT_TOL, check_metric_axioms, check_ptolemaic
+from .spaces import DistanceMatrix, PointCloud, _norms, build_distance_matrix, random_cloud
+from .verify import DEFAULT_TOL, _allowance, check_metric_axioms, check_ptolemaic
 
 LOG3 = math.log(3.0)
 
@@ -113,8 +113,8 @@ class ScenarioResult:
 
 
 def _bound(name: str, measured: float, bound: float, tol: float) -> BoundCheck:
-    scale = max(1.0, abs(measured), abs(bound))
-    return BoundCheck(name, float(measured), float(bound), measured <= bound + tol * scale)
+    ok = bool(measured <= bound + _allowance(measured, bound, tol))
+    return BoundCheck(name, float(measured), float(bound), ok)
 
 
 def _close(name: str, measured: float, expected: float, tol: float) -> BoundCheck:
@@ -253,7 +253,7 @@ def _place_punctures(
     while len(placed) < k:
         cand = rng.uniform(0.0, 1.0, size=pts.shape[1])
         ref = np.vstack([pts] + [p[None, :] for p in placed]) if placed else pts
-        if np.sqrt(((ref - cand) ** 2).sum(axis=1)).min() >= min_gap:
+        if _norms(ref - cand, "euclidean").min() >= min_gap:
             placed.append(cand)
     return np.array(placed)
 

@@ -2,7 +2,10 @@
 
 Everything downstream (the punctured-space constructors, the four-point
 delta engine, the inequality checkers) consumes either a ``DistanceMatrix``
-or a bare ``(i, j) -> float`` oracle built here.
+or a bare ``(i, j) -> float`` oracle built here by ``as_oracle``. One gate
+reads each input kind: ``_as_entries`` every distance input (a ragged or
+non-numeric array is an ``InputError``), ``_parse_json`` every JSON text
+(any text ``json.loads`` rejects is an ``InputError`` naming its source).
 
 Base distances:
 
@@ -36,6 +39,7 @@ bands of equal upper-triangle size run on the process pool of ``_pool``
 and writes the rows once every band is done. ``load_distance_matrix``
 decodes a large JSON matrix file in row pieces on the same pool, and
 otherwise reads it as ``json.loads`` does, with the same bits and errors.
+A worker count below 1 is an ``InputError``, whatever the file.
 """
 
 from __future__ import annotations
@@ -231,10 +235,10 @@ def _csv_rows(path: str | Path):
 
 
 def _parse_json(text: str, source) -> object:
-    """``json.loads`` that reports malformed text as an InputError."""
+    """``json.loads`` that reports any text it rejects as an InputError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{source}: malformed JSON: {exc}") from exc
 
 
@@ -281,9 +285,22 @@ def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
-def _require_finite(m: np.ndarray) -> None:
-    if not np.all(np.isfinite(m)):
+def _float_matrix(entries, convert=np.asarray) -> np.ndarray:
+    """``convert(entries, dtype=float)``; ragged or non-numeric entries are an InputError."""
+    try:
+        return convert(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"distance matrix must be a numeric square array: {exc}") from exc
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(m).all() for m in arrays):
         raise InputError("distance matrix contains NaN or infinite entries")
+
+
+def _require_symmetric(m: np.ndarray) -> None:
+    if not np.array_equal(m, m.T):
+        raise InputError("distance matrix must be exactly symmetric")
 
 
 class DistanceMatrix:
@@ -299,10 +316,7 @@ class DistanceMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        try:
-            m = np.array(entries, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"distance matrix must be a numeric square array: {exc}") from exc
+        m = _float_matrix(entries, np.array)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise InputError("distance matrix must be square and nonempty")
         _require_finite(m)
@@ -310,8 +324,7 @@ class DistanceMatrix:
             raise InputError("distance matrix has negative entries")
         if np.any(np.diagonal(m) != 0.0):
             raise InputError("distance matrix diagonal must be exactly zero")
-        if not np.array_equal(m, m.T):
-            raise InputError("distance matrix must be exactly symmetric")
+        _require_symmetric(m)
         m.setflags(write=False)
         self._entries = m
 
@@ -439,8 +452,8 @@ def _band_text(m: np.ndarray, r0: int, r1: int, sep: str, out: str) -> list[int]
 
 
 def _as_entries(d, n: int | None = None) -> np.ndarray:
-    """The nonempty square array behind a DistanceMatrix, an array, or a
-    callable ``(i, j) -> float`` oracle over ``n`` points.
+    """The nonempty square array behind a DistanceMatrix, an array or
+    nested list, or a callable ``(i, j) -> float`` oracle over ``n`` points.
 
     An oracle is read once: n(n-1)/2 calls fill the upper triangle
     (``i < j``), which is mirrored below a zero diagonal.
@@ -455,10 +468,18 @@ def _as_entries(d, n: int | None = None) -> np.ndarray:
             for j in range(i + 1, n):
                 m[i, j] = m[j, i] = d(i, j)
         return m
-    arr = np.asarray(d, dtype=float)
+    arr = _float_matrix(d)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise InputError("expected a square, nonempty distance matrix")
     return arr
+
+
+def as_oracle(d) -> Callable[[int, int], float]:
+    """``d`` as an ``(i, j) -> float`` oracle; a callable, a DistanceMatrix too, is its own."""
+    if callable(d):
+        return d
+    entries = _as_entries(d)
+    return lambda i, j: float(entries[i, j])
 
 
 def load_distance_matrix(path: str | Path, workers: int | None = None) -> DistanceMatrix:
@@ -474,10 +495,11 @@ def load_distance_matrix(path: str | Path, workers: int | None = None) -> Distan
     piece into a float64 array on the process pool. The file is read the
     exact way instead when the fast path finds anything else: another
     layout, a row that is not a flat list of numbers, ragged rows, a
-    separator between rows other than a comma and JSON whitespace, a
-    number that does not convert, or a worker count below 1, which the
-    caller that runs on it reports.
+    separator between rows other than a comma and JSON whitespace, or a
+    number that does not convert. A worker count below 1 is an InputError,
+    whatever the file.
     """
+    workers = _worker_count(workers)
     path = Path(path)
     if path.suffix == ".csv":
         return DistanceMatrix.from_csv(path)
@@ -486,11 +508,9 @@ def load_distance_matrix(path: str | Path, workers: int | None = None) -> Distan
     return DistanceMatrix.from_dict(_parse_json(text, path)) if matrix is None else matrix
 
 
-def _read_matrix(text: str, workers: int | None) -> DistanceMatrix | None:
+def _read_matrix(text: str, workers: int) -> DistanceMatrix | None:
     """The fast path of ``load_distance_matrix``: the matrix of a JSON
     matrix file, or None where the exact path must read it."""
-    if workers is not None and workers < 1:
-        return None
     head = re.match(_MATRIX_HEAD, text)
     n = int(head[1]) if head else 0
     if n * n < 2 * _BAND_ENTRIES:
@@ -503,7 +523,7 @@ def _read_matrix(text: str, workers: int | None) -> DistanceMatrix | None:
     start, end = head.end(), len(text) - len(window) + tail.start()
     if end <= start:
         return None
-    parts = max(1, min(_worker_count(workers), n * n // _BAND_ENTRIES))
+    parts = max(1, min(workers, n * n // _BAND_ENTRIES))
     row_break = re.compile(_ROW_BREAK)
     pieces, at = [], start
     for k in range(1, parts):
@@ -559,9 +579,10 @@ def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
         # again in units of the power of two of its largest term, which
         # puts the largest square in [1/4, 1).
         off = (squares < np.finfo(float).tiny) | (squares == np.inf)
-        top = np.frexp(np.abs(diff[off]).max(axis=-1, initial=0.0))[1]
-        terms = np.ldexp(diff[off], -top[:, None])
-        d[off] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
+        if off.any():
+            top = np.frexp(np.abs(diff[off]).max(axis=-1, initial=0.0))[1]
+            terms = np.ldexp(diff[off], -top[:, None])
+            d[off] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
         return d
 
 

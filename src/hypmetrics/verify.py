@@ -6,10 +6,10 @@ LHS <= RHS passes when
 
     LHS <= RHS + tol * max(1, |LHS|, |RHS|)
 
-with ``tol`` defaulting to 1e-9. The inequalities are exact in real
-arithmetic; the slack only absorbs floating-point error, so any violation
-beyond it is a genuine bug (or a genuine counterexample, which is the
-point of several of these checks).
+with ``tol`` defaulting to 1e-9, written once, in ``_allowance``. The
+inequalities are exact in real arithmetic; the slack only absorbs
+floating-point error, so any violation beyond it is a genuine bug (or a
+genuine counterexample, which is the point of several of these checks).
 
 Comparisons are vectorized and read index columns lazily: a check passes
 open index meshes (``np.arange(n)[:, None]``) that broadcast against
@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -92,6 +91,7 @@ from .spaces import (
     PointCloud,
     _as_entries,
     _require_finite,
+    _require_symmetric,
     pairwise_distances,
 )
 
@@ -146,6 +146,12 @@ class ViolationReport:
         }
 
 
+def _allowance(lhs, rhs, tol: float):
+    """The slack ``tol * max(1, |lhs|, |rhs|)`` that lhs <= rhs is allowed,
+    entrywise over broadcasting arrays."""
+    return tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
 class _Collector:
     """Accumulates vectorized LHS <= RHS comparisons into one report."""
 
@@ -184,19 +190,15 @@ class _Collector:
         non-NaN entry into ``worst_slack``, and its entries beyond the
         tolerance as violations, in row-major order, and return that
         largest entry. The operands broadcast against ``slack`` and are read
-        only at those entries; ``rhs`` may be a zero-argument callable,
-        called only when an entry can fail. A NaN slack (such as
-        -inf - -inf from two zero products in the log domain) is never a
-        violation."""
+        only at those entries. A NaN slack (such as -inf - -inf from two zero
+        products in the log domain) is never a violation."""
         worst = float(np.fmax.reduce(slack, axis=None))  # NaN only if every entry is
         if worst > self.worst:
             self.worst = worst
         if not worst > self.tol:  # the scale is at least 1, so nothing fails
             return worst
-        if callable(rhs):
-            rhs = rhs()
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        pos = np.unravel_index(np.flatnonzero(slack > self.tol * scale), slack.shape)
+        fails = np.flatnonzero(slack > _allowance(lhs, rhs, self.tol))
+        pos = np.unravel_index(fails, slack.shape)
 
         def at_bad(a) -> list:
             return np.broadcast_to(a, slack.shape)[pos].tolist()
@@ -292,7 +294,7 @@ def check_metric_axioms(m, tol: float = DEFAULT_TOL) -> ViolationReport:
             lhs = chunk[:, y0:, None]
             slack = np.subtract(lhs, sums, out=sums)
             ids = (xs, np.arange(y0, n)[None, :, None], cols[None])
-            rhs = partial(np.add, chunk[:, None, :], e_zy[None, y0:])
+            rhs = np.add(chunk[:, None, :], e_zy[None, y0:])
             col.collect("triangle", ids, lhs, rhs, slack)
             lo = min(lo, x0)
     col.checked += n**3
@@ -316,9 +318,7 @@ def check_ptolemaic(m, tol: float = DEFAULT_TOL) -> ViolationReport:
     overflows (``InputError`` otherwise).
     """
     e = _lemma_entries(m, ())
-    # the sweep reads each pair from the upper triangle
-    if not np.array_equal(e, e.T):
-        raise InputError("distance matrix must be exactly symmetric")
+    _require_symmetric(e)  # the sweep reads each pair from the upper triangle
     n = e.shape[0]
     col = _Collector(tol)
     tri = np.tri(n, n, -1, dtype=bool)  # every step takes g < n values of k
@@ -364,8 +364,7 @@ def check_sandwich(kind: str, target, tol: float = DEFAULT_TOL) -> ViolationRepo
         gap = math.pi
     else:
         raise InputError(f"unknown sandwich kind {kind!r} (want tau, avg, or taxicab)")
-    _require_finite(lo)
-    _require_finite(hi)
+    _require_finite(lo, hi)
     rows, cols, upper = _pair_mesh(lo.shape[0])
     col = _Collector(tol)
     col.compare("sandwich_lower", (rows, cols), lo, hi, where=upper)
@@ -603,7 +602,7 @@ def _qp_hypothesis(cols: np.ndarray, K: float, tol: float) -> tuple[np.ndarray, 
             np.multiply(K, np.add(cols[4 * i + kk], cols[4 * j + kk], out=rhs), out=rhs)
             np.subtract(lhs, rhs, out=slack)
             if not slack.max(initial=-np.inf) <= tol:  # the scale is at least 1
-                ok = slack <= tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+                ok = slack <= _allowance(lhs, rhs, tol)
                 if not ok.all():
                     held &= ok
                     failing.add((i, j, kk))

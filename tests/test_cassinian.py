@@ -355,6 +355,21 @@ def test_scalar_constructors_equal_matrix_entries_exactly():
         assert mu_P(m, int(x), int(y), punctures) == math.prod(row.tolist())
 
 
+def test_scalar_constructors_read_nested_lists():
+    m = build_distance_matrix(random_cloud(12, 2, seed=73))
+    rows = m.entries.tolist()
+    punctures = [2, 5, 9]
+    dom = [x for x in range(12) if x not in punctures]
+    for scalar in (
+        lambda d, x, y: tau_p(d, x, y, punctures[0]),
+        lambda d, x, y: avg_tau(d, x, y, punctures),
+        lambda d, x, y: mu_P(d, x, y, punctures),
+    ):
+        on_matrix = np.array([scalar(m, x, y) for x in dom for y in dom])
+        on_lists = np.array([scalar(rows, x, y) for x in dom for y in dom])
+        assert np.array_equal(on_lists.view(np.uint64), on_matrix.view(np.uint64))
+
+
 def test_point_next_to_a_puncture_keeps_a_zero_diagonal():
     # d(0, 1) = 1e-170, so the gap product of point 1 underflows to 0 and
     # its diagonal entry was 0 / 0; with d(0, 2) = d(1, 2) = 1e-170 too, the

@@ -660,6 +660,37 @@ def test_non_utf8_file_is_named(tmp_path, capsys, name, text, argv):
     assert err.startswith("error: ") and str(path) in err
 
 
+HUGE_INT = "1" + "0" * 5000  # past Python's 4,300-digit integer conversion limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"[[{HUGE_INT}, 0.0]]", "[" * 100_000],
+    ids=["5001-digit-integer", "100000-nested-brackets"],
+)
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("m.json", ["delta", "--matrix", "{p}"]),
+        ("c.json", ["delta", "--cloud", "{p}"]),
+        ("s.json", ["delta", "--spec", "{p}"]),
+        ("p.json", ["delta", "--cloud", "{d}/ok.csv", "--punctures", "@{p}"]),
+        (None, ["delta", "--cloud", "{d}/ok.csv", "--punctures", "{t}"]),
+    ],
+    ids=["matrix", "cloud-json", "spec", "punctures-file", "punctures-inline"],
+)
+def test_json_past_the_decoder_limits_is_named(tmp_path, capsys, text, name, argv):
+    (tmp_path / "ok.csv").write_text(CLOUD_CSV, encoding="utf-8")
+    path = tmp_path / str(name)
+    if name is not None:
+        path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, *(a.format(d=tmp_path, p=path, t=text) for a in argv))
+    assert code == 2
+    source = "--punctures" if name is None else str(path)
+    assert err.startswith(f"error: {source}: malformed JSON: ")
+    assert "Traceback" not in err
+
+
 def test_delta_of_huge_entries_is_valid_json(tmp_path, capsys):
     entries = np.full((5, 5), 1e308)
     np.fill_diagonal(entries, 0.0)

@@ -72,6 +72,15 @@ def test_relabeling_invariance_all_24():
         assert quadruple_delta(m, *perm) == base
 
 
+def test_quadruple_delta_reads_nested_lists():
+    m = build_distance_matrix(random_cloud(7, 2, seed=29))
+    rows = m.entries.tolist()
+    quads = list(permutations(range(7), 4))
+    on_matrix = np.array([quadruple_delta(m, *q) for q in quads])
+    on_lists = np.array([quadruple_delta(rows, *q) for q in quads])
+    assert np.array_equal(on_lists.view(np.uint64), on_matrix.view(np.uint64))
+
+
 def test_exact_on_four_points_equals_quadruple():
     m = build_distance_matrix(random_cloud(4, 2, seed=23))
     rep = exact_delta(m)

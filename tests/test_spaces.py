@@ -241,6 +241,18 @@ def test_empty_array_rejected_by_every_consumer(consumer):
         consumer(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("bad", [[[0.0, 1.0], [1.0]], "abc"], ids=["ragged", "string"])
+@pytest.mark.parametrize(
+    "consumer",
+    [exact_delta, sampled_delta, lambda e: quadruple_delta(e, 0, 1, 2, 3), check_metric_axioms,
+     check_ptolemaic],
+    ids=["exact-delta", "sampled-delta", "quadruple-delta", "axioms", "ptolemy"],
+)
+def test_non_numeric_input_is_an_input_error(consumer, bad):
+    with pytest.raises(InputError, match="^distance matrix must be a numeric square array: "):
+        consumer(bad)
+
+
 def test_matrix_json_roundtrip(tmp_path):
     m = build_distance_matrix(random_cloud(8, 2, seed=5))
     path = tmp_path / "m.json"
@@ -470,6 +482,16 @@ def test_fast_reader_at_the_band_size(tmp_path, indent):
         assert spaces._read_matrix(text, workers) is not None
         back = load_distance_matrix(path, workers)
         assert np.array_equal(back.entries.view(np.uint64), m.entries.view(np.uint64))
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("n", [4, 40])
+def test_loader_rejects_worker_counts_below_one(tmp_path, monkeypatch, n, workers):
+    monkeypatch.setattr(spaces, "_BAND_ENTRIES", 64)  # n = 40 takes the fast reader's size
+    path = tmp_path / "m.json"
+    DistanceMatrix(_symmetric(n, 7)).save(path)
+    with pytest.raises(InputError, match=f"^need workers >= 1, got {workers}$"):
+        load_distance_matrix(path, workers)
 
 
 def test_matrix_load_memory_is_bounded(tmp_path):
