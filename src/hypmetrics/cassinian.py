@@ -35,7 +35,6 @@ from .spaces import (
     METRIC_NAMES,
     DistanceMatrix,
     PointCloud,
-    _unit_scale,
     as_oracle,
     pairwise_distances,
 )
@@ -54,31 +53,47 @@ def _least_gap(g) -> float:
     return least if least > 0.0 else float(g.min(initial=np.inf, where=g > 0.0))
 
 
-def _root(gx, gy, out=None):
+def _root(gx, gy, out=None, dxy=None):
     """sqrt(d(x,p) d(y,p)) over broadcastable arrays of anchor distances,
-    written to ``out`` when it is given.
+    or with ``dxy`` the ratio d(x,y) / sqrt(d(x,p) d(y,p)), written to
+    ``out`` when it is given.
 
-    Where the product falls below the smallest normal float it is taken
-    at the exact scale 2^1022, and where it overflows at the scale 2^-1024,
-    where it does not, so two points next to a puncture keep the entry the
-    scalar constructors give them, also beside distances near the top of
-    the float range. The guard reads only the smallest nonzero gaps and the
-    largest ones: a zero gap needs no scale."""
+    Where a gap product leaves the normal range, each gap is written as
+    m 2^e with e even, and the root is sqrt(mx my) scaled back by
+    2^((ex + ey) / 2), the ratio the mantissa of d(x,y) over sqrt(mx my),
+    scaled back once. Both scalings are exact but for the rounding of a
+    subnormal result, so such an entry has the bits it has at any
+    power-of-two scale where its product is in range.
+    Every other entry is sqrt(gx gy) and d(x,y) over it. The guard reads
+    only the smallest nonzero gaps and the largest ones: a zero gap needs
+    no scale."""
     tiny = np.finfo(float).tiny
     # Python floats: a product past the float range reads inf, silently
     least = _least_gap(gx) * _least_gap(gy)
     most = float(gx.max(initial=0.0)) * float(gy.max(initial=0.0))
-    if least >= tiny and most < math.inf:  # no nonzero product leaves the normal range
-        return np.sqrt(np.multiply(gx, gy, out=out), out=out)
-    with np.errstate(over="ignore"):  # only where the product itself is taken
-        product = gx * gy
-        up = np.sqrt(np.ldexp(gx, 511) * np.ldexp(gy, 511)) * 2.0**-511
-        down = np.sqrt(np.ldexp(gx, -512) * np.ldexp(gy, -512)) * 2.0**512
-    root = np.where(product < tiny, up, np.where(product == np.inf, down, np.sqrt(product)))
-    if out is None:
-        return root
-    out[...] = root
-    return out
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = np.multiply(gx, gy, out=out)
+        # None when no nonzero product leaves the normal range
+        off = None if least >= tiny and most < math.inf else (value < tiny) | (value == np.inf)
+        np.sqrt(value, out=value)
+        if dxy is not None:
+            np.divide(dxy, value, out=value)
+        if off is not None and off.any():
+            (mx, ex), (my, ey) = (_even_frexp(np.broadcast_to(g, off.shape)[off]) for g in (gx, gy))
+            root, half = np.sqrt(mx * my), (ex + ey) // 2
+            if dxy is None:
+                value[off] = np.ldexp(root, half)
+            else:
+                md, ed = np.frexp(np.broadcast_to(dxy, off.shape)[off])
+                value[off] = np.ldexp(md / root, ed - half)
+    return value
+
+
+def _even_frexp(g):
+    """``(m, e)`` with g = m 2^e exactly, e even and m in [1/2, 2) (0 at 0)."""
+    m, e = np.frexp(g)
+    odd = e & 1
+    return np.ldexp(m, odd), e - odd
 
 
 def _mu(dxy, gx, gy):
@@ -124,9 +139,9 @@ def _walk(cells, dxy, gx, gy) -> list:
     (k,1,n), the scalar constructors a (1,) distance and (k,1) gaps.
 
     The walk visits each puncture once, in order, the outermost loop. At a
-    puncture some ratio cell needs it takes the root sqrt(d(x,p) d(y,p))
-    and the ratio d(x,y) / root once, and log1p(factor ratio) once per
-    factor needed there (``_FACTORS``), in two buffers reused for every
+    puncture some ratio cell needs it takes the ratio d(x,y) /
+    sqrt(d(x,p) d(y,p)) once, by ``_root``, and log1p(factor ratio) once
+    per factor needed there (``_FACTORS``), in two buffers reused for every
     puncture. A one-point cell copies the term of its anchor. Each averaged
     or supremum variant keeps one running fold (``_FOLDS``), and its cell
     over k punctures is a snapshot of that fold after the first k: divided
@@ -135,8 +150,7 @@ def _walk(cells, dxy, gx, gy) -> list:
     same terms in the same order, so it has the bits of a fold over those
     k punctures alone. The j variants keep the running minimum of the gaps,
     dist(x, P). Every variant is 0 at base distance 0, so those entries
-    are 0, also where gaps so small that even ``_root``'s scaled product
-    underflows make a ratio 0/0 (a diagonal entry next to a puncture).
+    are +0.0, whatever the sign of that zero.
     """
     shape = np.broadcast_shapes(np.shape(dxy), gx.shape[1:], gy.shape[1:])
     ends = [anchor + 1 if v in ONE_POINT_VARIANTS else k for v, k, anchor in cells]
@@ -153,12 +167,11 @@ def _walk(cells, dxy, gx, gy) -> list:
                 factors[a].add(_FACTORS[variant])
     folds = {v: np.full(shape, _FOLDS[v][1]) for v in reach}
     bufs = [np.empty(shape) for _ in range(max(map(len, factors)))]
-    tiny = np.finfo(float).tiny
     least = min(_least_gap(gx[:last]), _least_gap(gy[:last]))
     # Python floats: a quotient past the float range reads inf, silently.
     # Every denominator is at least the least gap up to rounding; 4, not 2,
-    # leaves a margin for it, and a subnormal gap can underflow ``_root``.
-    wide = least < tiny or 4.0 * float(np.max(dxy, initial=0.0)) / least == math.inf
+    # leaves a margin for it.
+    wide = 4.0 * float(np.max(dxy, initial=0.0)) / least == math.inf
     zero = np.flatnonzero(np.equal(dxy, 0.0))
     lo = gx[0], gy[0]  # running dist(x, P), dist(y, P)
     snaps = {}
@@ -166,7 +179,7 @@ def _walk(cells, dxy, gx, gy) -> list:
         for a in range(last):
             terms = {}
             if factors[a]:
-                ratio = np.divide(dxy, _root(gx[a], gy[a], out=bufs[0]), out=bufs[0])
+                ratio = _root(gx[a], gy[a], out=bufs[0], dxy=dxy)
                 # the largest factor first: the last term overwrites the ratio
                 order = sorted(factors[a], reverse=True)
                 for factor, buf in zip(order, bufs[len(order) - 1 :: -1]):
@@ -198,20 +211,20 @@ def _walk(cells, dxy, gx, gy) -> list:
 
 def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=None) -> float:
     """One entry of ``variant``: the oracle's values as a (1,) distance and
-    (k, 1) gaps, through the walk ``punctured_matrix`` takes, in the same
-    power-of-two unit ``_unit_scale`` gives ``_materialize``."""
+    (k, 1) gaps, through the walk ``punctured_matrix`` takes: each entry
+    is the same float operations on the same operands."""
     k = len(punctures)
     if k < 1:
         raise InputError("need at least one puncture")
     o = as_oracle(d)
     raw = [o(x, y)] + [o(x, p) for p in punctures] + [o(y, p) for p in punctures]
-    unit = _unit_scale(np.array(raw, dtype=float))[0]
-    gx, gy = unit[1 : k + 1, None], unit[k + 1 :, None]
+    raw = np.array(raw, dtype=float)
+    gx, gy = raw[1 : k + 1, None], raw[k + 1 :, None]
     for point, gaps in ((x, gx), (y, gy)):
         hit = np.flatnonzero(gaps <= 0.0)
         if hit.size:
             raise PunctureDomainError(f"point {point} lies on puncture {punctures[hit[0]]}")
-    return float(_walk([(variant, k, anchor)], unit[:1], gx, gy)[0][0])
+    return float(_walk([(variant, k, anchor)], raw[:1], gx, gy)[0][0])
 
 
 def mu_p(d, x: int, y: int, p: int) -> float:
@@ -428,11 +441,8 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
 
     Returns ``(dom, gaps, domain_indices)`` where ``dom[i, j]`` is the base
     distance between surviving points and ``gaps[i, a]`` the distance from
-    surviving point i to puncture a, both in units of a power of two:
-    ``_unit_scale`` scales tiny base distances up, never down, and
-    ``_root`` rescales the gap products that leave the normal range. Every
-    variant is a ratio of base distances, so an exact power-of-two unit
-    leaves it unchanged.
+    surviving point i to puncture a, both as given: ``_root`` rescales
+    each gap product that leaves the normal range from its own operands.
     Raises PunctureDomainError when a domain point touches a puncture.
     """
     if isinstance(spec.base, DistanceMatrix):
@@ -442,7 +452,6 @@ def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]
         if not spec.punctures_are_indices:
             pts = np.vstack([pts, np.asarray(spec.punctures, dtype=float)])
         full = pairwise_distances(pts, spec.metric)
-    full = _unit_scale(full)[0]
     if spec.punctures_are_indices:
         n = full.shape[0]
         pset = set(spec.punctures)
@@ -490,7 +499,7 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[np.ndarray]:
     With coordinate punctures a cell equals ``punctured_matrix`` of the spec
     cut to ``punctures[:k]`` bit for bit: the domain is the whole cloud
     either way, and each base distance is computed on its own, so the first
-    k gap columns are that spec's gaps up to an exact power-of-two unit.
+    k gap columns are that spec's gaps.
     Index punctures leave the domain, so their cells take all k of them.
     """
     if spec.punctures_are_indices and any(k != spec.k for _, k in cells):

@@ -21,15 +21,15 @@ scalar functions are views of it, evaluating it on the two-row stack of
 their arguments, so a matrix built from them equals the named matrix bit
 for bit.
 
-The Euclidean and taxicab formulas take coordinate differences on
-coordinates scaled up by an exact power of two when their largest
-magnitude lies below 2^-500 (``_unit_scale``), and scale the distances
-back; coordinates are never scaled down, so none is rounded. A coordinate
-difference overflows only where the distance overflows too, and reads inf
-as the distance does. A Euclidean entry whose sum of squares underflows or
-overflows is taken again in units of the power of two of its largest
-coordinate difference, so a point next to another keeps its distance even
-when the cloud spans the float range.
+The Euclidean and taxicab formulas take coordinate differences on the
+coordinates as given, so none is rounded; a difference overflows only
+where the distance overflows too, and reads inf as the distance does. A
+Euclidean entry whose sum of squares overflows, or lies below 2^-969
+(2^53 times the smallest normal float), where a subnormal square can have
+lost bits the sum would keep, is taken again in units of the power of two
+of its largest coordinate difference. A tiny cloud thus keeps the
+distances of the same cloud scaled up, scaled back, and a point next to
+another keeps its distance even when the cloud spans the float range.
 
 Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
@@ -47,7 +47,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import re
 import tempfile
@@ -80,10 +79,6 @@ _MATRIX_HEAD = _WS.join(
 _MATRIX_TAIL = _WS.join(["", r"\]", r"\}", r"\Z"])
 _ROW_BREAK = _WS.join([r"\]", ",", r"\["])
 _ROW_GAP = _WS.join(["", ",", ""])
-
-#: Arrays whose largest magnitude lies in [2^-500, 2^500] are used as given:
-#: their squares and pairwise products neither underflow nor overflow.
-_SAFE_EXPONENT = 500
 
 
 def _vec_pair(x: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
@@ -272,17 +267,6 @@ def random_cloud(
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     pts = rng.uniform(low, high + 0.0, size=(n, dim))  # numpy reads a -0.0 high as a negative range
     return PointCloud(pts, [f"x{i}" for i in range(n)])
-
-
-def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(a * 2^-e, e)``: ``e`` brings the largest magnitude of ``a`` into
-    [1/2, 1) when it lies below 2^-500; ``(a, 0)`` otherwise, and when it is
-    zero. Arrays are scaled up, never down, so the scaling is exact."""
-    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    if top >= 2.0**-_SAFE_EXPONENT or top == 0.0:
-        return a, 0
-    e = math.frexp(top)[1]
-    return np.ldexp(a, -e), e
 
 
 def _float_matrix(entries, convert=np.asarray) -> np.ndarray:
@@ -575,10 +559,10 @@ def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
             return np.sum(np.abs(diff), axis=-1)
         squares = np.sum(diff * diff, axis=-1)
         d = np.sqrt(squares)
-        # Where the sum of squares underflows or overflows, take the norm
-        # again in units of the power of two of its largest term, which
-        # puts the largest square in [1/4, 1).
-        off = (squares < np.finfo(float).tiny) | (squares == np.inf)
+        # Where the sum of squares may hold a subnormal square or overflows,
+        # take the norm again in units of the power of two of its largest
+        # term, which puts the largest square in [1/4, 1).
+        off = (squares < 2.0**-969) | (squares == np.inf)
         if off.any():
             top = np.frexp(np.abs(diff[off]).max(axis=-1, initial=0.0))[1]
             terms = np.ldexp(diff[off], -top[:, None])
@@ -600,10 +584,8 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
     if callable(metric):
         return _as_entries(lambda i, j: metric(pts[i], pts[j]), n)
     if metric in ("euclidean", "taxicab"):
-        unit, e = _unit_scale(pts)  # the squares of a tiny cloud do not underflow
         with np.errstate(over="ignore"):  # a distance past the float range reads inf
-            d = _norms(unit[:, None, :] - unit[None, :, :], metric)
-            return np.ldexp(d, e) if e else d
+            return _norms(pts[:, None, :] - pts[None, :, :], metric)
     if metric in ("d1", "d2", "d1+d2"):
         if pts.shape[1] != 2:
             raise InputError(f"metric {metric!r} needs dim 2, got dim {pts.shape[1]}")

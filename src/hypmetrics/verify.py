@@ -87,9 +87,9 @@ from .cassinian import LOG2, PuncturedSpec, _mu, _punctured_matrices
 from .delta import _drop_corner, _middle_grids
 from .errors import InputError
 from .spaces import (
-    _SAFE_EXPONENT,
     PointCloud,
     _as_entries,
+    _float_matrix,
     _require_finite,
     _require_symmetric,
     pairwise_distances,
@@ -380,12 +380,14 @@ def _lemma_entries(m, indices) -> np.ndarray:
     """The entries of ``m`` for a sampled lemma checker or the Ptolemy
     sweep: finite and at most 2^500 in magnitude, so no product of two
     entries or of mu values overflows, with every anchor or puncture in
-    ``indices`` naming one of its points."""
+    ``indices`` an integer, not a boolean, naming one of its points."""
     e = _as_entries(m)
     _require_finite(e)
     _require_bounded(e)
     n = e.shape[0]
     for i in indices:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise InputError(f"anchor or puncture index must be an integer, got {i!r}")
         if not 0 <= i < n:
             raise InputError(f"anchor or puncture index {i} out of range for n={n}")
     return e
@@ -393,7 +395,7 @@ def _lemma_entries(m, indices) -> np.ndarray:
 
 def _require_bounded(*arrays: np.ndarray) -> None:
     """``InputError`` unless every entry is at most 2^500 in magnitude."""
-    if any(max(a.max(initial=0.0), -a.min(initial=0.0)) > 2.0**_SAFE_EXPONENT for a in arrays):
+    if any(max(a.max(initial=0.0), -a.min(initial=0.0)) > 2.0**500 for a in arrays):
         raise InputError(
             "this check needs entries of magnitude at most 2^500 (their products overflow)"
         )
@@ -554,10 +556,11 @@ def check_product_lemma(
 
     Recorded lhs/rhs are logarithms; the 9^k constant enters as k log 9.
     """
-    P = np.asarray(list(punctures), dtype=np.int64)
-    if P.size < 1:
+    P = list(punctures)
+    if not P:
         raise InputError("need at least one puncture")
-    e = _lemma_entries(m, P.tolist())
+    e = _lemma_entries(m, P)
+    P = np.asarray(P, dtype=np.int64)
     t = _sample_tuples(e.shape[0], 3, samples, seed, tuple(int(a) for a in P[:2]))
     x, y, z = t[:, 0], t[:, 1], t[:, 2]
     mu = _mu_lookup(e, P, False, 2 * t.shape[0])
@@ -621,7 +624,7 @@ def _quasi_ptolemy(rs, K: float, tol: float) -> tuple[ViolationReport, list]:
     bounded by the block. Each block runs the hypothesis and then the
     conclusions on its held rows; the violations are listed by conclusion,
     each in batch-row order."""
-    arr = np.asarray(rs, dtype=float)
+    arr = _float_matrix(rs)
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise InputError(f"expected an (N, 4, 4) batch, got shape {arr.shape}")
     if not 1.0 <= K < 2.0**511:  # so 4 K^2 is finite
@@ -670,7 +673,7 @@ def check_quasi_ptolemy(r, K: float, tol: float = DEFAULT_TOL) -> ViolationRepor
     a batch of one yields both: ``checked`` and ``worst_slack`` cover the
     conclusions only, and violation indices name batch row 0.
     """
-    arr = np.asarray(r, dtype=float)
+    arr = _float_matrix(r)
     if arr.shape != (4, 4):
         raise InputError(f"expected a 4x4 array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
@@ -717,10 +720,11 @@ def check_mu_P_quasi_triangle(
     more entries than the rows evaluated, as at the default sample
     counts for n up to 950.
     """
-    P = np.asarray(list(punctures), dtype=np.int64)
-    if P.size < 1:
+    P = list(punctures)
+    if not P:
         raise InputError("need at least one puncture")
-    e = _lemma_entries(m, P.tolist())
+    e = _lemma_entries(m, P)
+    P = np.asarray(P, dtype=np.int64)
     n = e.shape[0]
     k = int(P.size)
     log_c = k * math.log(13.5)

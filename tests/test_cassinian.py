@@ -478,15 +478,40 @@ def test_ratio_past_the_float_range_keeps_a_finite_log():
         assert sup_tau(m, 0, 1, [2, 3]) == pytest.approx(LOG2 + ratio, rel=1e-15)
         _assert_matrices_equal_scalars(m, [2])
         _assert_matrices_equal_scalars(m, [2, 3], anchor=1)
-    # two points 2^-1060 from a puncture, the other distances 2^-500: even
-    # ``_root``'s scaled product of their gaps underflows, so the ratio
-    # 2^-500 / 0 overflows, where log(1 + 2^-499 / 2^-1060) is 561 log 2
+    # two points 2^-1060 from a puncture, the other distances 2^-500: the
+    # product of their gaps underflows, and ``_root`` rescales it, so the
+    # entry is log(1 + 2^-499 / 2^-1060), 561 log 2
     near = 2.0**-500 * (np.ones((4, 4)) - np.eye(4))
     near[0, 1:3] = near[1:3, 0] = 2.0**-1060
     m = DistanceMatrix(near)
     assert tau_p(m, 1, 2, 0) == pytest.approx(561 * LOG2, rel=1e-15)
     assert tilde_tau_p(m, 1, 2, 0) == pytest.approx(560 * LOG2, rel=1e-15)
     _assert_matrices_equal_scalars(m, [0])
+
+
+@pytest.mark.parametrize("gap", [1e-170, 1e-300, 1e-310, 1e-315, 1e-320, 5e-323])
+def test_points_next_to_a_puncture_keep_the_scalar_entries(gap):
+    # two points ``gap`` from a puncture and from each other, the other
+    # distances about 1: the gap product of the pair leaves the normal
+    # range beside entries whose product does not
+    near = np.ones((5, 5)) - np.eye(5)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        near[i, j] = near[j, i] = gap
+    m = DistanceMatrix(near)
+    _assert_matrices_equal_scalars(m, [0])
+    assert tau_p(m, 1, 2, 0) == pytest.approx(math.log(3.0), rel=1e-15)
+    assert tilde_tau_p(m, 1, 2, 0) == pytest.approx(LOG2, rel=1e-15)
+    # the same with a coordinate puncture at the origin
+    pts = np.array([[gap, 0.0], [0.0, gap], [1.0, 1.0], [2.0, 0.5]])
+    cloud, origin = PointCloud(pts), [[0.0, 0.0]]
+    full = DistanceMatrix(pairwise_distances(np.vstack([pts, origin]), "euclidean"))
+    for variant, scalar in _scalars(full, [4], 0).items():
+        entries = punctured_matrix(PuncturedSpec(cloud, origin, variant)).entries
+        expected = np.array([[scalar(x, y) for y in range(4)] for x in range(4)])
+        assert np.array_equal(entries.view(np.uint64), expected.view(np.uint64)), variant
+    for spec in (PuncturedSpec(m, [0], "tilde_tau_p"), PuncturedSpec(cloud, origin, "tilde_tau_p")):
+        entries = punctured_matrix(spec).entries  # DistanceMatrix: no entry is negative
+        assert (entries[~np.eye(4, dtype=bool)] > 0.0).all()
 
 
 def _sequential_fold(spec, variant, k, anchor):

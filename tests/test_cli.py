@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from hypmetrics import DistanceMatrix, PuncturedSpec, load_point_cloud, punctured_matrix
+from hypmetrics import (
+    DistanceMatrix,
+    PuncturedSpec,
+    euclidean_distance,
+    load_point_cloud,
+    punctured_matrix,
+    tau_p,
+)
 from hypmetrics.cli import build_parser, main
 
 
@@ -113,6 +120,22 @@ def test_dist_point_next_to_puncture_in_a_wide_cloud(tmp_path, capsys):
     # log(1 + 2e300 / sqrt(1e-170 * 1e300)) and log(1 + 4e300 / 1e300)
     assert entries[0][1] == pytest.approx(np.log(2.0) + 235 * np.log(10.0), rel=1e-12)
     assert entries[1][2] == pytest.approx(np.log(5.0), rel=1e-12)
+
+
+def test_dist_points_at_subnormal_gaps_from_the_puncture(tmp_path, capsys):
+    # the gap product of points 0 and 1 underflows beside pairs whose
+    # product does not; the entry is the scalar's, not a negative log
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("label,x1,x2\na,1e-318,0\nb,1.2e-318,0\nc,1,1\nd,2,0.5\n")
+    out = tmp_path / "m.json"
+    code, _, err = run(capsys, "dist", "--cloud", str(cloud), "--punctures", "[[0.0, 0.0]]",
+                       "--variant", "tau_p", "--out", str(out))
+    assert (code, err) == (0, "")
+    pts = [[1e-318, 0.0], [1.2e-318, 0.0], [0.0, 0.0]]
+    want = tau_p(lambda i, j: euclidean_distance(pts[i], pts[j]), 0, 1, 2)
+    # the correctly rounded log(1 + 2 d(a, b) / sqrt(d(a, 0) d(b, 0))): the
+    # root of the two gaps is subnormal, and the ratio is taken without it
+    assert json.loads(out.read_text())["entries"][0][1] == want == 0.31126675410128624
 
 
 def test_dist_j_beside_a_subnormal_gap(tmp_path, capsys):

@@ -21,6 +21,8 @@ from hypmetrics import (
     check_mu_P_quasi_triangle,
     check_product_lemma,
     check_ptolemaic,
+    check_quasi_ptolemy,
+    check_quasi_ptolemy_many,
     euclidean_distance,
     exact_delta,
     exact_deltas,
@@ -145,7 +147,7 @@ def test_callable_metric_matrix_matches_named():
 
 
 def test_wide_cloud_keeps_small_differences():
-    # Coordinates are never scaled down, so none is rounded. The first cloud
+    # Coordinates are used as given, so none is rounded. The first cloud
     # spans 1e300, so a unit scale of its coordinates would take 1e-170
     # below the smallest float; the pair (0, 2) is 1e-170 apart. The others
     # reach 1.7e308 and keep their subnormal coordinates: in the last, the
@@ -163,6 +165,19 @@ def test_wide_cloud_keeps_small_differences():
             pairs = [_SCALAR_METRICS[metric](x, y) for x in cloud for y in cloud]
             assert np.array_equal(named, np.reshape(pairs, (size, size))), metric
             assert named[a, b] == named[b, a] == want, metric
+
+
+def test_tiny_cloud_distances_are_the_scaled_up_distances_scaled_back():
+    # scaled by 2^-506, the component differences straddle 2^-511: some
+    # squares are subnormal where their sum is not, and each entry whose
+    # sum lies below 2^-969 is taken again in units of its largest difference
+    rng = np.random.Generator(np.random.PCG64(29))
+    for dim in (2, 3, 5):
+        pts = rng.uniform(0.0, 1.0 / 8, size=(60, dim))
+        for metric in ("euclidean", "taxicab"):
+            got = pairwise_distances(np.ldexp(pts, -506), metric)
+            want = np.ldexp(pairwise_distances(pts, metric), -506)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (dim, metric)
 
 
 def test_cloud_rejects_nan_and_bad_labels():
@@ -245,8 +260,10 @@ def test_empty_array_rejected_by_every_consumer(consumer):
 @pytest.mark.parametrize(
     "consumer",
     [exact_delta, sampled_delta, lambda e: quadruple_delta(e, 0, 1, 2, 3), check_metric_axioms,
-     check_ptolemaic],
-    ids=["exact-delta", "sampled-delta", "quadruple-delta", "axioms", "ptolemy"],
+     check_ptolemaic, lambda e: check_quasi_ptolemy(e, 1.0),
+     lambda e: check_quasi_ptolemy_many(e, 1.0)],
+    ids=["exact-delta", "sampled-delta", "quadruple-delta", "axioms", "ptolemy", "quasi-ptolemy",
+         "quasi-ptolemy-many"],
 )
 def test_non_numeric_input_is_an_input_error(consumer, bad):
     with pytest.raises(InputError, match="^distance matrix must be a numeric square array: "):

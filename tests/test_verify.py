@@ -158,6 +158,8 @@ def test_mu_bounds_anchor_validation():
     m = build_distance_matrix(random_cloud(6, 2, seed=1))
     with pytest.raises(InputError):
         check_mu_bounds(m, p=17)
+    with pytest.raises(InputError, match="must be an integer, got 2.5$"):
+        check_mu_bounds(m, 0, 2.5)
 
 
 _LEMMA_CHECKERS = {
@@ -181,6 +183,24 @@ def test_lemma_checkers_reject_bad_entries_and_indices(checker, entry, index):
         e[0, 1] = e[1, 0] = entry
     with pytest.raises(InputError):
         _LEMMA_CHECKERS[checker](e, index)
+
+
+@pytest.mark.parametrize(
+    "index", [0.7, 2.0, True, np.bool_(False), "1"],
+    ids=["float", "integral-float", "bool", "numpy-bool", "string"],
+)
+@pytest.mark.parametrize(
+    "checker",
+    [*_LEMMA_CHECKERS.values(),
+     lambda m, i: check_product_lemma(m, [2, i], samples=50),
+     lambda m, i: check_mu_P_quasi_triangle(m, [2, i], 50, 50)],
+    ids=[*_LEMMA_CHECKERS, "product_lemma-second", "mu_P_quasi_triangle-second"],
+)
+def test_lemma_checkers_refuse_indices_that_are_not_integers(checker, index):
+    # a float is not truncated to an index, nor a boolean read as 0 or 1
+    e = build_distance_matrix(random_cloud(8, 2, seed=61)).entries
+    with pytest.raises(InputError, match="must be an integer, got "):
+        checker(e, index)
 
 
 def test_lemma_nine_clean_with_ratio():
