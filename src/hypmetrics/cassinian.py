@@ -35,6 +35,7 @@ from .spaces import (
     METRIC_NAMES,
     DistanceMatrix,
     PointCloud,
+    _mirrored,
     as_oracle,
     pairwise_distances,
 )
@@ -135,22 +136,26 @@ def _walk(cells, dxy, gx, gy) -> list:
 
     ``dxy`` holds base distances d(x,y); ``gx[a]`` and ``gy[a]`` hold the
     gaps d(x,p_a) and d(y,p_a) to puncture a. The axes after the puncture
-    axis broadcast: ``_punctured_matrices`` passes (n,n), (k,n,1) and
-    (k,1,n), the scalar constructors a (1,) distance and (k,1) gaps.
+    axis broadcast: ``_punctured_matrices`` passes a row block, (b,m),
+    (k,b,1) and (k,1,m), the scalar constructors a (1,) distance and (k,1)
+    gaps. The guards below (``wide``, ``zero``, and ``_root``'s) are taken
+    over the arrays of one call: a block's largest ratio is at most the
+    whole matrix's, so a guard is false only where no entry of the block
+    needs its fallback, and each entry has the same bits in any block.
 
     The walk visits each puncture once, in order, the outermost loop. At a
     puncture some ratio cell needs it takes the ratio d(x,y) /
-    sqrt(d(x,p) d(y,p)) once, by ``_root``, and log1p(factor ratio) once
-    per factor needed there (``_FACTORS``), in two buffers reused for every
-    puncture. A one-point cell copies the term of its anchor. Each averaged
-    or supremum variant keeps one running fold (``_FOLDS``), and its cell
-    over k punctures is a snapshot of that fold after the first k: divided
-    by k for an average, copied for the supremum, and the fold itself at
-    the variant's largest k. A snapshot is the fold over a prefix of the
-    same terms in the same order, so it has the bits of a fold over those
-    k punctures alone. The j variants keep the running minimum of the gaps,
-    dist(x, P). Every variant is 0 at base distance 0, so those entries
-    are +0.0, whatever the sign of that zero.
+    sqrt(d(x,p) d(y,p)) once, by ``_root``, and log1p(factor ratio) once per
+    factor needed there (``_FACTORS``), in two buffers of the block's size reused
+    for every puncture. A one-point cell copies the term of its anchor. Each
+    averaged or supremum variant keeps one running fold (``_FOLDS``), and
+    its cell over k punctures is a snapshot of that fold after the first k:
+    divided by k for an average, copied for the supremum, and the fold
+    itself at the variant's largest k. A snapshot is the fold over a prefix
+    of the same terms in the same order, so it has the bits of a fold over
+    those k punctures alone. The j variants keep the running minimum of the
+    gaps, dist(x, P). Every variant is 0 at base distance 0, so those
+    entries are +0.0, whatever the sign of that zero.
     """
     shape = np.broadcast_shapes(np.shape(dxy), gx.shape[1:], gy.shape[1:])
     ends = [anchor + 1 if v in ONE_POINT_VARIANTS else k for v, k, anchor in cells]
@@ -490,11 +495,20 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[np.ndarray]:
     cell, and log1p once per factor. A folded cell over k punctures is a
     snapshot of its variant's running fold after the first k, so the cells
     of one variant at k = 1, 2, 4, 8 cost one fold over 8 punctures, and
-    each equals the fold over its k punctures alone bit for bit. The walk
-    holds one fold per folded variant and at most two buffers of the
-    domain's size. The cells are its own arrays, neither copied nor
-    checked: each consumer checks what it reads, once. Only the public
-    ``punctured_matrix`` wraps its one matrix, in a ``DistanceMatrix``.
+    each equals the fold over its k punctures alone bit for bit.
+
+    Every cell is symmetric in (x, y), so the walk runs once per upper row
+    block ``[r0, r1) x [r0, n)`` of the domain, on ``dom[r0:r1, r0:]`` and
+    the gap rows of those points, and ``spaces._mirrored`` copies each
+    block into its mirror: entry (y, x) is the same float operations as
+    (x, y) on swapped operands, and an entry at base distance 0 is +0.0
+    whatever the sign of that zero. A walk holds one fold per folded
+    variant and at most two buffers of a block's size, each block within
+    ``_STEP_BYTES``. A domain that fits one block (n <= 256) is walked
+    once, and its cells are the walk's own arrays. The cells are neither
+    copied nor checked: each consumer checks what it reads, once. Only the
+    public ``punctured_matrix`` wraps its one matrix, in a
+    ``DistanceMatrix``.
 
     With coordinate punctures a cell equals ``punctured_matrix`` of the spec
     cut to ``punctures[:k]`` bit for bit: the domain is the whole cloud
@@ -507,7 +521,12 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[np.ndarray]:
     walk = [(variant, k, _resolve_anchor(variant, spec.anchor, k)) for variant, k in cells]
     dom, gaps, _ = _materialize(spec)
     by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
-    return _walk(walk, dom, by_puncture[:, :, None], by_puncture[:, None, :])
+    return _mirrored(
+        dom.shape[0],
+        lambda r0, r1: _walk(
+            walk, dom[r0:r1, r0:], by_puncture[:, r0:r1, None], by_puncture[:, None, r0:]
+        ),
+    )
 
 
 def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:

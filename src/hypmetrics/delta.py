@@ -21,9 +21,10 @@ broadcasts of upper-triangle slices, with no gather, in the stack's dtype,
 for the confirm pass; the Ptolemy sweep takes the same grids with float64
 products.
 
-One budget, ``_STEP_BYTES`` (512 KiB), sizes every step: a step takes as
-many k values as keep its scratch grids, summed over the grids and the
-matrices of its chunk, within the budget (at least one k). A kernel's
+One budget, ``_STEP_BYTES`` (512 KiB, the one ``spaces`` sizes its row
+blocks by, imported by name), sizes every step: a step takes as many k
+values as keep its scratch grids, summed over the grids and the matrices
+of its chunk, within the budget (at least one k). A kernel's
 entries per step follow from its own grid count and dtype: the float32
 screen's two grids get 64K entries, the Ptolemy sweep's four float64 grids
 16K and the float64 confirm's five grids about 13K. A chunk holds as many
@@ -156,14 +157,10 @@ import numpy as np
 
 from ._pool import _runner, _worker_count
 from .errors import InputError
-from .spaces import _as_entries, _require_finite, _require_symmetric, as_oracle
+from .spaces import _STEP_BYTES, _as_entries, _require_finite, _require_symmetric, as_oracle
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
-#: Scratch bytes of one exact-kernel step, summed over the step's grids and
-#: the matrices of its chunk; bounds the kernels' temporaries independently
-#: of the batch.
-_STEP_BYTES = 1 << 19
 #: Scratch bytes per grid entry: the screen's two float32 grids and the
 #: confirm pass's five float64 ones.
 _SCREEN_ENTRY, _CONFIRM_ENTRY = 2 * 4, 5 * 8

@@ -16,10 +16,16 @@ Base distances:
   ``d2(x, y) = |x2 - y2| + arctan|x1 - y1|``, plus their sum ``d1 + d2``
   (the sum fails to be Gromov hyperbolic even though d1 and d2 are).
 
-Each formula lives once, in the vectorized ``pairwise_distances``; the
-scalar functions are views of it, evaluating it on the two-row stack of
-their arguments, so a matrix built from them equals the named matrix bit
-for bit.
+Each formula lives once, in ``_cross``, the distances between two point
+sets. ``pairwise_distances`` evaluates it over consecutive row blocks
+[r0, r1) x [r0, n) of the matrix's upper triangle, each within the step
+budget ``_STEP_BYTES`` (``_row_blocks``), and copies each block into its
+mirror below the diagonal (``_mirrored``); a matrix that fits one block is
+that block, with no copy. Entry (j, i) is the same float operations as
+(i, j) on swapped operands, so the mirror has the bits the lower triangle
+would have on its own. The scalar functions are views of the matrix,
+evaluating it on the two-row stack of their arguments, so a matrix built
+from them equals the named matrix bit for bit.
 
 The Euclidean and taxicab formulas take coordinate differences on the
 coordinates as given, so none is rounded; a difference overflows only
@@ -64,6 +70,11 @@ MetricFn = Callable[[Vector, Vector], float]
 
 #: Metric selector strings accepted everywhere a base metric is named.
 METRIC_NAMES = ("euclidean", "taxicab", "d1", "d2", "d1+d2")
+
+#: Scratch bytes of one step: a row block of a symmetric matrix here and
+#: in ``cassinian``, and a step of the exact delta kernel in ``delta``.
+#: Bounds the temporaries independently of the input.
+_STEP_BYTES = 1 << 19
 
 #: Entries per band of the matrix-file writer and per piece of the reader,
 #: at least: about 100 ms of formatting, against the 15-20 ms it costs to
@@ -120,19 +131,31 @@ def arctan_split_distance(which: str, x: Vector, y: Vector) -> float:
     return _pair_distance(a, b, "d1+d2" if which == "sum" else which)
 
 
+def _point_rows(points, convert=np.asarray) -> np.ndarray:
+    """``convert(points, dtype=float)`` as an n x dim array, a flat list
+    being n points of dim 1; ragged, non-numeric or deeper input is an
+    InputError."""
+    try:
+        pts = convert(points, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"point coordinates must form a numeric n x dim array: {exc}") from exc
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2:
+        raise InputError(
+            f"point coordinates must form a numeric n x dim array, got shape {pts.shape}"
+        )
+    return pts
+
+
 class PointCloud:
     """Immutable ordered collection of labeled points in R^dim."""
 
     __slots__ = ("_points", "_labels")
 
     def __init__(self, points, labels: Sequence[str] | None = None):
-        try:
-            pts = np.array(points, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"point coordinates must form a numeric n x dim array: {exc}") from exc
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
+        pts = _point_rows(points, np.array)
+        if pts.shape[0] == 0 or pts.shape[1] == 0:
             raise InputError("point cloud must be a nonempty n x dim array")
         if not np.all(np.isfinite(pts)):
             raise InputError("point cloud contains NaN or infinite coordinates")
@@ -570,34 +593,77 @@ def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
         return d
 
 
+def _cross(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """The named ``metric``'s distance from each row of ``a`` to each row
+    of ``b``, as a (len(a), len(b)) array; a distance past the float range
+    reads inf."""
+    with np.errstate(over="ignore"):
+        if metric in ("euclidean", "taxicab"):
+            return _norms(a[:, None, :] - b[None, :, :], metric)
+        du = np.abs(a[:, 0][:, None] - b[:, 0][None, :])
+        dv = np.abs(a[:, 1][:, None] - b[:, 1][None, :])
+        if metric == "d1":
+            return du + np.arctan(dv)
+        if metric == "d2":
+            return dv + np.arctan(du)
+        return (du + np.arctan(dv)) + (dv + np.arctan(du))
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Consecutive row blocks ``[r0, r1)`` of an n x n matrix whose upper
+    parts ``[r0, r1) x [r0, n)`` hold at most ``_STEP_BYTES`` of float64
+    entries each, and at least one row: the single block ``(0, n)`` when
+    the whole matrix fits."""
+    per_block = _STEP_BYTES // 8
+    blocks, r0 = [], 0
+    while r0 < n:
+        r1 = min(n, r0 + max(1, per_block // (n - r0)))
+        blocks.append((r0, r1))
+        r0 = r1
+    return blocks
+
+
+def _mirrored(n: int, block) -> list[np.ndarray]:
+    """Symmetric n x n matrices from their upper row blocks: ``block(r0,
+    r1)`` gives each matrix's entries over rows ``[r0, r1)`` and columns
+    ``[r0, n)``, for the ``_row_blocks`` of n. Each block is written in
+    place and copied into its mirror, the columns ``[r0, r1)`` of the rows
+    below it. When one block covers the matrix, its arrays are returned as
+    they are."""
+    blocks = _row_blocks(n)
+    if len(blocks) <= 1:
+        return block(0, n)
+    outs = None
+    for r0, r1 in blocks:
+        parts = block(r0, r1)
+        if outs is None:
+            outs = [np.empty((n, n)) for _ in parts]
+        for out, part in zip(outs, parts):
+            out[r0:r1, r0:] = part
+            out[r1:, r0:r1] = part[:, r1 - r0 :].T
+    return outs
+
+
 def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray:
     """Dense pairwise distances under a named metric or a scalar callable.
 
-    The named paths are vectorized; a callable is read as an ``(i, j)``
-    oracle by ``_as_entries``, which fills the upper triangle and mirrors
-    it, so user-supplied functions give exactly symmetric matrices.
+    A named metric is ``_cross`` over the upper row blocks of the matrix,
+    mirrored below the diagonal (``_mirrored``). A callable is read as an
+    ``(i, j)`` oracle by ``_as_entries``, which fills the upper triangle and
+    mirrors it, so user-supplied functions give exactly symmetric matrices.
+    The points are an n x dim array (a flat list is n points of dim 1); a
+    ragged, non-numeric or deeper array, an unknown metric name, or a dim
+    other than 2 for d1, d2 and d1+d2 is an InputError.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _point_rows(points)
     n = pts.shape[0]
     if callable(metric):
         return _as_entries(lambda i, j: metric(pts[i], pts[j]), n)
-    if metric in ("euclidean", "taxicab"):
-        with np.errstate(over="ignore"):  # a distance past the float range reads inf
-            return _norms(pts[:, None, :] - pts[None, :, :], metric)
-    if metric in ("d1", "d2", "d1+d2"):
-        if pts.shape[1] != 2:
-            raise InputError(f"metric {metric!r} needs dim 2, got dim {pts.shape[1]}")
-        with np.errstate(over="ignore"):  # a distance past the float range reads inf
-            du = np.abs(pts[:, 0][:, None] - pts[:, 0][None, :])
-            dv = np.abs(pts[:, 1][:, None] - pts[:, 1][None, :])
-            if metric == "d1":
-                return du + np.arctan(dv)
-            if metric == "d2":
-                return dv + np.arctan(du)
-            return (du + np.arctan(dv)) + (dv + np.arctan(du))
-    raise InputError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
+    if metric not in METRIC_NAMES:
+        raise InputError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
+    if metric in ("d1", "d2", "d1+d2") and pts.shape[1] != 2:
+        raise InputError(f"metric {metric!r} needs dim 2, got dim {pts.shape[1]}")
+    return _mirrored(n, lambda r0, r1: [_cross(pts[r0:r1], pts[r0:], metric)])[0]
 
 
 def build_distance_matrix(cloud: PointCloud, metric: str | MetricFn = "euclidean") -> DistanceMatrix:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypmetrics import (
     PuncturedSpec,
     avg_tau,
     build_distance_matrix,
+    check_sandwich,
     j_metric,
     j_tilde_metric,
     mu_P,
@@ -28,6 +31,7 @@ from hypmetrics import (
     tilde_avg_tau,
     tilde_tau_p,
 )
+from hypmetrics import spaces
 from hypmetrics.cassinian import _materialize, _punctured_matrices, _root
 
 LOG2 = math.log(2.0)
@@ -538,8 +542,9 @@ def _sequential_fold(spec, variant, k, anchor):
 
 
 @pytest.mark.parametrize("exponent", [-1000, 0, 1000])
-def test_walk_cells_equal_a_sequential_fold(exponent):
-    # unsorted, repeated and mixed cells, one walk
+def test_walk_cells_equal_a_sequential_fold(monkeypatch, exponent):
+    # unsorted, repeated and mixed cells, one walk per row block: the whole
+    # domain, then row blocks of at most 6 entries
     cells = [("avg_tau", 4), ("sup_tau", 2), ("avg_tau", 1), ("tilde_avg_tau", 8),
              ("avg_tau", 4), ("tau_p", 1), ("j", 3), ("sup_tau", 8), ("j_tilde", 8)]
     rng = np.random.Generator(np.random.PCG64(19))
@@ -551,7 +556,108 @@ def test_walk_cells_equal_a_sequential_fold(exponent):
     index_spec = PuncturedSpec(matrix, [7, 2, 10], "avg_tau", anchor=1)
     index_cells = [("sup_tau", 3), ("tau_p", 3), ("avg_tau", 3), ("tilde_tau_p", 3),
                    ("j_tilde", 3), ("tilde_avg_tau", 3), ("avg_tau", 3)]
-    for spec, cells, anchor in ((cloud_spec, cells, 0), (index_spec, index_cells, 1)):
-        for (variant, k), got in zip(cells, _punctured_matrices(spec, cells)):
-            want = _sequential_fold(spec, variant, k, anchor)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (variant, k)
+    for budget in (spaces._STEP_BYTES, 8 * 6):
+        monkeypatch.setattr(spaces, "_STEP_BYTES", budget)
+        for spec, walk, anchor in ((cloud_spec, cells, 0), (index_spec, index_cells, 1)):
+            for (variant, k), got in zip(walk, _punctured_matrices(spec, walk)):
+                want = _sequential_fold(spec, variant, k, anchor)
+                same = np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert same, (variant, k, budget)
+
+
+# Row blocks: with the step budget cut to a few dozen entries, a 30-point
+# domain takes many row blocks; every matrix must keep the bits of the one
+# block the default budget gives it. The extreme points sit in the last
+# rows, so the fallbacks of ``_norms``, ``_root`` and ``_log1p_ratio`` fire
+# in a block that is not the first.
+_BUDGETS = [8 * 24, 8 * 40, 8 * 100]
+
+
+def _near_puncture_matrix(gap):
+    """30 points about 1 apart; point 26 a puncture, points 27 and 28
+    ``gap`` from it and from each other; points 25 and 29 at distance 0,
+    written 0.0 above the diagonal and -0.0 below it."""
+    rng = np.random.Generator(np.random.PCG64(41))
+    e = rng.uniform(1.0, 2.0, size=(30, 30))
+    e = np.triu(e, 1) + np.triu(e, 1).T
+    for i, j in ((26, 27), (26, 28), (27, 28)):
+        e[i, j] = e[j, i] = gap
+    e[25, 29], e[29, 25] = 0.0, -0.0
+    return DistanceMatrix(e)
+
+
+def _block_specs():
+    """(name, spec, first extreme domain row or None) of every base the
+    block tests take."""
+    cloud = random_cloud(31, 2, seed=43, low=-2.0, high=2.0)
+    coords = [[2.5, 2.5], [-3.0, 1.0], [0.5, -4.0]]
+    wide_pts = np.vstack([
+        random_cloud(25, 2, seed=47, low=1.0, high=3.0).points,
+        [[1e-300, 0.0], [0.0, 2e-300], [1e300, 1.0], [-1e300, 1e300], [1e-170, 1e-170]],
+    ])
+    specs = [
+        ("cloud-coords", PuncturedSpec(cloud, coords, "avg_tau", anchor=1), None),
+        ("cloud-index", PuncturedSpec(cloud, [2, 17, 29], "avg_tau", anchor=1), None),
+        ("matrix-index", PuncturedSpec(build_distance_matrix(cloud, "d1+d2"), [4, 0, 30],
+                                       "avg_tau", anchor=2), None),
+        ("wide-cloud", PuncturedSpec(PointCloud(wide_pts), [[0.0, 0.0], [1e-299, 1e-299]],
+                                     "avg_tau", anchor=0), 25),
+    ]
+    for gap in (1e-170, 1e-300, 1e-310, 1e-315, 1e-320, 5e-323):
+        specs.append((f"matrix-gap-{gap}", PuncturedSpec(_near_puncture_matrix(gap), [26, 3],
+                                                         "avg_tau", anchor=0), 24))
+        near = np.vstack([random_cloud(25, 2, seed=53, low=1.0, high=3.0).points,
+                          [[gap, 0.0], [0.0, gap], [-gap, -gap]]])
+        specs.append((f"cloud-gap-{gap}", PuncturedSpec(PointCloud(near), [[0.0, 0.0], [4.0, 4.0]],
+                                                        "avg_tau", anchor=0), 25))
+    return specs
+
+
+_BLOCK_SPECS = _block_specs()
+
+
+@pytest.mark.parametrize("name, spec, extreme", _BLOCK_SPECS, ids=[s[0] for s in _BLOCK_SPECS])
+def test_row_blocks_give_the_one_block_matrices(monkeypatch, name, spec, extreme):
+    cells = [(variant, spec.k) for variant in VARIANTS]
+    whole = _punctured_matrices(spec, cells)
+    for budget in _BUDGETS:
+        monkeypatch.setattr(spaces, "_STEP_BYTES", budget)
+        blocks = spaces._row_blocks(whole[0].shape[0])
+        assert len(blocks) > 3 and (extreme is None or blocks[0][1] <= extreme)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no block warns where the whole matrix does not
+            together = _punctured_matrices(spec, cells)
+        for (variant, k), want, got in zip(cells, whole, together):
+            alone = _punctured_matrices(spec, [(variant, k)])[0]
+            for blocked in (got, alone):
+                same = np.array_equal(blocked.view(np.uint64), want.view(np.uint64))
+                assert same, (variant, budget)
+
+
+def test_row_blocks_give_the_one_block_sandwich(monkeypatch):
+    cloud = random_cloud(31, 2, seed=67)
+    specs = {
+        "tau": PuncturedSpec(cloud, [[1.5, 1.5]], "tau_p"),
+        "avg": PuncturedSpec(cloud, [[1.5, 1.5], [1.2, 1.9], [-0.5, 0.5]], "avg_tau"),
+    }
+    whole = {kind: check_sandwich(kind, spec).to_dict() for kind, spec in specs.items()}
+    for budget in _BUDGETS:
+        monkeypatch.setattr(spaces, "_STEP_BYTES", budget)
+        for kind, spec in specs.items():
+            assert check_sandwich(kind, spec).to_dict() == whole[kind], (kind, budget)
+
+
+@pytest.mark.parametrize("variant", ["avg_tau", "j"])
+def test_punctured_matrix_memory_is_bounded(variant):
+    rng = np.random.Generator(np.random.PCG64(71))
+    punctures = rng.uniform(1.25, 2.0, size=(8, 2))
+    spec = PuncturedSpec(random_cloud(1000, 2, seed=71), punctures, variant)
+    tracemalloc.start()
+    try:
+        punctured_matrix(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB base matrix, the 8 MB cell and one row block's buffers; the
+    # walk over the whole domain traced 40.7 MB
+    assert peak < 24e6

@@ -546,3 +546,72 @@ def test_pairwise_d1_formula_spot_check():
     assert m2[0, 1] == pytest.approx(3.0 + math.atan(2.0), abs=1e-15)
     ms = pairwise_distances(pts, "d1+d2")
     assert ms[0, 1] == pytest.approx(m[0, 1] + m2[0, 1], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "bad", [[[0.0, 1.0], [1.0]], [["a", "b"]], np.zeros((2, 2, 2))],
+    ids=["ragged", "strings", "3-D"],
+)
+@pytest.mark.parametrize("metric", ["euclidean", "d1", taxicab_distance])
+def test_pairwise_distances_rejects_bad_points(bad, metric):
+    with pytest.raises(InputError, match="^point coordinates must form a numeric n x dim array"):
+        pairwise_distances(bad, metric)
+
+
+def test_pairwise_distances_rejects_a_bad_metric_and_keeps_empty_clouds():
+    pts = np.zeros((3, 3))
+    with pytest.raises(InputError, match="^unknown metric 'l3'"):
+        pairwise_distances(pts, "l3")
+    with pytest.raises(InputError, match="^metric 'd1' needs dim 2, got dim 3$"):
+        pairwise_distances(pts, "d1")
+    for metric in ("euclidean", "d1+d2"):
+        assert pairwise_distances(np.zeros((0, 2)), metric).shape == (0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 30, 256, 257, 1000])
+@pytest.mark.parametrize("budget", [8, 8 * 30, None], ids=["1", "30", "step"])
+def test_row_blocks_tile_the_upper_triangle_within_the_budget(monkeypatch, n, budget):
+    if budget is None:
+        budget = spaces._STEP_BYTES
+    monkeypatch.setattr(spaces, "_STEP_BYTES", budget)
+    blocks = spaces._row_blocks(n)
+    edges = [0] + [r1 for _, r1 in blocks]
+    assert [r0 for r0, _ in blocks] == edges[:-1] and edges[-1] == n
+    for r0, r1 in blocks:
+        assert r1 - r0 == 1 or (r1 - r0) * (n - r0) <= budget // 8
+    if n * n <= budget // 8:
+        assert len(blocks) <= 1  # the whole matrix: n <= 256 at the step budget
+
+
+# a cloud whose near pairs sit in the last rows, after the first blocks:
+# their sums of squares underflow or overflow, so ``_norms`` takes them
+# again in units of their largest difference
+_WIDE_TAIL = np.vstack([
+    random_cloud(24, 2, seed=5, low=-3.0, high=3.0).points,
+    [[1e-300, 0.0], [3e-300, -2e-300], [1e300, 1.0], [-1e300, 1e300], [0.0, 1e-170], [0.0, 0.0]],
+])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "taxicab", "d1", "d2", "d1+d2"])
+@pytest.mark.parametrize("budget", [8 * 24, 8 * 40, 8 * 100])
+def test_row_blocks_give_the_one_block_matrix(monkeypatch, metric, budget):
+    clouds = [random_cloud(31, 2, seed=13, low=-5.0, high=5.0).points, _WIDE_TAIL]
+    whole = [pairwise_distances(pts, metric) for pts in clouds]
+    monkeypatch.setattr(spaces, "_STEP_BYTES", budget)
+    for pts, want in zip(clouds, whole):
+        assert len(spaces._row_blocks(len(pts))) > 3
+        got = pairwise_distances(pts, metric)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), metric
+
+
+def test_pairwise_distances_memory_is_bounded():
+    pts = random_cloud(1000, 2, seed=3).points
+    tracemalloc.start()
+    try:
+        pairwise_distances(pts, "euclidean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB matrix and one row block's temporaries; the whole-matrix
+    # difference array traced 40 MB
+    assert peak < 16e6
