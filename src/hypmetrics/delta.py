@@ -24,38 +24,41 @@ products.
 One budget, ``_STEP_BYTES`` (512 KiB, the one ``spaces`` sizes its row
 blocks by, imported by name), sizes every step: a step takes as many k
 values as keep its scratch grids, summed over the grids and the matrices
-of its chunk, within the budget (at least one k). A kernel's
-entries per step follow from its own grid count and dtype: the float32
-screen's two grids get 64K entries, the Ptolemy sweep's four float64 grids
-16K and the float64 confirm's five grids about 13K. A chunk holds as many
-matrices as keep the confirm's largest single-k step within the budget
-(36 at n = 40), so a step's grids are bounded by the budget, not by the
-batch. A screen task also holds its Gromov rows (below): one float64
-(m, n, nb) buffer, no larger than its chunk's scaled copy, and float32
-copies of at most half that size. The sweep reads its caller's matrices as
-they are and holds one scaled float64 copy of them, as one C-contiguous
-(n, n, nb) array per chunk of nb matrices.
+of its chunk, within the budget (at least one k). A kernel's entries per
+step follow from its own grid count and dtype: the int16 screen's two
+grids get 128K entries, the Ptolemy sweep's four float64 grids 16K and the
+float64 confirm's five grids about 13K. A chunk holds as many matrices as
+keep the confirm's largest single-k step within the budget (36 at n = 40),
+so a step's grids are bounded by the budget, not by the batch. A screen
+task also holds its Gromov rows (below): one float64 (m, n, nb) buffer, no
+larger than its chunk's scaled copy, and int16 copies of at most a quarter
+of that size. The sweep reads its caller's matrices as they are and holds
+one scaled float64 copy of them, as one C-contiguous (n, n, nb) array per
+chunk of nb matrices.
 
 The sweep walks the steps in two passes. The *screen* runs every step in
-float32, on values read from a float64 copy of the matrices, each matrix
-scaled by an exact power of two 2^-e, e from ``frexp`` of its largest
-|entry|, so that every copied entry has |x| < 1: nothing overflows, and
-underflow costs at most 2^-1075 absolute. A step reports only each
-matrix's largest float32 doubled delta m. The *confirm* pass then
-evaluates in float64, with witness keys, only the steps that can hold the
-maximum, planned from the screen alone: per matrix, the floor F is the
-largest lower bound of any step, and a step is confirmed when its upper
-bound reaches F. Every step holds a quadruple at least its lower bound, so
-F is at most the maximum; a step whose upper bound is below F holds no
-quadruple reaching it, so the delta and the witness equal those of a
-float64 sweep of every step. The bounds and F are all in units of the
-matrix's own 2^e, so no comparison leaves them. A confirm task is
-(rows, j, steps): of a screened (chunk, j), the matrices with a step whose
-bound reaches their own floor, and every screen step that reaches it for
-one of them. It stacks only those matrices and re-splits each screen step
-into steps within the budget for its own rows at the confirm's bytes per
-entry, so it covers the same k values; a matrix costs the float64 pass
-only in the few (j, step) places that can hold its maximum.
+int16 fixed point, on values read from a float64 copy of the matrices,
+each matrix scaled by an exact power of two, 2^(13 - e) if it is
+nonnegative and 2^(12 - e) otherwise, e from ``frexp`` of its largest
+|entry|, so that every copied entry has |x| < 2^13, or |x| < 2^12. A unit
+of the copy, 2^(e - 13) or 2^(e - 12) of the matrix, is the matrix's
+*quantum*: nothing overflows, and underflow costs at most 2^-1075 quanta.
+A step reports only each matrix's largest int16 doubled delta m. The
+*confirm* pass then evaluates in float64, with witness keys, only the
+steps that can hold the maximum, planned from the screen alone: per
+matrix, the floor F is the largest lower bound of any step, and a step is
+confirmed when its upper bound reaches F. Every step holds a quadruple at
+least its lower bound, so F is at most the maximum; a step whose upper
+bound is below F holds no quadruple reaching it, so the delta and the
+witness equal those of a float64 sweep of every step. The bounds, m - 2
+and m + 2, and F are all in the matrix's own quanta, so no comparison
+leaves them. A confirm task is (rows, j, steps): of a screened (chunk, j),
+the matrices with a step whose bound reaches their own floor, and every
+screen step that reaches it for one of them. It stacks only those matrices
+and re-splits each screen step into steps within the budget for its own
+rows at the confirm's bytes per entry, so it covers the same k values; a
+matrix costs the float64 pass only in the few (j, step) places that can
+hold its maximum.
 
 The screen takes the four-point condition in Gromov-product form with the
 middle index j as base point (Fournier, Ismail and Vigneron, IPL 2015).
@@ -68,7 +71,7 @@ sums leaves
 whose top minus median is the quadruple's doubled delta. A task
 (chunk, j) builds R (m x m x nb, m = n - j - 1) and Q, stored as its
 transpose (m x j x nb), once, in float64 from the chunk's scaled copy,
-rounding each value once to float32 (``_gromov_rows``); a step then reads
+rounding each value down once to int16 (``_gromov_rows``); a step then reads
 R, Q over k and Q over l as three broadcasts, with no addition per
 quadruple. Everything the screen reads and writes has the batch axis b
 innermost, and a step's grid is ordered (k, l, i, b). A step's doubled
@@ -82,39 +85,45 @@ inner loops, too, run over rows, not over the batch. At nb = 1 the grid is
 (k, l, i), and the maximum is one flat reduction.
 
 The screen needs no pass over the l <= k corner of a step's grid. R takes
-the sum d(j,k) + d(j,l) first, the same float for (k, l) and (l, k), so it
-is bitwise symmetric, and its diagonal is -inf. An entry with l < k reads R[k,l] = R[l,k], Q[i,k] and
-Q[i,l]: the values of the quadruple (i, j, l, k) of the same step (l and k
-both lie in its k and l ranges) with the second and the third swapped; the
-largest value and the median are exact comparisons, so its value is that
-quadruple's, bit for bit. An entry with l = k has top and median both
-Q[i,k], so its value is exactly 0, while every step holds a quadruple,
-whose value is at least 0. So each step maximum equals the one over its
-quadruples alone. The confirm pass and the Ptolemy sweep read witness
-keys, counts and violations, not just a maximum, so they keep
+the sum d(j,k) + d(j,l) first, the same float for (k, l) and (l, k), and
+rounds it down the same way, so it is bitwise symmetric, and its diagonal is
+-32768, below every value. An entry with l < k reads R[k,l] = R[l,k],
+Q[i,k] and Q[i,l]: the values of the quadruple (i, j, l, k) of the same
+step (l and k both lie in its k and l ranges) with the second and the
+third swapped; the largest value and the median are exact comparisons, so
+its value is that quadruple's, exactly. An entry with l = k has top and
+median both Q[i,k], so its value is exactly 0, while every step holds a
+quadruple, whose value is at least 0. So each step maximum equals the one
+over its quadruples alone. The confirm pass and the Ptolemy sweep read
+witness keys, counts and violations, not just a maximum, so they keep
 ``_drop_corner``.
 
-The bound, in units of 2^e. Each scaled entry has |x| < 1, so a float64
-sum of two is within 2^-53 of the exact sum (half an ulp below 2). An R or
-Q value is an entry minus such a sum. For a nonnegative matrix it has
-|value| < 2, so it is within 2^-53 + 2^-53 = 2^-52 in float64 and, rounded
-once to float32 (half an ulp below 2 is 2^-24), within 2^-24 + 2^-52 of
-its exact value. A signed matrix can reach |value| < 3, where the float64
-subtraction and the float32 rounding cost half an ulp below 4, 2^-52 and
-2^-23, so the value is within 2^-23 + 2^-53 + 2^-52 < 2^-23 + 2^-51. The
-underflow of its three scaled entries adds under 2^-1073. A float64
-pairing sum of the confirm pass, below 2, is within 2^-53 of the exact
-sum. The largest value and the median are 1-Lipschitz in the largest
-change of a value, and the common term cancels, so the float32 and
-float64 differences top - median are within 2 (2^-23 + 2^-51) and 2^-52
-of the exact one, respectively. Both are nonnegative, and the final
-subtraction rounds them by a relative 2^-24 (float32) or 2^-53 (float64).
-So every float64 doubled delta D of a step with float32 maximum m has
-D <= m + 2^-23 m + 2^-21, and the step holds a quadruple (the one reaching
-m) whose D >= m - 2^-23 m - 2^-21; for a nonnegative matrix the last term
-is 2^-22. The upper bound m + 2^-22 m + 2^-19 and the lower bound
-m - 2^-22 m - 2^-19 keep a margin of at least 2x on the first term and 4x
-on the second (8x for a nonnegative matrix).
+The bound, in quanta. A scaled entry of a nonnegative matrix lies in
+[0, 2^13), so an R or Q value, an entry minus the sum of two, lies in
+(-2^14, 2^13); a signed matrix's entries have |x| < 2^12, so its values
+have |value| < 3 * 2^12. Rounded down, a value lies in [-2^14, 2^13) or
+[-3 * 2^12, 3 * 2^12), which int16 holds with room for the diagonal's
+-32768, and the largest value minus the median, a difference of two
+values, is at most 24575: no pass of ``_doubled_delta`` wraps. The float64
+sum of two scaled entries and the subtraction from a third are each below
+2^14 in magnitude, so each rounds by at most half an ulp, 2^-40, and the
+float64 value is within 2^-39 of its exact value v; the underflow of its
+three scaled entries adds under 2^-1073. Rounding down then gives an int16
+value in (v - 1 - 2^-38, v + 2^-38]. The largest value and the median are
+each monotone and 1-Lipschitz in the values, integer operations are
+exact, and the common term cancels, so both move into such a range and an
+int16 doubled delta is within 1 + 2^-37 of the exact one. A float64
+doubled delta D of the confirm pass is within 2^-38 quanta of the exact
+one: its pairing sums of entries below 2^e round by at most 2^(e - 53)
+each, so top - median moves by at most 2^(e - 52), and the final
+subtraction, of a value below 2^(e + 2), rounds by at most 2^(e - 52)
+more, while a quantum is at least 2^(e - 13). So every D of a step with
+int16 maximum m has D < m + 1 + 2^-36, and the step holds a quadruple (the
+one reaching m) whose D > m - 1 - 2^-36: the bounds m + 2 and m - 2 keep
+a margin of almost a quantum on each side. Rounding down, not toward
+zero, halves the error: truncation's error changes sign with the value,
+so a truncated doubled delta is only within 2 + 2^-37, and the confirm
+window of 4 quanta would grow to 6.
 
 The witness is the lexicographically smallest quadruple of maximal delta.
 The confirm pass and the sampler carry it as a key, the flat index of the
@@ -161,9 +170,9 @@ from .spaces import _STEP_BYTES, _as_entries, _require_finite, _require_symmetri
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
-#: Scratch bytes per grid entry: the screen's two float32 grids and the
+#: Scratch bytes per grid entry: the screen's two int16 grids and the
 #: confirm pass's five float64 ones.
-_SCREEN_ENTRY, _CONFIRM_ENTRY = 2 * 4, 5 * 8
+_SCREEN_ENTRY, _CONFIRM_ENTRY = 2 * 2, 5 * 8
 #: A matrix with an entry this large runs the kernels scaled by 1/4.
 _HUGE_ENTRY = 2.0**1022
 
@@ -208,12 +217,15 @@ def _doubled_delta(s1, s2, s3, bufs=(None, None)):
     The two operands are the largest sum and the median, as values: when
     s1 is the largest, max(s1, min(s2, s3)) is s1 and max(s2, s3) the
     median; otherwise max(s2, s3) is the largest and max(s1, min(s2, s3))
-    the median. Every step but the subtraction is an exact comparison,
-    fl(a - b) and fl(b - a) differ only in sign in IEEE arithmetic, and
-    the absolute value is exact, so the result has the bits of the largest
-    minus the median. An s1 of -inf gives max(s2, s3) - min(s2, s3). With
-    two scratch buffers of the result's shape nothing is allocated, and the
-    result is the first of them.
+    the median. Every step but the subtraction is an exact comparison. In
+    IEEE arithmetic fl(a - b) and fl(b - a) differ only in sign, and in the
+    screen's int16 the subtraction is exact, since its values keep the
+    largest minus the median below 24576 (see the module docstring); the
+    absolute value is exact, so the result has the bits of the largest
+    minus the median. An s1 below s2 and s3, -inf or the int16 -32768,
+    gives max(s2, s3) - min(s2, s3). With two scratch buffers of the
+    result's shape nothing is allocated, and the result is the first of
+    them.
     """
     a, b = bufs
     near = np.maximum(s1, np.minimum(s2, s3, out=b), out=b)
@@ -286,34 +298,36 @@ def _drop_corner(grid: np.ndarray, g: int, tri: np.ndarray) -> None:
 def _screen_copy(part: list[np.ndarray]) -> np.ndarray:
     """The screen's copy of a chunk of nb ``(n, n)`` matrices: a
     C-contiguous ``(n, n, nb)`` array, the batch axis innermost, each matrix
-    scaled by 2^-e with e from ``frexp`` of its largest |entry|, so every
-    entry has |x| < 1."""
+    scaled by 2^(13 - e) if it is nonnegative and by 2^(12 - e) otherwise,
+    e from ``frexp`` of its largest |entry|, so every entry has |x| < 2^13,
+    or |x| < 2^12. A unit of the copy is the matrix's quantum."""
     exps = np.frexp([np.abs(e).max() for e in part])[1]
+    shifts = 13 - np.array([e.min() < 0 for e in part]) - exps
     out = np.stack(part, axis=2)
-    return np.ldexp(out, -exps, out=out)
+    return np.ldexp(out, shifts, out=out)
 
 
 def _gromov_rows(scaled: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, R)`` of middle index j for an ``(n, n, nb)`` scaled chunk, in
-    float32, with k = j + 1 + k' and l = j + 1 + l', the batch axis last:
+    int16, with k = j + 1 + k' and l = j + 1 + l', the batch axis last:
     Q[k', i] = d(i,k) - (d(i,j) + d(j,k)) for i < j and
     R[k', l'] = d(k,l) - (d(j,k) + d(j,l)), each computed in float64 and
-    rounded once. R is bitwise symmetric, and its diagonal is -inf."""
+    rounded down once. R is bitwise symmetric, and its diagonal is -32768."""
     m = scaled.shape[0] - j - 1
     # row k' is d(k,r) - (d(k,j) + d(j,r)) over every r, in one buffer
     rows = np.add(scaled[j + 1 :, j, None], scaled[None, j])
-    np.subtract(scaled[j + 1 :], rows, out=rows)
-    q = rows[:, :j].astype(np.float32)
-    r = rows[:, j + 1 :].astype(np.float32)
-    r.reshape(m * m, -1)[:: m + 1] = -np.inf
+    np.floor(np.subtract(scaled[j + 1 :], rows, out=rows), out=rows)
+    q = rows[:, :j].astype(np.int16)
+    r = rows[:, j + 1 :].astype(np.int16)
+    r.reshape(m * m, -1)[:: m + 1] = -32768
     return q, r
 
 
 def _screen_middle(stacks, c: int, j: int) -> np.ndarray:
     """The screen of task (c, j): per ``_middle_steps(n, j, nb,
-    _SCREEN_ENTRY)`` step and matrix, the largest float32 doubled delta
-    over quadruples (i, j, k, l) of the nb matrices of chunk c, read from
-    its scaled copy ``stacks[1][c]`` in the Gromov-product form
+    _SCREEN_ENTRY)`` step and matrix, the largest int16 doubled delta over
+    quadruples (i, j, k, l) of the nb matrices of chunk c, in quanta, read
+    from its scaled copy ``stacks[1][c]`` in the Gromov-product form
     ``_gromov_rows``, shape ``(steps, nb)``. The step's corner is left in:
     see the module docstring."""
     scaled = stacks[1][c]
@@ -321,7 +335,7 @@ def _screen_middle(stacks, c: int, j: int) -> np.ndarray:
     q, r = _gromov_rows(scaled, j)
     maxima = []
     steps = _middle_steps(n, j, nb, _SCREEN_ENTRY)
-    for k0, g, bufs in _step_grids(nb, n, j, steps, 2, np.float32):
+    for k0, g, bufs in _step_grids(nb, n, j, steps, 2, np.int16):
         ks, ls = slice(k0 - j - 1, k0 - j - 1 + g), slice(k0 - j, None)
         # (k, l, i, b) grids: Q over l is one contiguous block, so four of
         # the five passes run over whole (i, b) rows or more
@@ -390,7 +404,7 @@ def _chunk_size(n: int) -> int:
 
 def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Best doubled delta ``(B,)`` and lex-min witness ``(B, 4)`` of every
-    matrix in a list of B ``(n, n)`` matrices: a float32 screen of every
+    matrix in a list of B ``(n, n)`` matrices: an int16 screen of every
     step, from (chunk, j) tasks run heaviest first, then one float64 confirm
     pass over the matrices and steps whose bound reaches the matrix's floor,
     on one runner."""
@@ -402,15 +416,15 @@ def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndar
     tasks = [(c, j) for j in middles for c in range(len(chunks))]
     copies = [_screen_copy(entries[lo : lo + size]) for lo in range(0, nb, size)]
     with _runner((entries, copies), workers) as run:
-        # (steps, matrices of chunk c) float32 maxima, each matrix in its own units
+        # (steps, matrices of chunk c) int16 maxima, each matrix in its own quanta
         screens = [m.astype(float) for m in run(_screen_middle, tasks)]
         floor = np.full(nb, -np.inf)
         for (c, _), m in zip(tasks, screens):
             at = chunks[c]
-            floor[at] = np.maximum(floor[at], (m - 2.0**-22 * m - 2.0**-19).max(axis=0))
+            floor[at] = np.maximum(floor[at], (m - 2.0).max(axis=0))
         confirm = []
         for (c, j), m in zip(tasks, screens):
-            reach = m + 2.0**-22 * m + 2.0**-19 >= floor[chunks[c]]
+            reach = m + 2.0 >= floor[chunks[c]]
             rows = chunks[c][reach.any(axis=0)]
             if rows.size:
                 steps = _middle_steps(n, j, len(chunks[c]), _SCREEN_ENTRY)

@@ -584,12 +584,19 @@ def _norms(diff: np.ndarray, metric: str) -> np.ndarray:
         d = np.sqrt(squares)
         # Where the sum of squares may hold a subnormal square or overflows,
         # take the norm again in units of the power of two of its largest
-        # term, which puts the largest square in [1/4, 1).
+        # term, which puts the largest square in [1/4, 1). An all-zero
+        # difference (a diagonal entry) already has its norm 0; a sum of
+        # squares 0 from subnormal differences does not, so the rows are
+        # told apart by their largest term, not by the sum.
         off = (squares < 2.0**-969) | (squares == np.inf)
         if off.any():
-            top = np.frexp(np.abs(diff[off]).max(axis=-1, initial=0.0))[1]
-            terms = np.ldexp(diff[off], -top[:, None])
-            d[off] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
+            at = np.flatnonzero(off)
+            rows = diff.reshape(-1, diff.shape[-1])[at]
+            big = np.abs(rows).max(axis=-1, initial=0.0)
+            keep = big > 0
+            top = np.frexp(big[keep])[1]
+            terms = np.ldexp(rows[keep], -top[:, None])
+            d.reshape(-1)[at[keep]] = np.ldexp(np.sqrt(np.sum(terms * terms, axis=-1)), top)
         return d
 
 

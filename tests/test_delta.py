@@ -570,11 +570,13 @@ def test_ties_across_middle_pairs_go_to_the_lex_min_witness(workers):
 
 
 def _screen_matrices(n=10):
-    """Matrices that test the float32 screen: twice two planted maxima in
+    """Matrices that test the int16 screen: twice two planted maxima in
     steps of different middle index j, (0, 2, 4, 6) and (1, 3, 5, 7), whose
-    deltas, 1 and 1 + 2^-40, float32 cannot tell apart, each of them once
-    the bigger; an exact tie across steps; an avg_tau matrix; and a
-    small-integer-valued one."""
+    deltas, 1 and 1 + 2^-40, the screen cannot tell apart, each of them once
+    the bigger; an exact tie across steps; an avg_tau matrix; a
+    small-integer-valued one; and one whose maximum, (1, 3, 5, 7) at
+    1 - 2^-13, lies in a step the screen puts a quantum below the step of
+    (0, 2, 4, 6) at 1 - 7 * 2^-13."""
     near = []
     for long_pairs in (((1, 7), (3, 5)), ((0, 2), (4, 6))):
         e = _two_planted_maxima(n)
@@ -583,7 +585,10 @@ def _screen_matrices(n=10):
         near.append(e)
     cloud = random_cloud(n, 2, seed=93)
     spec = PuncturedSpec(cloud, [[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]], variant="avg_tau")
-    return [*near, _two_planted_maxima(n), punctured_matrix(spec).entries, _tie_matrices(n)[3]]
+    below = _two_planted_maxima(n)
+    below[0, 2] = below[2, 0] = 2.0 - 7 * 2.0**-12
+    below[1, 3] = below[3, 1] = 1.0 + 2.0**-12
+    return [*near, _two_planted_maxima(n), punctured_matrix(spec).entries, _tie_matrices(n)[3], below]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -593,6 +598,11 @@ def test_screen_keeps_every_step_that_can_hold_the_maximum(exp, workers):
     expected = [brute_force_delta(e) for e in batch]
     near = 2.0**exp * (1.0 + 2.0**-40)
     assert expected[:3] == [(near, (1, 3, 5, 7)), (near, (0, 2, 4, 6)), (2.0**exp, (0, 2, 4, 6))]
+    assert expected[-1] == (2.0**exp * (1.0 - 2.0**-13), (1, 3, 5, 7))
+    # the maximum's step, j = 3, screens below the step j = 2, so only the
+    # sweep's margin keeps it
+    scaled = delta._screen_copy(batch[-1:])
+    assert [delta._screen_middle((None, [scaled]), 0, j).max() for j in (2, 3)] == [1024, 1023]
     for e, exp_report, rep in zip(batch, expected, exact_deltas(batch, workers=workers)):
         assert (rep.delta, rep.witness) == exp_report
         single = exact_delta(e, workers=workers)
@@ -676,45 +686,51 @@ def _screen_batches():
 
 
 def _brute_step_maxima(scaled, j, steps):
-    """Per step and matrix of a scaled float64 stack, the largest float32
-    doubled delta of the step's quadruples i < j < k < l: top minus median
-    of the Gromov-product values at base point j, d(k,l) - (d(j,k) + d(j,l)),
-    d(i,k) - (d(i,j) + d(j,k)) and d(i,l) - (d(i,j) + d(j,l)), each
-    rounded once to float32."""
+    """Per step and matrix of a scaled float64 stack, the largest doubled
+    delta in quanta of the step's quadruples i < j < k < l: top minus
+    median, in int64, of the Gromov-product values at base point j,
+    d(k,l) - (d(j,k) + d(j,l)), d(i,k) - (d(i,j) + d(j,k)) and
+    d(i,l) - (d(i,j) + d(j,l)), each computed in float64 and rounded
+    down."""
     n = scaled.shape[1]
     out = []
     for k0, g in steps:
         quads = [(i, k, l) for i in range(j) for k in range(k0, k0 + g) for l in range(k + 1, n)]
         i, k, l = np.array(quads).T
-        s = np.sort(
-            np.array([scaled[:, k, l] - (scaled[:, j, k] + scaled[:, j, l]),
-                      scaled[:, i, k] - (scaled[:, i, j] + scaled[:, j, k]),
-                      scaled[:, i, l] - (scaled[:, i, j] + scaled[:, j, l])]).astype(np.float32),
-            axis=0,
-        )
+        values = np.array([scaled[:, k, l] - (scaled[:, j, k] + scaled[:, j, l]),
+                           scaled[:, i, k] - (scaled[:, i, j] + scaled[:, j, k]),
+                           scaled[:, i, l] - (scaled[:, i, j] + scaled[:, j, l])])
+        s = np.sort(np.floor(values).astype(np.int64), axis=0)
         out.append((s[2] - s[1]).max(axis=1))
     return np.array(out)
 
 
+def _assert_screen_is_brute(batch):
+    """Every step maximum of the screen of one chunk ``batch`` equals the
+    int64 brute force of its rounded-down values."""
+    nb, n = len(batch), batch[0].shape[0]
+    scaled = delta._screen_copy(batch)
+    for j in range(1, n - 2):
+        screen = delta._screen_middle((None, [scaled]), 0, j)
+        steps = delta._middle_steps(n, j, nb, delta._SCREEN_ENTRY)
+        brute = _brute_step_maxima(scaled.transpose(2, 0, 1), j, steps)
+        assert screen.dtype == np.int16
+        assert np.array_equal(screen, brute), (n, j)
+
+
 def test_screen_maxima_need_no_corner_pass():
-    # the -inf diagonal of the screen's R = d(k,l) - (d(j,k) + d(j,l))
-    # stands in for dropping each step's l <= k corner. With the computed
-    # diagonal -2 d(j,k), corner entries would exceed the signed matrix's
-    # step maxima.
+    # the -32768 diagonal of the screen's R = d(k,l) - (d(j,k) + d(j,l))
+    # stands in for dropping each step's l <= k corner; the range-edge
+    # batches below hold corner entries that the computed diagonal
+    # -2 d(j,k) would lift above their step maxima
     for batch in _screen_batches():
-        nb, n = len(batch), batch[0].shape[0]
-        scaled = delta._screen_copy(batch)
-        for j in range(1, n - 2):
-            screen = delta._screen_middle((None, [scaled]), 0, j)
-            steps = delta._middle_steps(n, j, nb, delta._SCREEN_ENTRY)
-            brute = _brute_step_maxima(scaled.transpose(2, 0, 1), j, steps)
-            assert np.array_equal(screen.view(np.uint32), brute.view(np.uint32)), (n, j)
+        _assert_screen_is_brute(batch)
 
 
 def test_screen_bound_holds_at_every_step():
     # the confirm plan rests on this inequality: every step's float64
-    # maximum, in units of its matrix's 2^e, lies within
-    # m +- (2^-22 m + 2^-19) of the screen's m for that step
+    # maximum, in quanta of its matrix, lies within 1 + 2^-36 of the
+    # screen's m for that step, inside the sweep's margin of 2
     batches = _screen_batches() + [
         [e * 2.0**exp for e in _screen_matrices()] for exp in (-1000, -300, 0, 300, 1000)
     ]
@@ -722,7 +738,9 @@ def test_screen_bound_holds_at_every_step():
         entries = [delta._kernel_entries(e)[0] for e in batch]
         stack = np.stack(entries)
         nb, n = stack.shape[0], stack.shape[1]
+        # each matrix's quanta: 2^(13 - e) if it is nonnegative, else 2^(12 - e)
         exps = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+        shifts = 13 - (stack.min(axis=(1, 2)) < 0) - exps
         size = _chunk_size(n)
         stacks = (entries, [delta._screen_copy(entries[lo : lo + size]) for lo in range(0, nb, size)])
         for c, lo in enumerate(range(0, nb, size)):
@@ -731,8 +749,37 @@ def test_screen_bound_holds_at_every_step():
                 screen = delta._screen_middle(stacks, c, j).astype(float)
                 steps = delta._middle_steps(n, j, rows.size, delta._SCREEN_ENTRY)
                 for step, m in zip(steps, screen):
-                    d2 = np.ldexp(delta._scan_middle(stacks, rows, j, [step])[0], -exps[rows])
-                    assert np.all(np.abs(d2 - m) <= 2.0**-22 * m + 2.0**-19), (n, j, step)
+                    d2 = np.ldexp(delta._scan_middle(stacks, rows, j, [step])[0], shifts[rows])
+                    assert np.all(np.abs(d2 - m) <= 1.0 + 2.0**-36), (n, j, step)
+
+
+@pytest.mark.parametrize("exp", [-1000, 0, 1000])
+def test_screen_reaches_the_ends_of_its_range_without_wrapping(exp):
+    # Entries of 0 and of the largest float below 2^exp (and its negative
+    # in the signed batches) take the values to the ends of the proven
+    # ranges, rounded down: [-2^14, 2^13) for a nonnegative matrix and
+    # [-3 * 2^12, 3 * 2^12) for a signed one; both batches' step maxima
+    # reach 16383 quanta.
+    rng = np.random.Generator(np.random.PCG64(101))
+    top = 2.0**exp * (1.0 - 2.0**-53)
+    for levels, (low, high) in (((0.0, top), (-16384, 8191)), ((-top, 0.0, top), (-12288, 12287))):
+        batch = [np.triu(rng.choice(levels, size=(12, 12)), 1) for _ in range(3)]
+        batch = [a + a.T for a in batch]
+        scaled = delta._screen_copy(batch)
+        n = scaled.shape[0]
+        values, most = [], 0
+        for j in range(1, n - 2):
+            q, r = delta._gromov_rows(scaled, j)
+            values += [q.ravel(), r[~np.eye(n - j - 1, dtype=bool)].ravel()]
+            most = max(most, delta._screen_middle((None, [scaled]), 0, j).max())
+        values = np.concatenate(values)
+        assert (values.min(), values.max(), most) == (low, high, 16383)
+        _assert_screen_is_brute(batch)
+        expected = [brute_force_delta(e) for e in batch]
+        for e, want, rep in zip(batch, expected, exact_deltas(batch)):
+            assert (rep.delta, rep.witness) == want
+            single = exact_delta(e)
+            assert (single.delta, single.witness) == want
 
 
 @settings(max_examples=200, derandomize=True)
@@ -790,14 +837,14 @@ def _traced_peak(fn, *args) -> int:
 
 def test_exact_delta_memory_is_bounded():
     # A confirm step holds five float64 grids, and a screen step two
-    # float32 ones beside its task's Gromov rows, (n - j - 1) x n in
-    # float64 and float32; each step's grids fit _STEP_BYTES. A step over
+    # int16 ones beside its task's Gromov rows, (n - j - 1) x n in
+    # float64 and int16; each step's grids fit _STEP_BYTES. A step over
     # every k of a task would hold five grids of up to 9 MB.
     m = build_distance_matrix(random_cloud(200, 2, seed=91))
     assert _traced_peak(exact_delta, m) < 1.5e6
     # At small n a chunk holds thousands of matrices. A screen task's rows
     # then take at most one float64 copy of its chunk's slice of the stack
-    # and float32 copies of half that, beside its two step grids, within
+    # and int16 copies of a quarter of that, beside its two step grids, within
     # the step budget, and its per-step maxima.
     rng = np.random.default_rng(92)
     for n in (5, 12):
@@ -859,3 +906,4 @@ def test_five_pass_doubled_delta_has_the_six_pass_bits(dtype):
         got = delta._doubled_delta(s1[:, None], s2[None, :50], s3[None, :50])
         want = _six_pass_doubled_delta(s1[:, None], s2[None, :50], s3[None, :50])
         assert np.array_equal(got.view(words), want.view(words))
+

@@ -167,6 +167,16 @@ def test_wide_cloud_keeps_small_differences():
             assert named[a, b] == named[b, a] == want, metric
 
 
+def test_norms_tell_subnormal_differences_from_zero_ones():
+    # every row's sum of squares is 0, but only the all-zero difference
+    # has norm 0: the rescaling fallback keeps the subnormal ones
+    diff = np.array([[5e-324, 0.0], [0.0, 0.0], [-5e-324, 5e-324], [0.0, -1.5e-323]])
+    assert not np.sum(diff * diff, axis=-1).any()
+    got = spaces._norms(diff, "euclidean")
+    assert got.tolist() == [5e-324, 0.0, math.hypot(5e-324, 5e-324), 1.5e-323]
+    assert spaces._norms(diff.reshape(2, 2, 2), "euclidean").tolist() == got.reshape(2, 2).tolist()
+
+
 def test_tiny_cloud_distances_are_the_scaled_up_distances_scaled_back():
     # scaled by 2^-506, the component differences straddle 2^-511: some
     # squares are subnormal where their sum is not, and each entry whose
