@@ -49,6 +49,7 @@ from .spaces import (
     METRIC_NAMES,
     DistanceMatrix,
     PointCloud,
+    _count,
     _parse_json,
     _read_json,
     build_distance_matrix,
@@ -60,6 +61,7 @@ from .verify import (
     DEFAULT_TOL,
     SANDWICH_PAIRS,
     _mu_lookup,
+    _tolerance,
     check_lemma_K,
     check_lemma_nine,
     check_metric_axioms,
@@ -228,7 +230,7 @@ def _verify_lemmas(args):
     n = matrix.n
     if n < 4:
         raise InputError("lemma battery needs at least 4 points")
-    k = min(args.k, n - 1)
+    k = min(_count(args.k, 1, "--k"), n - 1)
     punctures = list(range(k))
     samples = args.samples
     reports = {  # anchors p = 0 and q = 1
@@ -389,13 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not 0.0 < getattr(args, "tol", 1.0) < float("inf"):  # NaN included
-        sys.stderr.write("error: tolerance must be positive and finite\n")
-        return 2
-    if getattr(args, "seed", 0) < 0:
-        sys.stderr.write("error: --seed must be nonnegative\n")
-        return 2
     try:
+        _tolerance(getattr(args, "tol", DEFAULT_TOL))
+        _count(getattr(args, "seed", 0), 0, "--seed")
         return args.fn(args)
     except (InputError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

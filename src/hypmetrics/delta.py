@@ -166,7 +166,7 @@ import numpy as np
 
 from ._pool import _runner, _worker_count
 from .errors import InputError
-from .spaces import _STEP_BYTES, _as_entries, _require_finite, _require_symmetric, as_oracle
+from .spaces import _STEP_BYTES, _as_entries, _count, _require_finite, _require_symmetric, as_oracle
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
@@ -531,8 +531,7 @@ def sampled_delta(
     """
     t0 = time.perf_counter()
     workers = _worker_count(workers)
-    if samples < 1:
-        raise InputError("need samples >= 1")
+    samples, seed = _count(samples, 1, "samples"), _count(seed, 0, "seed")
     e = _as_entries(d, n)
     n = e.shape[0]
     if samples >= comb(n, 4):  # C(n, 4) = 0 below 4 points, which exact_deltas rejects

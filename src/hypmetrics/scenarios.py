@@ -31,8 +31,8 @@ from .cassinian import (
 )
 from .delta import _chunk_size, exact_deltas, quadruple_delta, sampled_delta
 from .errors import InputError
-from .spaces import DistanceMatrix, PointCloud, _norms, build_distance_matrix, random_cloud
-from .verify import DEFAULT_TOL, _allowance, check_metric_axioms, check_ptolemaic
+from .spaces import DistanceMatrix, PointCloud, _count, _norms, build_distance_matrix, random_cloud
+from .verify import DEFAULT_TOL, _allowance, _tolerance, check_metric_axioms, check_ptolemaic
 
 LOG3 = math.log(3.0)
 
@@ -191,8 +191,9 @@ def arctan_family(
     cloud sampled under d1 confirms the pi/2 ceiling away from the corner
     family. Parameters t above ``ARCTAN_T_MAX`` are rejected.
     """
+    tol = _tolerance(tol)
     t_grid = [float(t) for t in t_grid]
-    if any(t <= 0.0 for t in t_grid):
+    if not all(t > 0.0 for t in t_grid):  # NaN included
         raise InputError("corner-family parameters t must be positive")
     if any(t > ARCTAN_T_MAX for t in t_grid):
         raise InputError(
@@ -273,13 +274,11 @@ def hyperbolicity_sweep(
     them, and the supremum variant is measured for reporting only (no bound
     is asserted for it).
     """
-    k_list = [int(k) for k in k_list]
-    if trials < 1:
-        raise InputError(f"need trials >= 1, got {trials}")
-    if min(k_list) < 1:
-        raise InputError("puncture counts must be >= 1")
-    if n < 4:
-        raise InputError("need clouds of at least 4 points")
+    n, trials, seed = _count(n, 4, "n"), _count(trials, 1, "trials"), _count(seed, 0, "seed")
+    k_list = [_count(k, 1, "puncture count k") for k in k_list]
+    if not k_list:
+        raise InputError("need at least one puncture count k")
+    tol = _tolerance(tol)
     seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
 
     worst = dict.fromkeys([(v, k) for k in k_list for v in _SWEEP_VARIANTS], -math.inf)

@@ -3,9 +3,12 @@
 Everything downstream (the punctured-space constructors, the four-point
 delta engine, the inequality checkers) consumes either a ``DistanceMatrix``
 or a bare ``(i, j) -> float`` oracle built here by ``as_oracle``. One gate
-reads each input kind: ``_as_entries`` every distance input (a ragged or
-non-numeric array is an ``InputError``), ``_parse_json`` every JSON text
-(any text ``json.loads`` rejects is an ``InputError`` naming its source).
+reads each input kind, and what it refuses is an ``InputError``:
+``_as_entries`` every distance input (a ragged or non-numeric array),
+``_parse_json`` every JSON text (any text ``json.loads`` rejects),
+``_point_rows`` all coordinates (ragged, non-numeric, boolean or not
+finite), ``_index`` every index and ``_count`` every count and seed (an
+``int`` or numpy integer that is not a ``bool``, in range).
 
 Base distances:
 
@@ -57,6 +60,7 @@ import os
 import re
 import tempfile
 from contextlib import ExitStack
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -92,29 +96,14 @@ _ROW_BREAK = _WS.join([r"\]", ",", r"\["])
 _ROW_GAP = _WS.join(["", ",", ""])
 
 
-def _vec_pair(x: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(x, dtype=float)
-    b = np.asarray(y, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise InputError(
-            f"coordinate vectors must share one dimension, got shapes {a.shape} and {b.shape}"
-        )
-    return a, b
-
-
-def _pair_distance(a: np.ndarray, b: np.ndarray, metric: str) -> float:
-    """Entry (0, 1) of ``pairwise_distances`` on the two-row stack of a and b."""
-    return float(pairwise_distances(np.stack([a, b]), metric)[0, 1])
-
-
 def euclidean_distance(x: Vector, y: Vector) -> float:
     """l2 distance between two coordinate vectors of equal dimension."""
-    return _pair_distance(*_vec_pair(x, y), "euclidean")
+    return float(pairwise_distances([x, y], "euclidean")[0, 1])
 
 
 def taxicab_distance(x: Vector, y: Vector) -> float:
     """Sum of absolute coordinate differences (dimension-agnostic)."""
-    return _pair_distance(*_vec_pair(x, y), "taxicab")
+    return float(pairwise_distances([x, y], "taxicab")[0, 1])
 
 
 def arctan_split_distance(which: str, x: Vector, y: Vector) -> float:
@@ -123,28 +112,57 @@ def arctan_split_distance(which: str, x: Vector, y: Vector) -> float:
     ``d1 = |x1-y1| + arctan|x2-y2|``; ``d2`` swaps the coordinate roles;
     ``sum`` returns ``d1 + d2``. Points must be 2-dimensional.
     """
-    a, b = _vec_pair(x, y)
-    if a.shape[0] != 2:
-        raise InputError(f"arctan-split metrics need dim 2, got dim {a.shape[0]}")
     if which not in ("d1", "d2", "sum", "d1+d2"):
         raise InputError(f"unknown arctan-split selector {which!r} (want d1, d2, or sum)")
-    return _pair_distance(a, b, "d1+d2" if which == "sum" else which)
+    return float(pairwise_distances([x, y], "d1+d2" if which == "sum" else which)[0, 1])
 
 
-def _point_rows(points, convert=np.asarray) -> np.ndarray:
-    """``convert(points, dtype=float)`` as an n x dim array, a flat list
-    being n points of dim 1; ragged, non-numeric or deeper input is an
-    InputError."""
+def _count(c, least: int, what: str) -> int:
+    """A count, seed or index ``c`` named ``what``: an ``int`` or numpy
+    integer, not a ``bool``, of at least ``least``."""
+    if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {c!r}")
+    if c < least:
+        raise InputError(f"need {what} >= {least}, got {c}")
+    return int(c)
+
+
+def _index(i, n: int, what: str) -> int:
+    """An index ``i`` named ``what`` into n items: ``_count``'s integer in [0, n)."""
+    i = _count(i, 0, what)
+    if i >= n:
+        raise InputError(f"{what} {i} out of range [0, {n})")
+    return i
+
+
+def _booleans(x) -> bool:
+    """Whether ``x`` is a boolean or a boolean array, or holds one within
+    two levels of lists and tuples; rows of floats cost one type scan."""
+    if not isinstance(x, (list, tuple)):
+        return isinstance(x, (bool, np.bool_)) or getattr(x, "dtype", None) == bool
+    items = list(chain(x, *(v for v in x if isinstance(v, (list, tuple)))))
+    kinds = set(map(type, items))
+    return not kinds.isdisjoint((bool, np.bool_, np.ndarray)) and any(map(_booleans, items))
+
+
+def _point_rows(points, what: str = "point coordinates", convert=np.asarray) -> np.ndarray:
+    """``convert(points, dtype=float)`` as an n x dim array of finite
+    coordinates, a flat list being n points of dim 1. Ragged, non-numeric,
+    boolean, non-finite or deeper input is an InputError that starts
+    ``f"{what} must form a numeric n x dim array"``."""
+    refuse = f"{what} must form a numeric n x dim array"
+    if _booleans(points):
+        raise InputError(f"{refuse}, got a boolean")
     try:
         pts = convert(points, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"point coordinates must form a numeric n x dim array: {exc}") from exc
+        raise InputError(f"{refuse}: {exc}") from exc
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
-        raise InputError(
-            f"point coordinates must form a numeric n x dim array, got shape {pts.shape}"
-        )
+        raise InputError(f"{refuse}, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InputError(f"{refuse} of finite values, got NaN or infinity")
     return pts
 
 
@@ -154,11 +172,9 @@ class PointCloud:
     __slots__ = ("_points", "_labels")
 
     def __init__(self, points, labels: Sequence[str] | None = None):
-        pts = _point_rows(points, np.array)
+        pts = _point_rows(points, convert=np.array)
         if pts.shape[0] == 0 or pts.shape[1] == 0:
             raise InputError("point cloud must be a nonempty n x dim array")
-        if not np.all(np.isfinite(pts)):
-            raise InputError("point cloud contains NaN or infinite coordinates")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != pts.shape[0]:
@@ -281,13 +297,10 @@ def random_cloud(
     ``uniform(low, high, size=(n, dim))`` draw, so a given seed reproduces
     the same cloud on any platform.
     """
-    if n < 1:
-        raise InputError("need n >= 1 points")
-    if dim < 1:
-        raise InputError("need dim >= 1")
+    n, dim, seed = _count(n, 1, "n"), _count(dim, 1, "dim"), _count(seed, 0, "seed")
     if not (np.isfinite(high - low) and low <= high):
         raise InputError(f"need finite bounds with low <= high, got [{low}, {high})")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     pts = rng.uniform(low, high + 0.0, size=(n, dim))  # numpy reads a -0.0 high as a negative range
     return PointCloud(pts, [f"x{i}" for i in range(n)])
 
@@ -658,9 +671,9 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
     mirrored below the diagonal (``_mirrored``). A callable is read as an
     ``(i, j)`` oracle by ``_as_entries``, which fills the upper triangle and
     mirrors it, so user-supplied functions give exactly symmetric matrices.
-    The points are an n x dim array (a flat list is n points of dim 1); a
-    ragged, non-numeric or deeper array, an unknown metric name, or a dim
-    other than 2 for d1, d2 and d1+d2 is an InputError.
+    The points are read by ``_point_rows`` (a flat list is n points of dim
+    1); what it refuses, an unknown metric name, or a dim other than 2 for
+    d1, d2 and d1+d2 is an InputError.
     """
     pts = _point_rows(points)
     n = pts.shape[0]

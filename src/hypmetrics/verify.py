@@ -89,7 +89,9 @@ from .errors import InputError
 from .spaces import (
     PointCloud,
     _as_entries,
+    _count,
     _float_matrix,
+    _index,
     _require_finite,
     _require_symmetric,
     pairwise_distances,
@@ -152,13 +154,18 @@ def _allowance(lhs, rhs, tol: float):
     return tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
+def _tolerance(tol: float) -> float:
+    """``tol``, the one rule for a comparison tolerance: positive and finite."""
+    if not 0.0 < tol < math.inf:  # NaN included
+        raise InputError(f"tolerance must be positive and finite, got {tol!r}")
+    return tol
+
+
 class _Collector:
     """Accumulates vectorized LHS <= RHS comparisons into one report."""
 
     def __init__(self, tol: float):
-        if not 0.0 < tol < math.inf:
-            raise InputError("tolerance must be positive and finite")
-        self.tol = tol
+        self.tol = _tolerance(tol)
         self.checked = 0
         self.worst = -math.inf
         self.violations: list[Violation] = []
@@ -235,11 +242,10 @@ def _sample_tuples(
     n: int, arity: int, samples: int, seed: int, anchors: tuple[int, ...] = ()
 ) -> np.ndarray:
     """Degenerate battery plus ``samples`` uniform index tuples."""
-    if samples < 0:
-        raise InputError(f"need samples >= 0, got {samples}")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    samples, seed = _count(samples, 0, "samples"), _count(seed, 0, "seed")
+    rng = np.random.Generator(np.random.PCG64(seed))
     battery = _degenerate_tuples(n, arity, anchors)
-    rnd = rng.integers(0, n, size=(int(samples), arity), dtype=np.int64)
+    rnd = rng.integers(0, n, size=(samples, arity), dtype=np.int64)
     return np.vstack([battery, rnd])
 
 
@@ -384,12 +390,8 @@ def _lemma_entries(m, indices) -> np.ndarray:
     e = _as_entries(m)
     _require_finite(e)
     _require_bounded(e)
-    n = e.shape[0]
     for i in indices:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise InputError(f"anchor or puncture index must be an integer, got {i!r}")
-        if not 0 <= i < n:
-            raise InputError(f"anchor or puncture index {i} out of range for n={n}")
+        _index(i, e.shape[0], "anchor or puncture index")
     return e
 
 

@@ -412,6 +412,14 @@ SPEC_JSON = (
             ["verify", "sandwich", "--kind", "taxicab", "--cloud", "{d}/h.csv",
              "--out", "{d}/h.json"],
         ),
+        (
+            {"c.json": '{"dim": 2, "points": [{"coords": [0, true]}, {"coords": [1, 1]}]}'},
+            ["dist", "--cloud", "{d}/c.json", "--out", "{d}/o.json"],
+        ),
+        (
+            {"s.json": SPEC_JSON.replace("[0, 1]", "[0, true]").replace("ANCHOR", "0")},
+            ["delta", "--spec", "{d}/s.json"],
+        ),
     ],
     ids=[
         "matrix-json",
@@ -444,6 +452,8 @@ SPEC_JSON = (
         "sandwich-tau-spec-outside-pair",
         "sandwich-avg-spec-anchor",
         "sandwich-taxicab-overflow",
+        "cloud-json-boolean-coordinate",
+        "spec-base-boolean-coordinate",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, files, argv):
@@ -772,3 +782,20 @@ def test_verify_lemmas_holds_one_quasi_ptolemy_batch():
         tracemalloc.stop()
     assert all(rep.passed for rep in reports.values())
     assert peak < 3.2 * 100000 * 16 * 8
+
+
+def test_verify_lemmas_refuses_k_below_one_before_any_checker(capsys, monkeypatch):
+    from hypmetrics import cli
+
+    calls = []
+    for name in ("check_mu_bounds", "check_lemma_nine", "check_product_lemma",
+                 "check_mu_P_quasi_triangle", "check_lemma_K", "check_quasi_ptolemy_many"):
+        checker = getattr(cli, name)
+        wrapped = lambda *a, _c=checker, _n=name, **kw: calls.append(_n) or _c(*a, **kw)  # noqa: E731
+        monkeypatch.setattr(cli, name, wrapped)
+    assert run(capsys, "verify", "lemmas", "--n", "8", "--samples", "20")[0] == 0
+    assert len(calls) == 9  # the wrappers count: four lemmas, three K values, two batches
+    calls.clear()
+    code, _, err = run(capsys, "verify", "lemmas", "--n", "8", "--samples", "20", "--k", "0")
+    assert code == 2 and err == "error: need --k >= 1, got 0\n"
+    assert calls == []

@@ -218,6 +218,14 @@ def test_sampled_rejects_bad_counts():
     m = build_distance_matrix(random_cloud(6, 2, seed=1))
     with pytest.raises(InputError):
         sampled_delta(m, samples=0, seed=1)
+    # 2.5 samples raised a bare TypeError
+    for samples, seed, message in [
+        (2.5, 1, "samples must be an integer, got 2.5"),
+        (10, 1.5, "seed must be an integer, got 1.5"),
+        (10, -1, "need seed >= 0, got -1"),
+    ]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            sampled_delta(m, samples=samples, seed=seed)
 
 
 def test_parallel_bit_identical():

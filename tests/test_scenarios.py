@@ -51,6 +51,11 @@ def test_arctan_family_rejects_bad_t():
         arctan_family(t_grid=(-2.0,))
     with pytest.raises(InputError, match="at most 1e\\+07"):
         arctan_family(t_grid=(1.0, 1e8))
+    # a NaN t had reached the corner cloud, and a zero tolerance had passed
+    with pytest.raises(InputError, match="^corner-family parameters t must be positive$"):
+        arctan_family(t_grid=[math.nan])
+    with pytest.raises(InputError, match="^tolerance must be positive and finite"):
+        arctan_family(t_grid=(1.0,), samples=50, cloud_n=8, tol=0.0)
 
 
 def test_sweep_small_config():
@@ -77,6 +82,18 @@ def test_sweep_validation():
         hyperbolicity_sweep(n=3, k_list=(1,), trials=1)
     with pytest.raises(InputError):
         hyperbolicity_sweep(n=10, k_list=(0,), trials=1)
+    # each of these had raised a bare numpy or builtin error, or run the
+    # sweep and then reported FAIL
+    for kwargs, message in [
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"seed": -1}, "need seed >= 0, got -1"),
+        ({"k_list": ()}, "need at least one puncture count k"),
+        ({"k_list": (1, 2.0)}, "puncture count k must be an integer, got 2.0"),
+        ({"tol": math.nan}, "tolerance must be positive and finite, got nan"),
+        ({"tol": -1.0}, "tolerance must be positive and finite, got -1.0"),
+    ]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            hyperbolicity_sweep(**{"n": 5, "k_list": (1,), "trials": 1, **kwargs})
 
 
 def test_sweep_reproducible():

@@ -60,6 +60,23 @@ def test_dimension_mismatch_rejected():
         taxicab_distance([0], [1, 2])
 
 
+@pytest.mark.parametrize(
+    "distance, x",
+    [
+        (euclidean_distance, [True, 0]),
+        (euclidean_distance, [1, None]),
+        (lambda x, y: arctan_split_distance("d1", x, y), [1, None]),
+        (euclidean_distance, [1, "a"]),
+        (taxicab_distance, [1, np.inf]),
+    ],
+    ids=["euclidean-boolean", "euclidean-none", "d1-none", "euclidean-string", "taxicab-inf"],
+)
+def test_scalar_distances_refuse_what_is_not_a_finite_number(distance, x):
+    # a boolean read as 1.0, a None as NaN and a string as a bare ValueError before
+    with pytest.raises(InputError, match="^point coordinates must form a numeric n x dim array"):
+        distance(x, [0, 0])
+
+
 def test_arctan_split_examples():
     # arctan(1) = pi/4, frozen
     assert arctan_split_distance("d1", [0, 0], [0, 1]) == pytest.approx(
@@ -197,6 +214,8 @@ def test_cloud_rejects_nan_and_bad_labels():
         PointCloud([[0.0, 1.0]], labels=["a", "b"])
     with pytest.raises(InputError):
         PointCloud([[0.0], [1.0]], labels=["a", "a"])
+    with pytest.raises(InputError, match="got a boolean$"):
+        PointCloud.from_dict({"dim": 2, "points": [{"coords": [0, True]}, {"coords": [1, 1]}]})
 
 
 def test_cloud_csv_roundtrip(tmp_path):
@@ -230,6 +249,21 @@ def test_random_cloud_reproducible():
     c = random_cloud(20, 2, seed=43)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n": 5, "seed": -1}, "need seed >= 0, got -1"),
+        ({"n": 5, "seed": 2.7}, "seed must be an integer, got 2.7"),
+        ({"n": 3.5}, "n must be an integer, got 3.5"),
+        ({"n": 5, "dim": True}, "dim must be an integer, got True"),
+    ],
+    ids=["negative-seed", "float-seed", "float-n", "boolean-dim"],
+)
+def test_random_cloud_refuses_counts_and_seeds_that_are_not_integers(kwargs, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        random_cloud(**kwargs)
 
 
 def test_matrix_validation():
@@ -559,8 +593,11 @@ def test_pairwise_d1_formula_spot_check():
 
 
 @pytest.mark.parametrize(
-    "bad", [[[0.0, 1.0], [1.0]], [["a", "b"]], np.zeros((2, 2, 2))],
-    ids=["ragged", "strings", "3-D"],
+    "bad",
+    [[[0.0, 1.0], [1.0]], [["a", "b"]], np.zeros((2, 2, 2)), [[0.0, True], [1.0, 1.0]],
+     np.array([[False, True], [True, True]]), [[0.0, None], [1.0, 1.0]],
+     np.array([[0.0, np.nan], [1.0, 1.0]]), [[0.0, -np.inf], [1.0, 1.0]]],
+    ids=["ragged", "strings", "3-D", "boolean-entry", "boolean-array", "none", "nan", "inf"],
 )
 @pytest.mark.parametrize("metric", ["euclidean", "d1", taxicab_distance])
 def test_pairwise_distances_rejects_bad_points(bad, metric):

@@ -203,6 +203,44 @@ def test_lemma_checkers_refuse_indices_that_are_not_integers(checker, index):
         checker(e, index)
 
 
+_SAMPLED_CHECKERS = {
+    "mu_bounds": lambda m, n, seed: check_mu_bounds(m, 0, samples=n, seed=seed),
+    "lemma_nine": lambda m, n, seed: check_lemma_nine(m, 0, samples=n, seed=seed),
+    "lemma_K": lambda m, n, seed: check_lemma_K(m, 0, 6.0, samples=n, seed=seed),
+    "product_lemma": lambda m, n, seed: check_product_lemma(m, [0], samples=n, seed=seed),
+    "mu_P_quasi_triangle": lambda m, n, seed: check_mu_P_quasi_triangle(m, [0], n, n, seed),
+}
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (2.5, 0, "samples must be an integer, got 2.5"),
+        (20, 1.5, "seed must be an integer, got 1.5"),
+        (20, -1, "need seed >= 0, got -1"),
+        (-5, 0, "need samples >= 0, got -5"),
+        (True, 0, "samples must be an integer, got True"),
+    ],
+    ids=["float-samples", "float-seed", "negative-seed", "negative-samples", "boolean-samples"],
+)
+@pytest.mark.parametrize("checker", list(_SAMPLED_CHECKERS))
+def test_sampled_checkers_refuse_counts_and_seeds_that_are_not_integers(
+    checker, samples, seed, message
+):
+    # 2.5 samples ran 2 and seed 1.5 reported seed 1
+    e = build_distance_matrix(random_cloud(8, 2, seed=61)).entries
+    with pytest.raises(InputError, match=f"^{message}$"):
+        _SAMPLED_CHECKERS[checker](e, samples, seed)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_checkers_refuse_a_tolerance_that_is_not_positive_and_finite(tol):
+    e = build_distance_matrix(random_cloud(8, 2, seed=61)).entries
+    for check in (check_metric_axioms, lambda m, tol: check_mu_bounds(m, 0, samples=5, tol=tol)):
+        with pytest.raises(InputError, match="^tolerance must be positive and finite"):
+            check(e, tol=tol)
+
+
 def test_lemma_nine_clean_with_ratio():
     m = build_distance_matrix(random_cloud(30, 2, seed=15))
     rep = check_lemma_nine(m, p=0, samples=20000, seed=17)
