@@ -16,21 +16,8 @@ in the calling process.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
-
-from .errors import InputError
-
-
-def _worker_count(workers: int | None) -> int:
-    """``None`` means one worker per core; anything below 1 is an error."""
-    if workers is None:
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise InputError(f"need workers >= 1, got {workers}")
-    return workers
-
 
 _POOL_SHARED = None
 

@@ -20,7 +20,8 @@ D = X \\ P:
                       exercise.
 
 All constructors are ratios of base distances (scale-invariant), except the
-mu family, which keeps base units. Scalar ones read ``d`` by ``spaces.as_oracle``.
+mu family, which keeps base units. Scalar ones read the entries of ``d`` they
+need by ``spaces._pairs``, which checks every index.
 Against 80-digit ``decimal`` values on line bases (integer points times 2^e,
 |e| <= 1000, k <= 5: 1.1M entries; 100 bases of points +-2^e, e in [-1074, 1020])
 every variant entry was within 2.3 ulps, and mu_P within 0.8, 1.9, 2.6 and 4.0
@@ -30,20 +31,20 @@ ulps at k = 1, 2, 3 and 5; tests/test_reference.py allows 3 ulps and k + 1.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError, PunctureDomainError
 from .spaces import (
-    METRIC_NAMES,
     DistanceMatrix,
     PointCloud,
+    _cross,
     _index,
+    _metric,
     _mirrored,
+    _pairs,
     _point_rows,
-    as_oracle,
-    pairwise_distances,
 )
 
 LOG2 = math.log(2.0)
@@ -221,15 +222,13 @@ def _walk(cells, dxy, gx, gy) -> list:
 
 
 def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=None) -> float:
-    """One entry of ``variant``: the oracle's values as a (1,) distance and
+    """One entry of ``variant``: ``d``'s values as a (1,) distance and
     (k, 1) gaps, through the walk ``punctured_matrix`` takes: each entry
     is the same float operations on the same operands."""
     k = len(punctures)
     if k < 1:
         raise InputError("need at least one puncture")
-    o = as_oracle(d)
-    raw = [o(x, y)] + [o(x, p) for p in punctures] + [o(y, p) for p in punctures]
-    raw = np.array(raw, dtype=float)
+    raw = _pairs(d, [x] * (k + 1) + [y] * k, [y, *punctures, *punctures])
     gx, gy = raw[1 : k + 1, None], raw[k + 1 :, None]
     for point, gaps in ((x, gx), (y, gy)):
         hit = np.flatnonzero(gaps <= 0.0)
@@ -245,10 +244,9 @@ def mu_p(d, x: int, y: int, p: int) -> float:
 
 def mu_P(d, x: int, y: int, punctures: Sequence[int]) -> float:
     """Product of mu_p over the puncture list."""
-    o = as_oracle(d)
-    gx = np.array([o(x, p) for p in punctures], dtype=float)
-    gy = np.array([o(y, p) for p in punctures], dtype=float)
-    return math.prod(_mu(o(x, y), gx, gy).tolist(), start=1.0)
+    k = len(punctures)
+    raw = _pairs(d, [x] * (k + 1) + [y] * k, [y, *punctures, *punctures])
+    return math.prod(_mu(raw[0], raw[1 : k + 1], raw[k + 1 :]).tolist(), start=1.0)
 
 
 def tau_p(d, x: int, y: int, p: int) -> float:
@@ -333,8 +331,8 @@ class PuncturedSpec:
             raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         if not isinstance(base, (PointCloud, DistanceMatrix)):
             raise InputError("base must be a PointCloud or a DistanceMatrix")
-        if isinstance(base, PointCloud) and metric not in METRIC_NAMES:
-            raise InputError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
+        if isinstance(base, PointCloud):
+            _metric(metric, base.dim)
         listed = isinstance(punctures, (list, tuple, range, np.ndarray))
         if not listed or getattr(punctures, "ndim", 1) == 0:
             raise InputError(f"punctures must be a list, got {type(punctures).__name__}")
@@ -428,48 +426,42 @@ class PuncturedSpec:
         )
 
 
-def _materialize(spec: PuncturedSpec) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Base distances restricted to the domain.
+def _materialize(spec: PuncturedSpec) -> tuple[Callable, np.ndarray, list[int]]:
+    """The base distances of ``spec``, read on demand.
 
-    Returns ``(dom, gaps, domain_indices)`` where ``dom[i, j]`` is the base
-    distance between surviving points and ``gaps[i, a]`` the distance from
-    surviving point i to puncture a, both as given: ``_root`` rescales
-    each gap product that leaves the normal range from its own operands.
+    Returns ``(dist, gaps, domain_indices)``. ``dist(a, b)`` is the array
+    of base distances from the points of index list ``a`` to those of
+    ``b``: a gather of a matrix base's entries, or ``spaces._cross`` of a
+    cloud's points, with coordinate punctures appended after them as
+    points n to n+k-1. ``gaps[i, a]`` is the distance from surviving point
+    i to puncture a, as given: ``_root`` rescales each gap product that
+    leaves the normal range from its own operands.
     Raises PunctureDomainError when a domain point touches a puncture.
     """
-    if isinstance(spec.base, DistanceMatrix):
-        full = spec.base.entries
+    base = spec.base
+    if isinstance(base, DistanceMatrix):
+        n, entries = base.n, base.entries
+        dist = lambda a, b: entries[np.ix_(a, b)]
     else:
-        pts = spec.base.points
+        n, pts = len(base), base.points
         if not spec.punctures_are_indices:
-            pts = np.vstack([pts, np.asarray(spec.punctures, dtype=float)])
-        full = pairwise_distances(pts, spec.metric)
-    if spec.punctures_are_indices:
-        n = full.shape[0]
-        pset = set(spec.punctures)
-        dom_idx = [i for i in range(n) if i not in pset]
-        labels = list(spec.punctures)
-        sub = full[np.ix_(labels, labels)]
-        dom = full[np.ix_(dom_idx, dom_idx)]
-        gaps = full[np.ix_(dom_idx, labels)]
-    else:
-        n = len(spec.base)
-        dom_idx = list(range(n))
-        dom = full[:n, :n]
-        gaps = full[:n, n:]
-        sub = full[n:, n:]
-        labels = list(range(gaps.shape[1]))
-    coincide = np.argwhere(np.triu(sub == 0.0, 1))
+            pts = np.vstack([pts, spec.punctures])
+        dist = lambda a, b: _cross(pts[a], pts[b], spec.metric)
+    punctures = list(spec.punctures) if spec.punctures_are_indices else list(range(n, n + spec.k))
+    pset = set(punctures)
+    dom_idx = [i for i in range(n) if i not in pset]
+    coincide = np.argwhere(np.triu(dist(punctures, punctures) == 0.0, 1))
     if coincide.size:
         a, b = coincide[0]
-        raise InputError(f"punctures {labels[a]} and {labels[b]} sit at distance zero")
+        raise InputError(f"punctures {punctures[a]} and {punctures[b]} sit at distance zero")
+    gaps = dist(dom_idx, punctures)
     hit = np.argwhere(gaps == 0.0)
     if hit.size:
         i, a = int(hit[0, 0]), int(hit[0, 1])
         raise PunctureDomainError(
             f"domain point {dom_idx[i]} lies on puncture {a} (base distance is zero)"
         )
-    return dom, gaps, dom_idx
+    return dist, gaps, dom_idx
 
 
 def _punctured_matrices(spec: PuncturedSpec, cells) -> list[np.ndarray]:
@@ -485,11 +477,12 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[np.ndarray]:
     each equals the fold over its k punctures alone bit for bit.
 
     Every cell is symmetric in (x, y), so the walk runs once per upper row
-    block ``[r0, r1) x [r0, n)`` of the domain, on ``dom[r0:r1, r0:]`` and
-    the gap rows of those points, and ``spaces._mirrored`` copies each
-    block into its mirror: entry (y, x) is the same float operations as
-    (x, y) on swapped operands, and an entry at base distance 0 is +0.0
-    whatever the sign of that zero. A walk holds one fold per folded
+    block ``[r0, r1) x [r0, n)`` of the domain, on its base distances
+    ``dist(dom[r0:r1], dom[r0:])``, read for that block alone, and the gap
+    rows of those points, and ``spaces._mirrored`` copies each block into
+    its mirror: entry (y, x) is the same float operations as (x, y) on
+    swapped operands, and an entry at base distance 0 is +0.0 whatever the
+    sign of that zero. A walk holds one fold per folded
     variant and at most two buffers of a block's size, each block within
     ``_STEP_BYTES``. A domain that fits one block (n <= 256) is walked
     once, and its cells are the walk's own arrays. The cells are neither
@@ -500,20 +493,18 @@ def _punctured_matrices(spec: PuncturedSpec, cells) -> list[np.ndarray]:
     With coordinate punctures a cell equals ``punctured_matrix`` of the spec
     cut to ``punctures[:k]`` bit for bit: the domain is the whole cloud
     either way, and each base distance is computed on its own, so the first
-    k gap columns are that spec's gaps.
+    k gap columns are that spec's gaps, and those of index punctures n to
+    n+k-1 of the cloud with the k points appended.
     Index punctures leave the domain, so their cells take all k of them.
     """
     if spec.punctures_are_indices and any(k != spec.k for _, k in cells):
         raise ValueError(f"index punctures leave the domain: every cell needs k={spec.k}")
     walk = [(variant, k, _resolve_anchor(variant, spec.anchor, k)) for variant, k in cells]
-    dom, gaps, _ = _materialize(spec)
+    dist, gaps, dom = _materialize(spec)
     by_puncture = np.ascontiguousarray(gaps.T)  # contiguous rows keep the products vectorised
-    return _mirrored(
-        dom.shape[0],
-        lambda r0, r1: _walk(
-            walk, dom[r0:r1, r0:], by_puncture[:, r0:r1, None], by_puncture[:, None, r0:]
-        ),
-    )
+    return _mirrored(len(dom), lambda r0, r1: _walk(
+        walk, dist(dom[r0:r1], dom[r0:]), by_puncture[:, r0:r1, None], by_puncture[:, None, r0:]
+    ))
 
 
 def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:

@@ -164,9 +164,11 @@ from math import comb, prod
 
 import numpy as np
 
-from ._pool import _runner, _worker_count
+from ._pool import _runner
 from .errors import InputError
-from .spaces import _STEP_BYTES, _as_entries, _count, _require_finite, _require_symmetric, as_oracle
+from .spaces import (
+    _STEP_BYTES, _as_entries, _count, _pairs, _require_finite, _require_symmetric, _worker_count
+)
 
 #: Quadruples per sampling batch; part of the determinism contract.
 SAMPLE_BATCH = 65536
@@ -235,8 +237,8 @@ def _doubled_delta(s1, s2, s3, bufs=(None, None)):
 
 def quadruple_delta(d, x: int, y: int, z: int, v: int) -> float:
     """Delta of a single quadruple; invariant under all 24 relabelings."""
-    o = as_oracle(d)
-    return float(_doubled_delta(o(x, y) + o(z, v), o(x, z) + o(y, v), o(x, v) + o(y, z))) / 2.0
+    e = _pairs(d, [x, z, x, y, x, y], [y, v, z, v, v, z])
+    return float(_doubled_delta(e[0] + e[1], e[2] + e[3], e[4] + e[5])) / 2.0
 
 
 def _middle_steps(

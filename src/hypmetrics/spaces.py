@@ -1,14 +1,14 @@
 """Point clouds, base distance functions, and distance-matrix materialization.
 
 Everything downstream (the punctured-space constructors, the four-point
-delta engine, the inequality checkers) consumes either a ``DistanceMatrix``
-or a bare ``(i, j) -> float`` oracle built here by ``as_oracle``. One gate
-reads each input kind, and what it refuses is an ``InputError``:
-``_as_entries`` every distance input (a ragged or non-numeric array),
-``_parse_json`` every JSON text (any text ``json.loads`` rejects),
+delta engine, the inequality checkers) reads a distance input, or the few
+entries ``_pairs`` gives a scalar of it. One gate reads each input kind, and
+what it refuses is an ``InputError``: ``_as_entries`` every distance input
+(a ragged or non-numeric array), ``_parse_json`` every JSON text,
 ``_point_rows`` all coordinates (ragged, non-numeric, boolean or not
-finite), ``_index`` every index and ``_count`` every count and seed (an
-``int`` or numpy integer that is not a ``bool``, in range).
+finite), ``_metric`` every metric name (unknown, or d1/d2 off dim 2),
+``_index`` every index and ``_count`` every count, seed and worker count
+(an ``int`` or numpy integer that is not a ``bool``, in range).
 
 Base distances:
 
@@ -39,6 +39,10 @@ lost bits the sum would keep, is taken again in units of the power of two
 of its largest coordinate difference. A tiny cloud thus keeps the
 distances of the same cloud scaled up, scaled back, and a point next to
 another keeps its distance even when the cloud spans the float range.
+Against 80-digit values of the exact coordinate differences (144,000 pairs
+of planar clouds at scales 2^-1074 to 2^1020, some a few ulps apart) the
+worst errors were 1.51 ulps (Euclidean) and 1.22 (taxicab);
+tests/test_reference.py allows 2 and 1.5.
 
 Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
@@ -66,7 +70,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._pool import _runner, _worker_count
+from ._pool import _runner
 from .errors import InputError
 
 Vector = Sequence[float]
@@ -133,6 +137,20 @@ def _index(i, n: int, what: str) -> int:
     if i >= n:
         raise InputError(f"{what} {i} out of range [0, {n})")
     return i
+
+
+def _worker_count(workers) -> int:
+    """``None`` means one worker per core; anything else is a count of at least 1."""
+    return (os.cpu_count() or 1) if workers is None else _count(workers, 1, "workers")
+
+
+def _metric(name, dim: int) -> str:
+    """``name``, one of ``METRIC_NAMES``, for points of ``dim`` coordinates: d1/d2 need 2."""
+    if name not in METRIC_NAMES:
+        raise InputError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+    if name in ("d1", "d2", "d1+d2") and dim != 2:
+        raise InputError(f"metric {name!r} needs dim 2, got dim {dim}")
+    return name
 
 
 def _booleans(x) -> bool:
@@ -357,7 +375,7 @@ class DistanceMatrix:
         return self._entries.shape[0]
 
     def __call__(self, i: int, j: int) -> float:
-        return float(self._entries[i, j])
+        return float(_pairs(self, [i], [j])[0])
 
     def to_dict(self) -> dict:
         return {"n": self.n, "entries": self._entries.tolist()}
@@ -494,12 +512,14 @@ def _as_entries(d, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_oracle(d) -> Callable[[int, int], float]:
-    """``d`` as an ``(i, j) -> float`` oracle; a callable, a DistanceMatrix too, is its own."""
-    if callable(d):
-        return d
-    entries = _as_entries(d)
-    return lambda i, j: float(entries[i, j])
+def _pairs(d, rows, cols) -> np.ndarray:
+    """The entries ``(rows[t], cols[t])`` of a distance input: an oracle called on
+    each pair in turn, or ``_as_entries`` at the indices ``_index`` reads."""
+    if callable(d) and not isinstance(d, DistanceMatrix):  # a DistanceMatrix is callable too
+        return np.array([float(d(i, j)) for i, j in zip(rows, cols)])
+    e = _as_entries(d)
+    rows, cols = ([_index(i, e.shape[0], "point index") for i in ix] for ix in (rows, cols))
+    return e[rows, cols]
 
 
 def load_distance_matrix(path: str | Path, workers: int | None = None) -> DistanceMatrix:
@@ -672,17 +692,13 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
     ``(i, j)`` oracle by ``_as_entries``, which fills the upper triangle and
     mirrors it, so user-supplied functions give exactly symmetric matrices.
     The points are read by ``_point_rows`` (a flat list is n points of dim
-    1); what it refuses, an unknown metric name, or a dim other than 2 for
-    d1, d2 and d1+d2 is an InputError.
+    1) and a metric name by ``_metric``; what either refuses is an InputError.
     """
     pts = _point_rows(points)
     n = pts.shape[0]
     if callable(metric):
         return _as_entries(lambda i, j: metric(pts[i], pts[j]), n)
-    if metric not in METRIC_NAMES:
-        raise InputError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
-    if metric in ("d1", "d2", "d1+d2") and pts.shape[1] != 2:
-        raise InputError(f"metric {metric!r} needs dim 2, got dim {pts.shape[1]}")
+    _metric(metric, pts.shape[1])
     return _mirrored(n, lambda r0, r1: [_cross(pts[r0:r1], pts[r0:], metric)])[0]
 
 

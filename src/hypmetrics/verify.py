@@ -78,6 +78,7 @@ anchor coincidences) so the edge cases are never left to chance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -155,8 +156,8 @@ def _allowance(lhs, rhs, tol: float):
 
 
 def _tolerance(tol: float) -> float:
-    """``tol``, the one rule for a comparison tolerance: positive and finite."""
-    if not 0.0 < tol < math.inf:  # NaN included
+    """``tol``, the one rule for a comparison tolerance: a positive, finite real, not a bool."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
         raise InputError(f"tolerance must be positive and finite, got {tol!r}")
     return tol
 

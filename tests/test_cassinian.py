@@ -180,6 +180,17 @@ def test_spec_validation():
         PuncturedSpec(COUNTEREXAMPLE, [[0.1, 0.2]], variant="tau_p")  # coords need a cloud
 
 
+@pytest.mark.parametrize("punctures", [[0], [[0.5, 0.5, 0.5]]], ids=["index", "coords"])
+def test_spec_refuses_a_metric_its_cloud_cannot_take(punctures):
+    # d1 on a 3-D cloud built, and only punctured_matrix refused it
+    cloud = random_cloud(6, 3, seed=1)
+    for metric, message in (("d1", "^metric 'd1' needs dim 2, got dim 3$"),
+                            ("l3", "^unknown metric 'l3'")):
+        with pytest.raises(InputError, match=message):
+            PuncturedSpec(cloud, punctures, "avg_tau", metric=metric)
+    assert PuncturedSpec(cloud, punctures, "avg_tau", metric="taxicab").metric == "taxicab"
+
+
 def test_spec_anchor_defaults_for_single_puncture():
     cloud = random_cloud(6, 2, seed=1)
     spec = PuncturedSpec(cloud, [0], variant="tau_p")
@@ -374,6 +385,36 @@ def test_scalar_constructors_read_nested_lists():
         assert np.array_equal(on_lists.view(np.uint64), on_matrix.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # -1 read the last point: tau_p gave the value for a puncture at point 5
+        (lambda d: tau_p(d, 0, 1, -1), "^need point index >= 0, got -1$"),
+        (lambda d: tau_p(d, 0, 1, 2.5), "^point index must be an integer, got 2.5$"),
+        (lambda d: tau_p(d, 0, 6, 2), r"^point index 6 out of range \[0, 6\)$"),
+        (lambda d: avg_tau(d, 0, 1, [2, -1]), "^need point index >= 0, got -1$"),
+        (lambda d: mu_P(d, 0, 1, [True]), "^point index must be an integer, got True$"),
+        (lambda d: mu_p(d, -1, 1, 2), "^need point index >= 0, got -1$"),
+    ],
+    ids=["tau_p-negative", "tau_p-float", "tau_p-past-the-end", "avg_tau-negative",
+         "mu_P-boolean", "mu_p-negative"],
+)
+def test_scalar_constructors_refuse_bad_indices(call, message):
+    m = build_distance_matrix(random_cloud(6, 2, seed=79))
+    for d in (m, m.entries, m.entries.tolist()):
+        with pytest.raises(InputError, match=message):
+            call(d)
+
+
+def test_matrix_entries_refuse_bad_indices():
+    m = build_distance_matrix(random_cloud(6, 2, seed=79))
+    assert m(0, 5) == m.entries[0, 5] and m(np.int64(5), 0) == m.entries[5, 0]
+    for i, message in ((-1, "^need point index >= 0, got -1$"),
+                       (True, "^point index must be an integer, got True$")):
+        with pytest.raises(InputError, match=message):
+            m(0, i)
+
+
 def test_point_next_to_a_puncture_keeps_a_zero_diagonal():
     # d(0, 1) = 1e-170, so the gap product of point 1 underflows to 0 and
     # its diagonal entry was 0 / 0; with d(0, 2) = d(1, 2) = 1e-170 too, the
@@ -523,8 +564,8 @@ def _sequential_fold(spec, variant, k, anchor):
     op(out, log1p(f (d / root))) per puncture, the average divided by k,
     with ``_root`` for sqrt(d(x,p) d(y,p)) so that gap products past the
     float range keep their value; the j variants from the gap minima."""
-    dom, gaps, _ = _materialize(spec)
-    g = gaps.T
+    dist, gaps, idx = _materialize(spec)
+    dom, g = dist(idx, idx), gaps.T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if variant in ("j", "j_tilde"):
             t1 = np.log1p(dom / g[:k].min(axis=0)[:, None])
@@ -634,6 +675,27 @@ def test_row_blocks_give_the_one_block_matrices(monkeypatch, name, spec, extreme
                 assert same, (variant, budget)
 
 
+@pytest.mark.parametrize("exponent", [-1000, 0, 1000])
+def test_coordinate_punctures_are_points_after_the_cloud(monkeypatch, exponent):
+    # a coordinate puncture is read as an extra point after the cloud's own:
+    # the same cells, bit for bit, as index punctures n to n+k-1 of the
+    # stacked cloud, in one block and in many
+    rng = np.random.Generator(np.random.PCG64(83))
+    pts = np.ldexp(rng.uniform(-2.0, 2.0, size=(30, 2)), exponent)
+    coords = np.ldexp(rng.uniform(-3.0, 3.0, size=(3, 2)), exponent)
+    stacked = PointCloud(np.vstack([pts, coords]))
+    for metric in ("euclidean", "d1+d2"):
+        by_coords = PuncturedSpec(PointCloud(pts), coords, "avg_tau", 2, metric)
+        by_index = PuncturedSpec(stacked, [30, 31, 32], "avg_tau", 2, metric)
+        cells = [(variant, 3) for variant in VARIANTS]
+        for budget in [spaces._STEP_BYTES, *_BUDGETS]:
+            monkeypatch.setattr(spaces, "_STEP_BYTES", budget)
+            got, want = _punctured_matrices(by_coords, cells), _punctured_matrices(by_index, cells)
+            for (variant, _), a, b in zip(cells, got, want):
+                same = np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                assert same, (metric, variant, budget)
+
+
 def test_row_blocks_give_the_one_block_sandwich(monkeypatch):
     cloud = random_cloud(31, 2, seed=67)
     specs = {
@@ -658,6 +720,31 @@ def test_punctured_matrix_memory_is_bounded(variant):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 8 MB base matrix, the 8 MB cell and one row block's buffers; the
-    # walk over the whole domain traced 40.7 MB
+    # the 8 MB cell, the DistanceMatrix's 8 MB copy of it and one row
+    # block's buffers; the walk over the whole domain traced 40.7 MB
     assert peak < 24e6
+
+
+def _thousand_point_specs():
+    rng = np.random.Generator(np.random.PCG64(71))
+    cloud = random_cloud(1000, 2, seed=71)
+    indices = [int(i) for i in rng.choice(1000, size=8, replace=False)]
+    return {
+        "cloud-coords": PuncturedSpec(cloud, rng.uniform(1.25, 2.0, size=(8, 2)), "avg_tau"),
+        "cloud-index": PuncturedSpec(cloud, indices, "avg_tau"),
+        "matrix-index": PuncturedSpec(build_distance_matrix(cloud), indices, "avg_tau"),
+    }
+
+
+@pytest.mark.parametrize("name", ["cloud-coords", "cloud-index", "matrix-index"])
+def test_punctured_cells_memory_is_bounded(name):
+    spec = _thousand_point_specs()[name]
+    tracemalloc.start()
+    try:
+        _punctured_matrices(spec, [("avg_tau", 8)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB cell and one row block's buffers: 10.3-11.3 MB; staging the
+    # (n + k)^2 base matrix, or copying the domain of a matrix, traced 17.6-17.9 MB
+    assert peak < 13e6

@@ -81,6 +81,22 @@ def test_quadruple_delta_reads_nested_lists():
     assert np.array_equal(on_lists.view(np.uint64), on_matrix.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        (-1, "^need point index >= 0, got -1$"),  # read point 5
+        (2.5, "^point index must be an integer, got 2.5$"),
+        (True, "^point index must be an integer, got True$"),
+        (6, r"^point index 6 out of range \[0, 6\)$"),
+    ],
+)
+def test_quadruple_delta_refuses_bad_indices(v, message):
+    m = build_distance_matrix(random_cloud(6, 2, seed=79))
+    for d in (m, m.entries, m.entries.tolist()):
+        with pytest.raises(InputError, match=message):
+            quadruple_delta(d, 0, 1, 2, v)
+
+
 def test_exact_on_four_points_equals_quadruple():
     m = build_distance_matrix(random_cloud(4, 2, seed=23))
     rep = exact_delta(m)
@@ -385,6 +401,16 @@ def test_workers_below_one_rejected(workers):
         exact_delta(m, workers=workers)
     with pytest.raises(InputError):
         sampled_delta(m, samples=20, seed=1, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1.5, True, "2"])
+def test_workers_that_are_not_integers_rejected(workers):
+    # 1.5 raised a bare TypeError from inside the pool
+    m = build_distance_matrix(random_cloud(8, 2, seed=65))
+    for run in (lambda: exact_delta(m, workers=workers),
+                lambda: sampled_delta(m, samples=20, seed=1, workers=workers)):
+        with pytest.raises(InputError, match=f"^workers must be an integer, got {workers!r}$"):
+            run()
 
 
 def _two_planted_maxima(

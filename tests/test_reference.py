@@ -11,7 +11,13 @@ exactly, in 80-digit ``decimal`` arithmetic. Two families of bases:
   distances span the float range: subnormal gaps, and ratios whose
   log1p overflows.
 
-The grid is fixed, so the test draws the same entries on every run.
+The base metrics are checked the same way: Euclidean and taxicab
+distances of seeded planar clouds, one per power of two of a grid from
+2^-1074 to 2^1020, against the 80-digit value of the exact coordinate
+differences. Each cloud's coordinates spread over 40 binades below its
+scale, and its last points sit a few ulps from earlier ones.
+
+The grids are fixed, so the tests draw the same entries on every run.
 """
 
 import decimal
@@ -22,13 +28,18 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from hypmetrics import DistanceMatrix, PuncturedSpec, mu_P, punctured_matrix
+from hypmetrics import DistanceMatrix, PuncturedSpec, mu_P, pairwise_distances, punctured_matrix
 from hypmetrics.cassinian import ONE_POINT_VARIANTS, VARIANTS
 
 EXPONENTS = (-1000, -768, -512, -256, -64, -5, 5, 64, 256, 512, 768, 1000)
 #: Ulps each variant may be off the reference; mu_P over k punctures may be
 #: off by k + 1 (see the ``cassinian`` docstring for the measured errors).
 VARIANT_ULPS = 3.0
+
+#: Ulps a Euclidean and a taxicab distance may be off the reference (see
+#: the ``spaces`` docstring for the measured errors).
+BASE_ULPS = {"euclidean": 2.0, "taxicab": 1.5}
+BASE_EXPONENTS = (-1074, -1060, -1030, -1000, -969, -900, -512, -64, 0, 64, 512, 900, 969, 1000, 1020)
 
 CTX = decimal.Context(prec=80)
 TINY, HUGE = Decimal(np.finfo(float).tiny), Decimal(np.finfo(float).max)
@@ -133,3 +144,27 @@ def test_bases_across_the_float_range(seed):
             _check(DistanceMatrix(gaps), P, *_reference(lambda i, j: Decimal(gaps[i, j]), 8, P))
         bases += 1
     assert bases >= 3
+
+
+def _planar_cloud(rng, e: int, n: int = 16, near: int = 4) -> np.ndarray:
+    """n points below 2^(e+1) in each coordinate, spread over 40 binades,
+    the last ``near`` of them a few ulps from the first ones."""
+    pts = np.ldexp(rng.uniform(-1.0, 1.0, (n, 2)), e + rng.integers(-40, 2, (n, 2)))
+    for t in range(near):
+        pts[n - near + t] = pts[t] + rng.integers(-3, 4, 2) * np.spacing(np.abs(pts[t]))
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_base_metrics_across_the_float_range(seed):
+    rng = np.random.default_rng(2000 + seed)
+    for e in BASE_EXPONENTS:
+        pts = _planar_cloud(rng, e)
+        got = {metric: pairwise_distances(pts, metric) for metric in BASE_ULPS}
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            with decimal.localcontext(CTX):
+                dx, dy = (Decimal(pts[i, c]) - Decimal(pts[j, c]) for c in (0, 1))
+                want = {"euclidean": (dx * dx + dy * dy).sqrt(), "taxicab": abs(dx) + abs(dy)}
+            for metric, budget in BASE_ULPS.items():
+                ulps = _ulps(got[metric][i, j], want[metric])
+                assert ulps <= budget, (metric, e, i, j, ulps)

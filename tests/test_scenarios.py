@@ -110,11 +110,10 @@ def test_scenario_json_shape():
 
 
 def test_sweep_computes_base_distances_once_per_trial(monkeypatch):
+    # one distance source per trial, which every cell of the trial reads
     calls = []
-    real = cassinian.pairwise_distances
-    monkeypatch.setattr(
-        cassinian, "pairwise_distances", lambda *a: calls.append(a) or real(*a)
-    )
+    real = cassinian._materialize
+    monkeypatch.setattr(cassinian, "_materialize", lambda spec: calls.append(spec) or real(spec))
     hyperbolicity_sweep(n=8, k_list=(1, 2, 4), trials=3, seed=5)
     assert len(calls) == 3
 

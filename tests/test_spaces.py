@@ -555,6 +555,14 @@ def test_loader_rejects_worker_counts_below_one(tmp_path, monkeypatch, n, worker
         load_distance_matrix(path, workers)
 
 
+@pytest.mark.parametrize("workers", [True, 2.0])
+def test_loader_rejects_worker_counts_that_are_not_integers(tmp_path, workers):
+    path = tmp_path / "m.json"
+    DistanceMatrix(_symmetric(4, 7)).save(path)
+    with pytest.raises(InputError, match=f"^workers must be an integer, got {workers!r}$"):
+        load_distance_matrix(path, workers)
+
+
 def test_matrix_load_memory_is_bounded(tmp_path):
     path = tmp_path / "m.json"
     DistanceMatrix(_symmetric(1000, 5)).save(path)

@@ -233,7 +233,8 @@ def test_sampled_checkers_refuse_counts_and_seeds_that_are_not_integers(
         _SAMPLED_CHECKERS[checker](e, samples, seed)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+# "x" raised a bare TypeError from the comparison, and True passed as 1
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, "x", True, None, [1e-9]])
 def test_checkers_refuse_a_tolerance_that_is_not_positive_and_finite(tol):
     e = build_distance_matrix(random_cloud(8, 2, seed=61)).entries
     for check in (check_metric_axioms, lambda m, tol: check_mu_bounds(m, 0, samples=5, tol=tol)):
