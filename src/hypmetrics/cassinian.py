@@ -221,10 +221,20 @@ def _walk(cells, dxy, gx, gy) -> list:
     return [snaps[variant, end] for (variant, _, _), end in zip(cells, ends)]
 
 
+def _puncture_list(punctures) -> list:
+    """A puncture list, tuple, range or array as a list; anything else is an
+    InputError."""
+    listed = isinstance(punctures, (list, tuple, range, np.ndarray))
+    if not listed or getattr(punctures, "ndim", 1) == 0:
+        raise InputError(f"punctures must be a list, got {type(punctures).__name__}")
+    return list(punctures)
+
+
 def _scalar(variant: str, d, x: int, y: int, punctures: Sequence[int], anchor=None) -> float:
     """One entry of ``variant``: ``d``'s values as a (1,) distance and
     (k, 1) gaps, through the walk ``punctured_matrix`` takes: each entry
     is the same float operations on the same operands."""
+    punctures = _puncture_list(punctures)
     k = len(punctures)
     if k < 1:
         raise InputError("need at least one puncture")
@@ -244,6 +254,7 @@ def mu_p(d, x: int, y: int, p: int) -> float:
 
 def mu_P(d, x: int, y: int, punctures: Sequence[int]) -> float:
     """Product of mu_p over the puncture list."""
+    punctures = _puncture_list(punctures)
     k = len(punctures)
     raw = _pairs(d, [x] * (k + 1) + [y] * k, [y, *punctures, *punctures])
     return math.prod(_mu(raw[0], raw[1 : k + 1], raw[k + 1 :]).tolist(), start=1.0)
@@ -333,10 +344,7 @@ class PuncturedSpec:
             raise InputError("base must be a PointCloud or a DistanceMatrix")
         if isinstance(base, PointCloud):
             _metric(metric, base.dim)
-        listed = isinstance(punctures, (list, tuple, range, np.ndarray))
-        if not listed or getattr(punctures, "ndim", 1) == 0:
-            raise InputError(f"punctures must be a list, got {type(punctures).__name__}")
-        punctures = list(punctures)
+        punctures = _puncture_list(punctures)
         if len(punctures) == 0:
             raise InputError("need at least one puncture")
 
@@ -518,4 +526,4 @@ def punctured_matrix(spec: PuncturedSpec) -> DistanceMatrix:
     formula. Base distances spanning more than the float range leave NaN or
     infinite values, which the DistanceMatrix rejects (``InputError``).
     """
-    return DistanceMatrix(_punctured_matrices(spec, [(spec.variant, spec.k)])[0])
+    return DistanceMatrix(_punctured_matrices(spec, [(spec.variant, spec.k)])[0], _owned=True)

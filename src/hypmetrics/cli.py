@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     e.add_argument("--samples", type=int, default=100000)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--workers", type=int, default=None)
+    e.add_argument("--workers", type=int, default=None,
+                   help="most processes a pass forks (default one per core); a small input lowers it")
     e.add_argument("--out")
     e.set_defaults(fn=cmd_delta)
 

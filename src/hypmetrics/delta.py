@@ -136,10 +136,15 @@ smallest key among the steps reaching its maximum wins. One fold,
 fold does not depend on task order, so tasks run heaviest first and the
 report is identical for any worker count.
 
-A sweep runs its screen and its confirm pass on one ``_pool._runner``, so
-one process pool serves both, and the sampler runs its batches on a
-runner of its own. A confirm pass that holds a single (chunk, j) runs in
-the calling process.
+The screen, the confirm pass and the sampler each run on a
+``_pool._runner``, whose forked children read the matrices and their
+scaled copies as the caller holds them. ``_pool._processes`` sizes each
+pass by its own work, up to ``workers`` processes: the screen takes one
+per ``_FORK_QUADS`` quadruples of the batch, the confirm pass one per
+``_FORK_CONFIRMS`` entries of its grids, and the sampler one per
+``_FORK_BATCHES`` batches. So ``workers`` is an upper bound that a small
+input lowers: a sweep of 12 points, a confirm pass of a few steps and a
+sample of 2,000 quadruples run in the calling process at any worker count.
 
 Both kernels read any input, a nested list included, by ``spaces``' one
 gate, and need finite, exactly symmetric entries (``InputError`` otherwise).
@@ -164,7 +169,7 @@ from math import comb, prod
 
 import numpy as np
 
-from ._pool import _runner
+from ._pool import _processes, _runner
 from .errors import InputError
 from .spaces import (
     _STEP_BYTES, _as_entries, _count, _pairs, _require_finite, _require_symmetric, _worker_count
@@ -177,6 +182,11 @@ SAMPLE_BATCH = 65536
 _SCREEN_ENTRY, _CONFIRM_ENTRY = 2 * 2, 5 * 8
 #: A matrix with an entry this large runs the kernels scaled by 1/4.
 _HUGE_ENTRY = 2.0**1022
+#: Work per process of a pass, which runs in the calling process below two
+#: units: screened quadruples (about 5 ms of int16 screen at n = 200),
+#: confirmed grid entries (about 7 ms of float64 confirm; its tasks are
+#: fewer and less even than the screen's) and sampler batches (about 28 ms).
+_FORK_QUADS, _FORK_CONFIRMS, _FORK_BATCHES = 1 << 22, 1 << 20, 4
 
 
 @dataclass
@@ -409,7 +419,7 @@ def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndar
     matrix in a list of B ``(n, n)`` matrices: an int16 screen of every
     step, from (chunk, j) tasks run heaviest first, then one float64 confirm
     pass over the matrices and steps whose bound reaches the matrix's floor,
-    on one runner."""
+    each pass on up to ``workers`` processes, as its work allows."""
     nb, n = len(entries), entries[0].shape[0]
     size = _chunk_size(n)
     chunks = [np.arange(lo, min(lo + size, nb)) for lo in range(0, nb, size)]
@@ -417,20 +427,24 @@ def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndar
     middles = sorted(range(1, n - 2), key=lambda j: -j * comb(n - j - 1, 2))
     tasks = [(c, j) for j in middles for c in range(len(chunks))]
     copies = [_screen_copy(entries[lo : lo + size]) for lo in range(0, nb, size)]
-    with _runner((entries, copies), workers) as run:
+    processes = _processes(workers, len(tasks), nb * comb(n, 4), _FORK_QUADS)
+    with _runner((entries, copies), processes) as run:
         # (steps, matrices of chunk c) int16 maxima, each matrix in its own quanta
         screens = [m.astype(float) for m in run(_screen_middle, tasks)]
-        floor = np.full(nb, -np.inf)
-        for (c, _), m in zip(tasks, screens):
-            at = chunks[c]
-            floor[at] = np.maximum(floor[at], (m - 2.0).max(axis=0))
-        confirm = []
-        for (c, j), m in zip(tasks, screens):
-            reach = m + 2.0 >= floor[chunks[c]]
-            rows = chunks[c][reach.any(axis=0)]
-            if rows.size:
-                steps = _middle_steps(n, j, len(chunks[c]), _SCREEN_ENTRY)
-                confirm.append((rows, j, list(compress(steps, reach.any(axis=1)))))
+    floor = np.full(nb, -np.inf)
+    for (c, _), m in zip(tasks, screens):
+        at = chunks[c]
+        floor[at] = np.maximum(floor[at], (m - 2.0).max(axis=0))
+    confirm = []
+    for (c, j), m in zip(tasks, screens):
+        reach = m + 2.0 >= floor[chunks[c]]
+        rows = chunks[c][reach.any(axis=0)]
+        if rows.size:
+            steps = _middle_steps(n, j, len(chunks[c]), _SCREEN_ENTRY)
+            confirm.append((rows, j, list(compress(steps, reach.any(axis=1)))))
+    work = sum(len(rows) * j * sum(g * (n - k0 - 1) for k0, g in spans)
+               for rows, j, spans in confirm)
+    with _runner((entries, copies), _processes(workers, len(confirm), work, _FORK_CONFIRMS)) as run:
         parts = run(_scan_middle, confirm)
     return _fold([task[0] for task in confirm], parts, nb, n)
 
@@ -440,9 +454,10 @@ def exact_delta(d, n: int | None = None, workers: int = 1) -> DeltaReport:
 
     ``d`` may be a DistanceMatrix, a square ndarray, or a callable oracle
     (the latter needs ``n`` and is read once into a matrix with n(n-1)/2
-    calls, then runs through the same kernel and pool). The witness is the
-    lexicographically smallest quadruple achieving the maximum; delta and
-    witness are bit-identical for any ``workers`` value. This is
+    calls, then runs through the same kernel). ``workers`` is the most
+    processes a pass may take; the input size can lower it. The witness is
+    the lexicographically smallest quadruple achieving the maximum; delta
+    and witness are bit-identical for any ``workers`` value. This is
     ``exact_deltas`` on a batch of one.
     """
     return exact_deltas([_as_entries(d, n)], workers)[0]
@@ -546,7 +561,8 @@ def sampled_delta(
     if samples % SAMPLE_BATCH:
         sizes.append(samples % SAMPLE_BATCH)
     tasks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
-    with _runner(np.ascontiguousarray(entries), workers) as run:
+    processes = _processes(workers, len(tasks), len(tasks), _FORK_BATCHES)
+    with _runner(np.ascontiguousarray(entries), processes) as run:
         parts = run(_batch_best, tasks)
     best2, wit = _fold([[0]] * len(parts), parts, 1, n)
     return DeltaReport(

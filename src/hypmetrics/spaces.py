@@ -47,12 +47,15 @@ tests/test_reference.py allows 2 and 1.5.
 Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
 rows) for any worker count. It formats each symmetric pair once, in row
-bands of equal upper-triangle size run on the process pool of ``_pool``
-(one band, in the calling process, below ``2 * _BAND_ENTRIES`` entries),
-and writes the rows once every band is done. ``load_distance_matrix``
-decodes a large JSON matrix file in row pieces on the same pool, and
-otherwise reads it as ``json.loads`` does, with the same bits and errors.
-A worker count below 1 is an ``InputError``, whatever the file.
+bands of equal upper-triangle size, each on a process of its own forked
+by ``_pool._runner`` (one band, in the calling process, below
+``2 * _BAND_ENTRIES`` entries), and writes the rows once every band is
+done. ``load_distance_matrix`` decodes a large JSON matrix file in row
+pieces the same way, and otherwise reads it as ``json.loads`` does, with
+the same bits and errors. Both size their bands and pieces by
+``_pool._processes``, one per ``_BAND_ENTRIES`` entries up to the worker
+count, so a worker count is an upper bound that a small matrix lowers. A
+worker count below 1 is an ``InputError``, whatever the file.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._pool import _runner
+from ._pool import _processes, _runner
 from .errors import InputError
 
 Vector = Sequence[float]
@@ -85,8 +88,8 @@ METRIC_NAMES = ("euclidean", "taxicab", "d1", "d2", "d1+d2")
 _STEP_BYTES = 1 << 19
 
 #: Entries per band of the matrix-file writer and per piece of the reader,
-#: at least: about 100 ms of formatting, against the 15-20 ms it costs to
-#: open the process pool.
+#: at least: about 100 ms of formatting, against the few milliseconds a
+#: fork costs.
 _BAND_ENTRIES = 1 << 17
 
 #: The matrix-file reader's patterns, tokens separated by JSON whitespace;
@@ -349,12 +352,17 @@ class DistanceMatrix:
     triangle inequality is deliberately NOT an invariant: several distance
     functions materialized here fail it, and the checkers must be able to
     see that.
+
+    The entries are copied, so the matrix does not change with its input;
+    inside the package, ``_owned=True`` hands over a float64 array that
+    nobody else holds, such as a fresh result, which is checked the same way
+    and kept without a copy.
     """
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries):
-        m = _float_matrix(entries, np.array)
+    def __init__(self, entries, *, _owned: bool = False):
+        m = _float_matrix(entries, np.asarray if _owned else np.array)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise InputError("distance matrix must be square and nonempty")
         _require_finite(m)
@@ -398,11 +406,12 @@ class DistanceMatrix:
 
         Every entry is written as its ``float.__repr__``, so a load gives back
         the same bits. The text is formatted in ``_bands`` of rows by
-        ``_band_text`` on one process per core, up to one per band. Each
-        band writes its text to a file of its own in a temporary directory
-        and returns the length of each piece, and once every band is done the
-        rows are copied from those files: the pool carries lengths, not text,
-        and no process holds more than one band's text.
+        ``_band_text``, one band per core at most, each band on a forked
+        process of its own. Each band writes its text to a file of its own
+        in a temporary directory and returns the length of each piece, and
+        once every band is done the rows are copied from those files: the
+        pipes carry lengths, not text, and no process holds more than one
+        band's text.
         """
         path = Path(path)
         sep = "," if path.suffix == ".csv" else ",\n      "
@@ -436,9 +445,10 @@ class DistanceMatrix:
 def _bands(n: int, workers: int) -> list[tuple[int, int]]:
     """Row bands ``[r0, r1)`` of an n-point matrix that split its n(n+1)/2
     upper-triangle entries, diagonal included, into equal parts: one per
-    worker, but none below ``_BAND_ENTRIES`` entries, and at least one."""
+    worker, but none below ``_BAND_ENTRIES`` entries, and at least one
+    (``_pool._processes``)."""
     total = n * (n + 1) // 2
-    parts = max(1, min(workers, total // _BAND_ENTRIES))
+    parts = _processes(workers, n, total, _BAND_ENTRIES)
     above = np.concatenate([[0], np.cumsum(np.arange(n, 0, -1))])  # entries in rows < i
     cuts = np.unique(np.searchsorted(above, [total * k // parts for k in range(parts + 1)]))
     return [(int(r0), int(r1)) for r0, r1 in zip(cuts[:-1], cuts[1:])]
@@ -502,9 +512,9 @@ def _as_entries(d, n: int | None = None) -> np.ndarray:
         if n is None or n < 1:
             raise InputError(f"a callable oracle needs a point count n >= 1, got {n}")
         m = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i, j] = m[j, i] = d(i, j)
+        rows, cols = np.triu_indices(n, 1)
+        m[rows, cols] = _pairs(d, rows.tolist(), cols.tolist())
+        m[cols, rows] = m[rows, cols]
         return m
     arr = _float_matrix(d)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -514,9 +524,12 @@ def _as_entries(d, n: int | None = None) -> np.ndarray:
 
 def _pairs(d, rows, cols) -> np.ndarray:
     """The entries ``(rows[t], cols[t])`` of a distance input: an oracle called on
-    each pair in turn, or ``_as_entries`` at the indices ``_index`` reads."""
+    each pair in turn, its values read by ``_float_matrix``, or ``_as_entries``
+    at the indices ``_index`` reads."""
     if callable(d) and not isinstance(d, DistanceMatrix):  # a DistanceMatrix is callable too
-        return np.array([float(d(i, j)) for i, j in zip(rows, cols)])
+        values = [d(i, j) for i, j in zip(rows, cols)]
+        # float() of each value: None or a list is refused, not read as NaN or a row
+        return _float_matrix(values, lambda v, dtype: np.fromiter(map(dtype, v), dtype, len(v)))
     e = _as_entries(d)
     rows, cols = ([_index(i, e.shape[0], "point index") for i in ix] for ix in (rows, cols))
     return e[rows, cols]
@@ -532,12 +545,12 @@ def load_distance_matrix(path: str | Path, workers: int | None = None) -> Distan
     tokens, takes a fast path: its rows are cut into pieces at row breaks
     ``]``, ``,``, ``[``, one per worker of ``workers`` (default one per core)
     but none below ``_BAND_ENTRIES`` entries, and ``_read_rows`` decodes each
-    piece into a float64 array on the process pool. The file is read the
-    exact way instead when the fast path finds anything else: another
-    layout, a row that is not a flat list of numbers, ragged rows, a
-    separator between rows other than a comma and JSON whitespace, or a
-    number that does not convert. A worker count below 1 is an InputError,
-    whatever the file.
+    piece into a float64 array, each on a forked process of its own. The
+    file is read the exact way instead when the fast path finds anything
+    else: another layout, a row that is not a flat list of numbers, ragged
+    rows, a separator between rows other than a comma and JSON whitespace,
+    or a number that does not convert. A worker count below 1 is an
+    InputError, whatever the file.
     """
     workers = _worker_count(workers)
     path = Path(path)
@@ -563,7 +576,7 @@ def _read_matrix(text: str, workers: int) -> DistanceMatrix | None:
     start, end = head.end(), len(text) - len(window) + tail.start()
     if end <= start:
         return None
-    parts = max(1, min(workers, n * n // _BAND_ENTRIES))
+    parts = _processes(workers, n, n * n, _BAND_ENTRIES)
     row_break = re.compile(_ROW_BREAK)
     pieces, at = [], start
     for k in range(1, parts):
@@ -704,4 +717,4 @@ def pairwise_distances(points: np.ndarray, metric: str | MetricFn) -> np.ndarray
 
 def build_distance_matrix(cloud: PointCloud, metric: str | MetricFn = "euclidean") -> DistanceMatrix:
     """Materialize the full distance matrix of a cloud under a base metric."""
-    return DistanceMatrix(pairwise_distances(cloud.points, metric))
+    return DistanceMatrix(pairwise_distances(cloud.points, metric), _owned=True)

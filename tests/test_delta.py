@@ -1,7 +1,8 @@
 import math
 import tracemalloc
 from contextlib import contextmanager
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -173,6 +174,9 @@ def test_oracle_callable_path():
     assert rep_oracle.witness == rep_matrix.witness
     with pytest.raises(InputError):
         exact_delta(oracle)
+    for value, message in (("a", "could not convert string to float: 'a'$"), (None, "'NoneType'$")):
+        with pytest.raises(InputError, match=message):
+            exact_delta(lambda i, j: value, n=5)
 
 
 def test_exact_rejects_small_n():
@@ -257,54 +261,53 @@ def test_parallel_bit_identical():
 
 
 def test_pool_never_outnumbers_its_tasks(monkeypatch):
-    pools = []  # per pool opened: its process count and, per pass, (kernel, jobs, tasks)
+    spawned = []  # per forked child: its kernel and the task count of its share
+    spawn = _pool._spawn
 
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            self.passes = []
-            pools.append((max_workers, self.passes))
-            initializer(*initargs)
+    def recording(fn, shared, share, pipes):
+        spawned.append((fn.__name__, len(share)))
+        return spawn(fn, shared, share, pipes)
 
-        def __enter__(self):
-            return self
+    def passes():
+        """(kernel, share sizes) of each forked pass since the last clear."""
+        return [(kernel, [size for _, size in children])
+                for kernel, children in groupby(spawned, key=itemgetter(0))]
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            self.passes.append(
-                (jobs[0][0].__name__, len(jobs), sum(len(share) for _, share in jobs))
-            )
-            return map(fn, jobs)
-
-    monkeypatch.setattr(_pool, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(_pool, "_POOL_SHARED", None)
+    monkeypatch.setattr(_pool, "_spawn", recording)
     four = build_distance_matrix(random_cloud(4, 2, seed=3))
     assert exact_delta(four, workers=5000).witness == exact_delta(four, workers=1).witness
-    assert pools == []  # one task runs serially
-    m = build_distance_matrix(random_cloud(40, 2, seed=3))
-    ones = np.ones((60, 60)) - np.eye(60)
+    assert spawned == []  # one task runs in the caller
+    # below two units of work a pass runs in the caller, at any worker count
+    m = build_distance_matrix(random_cloud(130, 2, seed=1))  # two confirm tasks
+    exact_delta(build_distance_matrix(random_cloud(12, 2, seed=3)), workers=2)
+    sampled_delta(m, samples=2000, seed=2, workers=2)
+    assert spawned == []
+    exact_delta(m, workers=2)  # the screen forks, and the confirm pass of two tasks does not
+    assert [kernel for kernel, _ in passes()] == ["_screen_middle"]
+    ones = np.ones((130, 130)) - np.eye(130)
     for run in (lambda w: exact_delta(m, workers=w),
-                lambda w: sampled_delta(m, samples=SAMPLE_BATCH + 10, seed=2, workers=w),
+                lambda w: sampled_delta(m, samples=8 * SAMPLE_BATCH + 10, seed=2, workers=w),
                 lambda w: exact_delta(ones, workers=w)):
         for workers in (5000, 3):
-            pools.clear()
-            pooled, serial = run(workers), run(1)
-            assert (pooled.delta, pooled.witness) == (serial.delta, serial.witness)
-            assert len(pools) == 1  # at most one pool per call, none at workers=1
-            size, passes = pools[0]
-            assert 1 < size <= min(workers, passes[0][2])  # no more processes than tasks
-            assert all(jobs <= size for _, jobs, _ in passes)  # one job per process
-    # every step of the all-ones matrix ties, so its confirm rounds reach the pool
-    assert [(kernel, tasks) for kernel, _, tasks in passes] == [
-        ("_screen_middle", 57), ("_scan_middle", 57)
+            spawned.clear()
+            serial = run(1)
+            assert spawned == []  # nothing forks at workers=1
+            forked = run(workers)
+            assert (forked.delta, forked.witness) == (serial.delta, serial.witness)
+            assert passes()
+            for _, shares in passes():
+                p, tasks = len(shares), sum(shares)
+                assert 1 < p <= min(workers, tasks)  # no more processes than tasks
+                assert shares == [len(range(w, tasks, p)) for w in range(p)]  # one share each
+    # every step of the all-ones matrix ties, so its confirm pass forks too
+    assert [(kernel, sum(shares)) for kernel, shares in passes()] == [
+        ("_screen_middle", 127), ("_scan_middle", 127)
     ]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_tie_heavy_reports_do_not_depend_on_workers(workers):
-    ones = np.ones((60, 60)) - np.eye(60)
+    ones = np.ones((130, 130)) - np.eye(130)
     serial = exact_delta(ones, workers=1)
     pooled = exact_delta(ones, workers=workers)
     assert (serial.delta, serial.witness) == (0.0, (0, 1, 2, 3))
@@ -312,7 +315,7 @@ def test_tie_heavy_reports_do_not_depend_on_workers(workers):
     rng = np.random.Generator(np.random.PCG64(97))
     batch = []
     for _ in range(12):
-        a = np.triu(rng.integers(1, 4, size=(40, 40)).astype(float), 1)
+        a = np.triu(rng.integers(1, 4, size=(70, 70)).astype(float), 1)
         batch.append(a + a.T)
     serial = exact_deltas(batch, workers=1)
     pooled = exact_deltas(batch, workers=workers)

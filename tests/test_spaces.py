@@ -381,6 +381,26 @@ def test_matrix_save_load_is_bit_exact(tmp_path, entries, suffix):
     assert np.array_equal(back.entries.view(np.uint64), m.entries.view(np.uint64))
 
 
+def test_matrix_copies_what_its_caller_holds():
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = DistanceMatrix(a)
+    a[0, 1] = 5.0
+    assert m(0, 1) == 1.0 and a.flags.writeable and not m.entries.flags.writeable
+
+
+def test_build_distance_matrix_memory_is_bounded():
+    cloud = random_cloud(1000, 2, seed=71)
+    tracemalloc.start()
+    try:
+        build_distance_matrix(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB matrix, kept by the DistanceMatrix without a copy, and one row
+    # block's buffers: 11.1 MB; with a copy 17.1 MB
+    assert peak < 13e6
+
+
 def test_matrix_save_memory_is_bounded(tmp_path):
     m = DistanceMatrix(_symmetric(1000, 5))
     tracemalloc.start()
