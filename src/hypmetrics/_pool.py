@@ -1,15 +1,17 @@
 """The one fork-join runner of the package, and the one rule that sizes it.
 
-One runner, ``_runner``, runs a module's tasks: the delta kernels' screen
-and confirm passes and the sampler's batches (``delta``), the bands of a
-matrix-file writer and the pieces of a matrix-file reader (``spaces``).
+One call, ``_run``, runs a pass of a module's tasks: the delta kernels'
+screen and confirm passes and the sampler's batches (``delta``), the bands
+of a matrix-file writer and the pieces of a matrix-file reader
+(``spaces``).
 A pass of more than one task on p > 1 processes forks p children, child w
 with the one share ``tasks[w::p]``, which it computes from the memory it
-inherited: the runner's shared data (the caller's matrices and their
+inherited: the pass's shared data (the caller's matrices and their
 scaled copies, or a matrix file's text) is never sent. Each child writes
-one pickled message, its results or its exception, to a pipe of its own
-and exits. The caller runs no share: it reads the pipes in share order,
-re-raises a child's exception, and reaps every child before the pass
+one pickled message, its results or its exception and that exception's
+traceback text, to a pipe of its own and exits. The caller runs no share:
+it reads the pipes in share order, re-raises a child's exception with the
+text as its ``__cause__``, and reaps every child before the pass
 returns or raises, first killing those still running when it raises.
 Every pass forks afresh, so no process outlives the pass that forked it.
 A pass of one task, a pass on one process, and every pass where the
@@ -29,7 +31,11 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from contextlib import contextmanager
+import traceback
+
+
+class _ChildTraceback(Exception):
+    """The text of a forked child's traceback."""
 
 
 def _processes(workers: int, tasks: int, work: int, unit: int) -> int:
@@ -41,25 +47,26 @@ def _processes(workers: int, tasks: int, work: int, unit: int) -> int:
 def _send(fn, shared, share: list[tuple], out: int, pipes: list, mask) -> None:
     """The body of a forked child; never returns. Restore the signal mask
     ``mask``, close the caller's read ends ``pipes``, write
-    ``(True, results)``, the list of ``fn(shared, *task)`` over the
-    ``share``, or ``(False, exception)``, pickled, to the pipe ``out``, and
-    exit. An exception that does not come back out of a pickle is sent as a
-    RuntimeError with its repr."""
+    ``(True, results, None)``, the list of ``fn(shared, *task)`` over the
+    ``share``, or ``(False, exception, its traceback's text)``, pickled, to
+    the pipe ``out``, and exit. An exception that does not come back out of
+    a pickle is sent as a RuntimeError with its repr."""
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for pipe in pipes:
             pipe.close()
         try:
-            message = (True, [fn(shared, *task) for task in share])
+            message = (True, [fn(shared, *task) for task in share], None)
         except BaseException as exc:  # sent to the caller, which raises it
-            message = (False, exc)
+            message = (False, exc, traceback.format_exc())
         try:
             data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
             if not message[0]:
                 pickle.loads(data)
         except Exception as exc:
-            data = pickle.dumps((False, RuntimeError(f"{message[1]!r} cannot be sent: {exc!r}")))
+            error = RuntimeError(f"{message[1]!r} cannot be sent: {exc!r}")
+            data = pickle.dumps((False, error, message[2] or traceback.format_exc()))
         with open(out, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -98,7 +105,7 @@ def _join(fn, shared, tasks: list[tuple], p: int) -> list:
             pids.append(_spawn(fn, shared, tasks[w::p], pipes))
         for w, pipe in enumerate(pipes):
             try:
-                ok, value = pickle.load(pipe)
+                ok, value, text = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
                 pids[w] = None
@@ -108,7 +115,7 @@ def _join(fn, shared, tasks: list[tuple], p: int) -> list:
                     "sending its results"
                 ) from None
             if not ok:
-                raise value
+                raise value from _ChildTraceback(f'\n"""\n{text}"""')
             out[w::p] = value
         joined = True
         return out
@@ -123,22 +130,12 @@ def _join(fn, shared, tasks: list[tuple], p: int) -> list:
             os.waitpid(pid, 0)
 
 
-@contextmanager
-def _runner(shared, workers: int):
-    """Yield ``run(fn, tasks)``, which gives ``fn(shared, *task)`` for every
-    task, in task order; each result must pickle.
-
-    A call with one task, and every call when ``workers`` is 1 or the
-    platform has no ``os.fork``, runs in the calling process. Any other
-    call forks p = min(workers, len(tasks)) children, which read
-    ``shared`` as the caller holds it; child w computes ``tasks[w::p]``
-    and sends back its results, or its exception, which the call raises.
-    The call returns or raises once every child is reaped."""
-
-    def run(fn, tasks: list[tuple]) -> list:
-        p = min(workers, len(tasks)) if hasattr(os, "fork") else 1
-        if p < 2:
-            return [fn(shared, *task) for task in tasks]
-        return _join(fn, shared, tasks, p)
-
-    yield run
+def _run(fn, shared, tasks: list[tuple], processes: int) -> list:
+    """``fn(shared, *task)`` for every task, in task order, each result
+    pickled back from one of p = min(processes, len(tasks)) forked children
+    (``_join``), or computed in the calling process when p < 2 or the
+    platform has no ``os.fork``."""
+    p = min(processes, len(tasks)) if hasattr(os, "fork") else 1
+    if p < 2:
+        return [fn(shared, *task) for task in tasks]
+    return _join(fn, shared, tasks, p)

@@ -136,10 +136,10 @@ smallest key among the steps reaching its maximum wins. One fold,
 fold does not depend on task order, so tasks run heaviest first and the
 report is identical for any worker count.
 
-The screen, the confirm pass and the sampler each run on a
-``_pool._runner``, whose forked children read the matrices and their
-scaled copies as the caller holds them. ``_pool._processes`` sizes each
-pass by its own work, up to ``workers`` processes: the screen takes one
+The screen, the confirm pass and the sampler are each one ``_pool._run``
+pass, whose forked children read the matrices and their scaled copies as
+the caller holds them. ``_pool._processes`` sizes each pass by its own
+work, up to ``workers`` processes: the screen takes one
 per ``_FORK_QUADS`` quadruples of the batch, the confirm pass one per
 ``_FORK_CONFIRMS`` entries of its grids, and the sampler one per
 ``_FORK_BATCHES`` batches. So ``workers`` is an upper bound that a small
@@ -155,7 +155,7 @@ the matrix also holds entries below 2^-1020, which lose bits when scaled).
 
 ``sampled_delta`` draws distinct-index quadruples uniformly from a seeded
 generator in fixed-size batches (one spawned substream per batch). Each
-batch is a task of a runner of its own, reporting its best value and the key
+batch is a task of one ``_run`` pass, reporting its best value and the key
 of the lex-min sorted quadruple reaching it, and batches fold as exact
 tasks do, so the result is reproducible and independent of scheduling.
 """
@@ -169,7 +169,7 @@ from math import comb, prod
 
 import numpy as np
 
-from ._pool import _processes, _runner
+from ._pool import _processes, _run
 from .errors import InputError
 from .spaces import (
     _STEP_BYTES, _as_entries, _count, _pairs, _require_finite, _require_symmetric, _worker_count
@@ -211,10 +211,10 @@ class DeltaReport:
         }
 
 
-def _kernel_entries(d, n: int | None = None) -> tuple[np.ndarray, float]:
+def _kernel_entries(d) -> tuple[np.ndarray, float]:
     """The finite matrix behind ``d`` as the kernels read it, and the factor
     that scales their delta back: 4 when the matrix was scaled by 1/4."""
-    e = _as_entries(d, n)
+    e = _as_entries(d)
     _require_finite(e)
     _require_symmetric(e)  # the exact kernel reads each pair from one triangle
     return (e * 0.25, 4.0) if np.abs(e).max() >= _HUGE_ENTRY else (e, 1.0)
@@ -428,9 +428,8 @@ def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndar
     tasks = [(c, j) for j in middles for c in range(len(chunks))]
     copies = [_screen_copy(entries[lo : lo + size]) for lo in range(0, nb, size)]
     processes = _processes(workers, len(tasks), nb * comb(n, 4), _FORK_QUADS)
-    with _runner((entries, copies), processes) as run:
-        # (steps, matrices of chunk c) int16 maxima, each matrix in its own quanta
-        screens = [m.astype(float) for m in run(_screen_middle, tasks)]
+    # (steps, matrices of chunk c) int16 maxima, each matrix in its own quanta
+    screens = [m.astype(float) for m in _run(_screen_middle, (entries, copies), tasks, processes)]
     floor = np.full(nb, -np.inf)
     for (c, _), m in zip(tasks, screens):
         at = chunks[c]
@@ -444,8 +443,8 @@ def _sweep(entries: list[np.ndarray], workers: int) -> tuple[np.ndarray, np.ndar
             confirm.append((rows, j, list(compress(steps, reach.any(axis=1)))))
     work = sum(len(rows) * j * sum(g * (n - k0 - 1) for k0, g in spans)
                for rows, j, spans in confirm)
-    with _runner((entries, copies), _processes(workers, len(confirm), work, _FORK_CONFIRMS)) as run:
-        parts = run(_scan_middle, confirm)
+    parts = _run(_scan_middle, (entries, copies), confirm,
+                 _processes(workers, len(confirm), work, _FORK_CONFIRMS))
     return _fold([task[0] for task in confirm], parts, nb, n)
 
 
@@ -562,8 +561,7 @@ def sampled_delta(
         sizes.append(samples % SAMPLE_BATCH)
     tasks = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
     processes = _processes(workers, len(tasks), len(tasks), _FORK_BATCHES)
-    with _runner(np.ascontiguousarray(entries), processes) as run:
-        parts = run(_batch_best, tasks)
+    parts = _run(_batch_best, np.ascontiguousarray(entries), tasks, processes)
     best2, wit = _fold([[0]] * len(parts), parts, 1, n)
     return DeltaReport(
         delta=float(best2[0]) / 2.0 * scale,

@@ -44,6 +44,9 @@ AVG_TAU_BOUND = 3.0 * LOG3 + LOG2
 #: Looser constant also in circulation for the averaged variant; recorded in
 #: reports for comparison, never asserted.
 AVG_TAU_BOUND_ALT = 3.0 * LOG3 + 2.0 * LOG2
+#: Least distance from a sweep's puncture to every cloud point and every
+#: other puncture.
+_PUNCTURE_MIN_GAP = 1e-3
 #: Variants the sweep measures at every puncture count k.
 _SWEEP_VARIANTS = ("avg_tau", "tilde_avg_tau", "sup_tau")
 #: Each asserted variant: the sweep variant whose matrices it is read from,
@@ -245,16 +248,14 @@ def arctan_family(
     return result
 
 
-def _place_punctures(
-    rng: np.random.Generator, pts: np.ndarray, k: int, min_gap: float = 1e-3
-) -> np.ndarray:
+def _place_punctures(rng: np.random.Generator, pts: np.ndarray, k: int) -> np.ndarray:
     """Seeded puncture locations in the unit square, re-drawn until at least
-    ``min_gap`` from every cloud point and every earlier puncture."""
+    ``_PUNCTURE_MIN_GAP`` from every cloud point and every earlier puncture."""
     placed: list[np.ndarray] = []
     while len(placed) < k:
         cand = rng.uniform(0.0, 1.0, size=pts.shape[1])
         ref = np.vstack([pts] + [p[None, :] for p in placed]) if placed else pts
-        if _norms(ref - cand, "euclidean").min() >= min_gap:
+        if _norms(ref - cand, "euclidean").min() >= _PUNCTURE_MIN_GAP:
             placed.append(cand)
     return np.array(placed)
 
@@ -318,6 +319,6 @@ def hyperbolicity_sweep(
         "trials": trials,
         "seed": seed,
         "tolerance": tol,
-        "puncture_min_gap": 1e-3,
+        "puncture_min_gap": _PUNCTURE_MIN_GAP,
     }
     return ScenarioResult("sweep", config, measured, bounds)

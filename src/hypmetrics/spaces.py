@@ -48,7 +48,7 @@ Matrix files are byte-stable: ``DistanceMatrix.save`` writes the bytes of
 ``json.dumps(m.to_dict(), indent=2)`` (or of a ``csv.writer`` of ``repr``
 rows) for any worker count. It formats each symmetric pair once, in row
 bands of equal upper-triangle size, each on a process of its own forked
-by ``_pool._runner`` (one band, in the calling process, below
+by ``_pool._run`` (one band, in the calling process, below
 ``2 * _BAND_ENTRIES`` entries), and writes the rows once every band is
 done. ``load_distance_matrix`` decodes a large JSON matrix file in row
 pieces the same way, and otherwise reads it as ``json.loads`` does, with
@@ -73,7 +73,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._pool import _processes, _runner
+from ._pool import _processes, _run
 from .errors import InputError
 
 Vector = Sequence[float]
@@ -418,8 +418,8 @@ class DistanceMatrix:
         bands = _bands(self.n, _worker_count(None))
         with tempfile.TemporaryDirectory() as tmp, ExitStack() as stack:
             names = [os.path.join(tmp, str(b)) for b in range(len(bands))]
-            with _runner(self._entries, len(bands)) as run:
-                sizes = run(_band_text, [(*band, sep, name) for band, name in zip(bands, names)])
+            sizes = _run(_band_text, self._entries,
+                         [(*band, sep, name) for band, name in zip(bands, names)], len(bands))
             files = [stack.enter_context(open(name, "rb")) for name in names]
             rows = _band_rows(bands, files, sizes, sep.encode())
             with open(path, "wb") as fh:
@@ -524,12 +524,14 @@ def _as_entries(d, n: int | None = None) -> np.ndarray:
 
 def _pairs(d, rows, cols) -> np.ndarray:
     """The entries ``(rows[t], cols[t])`` of a distance input: an oracle called on
-    each pair in turn, its values read by ``_float_matrix``, or ``_as_entries``
+    each pair in turn, then each value read by ``float``, or ``_as_entries``
     at the indices ``_index`` reads."""
     if callable(d) and not isinstance(d, DistanceMatrix):  # a DistanceMatrix is callable too
         values = [d(i, j) for i, j in zip(rows, cols)]
-        # float() of each value: None or a list is refused, not read as NaN or a row
-        return _float_matrix(values, lambda v, dtype: np.fromiter(map(dtype, v), dtype, len(v)))
+        try:  # float() of each value: None or a list is refused, not read as NaN or a row
+            return np.array([float(v) for v in values])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"distance oracle values must be numbers: {exc}") from exc
     e = _as_entries(d)
     rows, cols = ([_index(i, e.shape[0], "point index") for i in ix] for ix in (rows, cols))
     return e[rows, cols]
@@ -586,8 +588,7 @@ def _read_matrix(text: str, workers: int) -> DistanceMatrix | None:
         pieces.append((at, cut.start() + 1))
         at = cut.end() - 1
     pieces.append((at, end))
-    with _runner(text, len(pieces)) as run:
-        rows = run(_read_rows, pieces)
+    rows = _run(_read_rows, text, pieces, len(pieces))
     if any(r is None for r in rows) or len({r.shape[1] for r in rows}) > 1:
         return None
     return DistanceMatrix.from_dict({"n": n, "entries": [row for piece in rows for row in piece]})

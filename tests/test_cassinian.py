@@ -412,9 +412,12 @@ def test_scalar_constructors_refuse_bad_indices(call, message):
         (lambda d: avg_tau(d, 0, 1, 5), "^punctures must be a list, got int$"),
         (lambda d: mu_P(d, 0, 1, 3), "^punctures must be a list, got int$"),
         (lambda d: j_metric(d, 0, 1, None), "^punctures must be a list, got NoneType$"),
-        (lambda d: tau_p(lambda i, j: "a", 0, 1, 2), "could not convert string to float: 'a'$"),
-        (lambda d: mu_P(lambda i, j: None, 0, 1, [2]), "not 'NoneType'$"),
-        (lambda d: avg_tau(lambda i, j: [1.0], 0, 1, [2]), "not 'list'$"),
+        (lambda d: tau_p(lambda i, j: "a", 0, 1, 2),
+         "^distance oracle values must be numbers: could not convert string to float: 'a'$"),
+        (lambda d: mu_P(lambda i, j: None, 0, 1, [2]),
+         r"^distance oracle values must be numbers: float\(\) argument .* not 'NoneType'$"),
+        (lambda d: avg_tau(lambda i, j: [1.0], 0, 1, [2]),
+         r"^distance oracle values must be numbers: float\(\) argument .* not 'list'$"),
     ],
     ids=["avg_tau-int", "mu_P-int", "j-none", "oracle-string", "oracle-none", "oracle-list"],
 )

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from contextlib import contextmanager
 from itertools import combinations, groupby, permutations
 from operator import itemgetter
 
@@ -682,15 +681,14 @@ def test_sweep_confirms_only_the_rows_that_need_it(monkeypatch):
 
 def test_sweep_runs_one_screen_pass_and_one_confirm_pass(monkeypatch):
     # the confirm pass is planned from the screen alone, so a sweep calls
-    # its runner twice whether the screen keeps one step or every step
-    runner, passes = delta._runner, []
+    # _run twice whether the screen keeps one step or every step
+    run, passes = delta._run, []
 
-    @contextmanager
-    def recording(shared, workers):
-        with runner(shared, workers) as run:
-            yield lambda fn, tasks: passes.append((fn.__name__, len(tasks))) or run(fn, tasks)
+    def recording(fn, shared, tasks, processes):
+        passes.append((fn.__name__, len(tasks)))
+        return run(fn, shared, tasks, processes)
 
-    monkeypatch.setattr(delta, "_runner", recording)
+    monkeypatch.setattr(delta, "_run", recording)
     n = 60
     spec = PuncturedSpec(random_cloud(n, 2, seed=95), [[2.0, 2.0], [-1.0, 0.5], [0.5, 3.0]],
                          variant="avg_tau")

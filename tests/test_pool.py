@@ -3,6 +3,7 @@ back to the caller, and no child outlives a pass on any path."""
 
 import os
 import time
+import traceback
 
 import pytest
 
@@ -16,8 +17,7 @@ def _no_child_left():
 
 
 def test_children_compute_the_shares_in_task_order():
-    with _pool._runner(10, 3) as run:
-        out = run(lambda shared, x: (shared + x, os.getpid()), [(x,) for x in range(7)])
+    out = _pool._run(lambda shared, x: (shared + x, os.getpid()), 10, [(x,) for x in range(7)], 3)
     assert [value for value, _ in out] == list(range(10, 17))
     pids = [pid for _, pid in out]
     assert os.getpid() not in pids  # the caller runs no share
@@ -27,8 +27,8 @@ def test_children_compute_the_shares_in_task_order():
 
 def test_no_fork_runs_every_pass_in_the_caller(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    with _pool._runner(None, 4) as run:
-        assert run(lambda shared, x: os.getpid(), [(x,) for x in range(5)]) == [os.getpid()] * 5
+    out = _pool._run(lambda shared, x: os.getpid(), None, [(x,) for x in range(5)], 4)
+    assert out == [os.getpid()] * 5
 
 
 @pytest.mark.parametrize("failing", [2, 3])
@@ -39,9 +39,11 @@ def test_a_child_exception_is_raised_in_the_caller(exc, failing):
             raise exc
         return x
 
-    with _pool._runner(None, 2) as run, pytest.raises(type(exc)) as info:
-        run(task, [(x,) for x in range(4)])
+    with pytest.raises(type(exc)) as info:
+        _pool._run(task, None, [(x,) for x in range(4)], 2)
     assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    # the child's traceback is the exception's cause, so it names the task's frame
+    assert ", in task\n" in "".join(traceback.format_exception(info.type, info.value, info.tb))
     _no_child_left()
 
 
@@ -55,8 +57,9 @@ def test_an_exception_that_does_not_unpickle_comes_back_as_its_repr():
         raise _TwoArgs(x, "b")
 
     message = r"^_TwoArgs\('0 and b'\) cannot be sent"
-    with _pool._runner(None, 2) as run, pytest.raises(RuntimeError, match=message):
-        run(task, [(0,), (1,)])
+    with pytest.raises(RuntimeError, match=message) as info:
+        _pool._run(task, None, [(0,), (1,)], 2)
+    assert "in task" in str(info.value.__cause__)
     _no_child_left()
 
 
@@ -67,8 +70,8 @@ def test_a_child_that_dies_without_writing_is_named():
         return x
 
     message = r"^worker process of share 2 of 2 ended \(exit code 3\) without sending its results$"
-    with _pool._runner(None, 2) as run, pytest.raises(RuntimeError, match=message):
-        run(task, [(0,), (1,)])
+    with pytest.raises(RuntimeError, match=message):
+        _pool._run(task, None, [(0,), (1,)], 2)
     _no_child_left()
 
 
@@ -90,8 +93,8 @@ def test_children_still_running_are_killed_when_the_caller_raises():
         return _Interrupting()
 
     start = time.monotonic()
-    with _pool._runner(None, 2) as run, pytest.raises(KeyboardInterrupt):
-        run(task, [(0,), (1,)])
+    with pytest.raises(KeyboardInterrupt):
+        _pool._run(task, None, [(0,), (1,)], 2)
     assert time.monotonic() - start < 30  # the sleeping child was killed, not waited for
     _no_child_left()
 
